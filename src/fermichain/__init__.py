@@ -25,8 +25,6 @@ from .models import (
     DispersionProfile,
     MonotonicityReport,
     mode_energy,
-    dispersion,
-    dispersion_derivative,
     monotonicity_report,
 )
 from .criticality import (
@@ -34,7 +32,6 @@ from .criticality import (
     ThermalResult,
     LowTemperatureFit,
     fermi_points,
-    classify_phase,
     free_energy,
     low_temperature_fit,
 )
@@ -83,14 +80,11 @@ __all__ = [
     "DispersionProfile",
     "MonotonicityReport",
     "mode_energy",
-    "dispersion",
-    "dispersion_derivative",
     "monotonicity_report",
     "FermiAnalysis",
     "ThermalResult",
     "LowTemperatureFit",
     "fermi_points",
-    "classify_phase",
     "free_energy",
     "low_temperature_fit",
     "CorrelationSpectrum",

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 
@@ -76,38 +77,35 @@ def _fmt_cell(x):
     return _fmt_float(float(x))
 
 
-def _to_json(obj, indent=0):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _json_ready(obj):
+    # one pass before json.dumps: numpy scalars become Python numbers,
+    # tuples become lists, and non-finite floats, which JSON has no
+    # literal for, become the strings "inf", "-inf" and "nan"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_to_json(obj[k], indent + 1)}"
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        parts = [f"{inner}{_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return [_json_ready(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        # JSON has no literal for non-finite numbers; ship them as strings
-        return _fmt_float(x) if math.isfinite(x) else json.dumps(_fmt_float(x))
-    return json.dumps(str(obj))
+        return float(obj) if math.isfinite(obj) else _fmt_float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
 def _write_text(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".")
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with open(fd, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +301,9 @@ def _cmd_dispersion(args):
     ps = np.linspace(0.0, 2.0 * math.pi, int(n))
     e = prof.E_grid(ps)
     e1 = prof.E1_grid(ps)
-    rows = [[float(p), float(ev), float(dv), prof.E2(float(p))]
-            for p, ev, dv in zip(ps, e, e1)]
+    e2 = prof.E2_grid(ps)
+    rows = [[float(p), float(ev), float(dv), float(d2v)]
+            for p, ev, dv, d2v in zip(ps, e, e1, e2)]
     cfg = _model_config(args)
     cfg["grid_points"] = int(n)
     header = ["p", "E", "dE", "d2E"]
@@ -345,9 +344,13 @@ def _cmd_free_energy(args):
         temps = _parse_temperature_spec(args.T)
     else:
         temps = tuple(float(t) for t in np.geomspace(1e-3, 1e-2, 8))
-    analysis = fermi_points(prof, mu)
-    thermal = [free_energy(prof, mu, t, analysis=analysis) for t in temps]
-    fit = low_temperature_fit(prof, mu, T_grid=temps) if args.fit else None
+    if args.fit:
+        fit = low_temperature_fit(prof, mu, T_grid=temps)
+        thermal = fit.thermal
+    else:
+        fit = None
+        analysis = fermi_points(prof, mu)
+        thermal = [free_energy(prof, mu, t, analysis=analysis) for t in temps]
     header = ["T", "f", "f0", "fit_exponent", "fit_coefficient",
               "fit_predicted"]
     tail = ([fit.exponent, fit.coefficient, fit.predicted_coefficient]
@@ -479,7 +482,8 @@ def run(argv):
             doc = {"config": cfg_doc, "results": results,
                    "meta": {"version": __version__,
                             "runtime_s": time.perf_counter() - started}}
-            text = _to_json(doc) + "\n"
+            text = json.dumps(_json_ready(doc), sort_keys=True,
+                              indent=2) + "\n"
         _write_text(output, text)
         if stub:
             _write_text(output + ".gp", _render_gnuplot(output, plot_cols))

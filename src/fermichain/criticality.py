@@ -61,6 +61,7 @@ class LowTemperatureFit:
     coefficient: float
     predicted_coefficient: object  # None when no scaling law applies
     residual: float
+    thermal: tuple                 # the ThermalResult fitted at each T
 
 
 def _log1pexp(t):
@@ -75,45 +76,42 @@ def fermi_points(profile, mu):
     return _analyze(profile, mu)
 
 
-def classify_phase(profile, mu):
-    """Alias of fermi_points; the phase fields are always filled."""
-    return _analyze(profile, mu)
-
-
 def _analyze(profile, mu):
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError("chemical potential must be finite")
     stationary = monotonicity_report(profile).critical_points
-    band_nodes = [0.0] + list(stationary) + [math.pi]
-    band_vals = [profile.E(p) for p in band_nodes]
-    e_min = min(band_vals)
-    e_max = max(band_vals)
+    band_vals = profile.E_grid([0.0, *stationary, math.pi])
+    e_min = float(band_vals.min())
+    e_max = float(band_vals.max())
 
     snap_tol = 1e-10 * max(1.0, abs(mu))
-    snapped = []
+    # tangency: mu sits on a band extremum to working precision
+    tangent = [pc for pc, e in zip(stationary, band_vals[1:-1])
+               if abs(e - mu) < snap_tol]
+    snapped = [(pc, 2) for pc in tangent]
     excluded = []
-    for pc in stationary:
-        if abs(profile.E(pc) - mu) < snap_tol:
-            # tangency: mu sits on a band extremum to working precision
-            snapped.append((pc, 2))
-            e2 = abs(profile.E2(pc))
-            radius = 2.0 * math.sqrt(2.0 * snap_tol / max(e2, 1e-6))
-            excluded.append((pc - radius, pc + radius))
+    if tangent:
+        curvature = np.abs(profile.E2_grid(tangent))
+        radius = 2.0 * np.sqrt(2.0 * snap_tol / np.maximum(curvature, 1e-6))
+        excluded = list(zip(np.subtract(tangent, radius),
+                            np.add(tangent, radius)))
+
+    def outside(p):
+        # the quadratic neighborhood of a snapped tangency holds no crossing
+        return not any(a <= p <= b for a, b in excluded)
 
     cand = half_period_candidates(focus=stationary)
     g = profile.E_grid(cand) - mu
-    crossing = []
-    for i in np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0):
-        r = _bisect_sign_change(lambda p: profile.E(p) - mu,
-                                cand[i], cand[i + 1], g[i], g[i + 1],
-                                xtol=1e-13)
-        if any(a <= r <= b for a, b in excluded):
-            continue  # the quadratic neighborhood of a snapped tangency
-        nu = 2 if abs(profile.E1(r)) < 1e-8 else 1
-        crossing.append((r, nu))
+    bisected = [_bisect_sign_change(lambda p: profile.E(p) - mu,
+                                    cand[i], cand[i + 1], g[i], g[i + 1],
+                                    xtol=1e-13)
+                for i in np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)]
+    bisected = [r for r in bisected if outside(r)]
+    crossing = [(r, 2 if abs(d) < 1e-8 else 1)
+                for r, d in zip(bisected, profile.E1_grid(bisected))]
     crossing.extend((float(p), 1) for p in cand[np.flatnonzero(g == 0.0)]
-                    if not any(a <= p <= b for a, b in excluded))
+                    if outside(p))
 
     roots = []
     for r, nu in sorted(snapped + crossing):
@@ -122,14 +120,19 @@ def _analyze(profile, mu):
             roots.append((r, nu))
     roots = tuple(roots)
 
-    velocities = tuple(abs(profile.E1(p)) for p, _ in roots)
+    ps = np.array([p for p, _ in roots])
+    slopes = profile.E1_grid(ps)
+    velocities = tuple(np.abs(slopes).tolist())
+    d = slopes.copy()
+    multiple = np.array([nu > 1 for _, nu in roots], dtype=bool)
+    if multiple.any():
+        d[multiple] = profile.E2_grid(ps[multiple])
     b_k = []
     eps_k = []
-    for p, nu in roots:
-        d = profile.E1(p) if nu == 1 else profile.E2(p)
-        b_k.append((math.factorial(nu) / abs(d)) ** (1.0 / nu)
-                   if d != 0.0 else math.inf)
-        eps_k.append(int(math.copysign(1.0, d)) if d != 0.0 else 0)
+    for dk, (_, nu) in zip(d.tolist(), roots):
+        b_k.append((math.factorial(nu) / abs(dk)) ** (1.0 / nu)
+                   if dk != 0.0 else math.inf)
+        eps_k.append(int(math.copysign(1.0, dk)) if dk != 0.0 else 0)
 
     sea_half = _half_sea(profile, mu, [p for p, _ in roots])
     sea = _reflect_sea(sea_half)
@@ -159,9 +162,10 @@ def _analyze(profile, mu):
 
 def _half_sea(profile, mu, root_ps):
     nodes = [0.0] + list(root_ps) + [math.pi]
+    mids = 0.5 * (np.array(nodes[:-1]) + np.array(nodes[1:]))
     runs = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if profile.E(0.5 * (a + b)) < mu:
+    for a, b, e in zip(nodes[:-1], nodes[1:], profile.E_grid(mids)):
+        if e < mu:
             if runs and runs[-1][1] == a:
                 runs[-1][1] = b  # tangency point interior to the sea
             else:
@@ -190,6 +194,9 @@ def free_energy(profile, mu, T, analysis=None):
         raise DomainError(f"temperature must be positive, got {T}")
     if analysis is None:
         analysis = _analyze(profile, mu)
+    elif float(mu) != analysis.mu:
+        raise DomainError(
+            f"analysis is for mu={analysis.mu}, free energy asked at mu={mu}")
     mu = analysis.mu
 
     f0 = 0.0
@@ -216,12 +223,6 @@ def free_energy(profile, mu, T, analysis=None):
             f"free-energy quadrature reached only {achieved:.3e} "
             f"(target 1e-9) at T={T}", achieved=achieved, target=1e-9)
     return ThermalResult(T=T, f=f, f0=f0)
-
-
-def quadrature_self_check():
-    """int_0^inf log(1+e^-x) dx; must come back as pi^2/12."""
-    val = quad(lambda x: _log1pexp(-x), 0.0, 50.0, epsabs=1e-14)[0]
-    return val
 
 
 def low_temperature_fit(profile, mu, T_grid=None):
@@ -275,4 +276,4 @@ def low_temperature_fit(profile, mu, T_grid=None):
     return LowTemperatureFit(exponent=float(slope),
                              coefficient=-math.exp(float(intercept)),
                              predicted_coefficient=predicted,
-                             residual=residual)
+                             residual=residual, thermal=tuple(results))

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .specfun import digamma_real_part, entropy_kernel
-from .spectral import correlation_spectrum
+from .spectral import _check_block_length, correlation_spectrum
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,8 @@ def renyi_exact(spectrum, alpha):
                      for lam in spectrum.eigenvalues))
 
 
-def f_factor(roots):
-    """Model-dependent scale in the asymptotic entropy.
-
-    For Fermi points 0 < p_0 < ... < p_m < pi:
-    prod_i 2 sin p_i * prod_{j<i} [sin^2((p_i+p_j)/2) /
-    sin^2((p_i-p_j)/2)]^{(-1)^{i+j}}.
-    """
+def _check_roots(roots):
+    """Fermi points as floats, strictly increasing inside (0, pi)."""
     ps = [float(p) for p in roots]
     if not ps:
         raise DomainError("need at least one Fermi point")
@@ -64,6 +59,17 @@ def f_factor(roots):
             raise DomainError(
                 "Fermi points must be strictly increasing; coincident "
                 "points make the cross factor singular")
+    return ps
+
+
+def f_factor(roots):
+    """Model-dependent scale in the asymptotic entropy.
+
+    For Fermi points 0 < p_0 < ... < p_m < pi:
+    prod_i 2 sin p_i * prod_{j<i} [sin^2((p_i+p_j)/2) /
+    sin^2((p_i-p_j)/2)]^{(-1)^{i+j}}.
+    """
+    ps = _check_roots(roots)
     val = 1.0
     for p in ps:
         val *= 2.0 * math.sin(p)
@@ -240,8 +246,7 @@ def renyi_asymptotic(analysis, L, alpha, spectrum=None):
     from an eigendecomposition of the L x L correlation matrix; pass a
     precomputed spectrum to amortize it across alpha values.
     """
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise DomainError(f"block length must be a positive integer, got {L!r}")
+    L = _check_block_length(L)
     alpha = _check_alpha(alpha)
     if analysis.phase != "critical":
         raise DomainError(

@@ -12,10 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .entanglement import f_factor
+from .entanglement import _check_roots, f_factor
 from .errors import DomainError
 from .specfun import log_barnes_pair
-from .spectral import correlation_spectrum, log_det_char
+from .spectral import _check_block_length, correlation_spectrum, log_det_char
 
 _TWO_PI = 2.0 * math.pi
 
@@ -40,19 +40,6 @@ def _check_off_cut(lam):
         raise DomainError(
             f"lambda={lam} is within 1e-9 of the eigenvalue support [-1, 1]")
     return lam
-
-
-def _check_roots(roots):
-    ps = [float(p) for p in roots]
-    if not ps:
-        raise DomainError("need at least one Fermi point")
-    for p in ps:
-        if not 0.0 < p < math.pi:
-            raise DomainError(f"Fermi point {p} outside (0, pi)")
-    for a, b in zip(ps, ps[1:]):
-        if b <= a:
-            raise DomainError("Fermi points must be strictly increasing")
-    return ps
 
 
 def symbol_params(roots, lam):
@@ -83,9 +70,7 @@ def log_dl_asymptotic(symbol, L):
     -2 beta^2 log(L^{m+1} f) + L log(lam+1)
     - L P log[(lam+1)/(lam-1)] + 2(m+1) log[G(1+beta) G(1-beta)].
     """
-    if not isinstance(L, int) or isinstance(L, bool) or L < 2:
-        raise DomainError(
-            f"asymptotic formula needs block length >= 2, got {L!r}")
+    L = _check_block_length(L, minimum=2)
     roots = [p for p in symbol.jump_angles if p > 0.0]
     nsea = len(roots)
     lam = symbol.lam
@@ -107,10 +92,9 @@ def fh_deviation(analysis, lam, L_list):
             f"points; phase is {analysis.phase!r}")
     roots = [p for p, _ in analysis.roots]
     symbol = symbol_params(roots, lam)
+    sizes = [_check_block_length(L, minimum=2) for L in L_list]
     out = []
-    for L in L_list:
-        if not isinstance(L, int) or isinstance(L, bool) or L < 2:
-            raise DomainError(f"block lengths must be integers >= 2, got {L!r}")
+    for L in sizes:
         exact = log_det_char(correlation_spectrum(analysis, L), symbol.lam)
         out.append((L, abs(exact - log_dl_asymptotic(symbol, L))))
     return out

@@ -114,7 +114,7 @@ def mode_energy(model, N, l):
 
 
 # ---------------------------------------------------------------------------
-# Clausen-type series for the rational-cubic grid evaluators.
+# Clausen-type series for the rational-cubic evaluators.
 # log(theta / (2 sin(theta/2))) = sum_k zeta(2k) theta^{2k} / (k (2 pi)^{2k});
 # integrating once and twice gives Im Li_2(e^{i theta}) and
 # zeta(3) - Re Li_3(e^{i theta}) with an explicit theta^2 log(theta) part.
@@ -170,98 +170,109 @@ def _clausen2_near_pi_slope(u):
 class DispersionProfile:
     """E(p), E'(p), E''(p) on [0, 2*pi] for one interaction model.
 
-    Scalar methods are adaptive-quadrature accurate; the *_grid methods
-    vectorize over momentum arrays (per-point quadrature where no series
-    or closed form exists). At the zone center the haldane-shastry and
-    power-law (nu <= 2) dispersions have a cusp; derivative values there
-    are one-sided limits where defined.
+    The *_grid methods evaluate each family in one place, over momentum
+    arrays, by closed form or series; power-law still integrates per
+    point. E, E1 and E2 are grids of one. At the zone center the
+    haldane-shastry and power-law (nu <= 2) dispersions have a cusp;
+    derivative values there are one-sided limits where defined.
     """
 
     def __init__(self, model):
         self.model = model
-        self._custom_cache = {}
+        self._series_cache = {}
 
-    # -- custom-summable truncation ------------------------------------
-    def _custom_arrays(self, order):
-        """(j, h_j) truncated so the declared tail bound caps the error.
+    # -- cosine-series couplings -----------------------------------------
+    def _couplings(self, order):
+        """(j, h_j) of the series E = 2 sum_j h_j (1 - cos j p).
 
-        Order o weights the tail by j^o, so truncation requires
-        J^o B(J) < 1e-12; the scan doubles J and gives up at 2^20.
+        Finite-range models give their couplings as they are. A
+        custom-summable series is truncated so the declared tail bound
+        caps the error: order o weights the tail by j^o, so truncation
+        requires J^o B(J) < 1e-12; the scan doubles J and gives up at 2^20.
         """
-        if order in self._custom_cache:
-            return self._custom_cache[order]
-        B = self.model.tail_bound
-        J = 8
-        while float(J) ** order * float(B(J)) >= 1e-12:
-            J *= 2
-            if J > 2 ** 20:
-                achieved = float(J / 2) ** order * float(B(J // 2))
-                raise AccuracyError(
-                    f"declared tail bound cannot reach 1e-12 at weight j^{order} "
-                    f"within 2^20 terms (achieved {achieved:.3e})",
-                    achieved=achieved, target=1e-12)
-        j = np.arange(1, J + 1, dtype=float)
-        hj = np.array([float(self.model.h(int(k))) for k in range(1, J + 1)])
-        self._custom_cache[order] = (j, hj)
+        if order in self._series_cache:
+            return self._series_cache[order]
+        if self.model.family == "finite-range":
+            hj = np.asarray(self.model.alphas)
+        else:
+            B = self.model.tail_bound
+            J = 8
+            while float(J) ** order * float(B(J)) >= 1e-12:
+                J *= 2
+                if J > 2 ** 20:
+                    achieved = float(J / 2) ** order * float(B(J // 2))
+                    raise AccuracyError(
+                        f"declared tail bound cannot reach 1e-12 at weight "
+                        f"j^{order} within 2^20 terms (achieved {achieved:.3e})",
+                        achieved=achieved, target=1e-12)
+            hj = np.array([float(self.model.h(k)) for k in range(1, J + 1)])
+        j = np.arange(1.0, hj.size + 1.0)
+        self._series_cache[order] = (j, hj)
         return j, hj
 
-    # -- scalar evaluators ----------------------------------------------
+    # -- evaluators: one branch per family, scalars are grids of one --------
     def E(self, p):
+        return float(self.E_grid(float(p))[0])
+
+    def E1(self, p):
+        return float(self.E1_grid(float(p))[0])
+
+    def E2(self, p):
+        return float(self.E2_grid(float(p))[0])
+
+    def E_grid(self, p):
         p = _check_momentum(p)
         m = self.model
         if m.family == "haldane-shastry":
             return 0.5 * p * (_TWO_PI - p)
-        if m.family == "finite-range":
-            return 2.0 * sum(a * (1.0 - math.cos((k + 1) * p))
-                             for k, a in enumerate(m.alphas))
         if m.family == "power-law":
-            return 2.0 * m.C * (zeta(m.nu) - polylog_circle(m.nu, p).real)
+            li = np.array([polylog_circle(m.nu, x).real for x in p])
+            return 2.0 * m.C * (zeta(m.nu) - li)
         if m.family == "rational-cubic":
-            gap = zeta(3.0) - polylog_circle(3.0, p).real
-            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * gap
-        j, hj = self._custom_arrays(0)
-        return 2.0 * float(np.dot(hj, 1.0 - np.cos(j * p)))
+            q = np.minimum(p, _TWO_PI - p)
+            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * _glaisher3_gap(q)
+        # finite-range and custom-summable: the explicit cosine series
+        j, hj = self._couplings(0)
+        return _trig_sum(p, j, hj, np.cos, constant=2.0 * hj.sum(), sign=-2.0)
 
-    def E1(self, p):
+    def E1_grid(self, p):
         p = _check_momentum(p)
         m = self.model
         if m.family == "haldane-shastry":
             return math.pi - p
-        if m.family == "finite-range":
-            return 2.0 * sum((k + 1) * a * math.sin((k + 1) * p)
-                             for k, a in enumerate(m.alphas))
         if m.family == "power-law":
-            return self._power_law_deriv(p, 1)
+            return np.array([self._power_law_deriv(x, 1) for x in p])
         if m.family == "rational-cubic":
+            q = np.minimum(p, _TWO_PI - p)
+            odd = np.where(p > math.pi, -1.0, 1.0)
+            out = (math.pi - p) - 2.0 * m.J * odd * _clausen2(q)
             h = math.pi - p
-            if abs(h) < 0.5 * math.pi:
-                return h * (1.0 - 2.0 * m.J
-                            * float(_clausen2_near_pi_slope(abs(h))))
-            return (math.pi - p) - 2.0 * m.J * polylog_circle(2.0, p).imag
-        j, hj = self._custom_arrays(1)
-        return 2.0 * float(np.dot(j * hj, np.sin(j * p)))
+            near = np.abs(h) < 0.5 * math.pi
+            if np.any(near):
+                hn = h[near]
+                out[near] = hn * (1.0 - 2.0 * m.J
+                                  * _clausen2_near_pi_slope(np.abs(hn)))
+            return out
+        j, hj = self._couplings(1)
+        return _trig_sum(p, j, j * hj, np.sin, sign=2.0)
 
-    def E2(self, p):
+    def E2_grid(self, p):
         p = _check_momentum(p)
         m = self.model
         if m.family == "haldane-shastry":
-            return -1.0
-        if m.family == "finite-range":
-            return 2.0 * sum((k + 1) ** 2 * a * math.cos((k + 1) * p)
-                             for k, a in enumerate(m.alphas))
+            return np.full(p.shape, -1.0)
         if m.family == "power-law":
-            if min(p, _TWO_PI - p) == 0.0 and m.nu <= 3.0:
-                return math.inf  # sum 2 C j^{2-nu} diverges at the zone center
-            return self._power_law_deriv(p, 2)
+            return np.array([self._power_law_deriv(x, 2) for x in p])
         if m.family == "rational-cubic":
-            s = 2.0 * math.sin(0.5 * p)
-            if s == 0.0:
-                if m.J == 0.0:
-                    return -1.0
-                return -math.inf if m.J > 0.0 else math.inf
-            return -1.0 + 2.0 * m.J * math.log(s)
-        j, hj = self._custom_arrays(2)
-        return 2.0 * float(np.dot(j * j * hj, np.cos(j * p)))
+            if m.J == 0.0:
+                return np.full(p.shape, -1.0)
+            # log|2 sin(p/2)| diverges at the zone center: E'' = -inf for
+            # J > 0 and +inf for J < 0 there
+            s = 2.0 * np.sin(0.5 * np.minimum(p, _TWO_PI - p))
+            with np.errstate(divide="ignore"):
+                return -1.0 + 2.0 * m.J * np.log(s)
+        j, hj = self._couplings(2)
+        return _trig_sum(p, j, j * j * hj, np.cos, sign=2.0)
 
     def _power_law_deriv(self, p, order):
         """Differentiated integral representation of 2C[zeta - Re Li_nu].
@@ -275,6 +286,8 @@ class DispersionProfile:
         s = min(p, _TWO_PI - p)
         if s == 0.0 and order == 1:
             return 0.0  # odd in p - pi; symmetric value at the zone-center cusp
+        if s == 0.0 and nu <= 3.0:
+            return math.inf  # sum 2 C j^{2-nu} diverges at the zone center
         cosp = math.cos(p)
         sinp = math.sin(p)
         sh2 = math.sin(0.5 * p) ** 2
@@ -316,84 +329,31 @@ class DispersionProfile:
                 target=1e-8 * max(1.0, abs(out)))
         return out
 
-    # -- vectorized evaluators -------------------------------------------
-    def E_grid(self, p):
-        p = _check_momentum_array(p)
-        m = self.model
-        if m.family == "haldane-shastry":
-            return 0.5 * p * (_TWO_PI - p)
-        if m.family == "finite-range":
-            k = np.arange(1, len(m.alphas) + 1, dtype=float)
-            a = np.asarray(m.alphas)
-            return 2.0 * ((1.0 - np.cos(np.outer(p, k))) @ a)
-        if m.family == "rational-cubic":
-            q = np.minimum(p, _TWO_PI - p)
-            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * _glaisher3_gap(q)
-        if m.family == "custom-summable":
-            j, hj = self._custom_arrays(0)
-            return _chunked_trig_sum(p, j, hj, np.cos, constant=2.0 * hj.sum(),
-                                     sign=-2.0)
-        return np.array([self.E(x) for x in p])
-
-    def E1_grid(self, p):
-        p = _check_momentum_array(p)
-        m = self.model
-        if m.family == "haldane-shastry":
-            return math.pi - p
-        if m.family == "finite-range":
-            k = np.arange(1, len(m.alphas) + 1, dtype=float)
-            a = np.asarray(m.alphas)
-            return 2.0 * (np.sin(np.outer(p, k)) @ (k * a))
-        if m.family == "rational-cubic":
-            q = np.minimum(p, _TWO_PI - p)
-            odd = np.where(p > math.pi, -1.0, 1.0)
-            out = (math.pi - p) - 2.0 * m.J * odd * _clausen2(q)
-            h = math.pi - p
-            near = np.abs(h) < 0.5 * math.pi
-            if np.any(near):
-                hn = h[near]
-                out[near] = hn * (1.0 - 2.0 * m.J
-                                  * _clausen2_near_pi_slope(np.abs(hn)))
-            return out
-        if m.family == "custom-summable":
-            j, hj = self._custom_arrays(1)
-            return _chunked_trig_sum(p, j, j * hj, np.sin, sign=2.0)
-        return np.array([self.E1(x) for x in p])
-
 
 def _check_momentum(p):
-    p = float(p)
-    if p < -1e-12 or p > _TWO_PI + 1e-12:
-        raise DomainError(f"momentum {p} outside [0, 2*pi]")
-    return min(max(p, 0.0), _TWO_PI)
+    """Momenta as a float array on [0, 2*pi]; a scalar is a grid of one.
+
+    Values within 1e-12 outside the zone are rounding and get clipped.
+    """
+    p = np.array(p, dtype=float, ndmin=1)
+    if p.size and not (-1e-12 <= p.min() and p.max() <= _TWO_PI + 1e-12):
+        raise DomainError(
+            f"momenta span [{p.min()}, {p.max()}], outside [0, 2*pi]")
+    return np.minimum(np.maximum(p, 0.0, out=p), _TWO_PI, out=p)
 
 
-def _check_momentum_array(p):
-    p = np.asarray(p, dtype=float)
-    if p.size and (p.min() < -1e-12 or p.max() > _TWO_PI + 1e-12):
-        raise DomainError("momentum grid extends outside [0, 2*pi]")
-    return np.clip(p, 0.0, _TWO_PI)
-
-
-def _chunked_trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
-    # sum_j w_j trig(j p) without forming the full outer product at once
+def _trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
+    # constant + sign * sum_j w_j trig(j p), in blocks of 2048 terms so the
+    # outer product stays small. Rows are summed one by one, not by a
+    # matrix product, whose rounding depends on how many rows there are:
+    # a point gets the same value in any grid, a grid of one included.
     out = np.full(p.shape, constant, dtype=float)
     for lo in range(0, j.size, 2048):
         blk = slice(lo, lo + 2048)
-        out += sign * (trig(np.outer(p, j[blk])) @ w[blk])
+        terms = trig(np.outer(p, j[blk]))
+        terms *= w[blk]
+        out += sign * terms.sum(axis=1)
     return out
-
-
-def dispersion(profile, p):
-    return profile.E(p)
-
-
-def dispersion_derivative(profile, p, order):
-    if order == 1:
-        return profile.E1(p)
-    if order == 2:
-        return profile.E2(p)
-    raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
 
 @dataclass(frozen=True)

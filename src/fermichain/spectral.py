@@ -37,11 +37,12 @@ class CorrelationSpectrum:
     eigenvalues: np.ndarray
 
 
-def _check_block_length(L):
+def _check_block_length(L, minimum=1):
+    """L as a Python int; numpy integers pass, bools and floats do not."""
     if not isinstance(L, (int, np.integer)) or isinstance(L, bool):
         raise DomainError(f"block length must be an integer, got {L!r}")
-    if L < 1:
-        raise DomainError(f"block length must be positive, got {L}")
+    if L < minimum:
+        raise DomainError(f"block length must be >= {minimum}, got {L}")
     return int(L)
 
 

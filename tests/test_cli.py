@@ -10,8 +10,10 @@ from fermichain import (
     InteractionModel,
     correlation_spectrum,
     fermi_points,
+    free_energy,
     renyi_exact,
 )
+from fermichain import cli, criticality
 from fermichain.cli import main, run
 
 FIG8 = ["--model", "finite-range", "--coeffs", "1,0.5", "--mu", "4.25"]
@@ -126,6 +128,26 @@ def test_free_energy_table_and_fit(tmp_path):
         fit["predicted_coefficient"], rel=2e-2)
 
 
+def test_free_energy_fit_analyses_once(tmp_path, monkeypatch):
+    calls = []
+    analyze = criticality._analyze
+
+    def counted(profile, mu):
+        calls.append(mu)
+        return analyze(profile, mu)
+
+    monkeypatch.setattr(criticality, "_analyze", counted)
+    out = str(tmp_path / "fe.json")
+    assert run(["free-energy", "--model", "haldane-shastry", "--mu", "2",
+                "--T", "0.001:0.01:5", "--fit", "--format", "json",
+                "--output", out]) == 0
+    assert calls == [2.0]
+    prof = DispersionProfile(InteractionModel.haldane_shastry())
+    for T, f, f0 in read_json(out)["results"]["table"]["rows"]:
+        direct = free_energy(prof, 2.0, T)
+        assert (f, f0) == (direct.f, direct.f0)
+
+
 def test_free_energy_csv_without_fit(tmp_path):
     out = str(tmp_path / "fe.csv")
     assert run(["free-energy", "--model", "haldane-shastry", "--mu", "2",
@@ -167,6 +189,39 @@ def test_dispersion_nonfinite_cells(tmp_path):
                 "--grid-points", "5", "--output", out]) == 0
     _, rows = read_csv(out)
     assert math.isinf(float(rows[0][3]))
+
+
+def test_json_maps_nonfinite_and_numpy_values(tmp_path):
+    out = str(tmp_path / "disp.json")
+    assert run(["dispersion", "--model", "power-law", "--nu", "2.5",
+                "--grid-points", "5", "--format", "json",
+                "--output", out]) == 0
+    doc = read_json(out)
+    rows = doc["results"]["rows"]
+    assert rows[0][3] == "inf" and rows[-1][3] == "inf"
+    assert all(isinstance(v, float) for v in rows[2])
+    assert doc["config"]["grid_points"] == 5
+    with open(out, "r", encoding="utf-8") as f:
+        text = f.read()
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_text_leaves_no_stray_file(tmp_path, monkeypatch):
+    target = str(tmp_path / "out.csv")
+    cli._write_text(target, "a,b\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli._write_text(target, "c,d\n")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    with open(target, "r", encoding="utf-8") as f:
+        assert f.read() == "a,b\n"
 
 
 def test_exit_one_on_bad_flags(tmp_path, capsys):

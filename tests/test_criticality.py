@@ -5,11 +5,9 @@ import pytest
 
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
-    classify_phase,
     fermi_points,
     free_energy,
     low_temperature_fit,
-    quadrature_self_check,
 )
 from fermichain.errors import DomainError, FitRejectedError
 
@@ -68,7 +66,7 @@ def test_two_component_sea_intervals():
 
 
 def test_single_component_sea():
-    a = classify_phase(hs(), 2.0)
+    a = fermi_points(hs(), 2.0)
     p0 = math.pi - math.sqrt(math.pi ** 2 - 4.0)
     assert a.phase == "critical"
     assert a.central_charge == 1
@@ -154,11 +152,6 @@ def test_negative_band_minimum():
 # ---------------------------------------------------------------------------
 # free energy
 
-def test_quadrature_self_check():
-    assert quadrature_self_check() == pytest.approx(math.pi ** 2 / 12.0,
-                                                    abs=1e-12)
-
-
 def test_free_energy_below_ground_energy():
     for prof, mu in [(hs(), 2.0), (fig8(), 17.0 / 4.0),
                      (DispersionProfile(InteractionModel.rational_cubic(0.4)),
@@ -196,6 +189,17 @@ def test_free_energy_validation():
         free_energy(hs(), 2.0, 0.0)
     with pytest.raises(DomainError):
         free_energy(hs(), 2.0, -0.5)
+
+
+def test_free_energy_rejects_analysis_for_other_mu():
+    # the mu = 2 analysis would silently give f = -0.218990 here
+    assert free_energy(hs(), 3.0, 0.01).f == pytest.approx(-0.517819,
+                                                           abs=1e-6)
+    with pytest.raises(DomainError):
+        free_energy(hs(), 3.0, 0.01, analysis=fermi_points(hs(), 2.0))
+    a = fermi_points(hs(), 2.0)
+    assert free_energy(hs(), 2.0, 0.01, analysis=a).f == pytest.approx(
+        -0.218990, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +245,7 @@ def test_critical_scaling_panel():
     ]
     for prof, mus in cases:
         for mu in mus:
-            a = classify_phase(prof, mu)
+            a = fermi_points(prof, mu)
             assert a.phase == "critical"
             fit = low_temperature_fit(prof, mu)
             want = -(math.pi / 6.0) * sum(1.0 / v for v in a.velocities)

@@ -230,8 +230,11 @@ def test_asymptotic_requires_critical():
 
 
 def test_asymptotic_validation():
-    with pytest.raises(DomainError):
-        renyi_asymptotic(hs_analysis(), 0, 1.0)
+    for bad in (0, np.int64(0), 2.5, True):
+        with pytest.raises(DomainError):
+            renyi_asymptotic(hs_analysis(), bad, 1.0)
+    assert renyi_asymptotic(hs_analysis(), np.int64(16), 1.0) == \
+        renyi_asymptotic(hs_analysis(), 16, 1.0)
     with pytest.raises(DomainError):
         renyi_asymptotic(hs_analysis(), 10, -1.0)
     with pytest.raises(DomainError):

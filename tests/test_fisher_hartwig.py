@@ -175,9 +175,10 @@ def test_asymptotic_large_lambda():
 
 def test_asymptotic_validation():
     s = symbol_params([1.0], 3.0)
-    for L in (1, 0, -2, 2.5):
+    for L in (1, 0, -2, 2.5, np.int64(1), True):
         with pytest.raises(DomainError):
             log_dl_asymptotic(s, L)
+    assert log_dl_asymptotic(s, np.int64(16)) == log_dl_asymptotic(s, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +220,7 @@ def test_deviation_validation():
         fh_deviation(hs_analysis(), 0.5, [8])
     with pytest.raises(DomainError):
         fh_deviation(hs_analysis(), 3.0, [8, 1])
+    with pytest.raises(DomainError):
+        fh_deviation(hs_analysis(), 3.0, [np.int64(1)])
+    assert fh_deviation(hs_analysis(), 3.0, [np.int64(8)]) == \
+        fh_deviation(hs_analysis(), 3.0, [8])

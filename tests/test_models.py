@@ -6,12 +6,10 @@ import pytest
 from fermichain.models import (
     DispersionProfile,
     InteractionModel,
-    dispersion,
-    dispersion_derivative,
     mode_energy,
     monotonicity_report,
 )
-from fermichain.specfun import polylog_circle
+from fermichain.specfun import polylog_circle, zeta
 from fermichain.errors import AccuracyError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -102,16 +100,14 @@ def test_mode_energy_index_errors():
 
 def test_dispersion_zero_at_zone_center():
     for model in all_test_models():
-        assert dispersion(DispersionProfile(model), 0.0) == pytest.approx(
-            0.0, abs=1e-12)
+        assert DispersionProfile(model).E(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dispersion_known_points():
     prof = DispersionProfile(fr(1.0, 0.5))
-    assert dispersion(prof, TWO_PI / 3.0) == pytest.approx(4.5, abs=1e-13)
+    assert prof.E(TWO_PI / 3.0) == pytest.approx(4.5, abs=1e-13)
     prof = DispersionProfile(hs())
-    assert dispersion(prof, math.pi) == pytest.approx(math.pi ** 2 / 2.0,
-                                                      abs=1e-14)
+    assert prof.E(math.pi) == pytest.approx(math.pi ** 2 / 2.0, abs=1e-14)
 
 
 def test_dispersion_frozen_values():
@@ -152,9 +148,9 @@ def test_dispersion_momentum_domain():
 def test_derivative_known_points():
     prof = DispersionProfile(fr(1.0, 0.5))
     p = TWO_PI / 3.0
-    assert dispersion_derivative(prof, p, 1) == pytest.approx(0.0, abs=1e-13)
-    assert dispersion_derivative(prof, p, 2) == pytest.approx(-3.0, abs=1e-12)
-    assert dispersion_derivative(DispersionProfile(hs()), math.pi, 1) == 0.0
+    assert prof.E1(p) == pytest.approx(0.0, abs=1e-13)
+    assert prof.E2(p) == pytest.approx(-3.0, abs=1e-12)
+    assert DispersionProfile(hs()).E1(math.pi) == 0.0
 
 
 def test_derivative_frozen_values():
@@ -164,11 +160,6 @@ def test_derivative_frozen_values():
     prof = DispersionProfile(InteractionModel.rational_cubic(0.5))
     assert prof.E1(1.0) == pytest.approx(RC_E1_1, abs=1e-11)
     assert prof.E2(1.0) == pytest.approx(RC_E2_1, abs=1e-13)
-
-
-def test_derivative_order_validation():
-    with pytest.raises(DomainError):
-        dispersion_derivative(DispersionProfile(hs()), 1.0, 3)
 
 
 def test_first_derivative_matches_finite_differences():
@@ -197,23 +188,87 @@ def test_power_law_slope_equals_polylog_route():
             2.0 * polylog_circle(2.0, p).imag, abs=1e-10)
 
 
-def test_rational_cubic_grid_matches_scalar():
-    prof = DispersionProfile(InteractionModel.rational_cubic(0.5))
-    p = np.linspace(0.0, TWO_PI, 41)
-    np.testing.assert_allclose(prof.E_grid(p),
-                               [prof.E(x) for x in p], atol=1e-11)
-    np.testing.assert_allclose(prof.E1_grid(p),
-                               [prof.E1(x) for x in p], atol=1e-11)
+def zone_center_ladder():
+    # p = pi 2^-k toward 0 and toward pi, where the Clausen series and the
+    # near-pi slope form each take over, plus a coarse grid in between
+    k = np.arange(1.0, 41.0)
+    return np.concatenate([math.pi * 2.0 ** -k, np.linspace(0.1, 3.0, 30),
+                           math.pi * (1.0 - 2.0 ** -k)])
 
 
-def test_grid_evaluators_match_scalar():
+def rational_cubic_reference(J, p, li2_imag, li3_real):
+    return (0.5 * p * (TWO_PI - p) - 2.0 * J * (zeta(3.0) - li3_real),
+            (math.pi - p) - 2.0 * J * li2_imag)
+
+
+def test_rational_cubic_matches_polylog_quadrature():
+    J = 0.5
+    prof = DispersionProfile(InteractionModel.rational_cubic(J))
+    p = np.concatenate([np.linspace(0.0, TWO_PI, 41), zone_center_ladder()])
+    want_e, want_e1 = zip(*(rational_cubic_reference(
+        J, x, polylog_circle(2.0, x).imag, polylog_circle(3.0, x).real)
+        for x in p))
+    np.testing.assert_allclose(prof.E_grid(p), want_e, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(prof.E1_grid(p), want_e1, rtol=0, atol=1e-10)
+
+
+def test_rational_cubic_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    J = 0.6
+    prof = DispersionProfile(InteractionModel.rational_cubic(J))
+    p = zone_center_ladder()
+    p = np.concatenate([p, TWO_PI - p])
+    with mpmath.workdps(30):
+        want_e, want_e1 = zip(*(rational_cubic_reference(
+            J, x, float(mpmath.polylog(2, mpmath.expj(x)).imag),
+            float(mpmath.polylog(3, mpmath.expj(x)).real))
+            for x in p))
+    np.testing.assert_allclose(prof.E_grid(p), want_e, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(prof.E1_grid(p), want_e1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose([prof.E(x) for x in p], want_e,
+                               rtol=0, atol=1e-12)
+
+
+def test_finite_range_matches_cosine_sum():
+    alphas = (1.0, -0.3, 0.25, 0.05)
+    prof = DispersionProfile(fr(*alphas))
+    p = np.linspace(0.0, TWO_PI, 37)
+    terms = list(enumerate(alphas, start=1))
+    want = [[2.0 * sum(a * (1.0 - math.cos(k * x)) for k, a in terms),
+             2.0 * sum(k * a * math.sin(k * x) for k, a in terms),
+             2.0 * sum(k * k * a * math.cos(k * x) for k, a in terms)]
+            for x in p]
+    got = np.column_stack([prof.E_grid(p), prof.E1_grid(p), prof.E2_grid(p)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_curvature_grid_matches_closed_forms():
     p = np.linspace(0.0, TWO_PI, 17)
-    for model in all_test_models():
+    inner = p[1:-1]
+    s = 2.0 * np.sin(0.5 * inner)
+    z = 0.5 * np.exp(1j * p)
+    cases = [
+        (hs(), np.full(p.shape, -1.0)),
+        (fr(1.0, 0.5), 2.0 * (np.cos(p) + 2.0 * np.cos(2.0 * p))),
+        # E'' = 2 Re Li_1(e^{ip}) = -2 log|2 sin(p/2)| at nu = 3
+        (InteractionModel.power_law(3.0),
+         np.concatenate([[math.inf], -2.0 * np.log(s), [math.inf]])),
+        (InteractionModel.rational_cubic(0.4),
+         np.concatenate([[-math.inf], -1.0 + 0.8 * np.log(s), [-math.inf]])),
+        (InteractionModel.rational_cubic(-0.4),
+         np.concatenate([[math.inf], -1.0 - 0.8 * np.log(s), [math.inf]])),
+        (InteractionModel.rational_cubic(0.0), np.full(p.shape, -1.0)),
+        # sum_j j^2 z^j = z (1 + z) / (1 - z)^3 for h(j) = 2^-j
+        (InteractionModel.custom_summable(lambda j: 0.5 ** j,
+                                          lambda J: 0.5 ** J),
+         2.0 * (z * (1.0 + z) / (1.0 - z) ** 3).real),
+    ]
+    for model, want in cases:
         prof = DispersionProfile(model)
-        np.testing.assert_allclose(prof.E_grid(p), [prof.E(x) for x in p],
-                                   atol=1e-10)
-        np.testing.assert_allclose(prof.E1_grid(p), [prof.E1(x) for x in p],
-                                   atol=1e-10)
+        got = prof.E2_grid(p)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                   err_msg=model.family)
+        assert [prof.E2(x) for x in p] == got.tolist()
 
 
 # ---------------------------------------------------------------------------

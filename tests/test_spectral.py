@@ -110,9 +110,11 @@ def test_row_needs_simple_fermi_points():
 
 def test_row_validation():
     a = hs_analysis()
-    for bad in (0, -3, 2.5, True):
+    for bad in (0, -3, 2.5, True, np.int64(0)):
         with pytest.raises(DomainError):
             correlation_row(a, bad)
+    assert np.array_equal(correlation_row(a, np.int64(9)),
+                          correlation_row(a, 9))
 
 
 def test_finite_row_filled_and_empty():
