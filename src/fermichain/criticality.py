@@ -190,8 +190,8 @@ def free_energy(profile, mu, T, analysis=None):
     over the Fermi sea and is the exact T -> 0 limit of f.
     """
     T = float(T)
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
+    if not (T > 0.0 and math.isfinite(T)):
+        raise DomainError(f"temperature must be positive and finite, got {T}")
     if analysis is None:
         analysis = _analyze(profile, mu)
     elif float(mu) != analysis.mu:
@@ -240,8 +240,8 @@ def low_temperature_fit(profile, mu, T_grid=None):
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.size < 4:
         raise DomainError("need at least 4 temperatures to fit")
-    if not np.all(T_grid > 0.0):
-        raise DomainError("temperatures must be positive")
+    if not np.all((T_grid > 0.0) & np.isfinite(T_grid)):
+        raise DomainError("temperatures must be positive and finite")
 
     analysis = _analyze(profile, mu)
     results = [free_energy(profile, mu, T, analysis=analysis)

@@ -8,14 +8,12 @@ its first two derivatives. Models are immutable after construction.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import AccuracyError, DomainError, QuadratureError
-from .specfun import exp_tail_cutoff, polylog_circle, quad_breakpoints, zeta
+from .errors import AccuracyError, DomainError
+from .specfun import polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -56,6 +54,8 @@ class InteractionModel:
     def power_law(cls, nu, C=1.0):
         nu = float(nu)
         C = float(C)
+        if not math.isfinite(nu):
+            raise DomainError(f"power-law exponent must be finite, got {nu}")
         if not nu > 1.0:
             raise DomainError(
                 f"power-law coupling sum diverges for nu <= 1 (got nu={nu})")
@@ -114,16 +114,14 @@ def mode_energy(model, N, l):
 
 
 # ---------------------------------------------------------------------------
-# Clausen-type series for the rational-cubic evaluators.
-# log(theta / (2 sin(theta/2))) = sum_k zeta(2k) theta^{2k} / (k (2 pi)^{2k});
-# integrating once and twice gives Im Li_2(e^{i theta}) and
-# zeta(3) - Re Li_3(e^{i theta}) with an explicit theta^2 log(theta) part.
-# Ratio (theta/2pi)^2 <= 1/4 on the folded half period, so 24 terms suffice.
+# Clausen series for the rational-cubic slope near p = pi.
+# Im Li_2(e^{i theta}) = theta (1 - log theta) + theta P(theta^2), where
+# P(t) = sum_k zeta(2k) t^k / (k (2k+1) (2 pi)^{2k}); (theta/2pi)^2 <= 1/4
+# on the half period, so 24 terms suffice.
 
 _CL_K = np.arange(1, 25, dtype=float)
 _CL_Z = np.array([zeta(2.0 * k) for k in _CL_K])
 _CL2_COEF = _CL_Z / (_CL_K * (2.0 * _CL_K + 1.0) * _TWO_PI ** (2.0 * _CL_K))
-_GL3_COEF = _CL2_COEF / (2.0 * _CL_K + 2.0)
 
 
 def _poly_even(coef, theta2):
@@ -131,23 +129,6 @@ def _poly_even(coef, theta2):
     for c in coef[::-1]:
         acc = (acc + c) * theta2
     return acc
-
-
-def _clausen2(theta):
-    # Im Li_2(e^{i theta}) for theta in [0, pi], vectorized
-    theta = np.asarray(theta, dtype=float)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    main = theta * (1.0 - np.log(safe))
-    return np.where(theta > 0.0, main + theta * _poly_even(_CL2_COEF, theta * theta), 0.0)
-
-
-def _glaisher3_gap(theta):
-    # zeta(3) - Re Li_3(e^{i theta}) for theta in [0, pi], vectorized
-    theta = np.asarray(theta, dtype=float)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    t2 = theta * theta
-    main = t2 * (0.75 - 0.5 * np.log(safe))
-    return np.where(theta > 0.0, main + t2 * _poly_even(_GL3_COEF, t2), 0.0)
 
 
 _LOG2 = math.log(2.0)
@@ -171,10 +152,11 @@ class DispersionProfile:
     """E(p), E'(p), E''(p) on [0, 2*pi] for one interaction model.
 
     The *_grid methods evaluate each family in one place, over momentum
-    arrays, by closed form or series; power-law still integrates per
-    point. E, E1 and E2 are grids of one. At the zone center the
-    haldane-shastry and power-law (nu <= 2) dispersions have a cusp;
-    derivative values there are one-sided limits where defined.
+    arrays, by closed form or series: power-law and rational-cubic share
+    the zeta series of specfun.polylog_circle_grid. E, E1 and E2 are
+    grids of one. At the zone center the haldane-shastry and power-law
+    (nu <= 2) dispersions have a cusp; derivative values there are
+    one-sided limits where defined.
     """
 
     def __init__(self, model):
@@ -226,11 +208,11 @@ class DispersionProfile:
         if m.family == "haldane-shastry":
             return 0.5 * p * (_TWO_PI - p)
         if m.family == "power-law":
-            li = np.array([polylog_circle(m.nu, x).real for x in p])
+            li = polylog_circle_grid(m.nu, p).real
             return 2.0 * m.C * (zeta(m.nu) - li)
         if m.family == "rational-cubic":
-            q = np.minimum(p, _TWO_PI - p)
-            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * _glaisher3_gap(q)
+            li = polylog_circle_grid(3.0, p).real
+            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * (zeta(3.0) - li)
         # finite-range and custom-summable: the explicit cosine series
         j, hj = self._couplings(0)
         return _trig_sum(p, j, hj, np.cos, constant=2.0 * hj.sum(), sign=-2.0)
@@ -241,11 +223,11 @@ class DispersionProfile:
         if m.family == "haldane-shastry":
             return math.pi - p
         if m.family == "power-law":
-            return np.array([self._power_law_deriv(x, 1) for x in p])
+            # zone center: Im Li is odd there, so E' = 0 at the cusp
+            return 2.0 * m.C * polylog_circle_grid(m.nu - 1.0, p).imag
         if m.family == "rational-cubic":
-            q = np.minimum(p, _TWO_PI - p)
-            odd = np.where(p > math.pi, -1.0, 1.0)
-            out = (math.pi - p) - 2.0 * m.J * odd * _clausen2(q)
+            li = polylog_circle_grid(2.0, p).imag
+            out = (math.pi - p) - 2.0 * m.J * li
             h = math.pi - p
             near = np.abs(h) < 0.5 * math.pi
             if np.any(near):
@@ -262,7 +244,9 @@ class DispersionProfile:
         if m.family == "haldane-shastry":
             return np.full(p.shape, -1.0)
         if m.family == "power-law":
-            return np.array([self._power_law_deriv(x, 2) for x in p])
+            # the zone center gives +inf for nu <= 3, where sum j^{2-nu}
+            # diverges, and 2 C zeta(nu - 2) otherwise
+            return 2.0 * m.C * polylog_circle_grid(m.nu - 2.0, p).real
         if m.family == "rational-cubic":
             if m.J == 0.0:
                 return np.full(p.shape, -1.0)
@@ -273,61 +257,6 @@ class DispersionProfile:
                 return -1.0 + 2.0 * m.J * np.log(s)
         j, hj = self._couplings(2)
         return _trig_sum(p, j, j * j * hj, np.cos, sign=2.0)
-
-    def _power_law_deriv(self, p, order):
-        """Differentiated integral representation of 2C[zeta - Re Li_nu].
-
-        E'  = (2C sin p / Gamma(nu)) int x^{nu-1} (e^-x - e^-3x) / d^2
-        E'' = (2C / Gamma(nu)) int x^{nu-1} [ (e^-x - e^-3x) cos p / d^2
-                                - 4 sin^2 p (e^-2x - e^-4x) / d^3 ]
-        with d = 1 - 2 e^-x cos p + e^-2x.
-        """
-        nu, C = self.model.nu, self.model.C
-        s = min(p, _TWO_PI - p)
-        if s == 0.0 and order == 1:
-            return 0.0  # odd in p - pi; symmetric value at the zone-center cusp
-        if s == 0.0 and nu <= 3.0:
-            return math.inf  # sum 2 C j^{2-nu} diverges at the zone center
-        cosp = math.cos(p)
-        sinp = math.sin(p)
-        sh2 = math.sin(0.5 * p) ** 2
-        upper = exp_tail_cutoff(nu)
-        pts = quad_breakpoints(s, upper) if s > 0.0 else None
-
-        if order == 1:
-            def f(x):
-                em = math.exp(-x)
-                u = -math.expm1(-x)
-                d = u * u + 4.0 * em * sh2
-                return x ** (nu - 1.0) * em * u * (1.0 + em) / (d * d)
-        else:
-            s2 = sinp * sinp
-
-            def f(x):
-                em = math.exp(-x)
-                u = -math.expm1(-x)
-                d = u * u + 4.0 * em * sh2
-                a = em * u * (1.0 + em) * cosp / (d * d)
-                b = 4.0 * s2 * em * em * u * (1.0 + em) / (d * d * d)
-                return x ** (nu - 1.0) * (a - b)
-
-        with warnings.catch_warnings():
-            # the returned abserr is gated below; scipy's own complaint about
-            # extrapolation roundoff at extreme momenta is redundant with it
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(f, 0.0, upper, points=pts, limit=400,
-                            epsabs=1e-12, epsrel=1e-10)
-        scale = 2.0 * C / math.gamma(nu)
-        if order == 1:
-            val, err = val * sinp, err * abs(sinp)
-        out = scale * val
-        achieved = scale * err
-        if achieved > 1e-8 * max(1.0, abs(out)):
-            raise QuadratureError(
-                f"dispersion derivative quadrature error {achieved:.3e} at "
-                f"p={p}, order={order}", achieved=achieved,
-                target=1e-8 * max(1.0, abs(out)))
-        return out
 
 
 def _check_momentum(p):
@@ -362,16 +291,21 @@ class MonotonicityReport:
     critical_points: tuple
 
 
-def half_period_candidates(grid_points=4096, focus=()):
-    """Scan grid on (0, pi): cell midpoints, geometric ladders toward both
-    endpoints, and optional clusters shrinking onto each focus point.
+# uniform cells of the sign-change scans on (0, pi)
+_SCAN_CELLS = 4096
+
+
+def half_period_candidates(focus=()):
+    """Scan grid on (0, pi): midpoints of _SCAN_CELLS cells, geometric
+    ladders toward both endpoints, and optional clusters shrinking onto
+    each focus point.
 
     Midpoints keep the exact zeros of E' at the interval ends out of sign
     scans; the ladders and clusters catch features that near-threshold
     couplings squeeze below any uniform resolution.
     """
-    step = math.pi / grid_points
-    base = (np.arange(grid_points) + 0.5) * step
+    step = math.pi / _SCAN_CELLS
+    base = (np.arange(_SCAN_CELLS) + 0.5) * step
     ladder = math.pi * 2.0 ** -np.arange(13.0, 45.0)
     pieces = [ladder, base, math.pi - ladder]
     offsets = step * 2.0 ** -np.arange(0.0, 31.0)
@@ -381,9 +315,9 @@ def half_period_candidates(grid_points=4096, focus=()):
     return np.unique(np.concatenate(pieces))
 
 
-def monotonicity_report(profile, grid_points=4096):
+def monotonicity_report(profile):
     """Scan E' for sign changes on (0, pi), bisect each to 1e-12."""
-    cand = half_period_candidates(grid_points)
+    cand = half_period_candidates()
     d = profile.E1_grid(cand)
 
     roots = []

@@ -235,6 +235,7 @@ def test_exit_one_on_bad_flags(tmp_path, capsys):
          "--T", "0:1:5"],
         ["constants", "--alpha", ""],
         ["phase", "--model", "haldane-shastry", "--mu", "abc"],
+        ["phase", "--model", "power-law", "--nu", "inf", "--mu", "1"],
         ["nonsense-command"],
     ]
     for argv in cases:

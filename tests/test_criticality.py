@@ -138,6 +138,19 @@ def test_roots_hit_chemical_potential():
         assert list(a.velocities) == [abs(prof.E1(p)) for p, _ in a.roots]
 
 
+def test_power_law_below_two_has_one_fermi_point():
+    # nu = 1.6 puts a scan momentum (pi 2^-30) where the former polylog
+    # quadrature missed its accuracy target, so no mu could be analysed
+    mpmath = pytest.importorskip("mpmath")
+    a = fermi_points(DispersionProfile(InteractionModel.power_law(1.6)), 1.5)
+    assert a.phase == "critical" and a.central_charge == 1
+    (p, nu), = a.roots
+    assert nu == 1 and p == pytest.approx(0.17119, abs=1e-5)
+    with mpmath.workdps(30):
+        e = 2 * (mpmath.zeta(1.6) - mpmath.polylog(1.6, mpmath.expj(p)).real)
+    assert float(e) == pytest.approx(1.5, abs=1e-9)
+
+
 def test_negative_band_minimum():
     # strong cubic term pulls E below zero near the zone edge
     prof = DispersionProfile(InteractionModel.rational_cubic(2.0))
@@ -189,6 +202,8 @@ def test_free_energy_validation():
         free_energy(hs(), 2.0, 0.0)
     with pytest.raises(DomainError):
         free_energy(hs(), 2.0, -0.5)
+    with pytest.raises(DomainError):
+        free_energy(hs(), 2.0, math.inf)
 
 
 def test_free_energy_rejects_analysis_for_other_mu():
@@ -263,3 +278,5 @@ def test_fit_validation():
         low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 4e-3])
     with pytest.raises(DomainError):
         low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 4e-3, -1.0])
+    with pytest.raises(DomainError):
+        low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 3e-3, math.inf])

@@ -180,53 +180,91 @@ def test_second_derivative_matches_finite_differences():
             assert prof.E2(p) == pytest.approx(fd, abs=1e-5)
 
 
+def oracle_polylog(mpmath, s, p):
+    # Li_s(e^{ip}) at 30 digits; the zone edge is the float 2 pi, so a
+    # point past pi stands for the conjugate at the angle TWO_PI - p
+    if p > math.pi:
+        return oracle_polylog(mpmath, s, TWO_PI - p).conjugate()
+    with mpmath.workdps(30):
+        return complex(mpmath.polylog(s, mpmath.expj(p)))
+
+
 def test_power_law_slope_equals_polylog_route():
-    # E'(p) = 2 C Im Li_{nu-1}(e^{ip}); both sides computed by unrelated code
+    # E'(p) = 2 C Im Li_{nu-1}(e^{ip}), the right side from mpmath
+    mpmath = pytest.importorskip("mpmath")
     prof = DispersionProfile(InteractionModel.power_law(3.0))
     for p in (0.5, 1.0, 2.4):
         assert prof.E1(p) == pytest.approx(
-            2.0 * polylog_circle(2.0, p).imag, abs=1e-10)
+            2.0 * oracle_polylog(mpmath, 2.0, p).imag, abs=1e-12)
 
 
 def zone_center_ladder():
-    # p = pi 2^-k toward 0 and toward pi, where the Clausen series and the
+    # p = pi 2^-k toward 0 and toward pi, where the zeta series and the
     # near-pi slope form each take over, plus a coarse grid in between
     k = np.arange(1.0, 41.0)
     return np.concatenate([math.pi * 2.0 ** -k, np.linspace(0.1, 3.0, 30),
                            math.pi * (1.0 - 2.0 ** -k)])
 
 
-def rational_cubic_reference(J, p, li2_imag, li3_real):
-    return (0.5 * p * (TWO_PI - p) - 2.0 * J * (zeta(3.0) - li3_real),
-            (math.pi - p) - 2.0 * J * li2_imag)
-
-
-def test_rational_cubic_matches_polylog_quadrature():
-    J = 0.5
-    prof = DispersionProfile(InteractionModel.rational_cubic(J))
-    p = np.concatenate([np.linspace(0.0, TWO_PI, 41), zone_center_ladder()])
-    want_e, want_e1 = zip(*(rational_cubic_reference(
-        J, x, polylog_circle(2.0, x).imag, polylog_circle(3.0, x).real)
-        for x in p))
-    np.testing.assert_allclose(prof.E_grid(p), want_e, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(prof.E1_grid(p), want_e1, rtol=0, atol=1e-10)
-
-
 def test_rational_cubic_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    J = 0.6
-    prof = DispersionProfile(InteractionModel.rational_cubic(J))
     p = zone_center_ladder()
-    p = np.concatenate([p, TWO_PI - p])
-    with mpmath.workdps(30):
-        want_e, want_e1 = zip(*(rational_cubic_reference(
-            J, x, float(mpmath.polylog(2, mpmath.expj(x)).imag),
-            float(mpmath.polylog(3, mpmath.expj(x)).real))
-            for x in p))
-    np.testing.assert_allclose(prof.E_grid(p), want_e, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(prof.E1_grid(p), want_e1, rtol=0, atol=1e-12)
-    np.testing.assert_allclose([prof.E(x) for x in p], want_e,
-                               rtol=0, atol=1e-12)
+    p = np.concatenate([p, TWO_PI - p, np.linspace(0.0, TWO_PI, 41)])
+    zeta3 = float(mpmath.zeta(3))
+    gap3 = np.array([zeta3 - oracle_polylog(mpmath, 3, x).real for x in p])
+    cl2 = np.array([oracle_polylog(mpmath, 2, x).imag for x in p])
+    for J in (0.5, 0.6):
+        prof = DispersionProfile(InteractionModel.rational_cubic(J))
+        want_e = 0.5 * p * (TWO_PI - p) - 2.0 * J * gap3
+        want_e1 = (math.pi - p) - 2.0 * J * cl2
+        np.testing.assert_allclose(prof.E_grid(p), want_e, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prof.E1_grid(p), want_e1,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose([prof.E(x) for x in p], want_e,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1.0001, 1.6, 2.5, 3.9])
+def test_power_law_matches_mpmath(nu):
+    # E = 2C[zeta(nu) - Re Li_nu], E' = 2C Im Li_{nu-1}, E'' = 2C Re Li_{nu-2};
+    # the derivatives use orders at or below 1, which diverge at the zone
+    # center, so the tolerance is relative there
+    mpmath = pytest.importorskip("mpmath")
+    C = 0.7
+    prof = DispersionProfile(InteractionModel.power_law(nu, C=C))
+    k = np.array([1.0, 3.0, 10.0, 20.0, 40.0])
+    p = np.concatenate([math.pi * 2.0 ** -k, [1.0, 2.2],
+                        math.pi * (1.0 - 2.0 ** -k[::2]),
+                        TWO_PI - math.pi * 2.0 ** -k[::2]])
+    zeta_nu = float(mpmath.zeta(nu))
+    want = [[2.0 * C * (zeta_nu - oracle_polylog(mpmath, nu, x).real),
+             2.0 * C * oracle_polylog(mpmath, nu - 1.0, x).imag,
+             2.0 * C * oracle_polylog(mpmath, nu - 2.0, x).real] for x in p]
+    got = np.column_stack([prof.E_grid(p), prof.E1_grid(p), prof.E2_grid(p)])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_power_law_zone_center_conventions():
+    for nu in (1.6, 3.0, 3.9, 5.0):
+        prof = DispersionProfile(InteractionModel.power_law(nu, C=2.0))
+        for p in (0.0, TWO_PI):
+            assert prof.E(p) == 0.0
+            assert prof.E1(p) == 0.0
+            want = math.inf if nu <= 3.0 else 4.0 * zeta(nu - 2.0)
+            assert prof.E2(p) == want
+
+
+def test_scalar_calls_match_grid_bitwise():
+    k = np.arange(1.0, 41.0, 3.0)
+    p = np.concatenate([np.linspace(0.0, TWO_PI, 23), math.pi * 2.0 ** -k,
+                        math.pi * (1.0 - 2.0 ** -k)])
+    models = all_test_models() + [InteractionModel.power_law(1.6),
+                                  InteractionModel.power_law(3.9999)]
+    for model in models:
+        prof = DispersionProfile(model)
+        for scalar, grid in ((prof.E, prof.E_grid), (prof.E1, prof.E1_grid),
+                             (prof.E2, prof.E2_grid)):
+            assert [scalar(x) for x in p] == grid(p).tolist(), model.family
 
 
 def test_finite_range_matches_cosine_sum():
@@ -411,6 +449,9 @@ def test_constructor_validation():
         InteractionModel.finite_range((1.0, 0.0))
     with pytest.raises(DomainError):
         InteractionModel.power_law(1.0)
+    for nu in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            InteractionModel.power_law(nu)
     with pytest.raises(DomainError):
         InteractionModel.power_law(3.0, C=-1.0)
     with pytest.raises(DomainError):

@@ -106,6 +106,9 @@ def test_polylog_tiny_angle_matches_series():
 def test_polylog_domain():
     with pytest.raises(DomainError):
         polylog_circle(1.0, 0.3)
+    for p in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            polylog_circle(2.0, p)
 
 
 def test_digamma_frozen_values():
@@ -159,6 +162,86 @@ def test_barnes_domain():
         log_barnes_pair(0.5)
     with pytest.raises(DomainError):
         log_barnes_pair(-0.62 + 1j)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: mpmath at 30 digits
+
+TWO_PI = 2.0 * math.pi
+
+
+def circle_ladder():
+    """p = pi 2^-k toward 0, pi and 2 pi, plus points in between.
+
+    The zone edge is the float 2 pi, so a point near it stands for the
+    angle TWO_PI - p; oracle_polylog takes it there.
+    """
+    k = np.array([1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0])
+    return np.concatenate([math.pi * 2.0 ** -k, [0.7, 2.0],
+                           math.pi * (1.0 - 2.0 ** -k[1::2]),
+                           TWO_PI - math.pi * 2.0 ** -k[::3]])
+
+
+def oracle_polylog(mpmath, s, p):
+    if p > math.pi:
+        return oracle_polylog(mpmath, s, TWO_PI - p).conjugate()
+    with mpmath.workdps(30):
+        return complex(mpmath.polylog(s, mpmath.expj(p)))
+
+
+def test_zeta_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    nus = np.concatenate([1.0 + 2.0 ** -np.arange(1.0, 30.0, 4.0),
+                          np.linspace(1.1, 40.0, 40)])
+    with mpmath.workdps(30):
+        want = [float(mpmath.zeta(nu)) for nu in nus]
+    np.testing.assert_allclose([zeta(nu) for nu in nus], want,
+                               rtol=1e-14, atol=0)
+
+
+# the orders named in the zeta-series design, plus both sides of the
+# switch to the log form 0.05 from an integer
+POLYLOG_ORDERS = (1.0001, 1.6, 2.0, 2.003, 2.5, 2.9499, 2.9501, 2.99, 3.0,
+                  3.0499, 3.0501, 3.997, 3.9999, 4.0, 12.0001, 24.99, 25.0)
+
+
+@pytest.mark.parametrize("nu", POLYLOG_ORDERS)
+def test_polylog_matches_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    p = circle_ladder()
+    got = np.array([polylog_circle(nu, x) for x in p])
+    want = np.array([oracle_polylog(mpmath, nu, x) for x in p])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_digamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ws = np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 25)])
+    with mpmath.workdps(30):
+        want = [float(mpmath.re(mpmath.digamma(mpmath.mpc(0.5, w))))
+                for w in ws]
+    np.testing.assert_allclose([digamma_real_part(w) for w in ws], want,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose([digamma_real_part(-w) for w in ws], want,
+                               rtol=0, atol=1e-13)
+
+
+def test_barnes_matches_mpmath():
+    # the documented residual is 1e-13 on the whole strip |Re beta| < 1/2
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    betas = [complex(a, b) for a, b in zip(rng.uniform(-0.499, 0.499, 24),
+                                           rng.uniform(-3.0, 3.0, 24))]
+    betas += [0.3, 0.49, -0.49 + 0.5j, 2.5j]
+    with mpmath.workdps(30):
+        want = [complex(mpmath.log(mpmath.barnesg(1 + b))
+                        + mpmath.log(mpmath.barnesg(1 - b))) for b in betas]
+    got = [log_barnes_pair(b) for b in betas]
+    for b, g, w in zip(betas, got, want):
+        # the two logs may land on different branches; compare modulo 2 pi i
+        d = g - w
+        d -= 2j * math.pi * round(d.imag / (2.0 * math.pi))
+        assert abs(d) < 1e-13, (b, g, w)
 
 
 def test_entropy_kernel_binary_entropy():
