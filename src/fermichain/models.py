@@ -93,24 +93,37 @@ class InteractionModel:
         return float(self.h(j))
 
 
-def mode_energy(model, N, l):
-    """Single-mode energy eps_N(l) of the N-site ring.
+def mode_energies(model, N):
+    """Single-mode energies eps_N(l) of the N-site ring, l = 0..N-1.
 
     eps_N(l) = 2 sum_{j=1}^{floor((N-1)/2)} [1 - cos(2 pi j l / N)] h_N(j)
                + [N even] (1 - (-1)^l) h_N(N/2)
+
+    is a cosine transform of the couplings, with h_N(N/2) at half
+    weight: one real FFT gives l <= N/2, and eps_N(N-l) = eps_N(l) the
+    rest. eps_N(0) is exactly 0.
     """
     N = int(N)
-    l = int(l)
     if N < 1:
         raise DomainError(f"ring size must be positive, got {N}")
-    if l < 0 or l >= N:
-        raise DomainError(f"mode index {l} out of range [0, {N - 1}]")
-    e = 0.0
-    for j in range(1, (N - 1) // 2 + 1):
-        e += 2.0 * (1.0 - math.cos(_TWO_PI * j * l / N)) * model.coupling(j, N)
+    top = (N - 1) // 2
+    h = np.zeros(N)
+    h[1:top + 1] = [model.coupling(j, N) for j in range(1, top + 1)]
     if N % 2 == 0:
-        e += (1.0 - (-1.0) ** l) * model.coupling(N // 2, N)
-    return e
+        h[N // 2] = 0.5 * model.coupling(N // 2, N)
+    c = np.fft.rfft(h).real
+    half = 2.0 * (c[0] - c)
+    return np.concatenate([half, half[top:0:-1]])
+
+
+def mode_energy(model, N, l):
+    """eps_N(l) of mode_energies, read at one mode index l."""
+    energies = mode_energies(model, N)
+    l = int(l)
+    if not 0 <= l < energies.size:
+        raise DomainError(
+            f"mode index {l} out of range [0, {energies.size - 1}]")
+    return float(energies[l])
 
 
 # ---------------------------------------------------------------------------

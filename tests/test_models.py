@@ -6,6 +6,7 @@ import pytest
 from fermichain.models import (
     DispersionProfile,
     InteractionModel,
+    mode_energies,
     mode_energy,
     monotonicity_report,
 )
@@ -68,22 +69,20 @@ def test_mode_energy_reflection():
                 assert b == pytest.approx(a, rel=1e-13, abs=1e-13)
 
 
-def full_range_mode_energy(model, N, l):
-    # independent route: sum over every chord 1..N-1 with reflected couplings
-    e = 0.0
-    for j in range(1, N):
-        hj = model.coupling(min(j, N - j), N)
-        e += (1.0 - math.cos(TWO_PI * j * l / N)) * hj
-    return e
-
-
 def test_mode_energy_matches_full_range_sum():
+    # independent route: sum over every chord 1..N-1 with reflected couplings
     for model in all_test_models():
-        for N in (4, 7, 10, 13):
+        for N in (1, 2, 4, 7, 10, 13, 64, 511, 512):
+            j = np.arange(1, N)
+            h = np.array([model.coupling(min(k, N - k), N) for k in j])
+            phase = TWO_PI * (np.outer(np.arange(N), j) % N) / N
+            want = ((1.0 - np.cos(phase)) * h).sum(axis=1)
+            got = mode_energies(model, N)
+            assert got.shape == (N,)
+            assert got[0] == 0.0
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
             for l in range(N):
-                want = full_range_mode_energy(model, N, l)
-                assert mode_energy(model, N, l) == pytest.approx(
-                    want, rel=1e-13, abs=1e-13)
+                assert mode_energy(model, N, l) == got[l]
 
 
 def test_mode_energy_index_errors():

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,11 @@ from fermichain.errors import (
     EigenConvergenceError,
     SingularMatrixError,
 )
-from fermichain.models import DispersionProfile, InteractionModel
+from fermichain.models import (
+    DispersionProfile,
+    InteractionModel,
+    mode_energies,
+)
 import fermichain.spectral as spectral
 from fermichain.spectral import (
     correlation_row,
@@ -126,6 +133,19 @@ def test_finite_row_filled_and_empty():
     assert np.max(np.abs(empty)) == 0.0
 
 
+def test_finite_row_matches_cosine_sum():
+    # (1/N) sum over filled modes of cos(2 pi d l / N), term by term
+    for model, mu in ((InteractionModel.haldane_shastry(), 2.0),
+                      (InteractionModel.finite_range((1.0, 0.5)), 3.3),
+                      (InteractionModel.power_law(2.5), 1.0)):
+        for L, N in ((5, 7), (64, 511), (512, 512)):
+            filled = np.nonzero(mode_energies(model, N) < mu)[0]
+            phase = 2.0 * math.pi * (np.outer(np.arange(L), filled) % N) / N
+            want = np.cos(phase).sum(axis=1) / N
+            got = correlation_row_finite(model, mu, L, N)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_finite_row_converges_to_thermodynamic():
     model = InteractionModel.haldane_shastry()
     finite = correlation_row_finite(model, 3.0, 8, 1024)
@@ -183,11 +203,56 @@ def test_eigensolver_matches_reference_library():
 
 
 def test_eigensolver_large_block():
-    row = correlation_row(hs_analysis(), 512)
+    # odd L exercises the bordered even-parity sector
+    for L in (512, 1023, 1024):
+        row = correlation_row(hs_analysis(), L)
+        got = eigenvalues_symmetric(row)
+        want = np.linalg.eigvalsh(toeplitz_from_row(row))
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert got[0] > -1e-10 and got[-1] < 1.0 + 1e-10
+
+
+# critical seas on which QL over the full, unsplit block ran past its
+# sweep cap with one BLAS thread
+@pytest.mark.parametrize("alphas, mu, L", [
+    (None, MU_HALF, 1024),
+    (None, 1.7930895512858884, 1024),
+    (None, 3.4232138978890747, 512),
+    ((1.0, 0.0642873144174499), 1.7417433353618437, 512),
+], ids=["hs-half-1024", "hs-1024", "hs-512", "fr-512"])
+def test_eigensolver_former_ql_stalls(alphas, mu, L):
+    model = (InteractionModel.haldane_shastry() if alphas is None
+             else InteractionModel.finite_range(alphas))
+    row = correlation_row(fermi_points(DispersionProfile(model), mu), L)
     got = eigenvalues_symmetric(row)
     want = np.linalg.eigvalsh(toeplitz_from_row(row))
     assert np.max(np.abs(got - want)) < 1e-10
-    assert got[0] > -1e-10 and got[-1] < 1.0 + 1e-10
+
+
+_THREAD_PROBE = """
+import math, sys
+from fermichain.criticality import fermi_points
+from fermichain.models import DispersionProfile, InteractionModel
+from fermichain.spectral import correlation_spectrum
+a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
+                 3.0 * math.pi ** 2 / 8.0)
+sys.stdout.write(correlation_spectrum(a, 1024).eigenvalues.tobytes().hex())
+"""
+
+
+def test_spectrum_same_bits_under_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert len(out[0]) == 2 * 8 * 1024
+    assert out[0] == out[1]
 
 
 def test_eigensolver_iteration_cap(monkeypatch):
@@ -244,6 +309,20 @@ def test_spectrum_builders():
                                     3.0, 6, 64)
     assert f.L == 6
     assert abs(f.eigenvalues.sum() - 6 * f.first_row[0]) < 1e-9
+
+
+def test_spectrum_reports_achieved_gate_errors():
+    for s in (correlation_spectrum(hs_analysis(), 40),
+              correlation_spectrum_finite(InteractionModel.haldane_shastry(),
+                                          3.0, 40, 64)):
+        eig = s.eigenvalues
+        assert s.trace_gap == abs(eig.sum() - s.L * s.first_row[0])
+        assert 0.0 <= s.trace_gap <= 1e-9
+        assert s.range_dev == max(-eig[0], eig[-1] - 1.0, 0.0)
+        assert 0.0 <= s.range_dev <= 1e-10
+    bare = spectral.CorrelationSpectrum(L=1, first_row=np.array([0.5]),
+                                        eigenvalues=np.array([0.5]))
+    assert bare.trace_gap is None and bare.range_dev is None
 
 
 # ---------------------------------------------------------------------------
