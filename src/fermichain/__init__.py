@@ -25,7 +25,6 @@ from .models import (
     DispersionProfile,
     MonotonicityReport,
     mode_energies,
-    mode_energy,
     monotonicity_report,
 )
 from .criticality import (
@@ -81,7 +80,6 @@ __all__ = [
     "DispersionProfile",
     "MonotonicityReport",
     "mode_energies",
-    "mode_energy",
     "monotonicity_report",
     "FermiAnalysis",
     "ThermalResult",

@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,28 +27,6 @@ from .errors import DomainError
 from .fisher_hartwig import fh_deviation
 from .models import DispersionProfile, InteractionModel
 from .spectral import correlation_spectrum
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family: str = None
-    coeffs: tuple = None
-    nu: float = None
-    C: float = None
-    J: float = None
-    mu: float = None
-    alpha: tuple = None
-    L_values: tuple = None
-    T_values: tuple = None
-    lambda_re: float = None
-    lambda_im: float = None
-    grid_points: int = None
-    fit: bool = None
-    compare: bool = None
-    fmt: str = "csv"
-    output: str = ""
-    gnuplot_stub: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -472,14 +449,13 @@ def run(argv):
         if stub and plot_cols is None:
             raise DomainError(
                 f"{args.command} has no default plot; drop --gnuplot-stub")
-        rc = RunConfig(command=args.command, fmt=fmt, output=output,
-                       gnuplot_stub=stub, **cfg)
         if fmt == "csv":
             text = _render_csv(header, rows)
         else:
-            cfg_doc = {k: v for k, v in asdict(rc).items() if v is not None}
-            cfg_doc["format"] = cfg_doc.pop("fmt")
-            doc = {"config": cfg_doc, "results": results,
+            cfg.update(command=args.command, format=fmt, output=output,
+                       gnuplot_stub=stub)
+            doc = {"config": {k: v for k, v in cfg.items() if v is not None},
+                   "results": results,
                    "meta": {"version": __version__,
                             "runtime_s": time.perf_counter() - started}}
             text = json.dumps(_json_ready(doc), sort_keys=True,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import lambertw
 
 from .errors import DomainError, QuadratureError
 from .specfun import digamma_real_part, entropy_kernel
@@ -131,17 +132,22 @@ def _rc(x):
 
 
 def _t_star(alpha):
-    # truncate once the integrand bound alpha e^{-2 min(1,1/alpha) t}/t
-    # drops below 1e-14
+    # first t in 10, 15, 20, ... where the integrand bound
+    # alpha e^{-rate t}/t, rate = 2 min(1, 1/alpha), is below 1e-14; the
+    # bound equals 1e-14 at t = W(rate alpha 1e14) / rate
     rate = 2.0 * min(1.0, 1.0 / alpha)
-    t = 10.0
-    while alpha * math.exp(-rate * t) / t >= 1e-14:
-        t += 5.0
-    return t
+    t = float(lambertw(rate * alpha * 1e14).real) / rate
+    return 10.0 + 5.0 * max(math.ceil((t - 10.0) / 5.0), 0)
 
 
 def _quad_checked(integrand, upper, scale, what):
+    # for large alpha the range reaches ~15 alpha, and quad alone never
+    # samples the hump near t = 1 (c_tilde(2000) came out -0.0), so long
+    # ranges get breakpoints at the integrand's scales; short ones keep
+    # the plain rule, whose error estimate near alpha = 1 only just
+    # passes the gate scaled by 1/|1 - alpha|
     val, err = quad(integrand, 0.0, upper,
+                    points=(1.0, 10.0, 100.0) if upper > 100.0 else None,
                     epsabs=1e-13, epsrel=1e-12, limit=300)
     if err * scale > 1e-9:
         raise QuadratureError(
@@ -167,11 +173,9 @@ def _c_tilde_infinity():
         return ((_r1(t) / t - _r2(t) - 1.0 / 6.0) / t
                 - math.expm1(-2.0 * t) / (6.0 * t))
     # tail here decays like 2 e^{-t}/t^2 (single csch power survives the
-    # limit), slower than the generic 2 min(1, 1/alpha) rate
-    t = 10.0
-    while 2.0 * math.exp(-t) / (t * t) >= 1e-16:
-        t += 5.0
-    return _quad_checked(integrand, t, 1.0, "c_tilde(inf)")
+    # limit), slower than the generic 2 min(1, 1/alpha) rate; below 1e-16
+    # from t = 35
+    return _quad_checked(integrand, 35.0, 1.0, "c_tilde(inf)")
 
 
 def c_tilde(alpha):

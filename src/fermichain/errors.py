@@ -28,7 +28,7 @@ class AccuracyError(RuntimeError):
 
 
 class QuadratureError(AccuracyError):
-    """Adaptive quadrature failed to converge; carries the achieved bound."""
+    """A quadrature missed its accuracy target; carries the achieved bound."""
 
 
 class EigenConvergenceError(RuntimeError):

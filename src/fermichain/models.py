@@ -116,16 +116,6 @@ def mode_energies(model, N):
     return np.concatenate([half, half[top:0:-1]])
 
 
-def mode_energy(model, N, l):
-    """eps_N(l) of mode_energies, read at one mode index l."""
-    energies = mode_energies(model, N)
-    l = int(l)
-    if not 0 <= l < energies.size:
-        raise DomainError(
-            f"mode index {l} out of range [0, {energies.size - 1}]")
-    return float(energies[l])
-
-
 # ---------------------------------------------------------------------------
 # Clausen series for the rational-cubic slope near p = pi.
 # Im Li_2(e^{i theta}) = theta (1 - log theta) + theta P(theta^2), where

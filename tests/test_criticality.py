@@ -1,15 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from fermichain import criticality
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
     fermi_points,
     free_energy,
     low_temperature_fit,
 )
-from fermichain.errors import DomainError, FitRejectedError
+from fermichain.errors import DomainError, FitRejectedError, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,6 +201,23 @@ def test_gapped_activation_bounds():
         assert abs(above.f - above.f0) <= T * math.exp(-gap / T)
 
 
+def test_power_law_cusp_free_energy_matches_mpmath():
+    # reference: 25-digit mpmath integral of the same expression; the
+    # gap f - f0 here is ~1e-7, so the fit needs f to ~1e-12 or better
+    r = free_energy(DispersionProfile(InteractionModel.power_law(1.6)),
+                    1.5, 1e-3)
+    assert r.f == pytest.approx(-0.0305371634077560454, abs=1e-12)
+    assert 0.0 <= r.quad_err <= 1e-12
+
+
+def test_free_energy_gates_achieved_error(monkeypatch):
+    # a 10-point rule off by 1% makes |Q20 - Q10| far exceed both gates
+    monkeypatch.setattr(criticality, "_W10", 1.01 * criticality._W10)
+    with pytest.raises(QuadratureError) as info:
+        free_energy(hs(), 2.0, 0.01)
+    assert info.value.target == 1e-10 and info.value.achieved > 1e-3
+
+
 def test_free_energy_validation():
     with pytest.raises(DomainError):
         free_energy(hs(), 2.0, 0.0)
@@ -257,6 +278,8 @@ def test_critical_scaling_panel():
         (DispersionProfile(InteractionModel.custom_summable(
             lambda j: 0.5 ** j, lambda J: 0.5 ** J)),
          (0.8, 1.6, 2.4)),
+        # cusp E ~ p^0.6 at the zone center
+        (DispersionProfile(InteractionModel.power_law(1.6)), (1.5,)),
     ]
     for prof, mus in cases:
         for mu in mus:
@@ -266,6 +289,31 @@ def test_critical_scaling_panel():
             want = -(math.pi / 6.0) * sum(1.0 / v for v in a.velocities)
             assert fit.exponent == pytest.approx(2.0, abs=0.05)
             assert fit.coefficient == pytest.approx(want, rel=0.02)
+
+
+_THREAD_PROBE = """
+from fermichain.criticality import low_temperature_fit
+from fermichain.models import DispersionProfile, InteractionModel
+for model, mu in ((InteractionModel.power_law(1.6), 1.5),
+                  (InteractionModel.finite_range((1.0, 0.5)), 4.5)):
+    fit = low_temperature_fit(DispersionProfile(model), mu)
+    print(repr(fit))
+"""
+
+
+def test_fit_same_bits_under_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout)
+    assert out[0].count("LowTemperatureFit(") == 2
+    assert out[0] == out[1]
 
 
 def test_fit_rejects_gapped_phase():

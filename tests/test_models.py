@@ -7,7 +7,6 @@ from fermichain.models import (
     DispersionProfile,
     InteractionModel,
     mode_energies,
-    mode_energy,
     monotonicity_report,
 )
 from fermichain.specfun import polylog_circle, zeta
@@ -43,30 +42,31 @@ def all_test_models():
 # mode energies
 
 def test_mode_energy_zero_mode():
-    assert mode_energy(hs(), 6, 0) == 0.0
+    assert mode_energies(hs(), 6)[0] == 0.0
 
 
 def test_mode_energy_hs_closed_form():
     # eps_N(l) = 2 pi^2 l (N - l) / N^2 for the 1/sin^2 ring couplings
-    assert mode_energy(hs(), 6, 2) == pytest.approx(4.0 * math.pi ** 2 / 9.0,
-                                                    abs=1e-12)
+    assert mode_energies(hs(), 6)[2] == pytest.approx(
+        4.0 * math.pi ** 2 / 9.0, abs=1e-12)
     for N in (4, 5, 6, 7, 8, 16, 64):
+        eps = mode_energies(hs(), N)
         for l in range(N):
             want = 2.0 * math.pi ** 2 * l * (N - l) / N ** 2
-            assert mode_energy(hs(), N, l) == pytest.approx(want, abs=1e-10)
+            assert eps[l] == pytest.approx(want, abs=1e-10)
 
 
 def test_mode_energy_finite_range_value():
-    assert mode_energy(fr(1.0, 0.5), 8, 4) == pytest.approx(4.0, abs=1e-14)
+    assert mode_energies(fr(1.0, 0.5), 8)[4] == pytest.approx(4.0, abs=1e-14)
 
 
 def test_mode_energy_reflection():
     for model in all_test_models():
         for N in (5, 8, 9, 16, 64):
+            eps = mode_energies(model, N)
             for l in range(1, N):
-                a = mode_energy(model, N, l)
-                b = mode_energy(model, N, N - l)
-                assert b == pytest.approx(a, rel=1e-13, abs=1e-13)
+                assert eps[N - l] == pytest.approx(eps[l], rel=1e-13,
+                                                   abs=1e-13)
 
 
 def test_mode_energy_matches_full_range_sum():
@@ -81,17 +81,12 @@ def test_mode_energy_matches_full_range_sum():
             assert got.shape == (N,)
             assert got[0] == 0.0
             assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
-            for l in range(N):
-                assert mode_energy(model, N, l) == got[l]
 
 
 def test_mode_energy_index_errors():
-    with pytest.raises(DomainError):
-        mode_energy(hs(), 6, -1)
-    with pytest.raises(DomainError):
-        mode_energy(hs(), 6, 6)
-    with pytest.raises(DomainError):
-        mode_energy(hs(), 0, 0)
+    for N in (0, -3):
+        with pytest.raises(DomainError):
+            mode_energies(hs(), N)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +314,12 @@ def test_ring_energies_converge_to_dispersion():
         prof = DispersionProfile(model)
         errs = []
         for N in (64, 256, 1024):
+            eps = mode_energies(model, N)
             worst = 0.0
             for pt in targets:
                 l = int(round(pt * N / TWO_PI))
                 p = TWO_PI * l / N
-                worst = max(worst, abs(mode_energy(model, N, l) - prof.E(p)))
+                worst = max(worst, abs(eps[l] - prof.E(p)))
             errs.append(worst)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-2
@@ -333,10 +329,10 @@ def test_short_range_ring_energies_exact():
     for model in (hs(), fr(1.0, 0.5)):
         prof = DispersionProfile(model)
         for N in (64, 256):
+            eps = mode_energies(model, N)
             for l in (1, N // 4, N // 2):
                 p = TWO_PI * l / N
-                assert mode_energy(model, N, l) == pytest.approx(
-                    prof.E(p), abs=1e-11)
+                assert eps[l] == pytest.approx(prof.E(p), abs=1e-11)
 
 
 # ---------------------------------------------------------------------------

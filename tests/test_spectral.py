@@ -212,14 +212,16 @@ def test_eigensolver_large_block():
         assert got[0] > -1e-10 and got[-1] < 1.0 + 1e-10
 
 
-# critical seas on which QL over the full, unsplit block ran past its
-# sweep cap with one BLAS thread
+# critical seas on which QL ran past its sweep cap with one BLAS thread:
+# over the full, unsplit block, or (the last) with a running deflation
+# scale
 @pytest.mark.parametrize("alphas, mu, L", [
     (None, MU_HALF, 1024),
     (None, 1.7930895512858884, 1024),
     (None, 3.4232138978890747, 512),
     ((1.0, 0.0642873144174499), 1.7417433353618437, 512),
-], ids=["hs-half-1024", "hs-1024", "hs-512", "fr-512"])
+    (None, 1.770175725018531, 1024),
+], ids=["hs-half-1024", "hs-1024", "hs-512", "fr-512", "hs-stall-1024"])
 def test_eigensolver_former_ql_stalls(alphas, mu, L):
     model = (InteractionModel.haldane_shastry() if alphas is None
              else InteractionModel.finite_range(alphas))
