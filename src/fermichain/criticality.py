@@ -5,9 +5,9 @@ from where and how the two meet: simple crossings give a critical phase
 whose central charge counts Fermi seas, tangencies give multiple roots
 with anomalous T^{1+1/nu} thermal scaling, and no crossing at all gives
 a gapped phase with activated behavior. The same points place the
-panels of the fixed Gauss-Legendre rule behind the free energy, which
-reads the dispersion only through E_grid and reports its achieved
-quadrature error.
+panels on which the free energy takes specfun's fixed Gauss-Legendre
+rule; it reads the dispersion only through E_grid and reports its
+achieved quadrature error.
 """
 
 import math
@@ -19,15 +19,11 @@ from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError)
 from .models import (_bisect_sign_change, half_period_candidates,
                      monotonicity_report)
-from .specfun import zeta
+from .specfun import panel_quadrature, zeta
 
 _TWO_PI = 2.0 * math.pi
 
 
-# 20- and 10-point Gauss-Legendre rules on [-1, 1]; on each panel the
-# difference of the two is the error estimate
-_X20, _W20 = np.polynomial.legendre.leggauss(20)
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
 # narrowest panel at the zone-center cusps 0 and pi
 _CUSP_WIDTH = math.pi * 2.0 ** -40
 
@@ -210,10 +206,10 @@ def free_energy(profile, mu, T, analysis=None):
     """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
 
     f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
-    f. Both come from one fixed Gauss-Legendre pass over panels that
-    halve toward each Fermi point and band extremum, where the thermal
-    integrand kinks as T -> 0, and toward the zone-center cusps; one
-    E_grid call at the 20- and 10-point nodes of every panel serves
+    f. Both come from one pass of specfun.panel_quadrature over panels
+    that halve toward each Fermi point and band extremum, where the
+    thermal integrand kinks as T -> 0, and toward the zone-center cusps;
+    one E_grid call at the 20- and 10-point nodes of every panel serves
     both. The summed per-panel |Q20 - Q10| is the achieved error, gated
     at 1e-10 for f0 and 1e-9 for f; quad_err is the larger of the two.
     """
@@ -227,25 +223,21 @@ def free_energy(profile, mu, T, analysis=None):
             f"analysis is for mu={analysis.mu}, free energy asked at mu={mu}")
     mu = analysis.mu
 
-    edges = _panel_edges(analysis, T)
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * np.concatenate(
-        [_X20, _X10])
-    e = profile.E_grid(nodes.ravel()).reshape(nodes.shape) - mu
+    def integrand(nodes):
+        # rows f0 and f from one E_grid call
+        e = profile.E_grid(nodes.ravel()).reshape(nodes.shape) - mu
+        return np.stack([np.minimum(e, 0.0),
+                         -T * np.logaddexp(0.0, -e / T)]) / math.pi
 
-    # rows f0 and f; elementwise products and .sum, so no BLAS call
-    # decides the rounding
-    g = np.stack([np.minimum(e, 0.0), -T * np.logaddexp(0.0, -e / T)])
-    q20 = (g[..., :20] * _W20).sum(axis=-1) * (half / math.pi)
-    q10 = (g[..., 20:] * _W10).sum(axis=-1) * (half / math.pi)
-    (f0, f), errs = q20.sum(axis=1).tolist(), np.abs(q20 - q10).sum(axis=1)
+    (f0, f), errs = panel_quadrature(integrand, _panel_edges(analysis, T))
     for what, err, target in zip(("ground-energy", "free-energy"),
                                  errs.tolist(), (1e-10, 1e-9)):
-        if err > target:
+        if not err <= target:
             raise QuadratureError(
                 f"{what} quadrature reached only {err:.3e} (target "
                 f"{target:.0e}) at T={T}", achieved=err, target=target)
-    return ThermalResult(T=T, f=f, f0=f0, quad_err=float(errs.max()))
+    return ThermalResult(T=T, f=float(f), f0=float(f0),
+                         quad_err=float(errs.max()))
 
 
 def low_temperature_fit(profile, mu, T_grid=None):

@@ -5,19 +5,21 @@ The exact entropy is a plain sum of the binary kernel over correlation
 eigenvalues.  The asymptotic side needs two model-independent numbers,
 the prefactor i1(alpha) = (1+alpha)/(6 alpha) and the constant
 c_tilde(alpha), plus one model-dependent factor built from the Fermi
-points.  c_tilde is computed two independent ways (a hyperbolic-kernel
-integral and a digamma-weighted integral) so each can vouch for the
-other.
+points.  c_tilde is computed two independent ways so each can vouch for
+the other: a hyperbolic-kernel integral on the library's fixed-panel
+Gauss-Legendre rule, one integrand for every alpha, and a
+digamma-weighted integral on adaptive quad.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import special
 from scipy.integrate import quad
-from scipy.special import lambertw
 
 from .errors import DomainError, QuadratureError
-from .specfun import digamma_real_part, entropy_kernel
+from .specfun import digamma_real_part, entropy_kernel, panel_quadrature
 from .spectral import _check_block_length, correlation_spectrum
 
 
@@ -92,117 +94,72 @@ def i1(alpha):
 
 # ---------------------------------------------------------------------------
 # the universal constant, hyperbolic-kernel form
-#
-# The raw integrand alpha csch^2(t) - csch(t) csch(t/alpha) loses ~1/t^2
-# digits at small t, so it is assembled from the remainder functions
-# R1 = csch x - 1/x, R2 = csch^2 x - 1/x^2, Rc = coth x - 1/x whose
-# divergent parts cancel symbolically.  Series below |x| = 0.1, direct
-# hyperbolics above.
 
-def _r1(x):
-    if abs(x) <= 0.1:
-        x2 = x * x
-        return x * (-1.0 / 6.0 + x2 * (7.0 / 360.0 + x2 * (
-            -31.0 / 15120.0 + x2 * (127.0 / 604800.0 + x2 * (
-                -511.0 / 23950080.0 + x2 * (1414477.0 / 653837184000.0))))))
-    if x > 350.0:
-        # sinh overflows near 710; csch is below 1e-152 here anyway
-        return 2.0 * math.exp(-x) - 1.0 / x
-    return 1.0 / math.sinh(x) - 1.0 / x
+# csch x - 1/x = sum_k _CSCH_SERIES[k] x^{2k+1}, with coefficients
+# (-1)^{k+1} (2 - 4^{-k}) zeta(2k+2) / pi^{2k+2} (the Bernoulli form
+# through special.bernoulli is 1.7e-12 off at k = 1); 13 terms reach
+# 1e-18 at x <= 1/2
+_K = np.arange(13)
+_CSCH_SERIES = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
+                * special.zeta(2 * _K + 2) / math.pi ** (2 * _K + 2))
 
 
-def _r2(x):
-    if abs(x) <= 0.1:
-        x2 = x * x
-        return -1.0 / 3.0 + x2 * (1.0 / 15.0 + x2 * (
-            -2.0 / 189.0 + x2 * (1.0 / 675.0 + x2 * (
-                -2.0 / 10395.0 + x2 * (1382.0 / 58046625.0)))))
-    if x > 350.0:
-        return 4.0 * math.exp(-2.0 * x) - 1.0 / (x * x)
-    s = math.sinh(x)
-    return 1.0 / (s * s) - 1.0 / (x * x)
-
-
-def _rc(x):
-    if abs(x) <= 0.1:
-        x2 = x * x
-        return x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (
-            2.0 / 945.0 + x2 * (-1.0 / 4725.0 + x2 * (2.0 / 93555.0)))))
-    return 1.0 / math.tanh(x) - 1.0 / x
-
-
-def _t_star(alpha):
-    # first t in 10, 15, 20, ... where the integrand bound
-    # alpha e^{-rate t}/t, rate = 2 min(1, 1/alpha), is below 1e-14; the
-    # bound equals 1e-14 at t = W(rate alpha 1e14) / rate
-    rate = 2.0 * min(1.0, 1.0 / alpha)
-    t = float(lambertw(rate * alpha * 1e14).real) / rate
-    return 10.0 + 5.0 * max(math.ceil((t - 10.0) / 5.0), 0)
-
-
-def _quad_checked(integrand, upper, scale, what):
-    # for large alpha the range reaches ~15 alpha, and quad alone never
-    # samples the hump near t = 1 (c_tilde(2000) came out -0.0), so long
-    # ranges get breakpoints at the integrand's scales; short ones keep
-    # the plain rule, whose error estimate near alpha = 1 only just
-    # passes the gate scaled by 1/|1 - alpha|
-    val, err = quad(integrand, 0.0, upper,
-                    points=(1.0, 10.0, 100.0) if upper > 100.0 else None,
-                    epsabs=1e-13, epsrel=1e-12, limit=300)
-    if err * scale > 1e-9:
-        raise QuadratureError(
-            f"{what} integral did not converge", achieved=err * scale,
-            target=1e-9)
-    return val
-
-
-def _c_tilde_one():
-    def integrand(t):
-        if t < 1e-7:
-            return 2.0 / 3.0
-        rc = _rc(t)
-        return ((rc - t / 3.0) / (t * t) + _r2(t) * rc
-                - math.expm1(-2.0 * t) / (3.0 * t))
-    return _quad_checked(integrand, _t_star(1.0), 1.0, "c_tilde(1)")
-
-
-def _c_tilde_infinity():
-    def integrand(t):
-        if t < 1e-7:
-            return 1.0 / 3.0
-        return ((_r1(t) / t - _r2(t) - 1.0 / 6.0) / t
-                - math.expm1(-2.0 * t) / (6.0 * t))
-    # tail here decays like 2 e^{-t}/t^2 (single csch power survives the
-    # limit), slower than the generic 2 min(1, 1/alpha) rate; below 1e-16
-    # from t = 35
-    return _quad_checked(integrand, 35.0, 1.0, "c_tilde(inf)")
+def _xcsch(x):
+    # x csch x = 2 x e^{-x} / (1 - e^{-2x}), taken as 1 at x = 0
+    return np.divide(2.0 * x * np.exp(-x), -np.expm1(-2.0 * x),
+                     out=np.ones_like(x), where=x > 0.0)
 
 
 def c_tilde(alpha):
     """Universal additive entropy constant.
 
-    Generic alpha uses the hyperbolic-kernel integral over (0, inf);
-    alpha within 1e-6 of 1, and alpha = inf, get dedicated integrands
-    because the (1-alpha)^{-1} prefactor is ill-conditioned at 1.
+    c_tilde = int_0^inf [csch t N(t) - (1 + 1/alpha) e^{-2t}/6] dt/t with
+    N = (alpha csch t - csch(t/alpha))/(1 - alpha), one fixed
+    Gauss-Legendre pass for every alpha > 0, 1 and inf included. N is
+    summed as a power series in t/min(1, alpha) up to t = min(1, alpha)/2,
+    taken as the plain quotient when |alpha - 1| > 1/2, and otherwise
+    as csch t [cosh((t+y)/2) shc((y-t)/2) y csch y - 1] with
+    y = t/alpha and shc x = sinh(x)/x, which has no cancellation at 1.
+    Panels halve from t = 40 toward 0 down to min(1, alpha)/8; the summed
+    per-panel |Q20 - Q10| is gated at 1e-9.
     """
     alpha = _check_alpha(alpha)
-    if alpha == math.inf:
-        return _c_tilde_infinity()
-    if abs(alpha - 1.0) < 1e-6:
-        return _c_tilde_one()
-    K = (1.0 - alpha * alpha) / (6.0 * alpha)
+    m = min(1.0, alpha)
+    # sum_{j <= 2k+1} alpha^{-j} t^{2k+1} = s^{2k+1} sum_j m^{2k+1-j}
+    # (m/alpha)^j with s = t/m: no factor exceeds 1, so none overflows
+    odd = 2 * _K[:, None] + 1
+    j = np.arange(26)
+    coef = _CSCH_SERIES * np.where(
+        j <= odd, m ** np.maximum(odd - j, 0) * (m / alpha) ** j,
+        0.0).sum(axis=1)
 
     def integrand(t):
-        if t < 1e-7:
-            return 2.0 * K
-        bracket = (alpha * _r2(t) - _r1(t / alpha) / t - alpha * _r1(t) / t
-                   - _r1(t) * _r1(t / alpha) - K)
-        return (bracket - K * math.expm1(-2.0 * t)) / t
+        small = t <= 0.5 * m
+        N = np.empty_like(t)
+        s = t[small] / m
+        N[small] = -s * np.polynomial.polynomial.polyval(s * s, coef)
+        u = t[~small]
+        y = u / alpha
+        if abs(alpha - 1.0) > 0.5:
+            N[~small] = (_xcsch(u) - _xcsch(y)) / (u * (1.0 / alpha - 1.0))
+        else:
+            x = 0.5 * (y - u)
+            shc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
+            N[~small] = _xcsch(u) / u * (
+                np.cosh(0.5 * (u + y)) * shc * _xcsch(y) - 1.0)
+        return (_xcsch(t) / t * N
+                - (1.0 + 1.0 / alpha) * np.exp(-2.0 * t) / 6.0) / t
 
-    scale = abs(1.0 / (1.0 - alpha))
-    val = _quad_checked(integrand, _t_star(alpha), scale,
-                        f"c_tilde({alpha})")
-    return val / (1.0 - alpha)
+    edges = np.concatenate([[0.0], 40.0 * 2.0 ** -np.arange(
+        math.ceil(math.log2(320.0) - math.log2(m)), -1.0, -1.0)])
+    # below alpha ~ 1e-154 the integrand, of order 1/(alpha t), overflows;
+    # any inf or nan it leaves in a panel sum fails the gate below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val, err = panel_quadrature(integrand, edges)
+    if not err <= 1e-9:
+        raise QuadratureError(f"c_tilde({alpha}) integral did not converge",
+                              achieved=float(err), target=1e-9)
+    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +169,20 @@ def _s_alpha_exponential(alpha, w):
     # entropy kernel at x = tanh(pi w) without forming tanh: the
     # eigenvalue weights become log1p of exponentially small arguments
     q = 2.0 * math.pi * w
+    e = math.exp(-q)
     if alpha == math.inf:
-        return math.log1p(math.exp(-q))
-    if abs(alpha - 1.0) < 1e-6:
-        e = math.exp(-q)
+        return math.log1p(e)
+    if alpha == 1.0:
         return math.log1p(e) + q * e / (1.0 + e)
+    if abs(alpha - 1.0) < 0.5:
+        # log1p(e) + log[(1 + e^{-alpha q})/(1 + e)]/(1 - alpha), the
+        # ratio written as 1 + sigma expm1((1 - alpha) q)
+        sigma = e / (1.0 + e)
+        return (math.log1p(e)
+                - math.log1p(sigma * math.expm1((1.0 - alpha) * q))
+                / (alpha - 1.0))
     return (math.log1p(math.exp(-alpha * q))
-            - alpha * math.log1p(math.exp(-q))) / (1.0 - alpha)
+            - alpha * math.log1p(e)) / (1.0 - alpha)
 
 
 def c_tilde_oracle(alpha):
@@ -230,7 +194,11 @@ def c_tilde_oracle(alpha):
     def integrand(w):
         return _s_alpha_exponential(alpha, w) * digamma_real_part(w)
 
+    # the kernel's knee sits at w ~ 1/(2 pi alpha), which quad alone
+    # misses once alpha is large
+    knees = [k / (2.0 * math.pi * alpha) for k in (1.0, 10.0, 100.0)]
     val, err = quad(integrand, 0.0, w_hi,
+                    points=[w for w in knees if 0.0 < w < w_hi],
                     epsabs=1e-12, epsrel=1e-11, limit=300)
     if err * 4.0 / math.pi > 1e-9:
         raise QuadratureError(

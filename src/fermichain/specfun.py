@@ -2,7 +2,9 @@
 
 Riemann zeta (nu > 1), the polylogarithm on the unit circle, the real part
 of the digamma function on the critical line Re z = 1/2, the Barnes-G pair
-product log[G(1+beta)G(1-beta)], and the Renyi entropy kernel s_alpha(x).
+product log[G(1+beta)G(1-beta)], the Renyi entropy kernel s_alpha(x), and
+the one fixed-panel Gauss-Legendre rule behind every smooth integral
+(the free energy and c_tilde).
 
 scipy.special.zeta is the only zeta: it gives zeta(nu), the coefficients
 of the polylog series at any argument, and the Hurwitz tail of the
@@ -210,6 +212,35 @@ def log_barnes_pair(beta):
 
 
 # ---------------------------------------------------------------------------
+# Fixed-panel Gauss-Legendre rule
+
+# 20- and 10-point rules on [-1, 1]; on each panel the difference of the
+# two is the error estimate
+_X20, _W20 = np.polynomial.legendre.leggauss(20)
+_X10, _W10 = np.polynomial.legendre.leggauss(10)
+
+
+def panel_quadrature(integrand, edges):
+    """One fixed Gauss-Legendre pass over the panels between the edges.
+
+    edges is an increasing float array. integrand is called once, on a
+    (panels, 30) array holding the 20- then the 10-point nodes of each
+    panel, and returns values of shape (..., panels, 30), so one call
+    can carry several integrands. Returns the 20-point integrals and the
+    summed per-panel |Q20 - Q10|, the achieved error, each of shape
+    (...). Sums are elementwise products and .sum, so no BLAS call
+    decides the rounding; callers gate the error themselves.
+    """
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * np.concatenate(
+        [_X20, _X10])
+    g = integrand(nodes)
+    q20 = (g[..., :20] * _W20).sum(axis=-1) * half
+    q10 = (g[..., 20:] * _W10).sum(axis=-1) * half
+    return q20.sum(axis=-1), np.abs(q20 - q10).sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # Entropy kernel
 
 def entropy_kernel(alpha, x):
@@ -217,7 +248,9 @@ def entropy_kernel(alpha, x):
 
     s_alpha(x) = (1-alpha)^{-1} log[ ((1+x)/2)^alpha + ((1-x)/2)^alpha ],
     with the Shannon limit -sum q log q at alpha = 1 (convention
-    0 log 0 = 0) and -log max(q) at alpha = inf.
+    0 log 0 = 0) and -log max(q) at alpha = inf. For 0 < |u| < 1/2,
+    u = alpha - 1, it is -log1p(sum_q q expm1(u log q))/u, which uses
+    sum q = 1 and so loses nothing to the 1/u.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -231,14 +264,17 @@ def entropy_kernel(alpha, x):
     qmin = 0.5 * (1.0 - abs(x))
     if math.isinf(alpha):
         return -math.log(qmax)
-    if abs(alpha - 1.0) < 1e-6:
-        # Shannon branch: the (1-alpha)^{-1} prefactor is ill-conditioned here
+    if alpha == 1.0:
         s = -qmax * math.log(qmax)
         if qmin > 0.0:
             s -= qmin * math.log(qmin)
         return s
     if qmin == 0.0:
         return 0.0
+    u = alpha - 1.0
+    if abs(u) < 0.5:
+        return -math.log1p(qmax * math.expm1(u * math.log(qmax))
+                           + qmin * math.expm1(u * math.log(qmin))) / u
     ratio = alpha * (math.log(qmin) - math.log(qmax))
     return (alpha * math.log(qmax) + math.log1p(math.exp(ratio))) / (1.0 - alpha)
 

@@ -84,6 +84,14 @@ def test_constants_known_value(tmp_path):
     assert rows[1][0] == "inf"
     assert float(rows[1][1]) == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert float(rows[1][2]) == pytest.approx(0.27970, abs=1e-4)
+    # just outside the former 1e-6 snap, and past the overflow of
+    # (1 - alpha^2)/(6 alpha) that once gave nan
+    assert run(["constants", "--alpha", "1.0000011,1e200",
+                "--output", out]) == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][2]) == pytest.approx(0.49501774120127044918,
+                                              abs=1e-12)
+    assert math.isfinite(float(rows[1][2]))
 
 
 def test_entropy_compare_columns(tmp_path):

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermichain import criticality
+from fermichain import specfun
+from fermichain.entanglement import c_tilde
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
     fermi_points,
@@ -211,11 +212,15 @@ def test_power_law_cusp_free_energy_matches_mpmath():
 
 
 def test_free_energy_gates_achieved_error(monkeypatch):
-    # a 10-point rule off by 1% makes |Q20 - Q10| far exceed both gates
-    monkeypatch.setattr(criticality, "_W10", 1.01 * criticality._W10)
+    # a 10-point rule off by 1% makes |Q20 - Q10| far exceed the gates
+    # of both users of the shared panel rule
+    monkeypatch.setattr(specfun, "_W10", 1.01 * specfun._W10)
     with pytest.raises(QuadratureError) as info:
         free_energy(hs(), 2.0, 0.01)
     assert info.value.target == 1e-10 and info.value.achieved > 1e-3
+    with pytest.raises(QuadratureError) as info:
+        c_tilde(2.0)
+    assert info.value.target == 1e-9 and info.value.achieved > 1e-9
 
 
 def test_free_energy_validation():

@@ -15,7 +15,7 @@ from fermichain.entanglement import (
     renyi_asymptotic,
     renyi_exact,
 )
-from fermichain.errors import DomainError
+from fermichain.errors import DomainError, QuadratureError
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.spectral import correlation_spectrum, correlation_spectrum_finite
 
@@ -28,6 +28,10 @@ CT_BY_ALPHA = {0.25: 0.61490026862603817, 0.5: 0.59933363386423751,
 CT_037 = 0.62832121901123944
 CT_5 = 0.33341911189572052
 CT_ZERO_ALPHA = 0.10602710530572807
+CT_NEAR_ONE = {0.99999901: 0.49501805837581604391,
+               1.00000099: 0.49501775789464663283,
+               0.9999989: 0.49501807506923646152,
+               1.0000011: 0.49501774120127044918}
 CT_MAX = 0.63241652321748377
 CT_ARGMAX = 0.32170054843638602
 F_FIG8 = 0.53320267641821244
@@ -91,6 +95,24 @@ def test_exact_monotone_in_alpha():
             s = spectrum(which, L)
             vals = [renyi_exact(s, a) for a in (0.5, 1.0, 2.0, 5.0)]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_exact_near_alpha_one_matches_mpmath():
+    # the kernel once snapped alpha within 1e-6 of 1 to the Shannon form,
+    # 9.5e-7 off here; the reference sums the same eigenvalues at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    sp = spectrum("hs", 64)
+    # eigenvalues a rounding step outside [0, 1] count as 0 or 1, as in
+    # the kernel
+    lams = [min(max(lam, 0.0), 1.0) for lam in sp.eigenvalues]
+    for alpha in (1.0 - 9.9e-7, 1.0 + 9.9e-7, 1.0 + 1.1e-6):
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            want = sum(mpmath.log(mpmath.mpf(lam) ** a
+                                  + (1 - mpmath.mpf(lam)) ** a)
+                       for lam in lams) / (1 - a)
+        assert renyi_exact(sp, alpha) == pytest.approx(float(want),
+                                                       abs=1e-12)
 
 
 def test_exact_validation():
@@ -172,9 +194,11 @@ def test_c_tilde_oracle_frozen_values():
 
 
 def test_c_tilde_cross_formula():
-    # from alpha = 2000 on the hump near t = 1 needs quad's breakpoints
-    for alpha in (0.25, 0.5, 2.0, 3.0, 10.0, 1e3, 1e4, 1e5):
-        assert abs(c_tilde(alpha) - c_tilde_oracle(alpha)) < 1e-7
+    # from alpha = 2000 on the oracle needs its breakpoints near
+    # w = 1/(2 pi alpha), and near 1 its expm1 form
+    for alpha in (0.01, 0.25, 0.5, 0.999, 1.0 - 9.9e-7, 1.0 + 9.9e-7, 1.001,
+                  2.0, 3.0, 10.0, 1e3, 2e3, 1e4, 1e5, 1e6):
+        assert abs(c_tilde(alpha) - c_tilde_oracle(alpha)) < 1e-12
 
 
 def test_c_tilde_zero_crossing():
@@ -192,8 +216,21 @@ def test_c_tilde_maximum():
 
 
 def test_c_tilde_branch_continuity():
-    for alpha in (1.0 - 2e-6, 1.0 + 2e-6):
-        assert c_tilde(alpha) == pytest.approx(CT1, abs=1e-5)
+    # 40-digit mpmath values on both sides of the former 1e-6 snap to
+    # c_tilde(1), and alpha = 1e200 against the alpha = inf limit
+    for alpha, want in CT_NEAR_ONE.items():
+        assert c_tilde(alpha) == pytest.approx(want, abs=1e-12)
+    assert c_tilde(1e200) == pytest.approx(c_tilde(math.inf), abs=1e-12)
+
+
+def test_c_tilde_finite_or_raises():
+    # c_tilde grows like -1.5/alpha as alpha -> 0, so the absolute 1e-9
+    # gate refuses small alpha; no alpha may give inf or nan
+    for k in range(-320, 309, 7):
+        try:
+            assert math.isfinite(c_tilde(10.0 ** k))
+        except QuadratureError:
+            assert k < 0
 
 
 def test_c_tilde_validation():

@@ -269,7 +269,7 @@ def test_entropy_kernel_alpha_one_continuity():
         s1 = entropy_kernel(1.0, x)
         assert entropy_kernel(1.0 + 9e-7, x) == pytest.approx(s1, abs=1e-6)
         assert entropy_kernel(1.0 - 9e-7, x) == pytest.approx(s1, abs=1e-6)
-        # just outside the guard band the generic branch must agree too
+        # and further out, where the expm1 form still applies
         assert entropy_kernel(1.0 + 1e-5, x) == pytest.approx(s1, abs=1e-4)
 
 
