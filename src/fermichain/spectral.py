@@ -10,10 +10,14 @@ QL on the tridiagonal) so results are deterministic across platforms:
 fixed sweep order, no library dispatch. A symmetric Toeplitz matrix is
 centrosymmetric, so its spectrum is the union of the spectra of an even
 and an odd parity sector of half the size (Cantoni & Butler, Linear
-Algebra Appl. 13 (1976) 275); each sector is solved on its own. The
-eigenvalues agree with LAPACK to 1e-10 up to L = 1024. Up to that size
-no sector exceeds 512 rows, where the BLAS products of the reduction
-give the same bits under any BLAS thread count, and so does the output.
+Algebra Appl. 13 (1976) 275); each sector is solved on its own.
+
+The reduction is blocked as in LAPACK dsytrd: reflectors are gathered
+in panels of 32 and applied to the trailing matrix as one rank-64
+product. Every BLAS product in it has at most 256 rows, and the panels
+are laid out so that every update spans a multiple of 32 columns. So up
+to L = 2048 (sectors of 1024 rows) the output has the same bits under
+any BLAS thread count, and the eigenvalues agree with LAPACK to 1e-10.
 """
 
 import math
@@ -31,6 +35,8 @@ from .errors import (
 from .models import mode_energies
 
 _QL_ITERATION_CAP = 50
+_PANEL = 32        # reflectors per rank-2b update of the reduction
+_ROW_BLOCK = 256   # rows per BLAS product in the reduction
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,9 @@ class CorrelationSpectrum:
 
     trace_gap (|sum of eigenvalues - trace|) and range_dev (how far the
     eigenvalues leave [0, 1], or 0) are the achieved errors of the two
-    gates a built spectrum passed; None when it was not checked.
+    gates a built spectrum passed; ql_sweeps is the largest number of QL
+    sweeps one eigenvalue took over both parity sectors, the count that
+    the sweep cap gates.  Each is None when it was not checked.
     """
 
     L: int
@@ -47,6 +55,7 @@ class CorrelationSpectrum:
     eigenvalues: np.ndarray
     trace_gap: float = None
     range_dev: float = None
+    ql_sweeps: int = None
 
 
 def _check_block_length(L, minimum=1):
@@ -110,34 +119,74 @@ def correlation_row_finite(model, mu, L, N):
     return np.fft.irfft(filled, n=N)[:L]
 
 
+def _by_rows(M, x, out):
+    # out = M @ x, one block of at most _ROW_BLOCK rows per BLAS call.
+    # OpenBLAS runs a matrix-vector product that small on one thread in
+    # sectors of up to 1024 rows, so its bits do not depend on the thread
+    # count (with whole 2048-row sectors they do).
+    for r in range(0, M.shape[0], _ROW_BLOCK):
+        np.matmul(M[r:r + _ROW_BLOCK], x, out=out[r:r + _ROW_BLOCK])
+    return out
+
+
 def _tridiagonalize(A):
-    # Householder reduction of a symmetric matrix, in place.  Returns the
-    # diagonal and subdiagonal of the similar tridiagonal matrix.
+    # Blocked Householder reduction of a symmetric matrix, in place
+    # (LAPACK dsytrd/dlatrd; Dongarra, Sorensen & Hammarling, J. Comput.
+    # Appl. Math. 27 (1989) 215).  Returns the diagonal and subdiagonal
+    # of the similar tridiagonal matrix.
+    #
+    # Reflector k, H = I - 2 v v^T, turns the trailing matrix S into
+    # S - v w^T - w v^T with w = 2 (p - (v.p) v), p = S v.  A panel holds
+    # these updates back in U = [.. v w ..] and Z = [.. w v ..], so the
+    # trailing matrix is A - U Z^T until the panel ends and the rest of
+    # A takes them as one rank-2b product.  Row k stands in for column k
+    # (both triangles are kept), because rows are contiguous.
+    #
+    # Panels end at n - q _PANEL (the first one is the short one), so
+    # every rank-2b update spans a multiple of _PANEL rows and columns.
+    # A threaded OpenBLAS gemm whose column count is not a multiple of 8
+    # rounds differently under 1 and 2 threads; on these shapes it does
+    # not.
     n = A.shape[0]
-    buf = np.empty((n - 1) ** 2)
-    for k in range(n - 2):
-        x = A[k + 1:, k]
-        nrm = math.sqrt(float(x @ x))
-        if nrm == 0.0:
-            continue
-        alpha = -math.copysign(nrm, x[0])
-        v = x.copy()
-        v[0] -= alpha  # same-sign add, no cancellation
-        v /= math.sqrt(float(v @ v))
-        sub = A[k + 1:, k + 1:]
-        p = sub @ v
-        w = p - (v @ p) * v
-        w *= 2.0
-        # rank-2 update sub -= v w^T + w v^T through one reused buffer
-        t = buf[:v.size ** 2].reshape(v.size, v.size)
-        np.multiply.outer(v, w, out=t)
-        sub -= t
-        sub -= t.T
-        A[k + 1:, k] = 0.0
-        A[k, k + 1:] = 0.0
-        A[k + 1, k] = alpha
-        A[k, k + 1] = alpha
-    return np.diag(A).copy(), np.diag(A, 1).copy()
+    d = np.empty(n)
+    e = np.zeros(n - 1)
+    p = np.empty(n)
+    corr = np.empty(n)
+    s0, s = 0, n % _PANEL or _PANEL
+    while s0 < n - 2:
+        s = min(s, n - 2)                  # first column after the panel
+        U = np.zeros((n - s0, 2 * (s - s0)))
+        Z = np.zeros_like(U)
+        for k in range(s0, s):
+            j = 2 * (k - s0)               # columns of U, Z in use
+            r = k - s0                     # row of U, Z that holds row k
+            x = A[k, k:] - _by_rows(Z[r:, :j], U[r, :j], corr[:n - k])
+            d[k] = x[0]
+            x = x[1:]
+            nrm = math.sqrt(float(x @ x))
+            if nrm == 0.0:
+                continue                   # e[k] = 0, U and Z keep zeros
+            alpha = -math.copysign(nrm, x[0])
+            e[k] = alpha
+            v = x
+            v[0] -= alpha  # same-sign add, no cancellation
+            v /= math.sqrt(float(v @ v))
+            m = n - k - 1
+            pk = _by_rows(A[k + 1:, k + 1:], v, p[:m])
+            pk -= _by_rows(U[r + 1:, :j], Z[r + 1:, :j].T @ v, corr[:m])
+            w = pk - (v @ pk) * v
+            w *= 2.0
+            U[r + 1:, j] = Z[r + 1:, j + 1] = v
+            U[r + 1:, j + 1] = Z[r + 1:, j] = w
+        # A[s:, s:] -= U Z^T, in place, one row block at a time
+        Zt = Z[s - s0:].T
+        for i in range(s, n, _ROW_BLOCK):
+            A[i:i + _ROW_BLOCK, s:] -= U[i - s0:i - s0 + _ROW_BLOCK] @ Zt
+        s0, s = s, s + _PANEL
+    d[-2:] = np.diag(A)[-2:]
+    if n > 1:
+        e[-1] = A[-2, -1]
+    return d, e
 
 
 def _ql_eigenvalues(d, e):
@@ -151,12 +200,15 @@ def _ql_eigenvalues(d, e):
     # position is dropped at most once, at |e[m]| <= eps*tst1, from a
     # matrix orthogonally similar to the input, so by Weyl's inequality
     # all drops together move each eigenvalue by at most (n-1) eps tst1:
-    # ~1.7e-13 for a 512-row sector, whose spectrum in [0, 1] keeps
-    # tst1 <= 1.5, far inside the 1e-10 range gate.
+    # ~3.4e-13 for a 1024-row sector (L = 2048), whose spectrum in
+    # [0, 1] keeps tst1 <= 1.5, far inside the 1e-10 range gate.
+    # Returns the eigenvalues and the largest sweep count any one of
+    # them took, the number _QL_ITERATION_CAP gates.
     n = len(d)
     d = [float(v) for v in d]
     e = [float(v) for v in e] + [0.0]
     tst1 = max(abs(a) + abs(b) for a, b in zip(d, e))
+    sweeps = 0
     for l in range(n):
         iterations = 0
         while True:
@@ -195,24 +247,33 @@ def _ql_eigenvalues(d, e):
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return d
+        sweeps = max(sweeps, iterations)
+    return d, sweeps
 
 
-def eigenvalues_symmetric(first_row):
+def eigenvalues_symmetric(first_row, *, return_sweeps=False):
     """All eigenvalues of the symmetric Toeplitz matrix with this first
-    row, sorted ascending."""
+    row, sorted ascending.
+
+    With return_sweeps, also the largest number of QL sweeps any one
+    eigenvalue took (0 for a 1 x 1 matrix).
+    """
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise DomainError("first row must be a non-empty 1-d array")
     if not np.all(np.isfinite(row)):
         raise DomainError("first row contains non-finite entries")
-    n = row.size
-    if n == 1:
-        return row.copy()
-    vals = []
-    for sector in _parity_sectors(row):
-        vals += _ql_eigenvalues(*_tridiagonalize(sector))
-    return np.sort(np.array(vals))
+    if row.size == 1:
+        eig, sweeps = row.copy(), 0
+    else:
+        vals, sweeps = [], 0
+        for sector in _parity_sectors(row):
+            sector_vals, sector_sweeps = _ql_eigenvalues(
+                *_tridiagonalize(sector))
+            vals += sector_vals
+            sweeps = max(sweeps, sector_sweeps)
+        eig = np.sort(np.array(vals))
+    return (eig, sweeps) if return_sweeps else eig
 
 
 def _parity_sectors(t):
@@ -237,7 +298,7 @@ def _parity_sectors(t):
 
 
 def _checked_spectrum(L, row):
-    eig = eigenvalues_symmetric(row)
+    eig, sweeps = eigenvalues_symmetric(row, return_sweeps=True)
     low = float(eig[0])
     high = float(eig[-1])
     dev = max(0.0 - low, high - 1.0, 0.0)
@@ -251,7 +312,8 @@ def _checked_spectrum(L, row):
             "eigenvalue sum disagrees with the matrix trace",
             achieved=trace_gap, target=1e-9)
     return CorrelationSpectrum(L=L, first_row=row, eigenvalues=eig,
-                               trace_gap=trace_gap, range_dev=dev)
+                               trace_gap=trace_gap, range_dev=dev,
+                               ql_sweeps=sweeps)
 
 
 def correlation_spectrum(analysis, L):

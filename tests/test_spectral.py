@@ -204,7 +204,7 @@ def test_eigensolver_matches_reference_library():
 
 def test_eigensolver_large_block():
     # odd L exercises the bordered even-parity sector
-    for L in (512, 1023, 1024):
+    for L in (512, 1023, 1024, 2047, 2048):
         row = correlation_row(hs_analysis(), L)
         got = eigenvalues_symmetric(row)
         want = np.linalg.eigvalsh(toeplitz_from_row(row))
@@ -238,11 +238,15 @@ from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.spectral import correlation_spectrum
 a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
                  3.0 * math.pi ** 2 / 8.0)
-sys.stdout.write(correlation_spectrum(a, 1024).eigenvalues.tobytes().hex())
+for L in (1024, 2047, 2048):
+    sys.stdout.write(correlation_spectrum(a, L).eigenvalues.tobytes().hex())
 """
 
 
 def test_spectrum_same_bits_under_blas_threads():
+    # L = 2047 has a 1023-row sector, whose updates would span column
+    # counts that are not multiples of 8 if the panels were not aligned
+    # to the end of the matrix
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     out = []
@@ -253,8 +257,45 @@ def test_spectrum_same_bits_under_blas_threads():
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 8 * 1024
+    assert len(out[0]) == 2 * 8 * (1024 + 2047 + 2048)
     assert out[0] == out[1]
+
+
+def _reduced_eigenvalues(A):
+    d, e = spectral._tridiagonalize(A.copy())
+    return np.sort(spectral._ql_eigenvalues(d, e)[0])
+
+
+def test_blocked_reduction_panel_edges():
+    # sizes around the panel width, the n - 2 tail and the row block
+    assert spectral._PANEL == 32 and spectral._ROW_BLOCK == 256
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 31, 32, 33, 34, 35, 64, 65, 66, 257):
+        M = rng.normal(size=(n, n))
+        M += M.T
+        want = np.linalg.eigvalsh(M)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(_reduced_eigenvalues(M) - want)) < 1e-12 * scale
+        row = rng.normal(size=2 * n + 1)   # sectors of n + 1 and n rows
+        want = np.linalg.eigvalsh(toeplitz_from_row(row))
+        got = eigenvalues_symmetric(row)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_blocked_reduction_zero_column_inside_panel():
+    # direct sum of a 10 x 10 and a 50 x 50 block: the Householder column
+    # of step 9 is exactly zero while nine reflectors of the panel are
+    # still pending
+    rng = np.random.default_rng(12)
+    A = np.zeros((60, 60))
+    for lo, hi in ((0, 10), (10, 60)):
+        B = rng.normal(size=(hi - lo, hi - lo))
+        A[lo:hi, lo:hi] = B + B.T
+    d, e = spectral._tridiagonalize(A.copy())
+    assert e[9] == 0.0 and np.all(e[:9] != 0.0)
+    want = np.linalg.eigvalsh(A)
+    got = _reduced_eigenvalues(A)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_eigensolver_iteration_cap(monkeypatch):
@@ -325,6 +366,17 @@ def test_spectrum_reports_achieved_gate_errors():
     bare = spectral.CorrelationSpectrum(L=1, first_row=np.array([0.5]),
                                         eigenvalues=np.array([0.5]))
     assert bare.trace_gap is None and bare.range_dev is None
+    assert bare.ql_sweeps is None
+
+
+def test_spectrum_reports_ql_sweeps():
+    s = correlation_spectrum(hs_analysis(), 1024)
+    assert isinstance(s.ql_sweeps, int)
+    assert 1 <= s.ql_sweeps <= spectral._QL_ITERATION_CAP
+    eig, sweeps = eigenvalues_symmetric(s.first_row, return_sweeps=True)
+    assert sweeps == s.ql_sweeps
+    assert eig.tobytes() == s.eigenvalues.tobytes()
+    assert correlation_spectrum(hs_analysis(), 1).ql_sweeps == 0
 
 
 # ---------------------------------------------------------------------------
