@@ -162,8 +162,7 @@ def _build_parser():
     out_flags.add_argument("--format", choices=["csv", "json"])
     out_flags.add_argument("--output")
     out_flags.add_argument("--config")
-    out_flags.add_argument("--gnuplot-stub", action="store_true",
-                           default=None)
+    out_flags.add_argument("--gnuplot-stub", action="store_true")
 
     parser = _Parser(prog="fermichain",
                      description="long-range free-fermion chain toolkit")
@@ -181,14 +180,14 @@ def _build_parser():
                        help="thermal free energy over a temperature grid")
     p.add_argument("--mu", type=float)
     p.add_argument("--T")
-    p.add_argument("--fit", action="store_true", default=None)
+    p.add_argument("--fit", action="store_true")
 
     p = sub.add_parser("entropy", parents=[model_flags, out_flags],
                        help="block entropies over an L sweep")
     p.add_argument("--mu", type=float)
     p.add_argument("--alpha")
     p.add_argument("--L")
-    p.add_argument("--compare", action="store_true", default=None)
+    p.add_argument("--compare", action="store_true")
 
     p = sub.add_parser("fh-check", parents=[model_flags, out_flags],
                        help="determinant asymptotics deviation over L")
@@ -204,11 +203,11 @@ def _build_parser():
     return parser
 
 
-def _merge_config_file(args):
-    if getattr(args, "config", None) is None:
-        return
+def _config_flags(parser, command, path):
+    # the config file as flag tokens of `command`, each parsed by the
+    # same action as on the command line; a switch takes true or false
     try:
-        with open(args.config, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except OSError as exc:
         raise DomainError(f"cannot read config file: {exc}") from None
@@ -216,14 +215,28 @@ def _merge_config_file(args):
         raise DomainError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainError("config file must hold a JSON object")
+    defaults = vars(parser.parse_args([command]))
+    tokens = []
     for key, value in data.items():
         dest = str(key).replace("-", "_")
-        if not hasattr(args, dest) or dest in ("command", "config"):
+        if dest not in defaults or dest in ("command", "config"):
             raise DomainError(f"unknown config key: {key}")
-        if getattr(args, dest) is None:
+        flag = "--" + dest.replace("_", "-")
+        if defaults[dest] is False:        # a store_true switch
+            if not isinstance(value, bool):
+                raise DomainError(
+                    f"config key {key} must be true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        else:
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
-            setattr(args, dest, value)
+            if isinstance(value, bool) or not isinstance(
+                    value, (str, int, float)):
+                raise DomainError(
+                    f"config key {key} has no flag value: {value!r}")
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _resolve_model(args):
@@ -437,8 +450,14 @@ def _render_gnuplot(data_path, plot_cols):
 def run(argv):
     started = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
-        _merge_config_file(args)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # config flags go before the command line's, so those win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                [*argv[:at], *_config_flags(parser, args.command, args.config),
+                 *argv[at:]])
         fmt = args.format if args.format is not None else "csv"
         output = (args.output if args.output is not None
                   else f"{args.command.replace('-', '_')}.{fmt}")

@@ -19,8 +19,9 @@ from scipy import special
 from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
+from .models import _check_count
 from .specfun import digamma_real_part, entropy_kernel, panel_quadrature
-from .spectral import _check_block_length, correlation_spectrum
+from .spectral import correlation_spectrum
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def renyi_asymptotic(analysis, L, alpha, spectrum=None):
     from an eigendecomposition of the L x L correlation matrix; pass a
     precomputed spectrum to amortize it across alpha values.
     """
-    L = _check_block_length(L)
+    L = _check_count(L, "block length")
     alpha = _check_alpha(alpha)
     if analysis.phase != "critical":
         raise DomainError(

@@ -32,14 +32,15 @@ class QuadratureError(AccuracyError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Implicit-shift iteration hit its cap before isolating an eigenvalue."""
+    """The tridiagonal eigensolver ran out of sweeps with off-diagonal
+    entries left nonzero."""
 
-    def __init__(self, size, cap):
+    def __init__(self, size, unconverged):
         super().__init__(
-            f"eigensolver did not converge for a {size}x{size} matrix "
-            f"within {cap} iterations per eigenvalue")
+            f"eigensolver did not converge for a {size}x{size} tridiagonal: "
+            f"{unconverged} off-diagonal entries left nonzero")
         self.size = size
-        self.cap = cap
+        self.unconverged = unconverged
 
 
 class FitRejectedError(RuntimeError):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .entanglement import _check_roots, f_factor
 from .errors import DomainError
+from .models import _check_count
 from .specfun import log_barnes_pair
-from .spectral import _check_block_length, correlation_spectrum, log_det_char
+from .spectral import correlation_spectrum, log_det_char
 
 _TWO_PI = 2.0 * math.pi
 
@@ -70,7 +71,7 @@ def log_dl_asymptotic(symbol, L):
     -2 beta^2 log(L^{m+1} f) + L log(lam+1)
     - L P log[(lam+1)/(lam-1)] + 2(m+1) log[G(1+beta) G(1-beta)].
     """
-    L = _check_block_length(L, minimum=2)
+    L = _check_count(L, "block length", minimum=2)
     roots = [p for p in symbol.jump_angles if p > 0.0]
     nsea = len(roots)
     lam = symbol.lam
@@ -92,7 +93,7 @@ def fh_deviation(analysis, lam, L_list):
             f"points; phase is {analysis.phase!r}")
     roots = [p for p, _ in analysis.roots]
     symbol = symbol_params(roots, lam)
-    sizes = [_check_block_length(L, minimum=2) for L in L_list]
+    sizes = [_check_count(L, "block length", minimum=2) for L in L_list]
     out = []
     for L in sizes:
         exact = log_det_char(correlation_spectrum(analysis, L), symbol.lam)

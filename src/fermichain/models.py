@@ -21,6 +21,15 @@ FAMILIES = ("haldane-shastry", "finite-range", "power-law",
             "rational-cubic", "custom-summable")
 
 
+def _check_count(n, name, minimum=1):
+    """n as a Python int; numpy integers pass, bools and floats do not."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class InteractionModel:
     family: str
@@ -103,9 +112,7 @@ def mode_energies(model, N):
     weight: one real FFT gives l <= N/2, and eps_N(N-l) = eps_N(l) the
     rest. eps_N(0) is exactly 0.
     """
-    N = int(N)
-    if N < 1:
-        raise DomainError(f"ring size must be positive, got {N}")
+    N = _check_count(N, "ring size")
     top = (N - 1) // 2
     h = np.zeros(N)
     h[1:top + 1] = [model.coupling(j, N) for j in range(1, top + 1)]

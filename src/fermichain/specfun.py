@@ -256,8 +256,8 @@ def entropy_kernel(alpha, x):
     if not alpha > 0.0:
         raise DomainError(f"entropy_kernel requires alpha > 0, got {alpha}")
     x = float(x)
-    if x > 1.0 or x < -1.0:
-        if x > 1.0 + 1e-9 or x < -1.0 - 1e-9:
+    if not -1.0 <= x <= 1.0:
+        if not -1.0 - 1e-9 <= x <= 1.0 + 1e-9:
             raise DomainError(f"entropy_kernel argument {x} outside [-1, 1]")
         x = max(-1.0, min(1.0, x))
     qmax = 0.5 * (1.0 + abs(x))

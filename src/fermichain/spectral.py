@@ -5,25 +5,26 @@ state is a symmetric Toeplitz matrix A_L.  Everything entropy- or
 determinant-shaped downstream only needs its first row and eigenvalues,
 so that pair is bundled in CorrelationSpectrum.
 
-The eigensolver is hand rolled (Householder reduction plus implicit-shift
-QL on the tridiagonal) so results are deterministic across platforms:
-fixed sweep order, no library dispatch. A symmetric Toeplitz matrix is
-centrosymmetric, so its spectrum is the union of the spectra of an even
-and an odd parity sector of half the size (Cantoni & Butler, Linear
-Algebra Appl. 13 (1976) 275); each sector is solved on its own.
+A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
+union of the spectra of an even and an odd parity sector of half the
+size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). Each sector
+goes through a blocked Householder reduction to tridiagonal form, and
+LAPACK dsterf (eigenvalues-only implicit QL/QR) takes the tridiagonal.
 
 The reduction is blocked as in LAPACK dsytrd: reflectors are gathered
 in panels of 32 and applied to the trailing matrix as one rank-64
 product. Every BLAS product in it has at most 256 rows, and the panels
-are laid out so that every update spans a multiple of 32 columns. So up
-to L = 2048 (sectors of 1024 rows) the output has the same bits under
-any BLAS thread count, and the eigenvalues agree with LAPACK to 1e-10.
+are laid out so that every update spans a multiple of 32 columns.
+dsterf makes no BLAS call. So up to L = 2048 (sectors of 1024 rows) the
+output has the same bits under any BLAS thread count, and the
+eigenvalues agree with LAPACK's divide and conquer to 1e-10.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsterf
 
 from .errors import (
     AccuracyError,
@@ -32,9 +33,8 @@ from .errors import (
     EigenConvergenceError,
     SingularMatrixError,
 )
-from .models import mode_energies
+from .models import _check_count, mode_energies
 
-_QL_ITERATION_CAP = 50
 _PANEL = 32        # reflectors per rank-2b update of the reduction
 _ROW_BLOCK = 256   # rows per BLAS product in the reduction
 
@@ -45,9 +45,7 @@ class CorrelationSpectrum:
 
     trace_gap (|sum of eigenvalues - trace|) and range_dev (how far the
     eigenvalues leave [0, 1], or 0) are the achieved errors of the two
-    gates a built spectrum passed; ql_sweeps is the largest number of QL
-    sweeps one eigenvalue took over both parity sectors, the count that
-    the sweep cap gates.  Each is None when it was not checked.
+    gates a built spectrum passed, or None when it was not checked.
     """
 
     L: int
@@ -55,16 +53,6 @@ class CorrelationSpectrum:
     eigenvalues: np.ndarray
     trace_gap: float = None
     range_dev: float = None
-    ql_sweeps: int = None
-
-
-def _check_block_length(L, minimum=1):
-    """L as a Python int; numpy integers pass, bools and floats do not."""
-    if not isinstance(L, (int, np.integer)) or isinstance(L, bool):
-        raise DomainError(f"block length must be an integer, got {L!r}")
-    if L < minimum:
-        raise DomainError(f"block length must be >= {minimum}, got {L}")
-    return int(L)
 
 
 def correlation_row(analysis, L):
@@ -75,7 +63,7 @@ def correlation_row(analysis, L):
     points, [sin(b d) - sin(a d)]/(pi d) per half-period interval (a, b);
     the endpoints 0 and pi contribute nothing at integer lag.
     """
-    L = _check_block_length(L)
+    L = _check_count(L, "block length")
     if analysis.phase != "critical":
         raise DomainError(
             "correlation row needs a sea bounded by simple Fermi points; "
@@ -101,9 +89,8 @@ def correlation_row_finite(model, mu, L, N):
     of mu means the ground state is degenerate and no canonical
     occupation exists.
     """
-    L = _check_block_length(L)
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise DomainError(f"ring size must be an integer, got {N!r}")
+    L = _check_count(L, "block length")
+    N = _check_count(N, "ring size")
     if N < L:
         raise DomainError(f"ring size {N} smaller than block length {L}")
     mu = float(mu)
@@ -189,91 +176,25 @@ def _tridiagonalize(A):
     return d, e
 
 
-def _ql_eigenvalues(d, e):
-    # Implicit-shift QL sweeps on a tridiagonal (d, e), EISPACK tql1
-    # style.  Plain Python lists: the inner loop is sequential anyway.
-    # Deflation is judged against one overall scale, tst1 = max |d| + |e|
-    # of the whole tridiagonal, not the neighbouring diagonal entries or
-    # a running max over the rows seen so far: correlation spectra
-    # cluster exponentially at 0 and 1, and those tests wait for
-    # off-diagonals below the rounding floor of the whole matrix. Each
-    # position is dropped at most once, at |e[m]| <= eps*tst1, from a
-    # matrix orthogonally similar to the input, so by Weyl's inequality
-    # all drops together move each eigenvalue by at most (n-1) eps tst1:
-    # ~3.4e-13 for a 1024-row sector (L = 2048), whose spectrum in
-    # [0, 1] keeps tst1 <= 1.5, far inside the 1e-10 range gate.
-    # Returns the eigenvalues and the largest sweep count any one of
-    # them took, the number _QL_ITERATION_CAP gates.
-    n = len(d)
-    d = [float(v) for v in d]
-    e = [float(v) for v in e] + [0.0]
-    tst1 = max(abs(a) + abs(b) for a, b in zip(d, e))
-    sweeps = 0
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while tst1 + abs(e[m]) != tst1:
-                m += 1   # e[n-1] == 0.0, so this stops by n-1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > _QL_ITERATION_CAP:
-                raise EigenConvergenceError(size=n, cap=_QL_ITERATION_CAP)
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-        sweeps = max(sweeps, iterations)
-    return d, sweeps
-
-
-def eigenvalues_symmetric(first_row, *, return_sweeps=False):
+def eigenvalues_symmetric(first_row):
     """All eigenvalues of the symmetric Toeplitz matrix with this first
-    row, sorted ascending.
-
-    With return_sweeps, also the largest number of QL sweeps any one
-    eigenvalue took (0 for a 1 x 1 matrix).
-    """
+    row, sorted ascending."""
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise DomainError("first row must be a non-empty 1-d array")
     if not np.all(np.isfinite(row)):
         raise DomainError("first row contains non-finite entries")
     if row.size == 1:
-        eig, sweeps = row.copy(), 0
-    else:
-        vals, sweeps = [], 0
-        for sector in _parity_sectors(row):
-            sector_vals, sector_sweeps = _ql_eigenvalues(
-                *_tridiagonalize(sector))
-            vals += sector_vals
-            sweeps = max(sweeps, sector_sweeps)
-        eig = np.sort(np.array(vals))
-    return (eig, sweeps) if return_sweeps else eig
+        return row.copy()
+    vals = []
+    for sector in _parity_sectors(row):
+        d, e = _tridiagonalize(sector)
+        if e.size:                 # the wrapper refuses a 1-row tridiagonal
+            d, info = dsterf(d, e)
+            if info > 0:
+                raise EigenConvergenceError(size=d.size, unconverged=info)
+        vals.append(d)
+    return np.sort(np.concatenate(vals))
 
 
 def _parity_sectors(t):
@@ -298,7 +219,7 @@ def _parity_sectors(t):
 
 
 def _checked_spectrum(L, row):
-    eig, sweeps = eigenvalues_symmetric(row, return_sweeps=True)
+    eig = eigenvalues_symmetric(row)
     low = float(eig[0])
     high = float(eig[-1])
     dev = max(0.0 - low, high - 1.0, 0.0)
@@ -312,19 +233,18 @@ def _checked_spectrum(L, row):
             "eigenvalue sum disagrees with the matrix trace",
             achieved=trace_gap, target=1e-9)
     return CorrelationSpectrum(L=L, first_row=row, eigenvalues=eig,
-                               trace_gap=trace_gap, range_dev=dev,
-                               ql_sweeps=sweeps)
+                               trace_gap=trace_gap, range_dev=dev)
 
 
 def correlation_spectrum(analysis, L):
     """Build and cross-check the L x L spectrum from a critical sea."""
-    L = _check_block_length(L)
+    L = _check_count(L, "block length")
     return _checked_spectrum(L, correlation_row(analysis, L))
 
 
 def correlation_spectrum_finite(model, mu, L, N):
     """Same checks, with the row taken from an N-site ring."""
-    L = _check_block_length(L)
+    L = _check_count(L, "block length")
     return _checked_spectrum(L, correlation_row_finite(model, mu, L, N))
 
 

@@ -340,6 +340,38 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                 "--mu", "1"]) == 1
 
 
+HS2 = ["--model", "haldane-shastry", "--mu", "2"]
+
+
+@pytest.mark.parametrize("argv, config, flags", [
+    (["dispersion", "--model", "haldane-shastry"], {"grid_points": "64"},
+     ["--grid-points", "64"]),
+    (["fh-check", *HS2, "--L", "8"], {"lambda_re": "3.0"},
+     ["--lambda-re", "3.0"]),
+    (["dispersion", "--model", "haldane-shastry"], {"grid_points": 10.5},
+     None),
+    (["free-energy", *HS2], {"fit": "no"}, None),
+    (["entropy", *HS2, "--L", "8"], {"compare": True}, ["--compare"]),
+    (["entropy", *HS2, "--L", "8", "--compare"], {"compare": False}, []),
+], ids=["int-string", "float-string", "fractional-int", "switch-string",
+        "switch-true", "switch-flag-wins"])
+def test_config_values_parse_like_flags(tmp_path, capsys, argv, config,
+                                        flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "from_config.csv"
+    code = run([*argv, "--config", str(cfg), "--output", str(out)])
+    if flags is None:
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+    else:
+        assert code == 0
+        want = tmp_path / "from_flags.csv"
+        assert run([*argv, *flags, "--output", str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+
 def test_gnuplot_stub(tmp_path, capsys):
     out = str(tmp_path / "fh.csv")
     assert run(["fh-check", "--model", "haldane-shastry", "--mu", "2",

@@ -84,9 +84,11 @@ def test_mode_energy_matches_full_range_sum():
 
 
 def test_mode_energy_index_errors():
-    for N in (0, -3):
+    for N in (0, -3, 8.7, 8.0, True, np.int64(0)):
         with pytest.raises(DomainError):
             mode_energies(hs(), N)
+    assert np.array_equal(mode_energies(hs(), np.int64(8)),
+                          mode_energies(hs(), 8))
 
 
 # ---------------------------------------------------------------------------

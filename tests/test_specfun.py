@@ -285,6 +285,9 @@ def test_entropy_kernel_domain():
         entropy_kernel(0.0, 0.3)
     with pytest.raises(DomainError):
         entropy_kernel(-2.0, 0.3)
+    for alpha in (0.5, 1.0, 2.0, math.inf):
+        with pytest.raises(DomainError):
+            entropy_kernel(alpha, math.nan)
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0),

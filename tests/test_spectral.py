@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg.lapack import dsterf
 
+from fermichain.cli import run
 from fermichain.criticality import fermi_points
 from fermichain.errors import (
     DegenerateGroundStateError,
@@ -117,7 +119,7 @@ def test_row_needs_simple_fermi_points():
 
 def test_row_validation():
     a = hs_analysis()
-    for bad in (0, -3, 2.5, True, np.int64(0)):
+    for bad in (0, -3, 2.5, 8.7, True, np.int64(0)):
         with pytest.raises(DomainError):
             correlation_row(a, bad)
     assert np.array_equal(correlation_row(a, np.int64(9)),
@@ -168,10 +170,15 @@ def test_finite_row_validation():
     model = InteractionModel.haldane_shastry()
     with pytest.raises(DomainError):
         correlation_row_finite(model, 1.0, 8, 4)
-    with pytest.raises(DomainError):
-        correlation_row_finite(model, 1.0, 4, 8.5)
+    for L, N in ((4, 8.5), (4, 8.7), (4, True), (2.0, 8),
+                 (True, 8), (np.int64(0), 8)):
+        with pytest.raises(DomainError):
+            correlation_row_finite(model, 1.0, L, N)
     with pytest.raises(DomainError):
         correlation_row_finite(model, math.inf, 4, 8)
+    assert np.array_equal(
+        correlation_row_finite(model, 1.0, np.int64(4), np.int64(8)),
+        correlation_row_finite(model, 1.0, 4, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def test_eigensolver_matches_reference_library():
     rng = np.random.default_rng(42)
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
         row = rng.normal(size=n)
-        want = np.linalg.eigvalsh(toeplitz_from_row(row))
+        want = np.linalg.eigh(toeplitz_from_row(row))[0]
         got = eigenvalues_symmetric(row)
         tol = 1e-10 * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) < tol
@@ -207,14 +214,14 @@ def test_eigensolver_large_block():
     for L in (512, 1023, 1024, 2047, 2048):
         row = correlation_row(hs_analysis(), L)
         got = eigenvalues_symmetric(row)
-        want = np.linalg.eigvalsh(toeplitz_from_row(row))
+        want = np.linalg.eigh(toeplitz_from_row(row))[0]
         assert np.max(np.abs(got - want)) < 1e-10
         assert got[0] > -1e-10 and got[-1] < 1.0 + 1e-10
 
 
-# critical seas on which QL ran past its sweep cap with one BLAS thread:
-# over the full, unsplit block, or (the last) with a running deflation
-# scale
+# critical seas on which the former hand-written QL ran past its sweep cap
+# with one BLAS thread: over the full, unsplit block, or (the last) with a
+# running deflation scale
 @pytest.mark.parametrize("alphas, mu, L", [
     (None, MU_HALF, 1024),
     (None, 1.7930895512858884, 1024),
@@ -227,7 +234,7 @@ def test_eigensolver_former_ql_stalls(alphas, mu, L):
              else InteractionModel.finite_range(alphas))
     row = correlation_row(fermi_points(DispersionProfile(model), mu), L)
     got = eigenvalues_symmetric(row)
-    want = np.linalg.eigvalsh(toeplitz_from_row(row))
+    want = np.linalg.eigh(toeplitz_from_row(row))[0]
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -263,7 +270,9 @@ def test_spectrum_same_bits_under_blas_threads():
 
 def _reduced_eigenvalues(A):
     d, e = spectral._tridiagonalize(A.copy())
-    return np.sort(spectral._ql_eigenvalues(d, e)[0])
+    eig, info = dsterf(d, e)
+    assert info == 0
+    return eig
 
 
 def test_blocked_reduction_panel_edges():
@@ -273,11 +282,11 @@ def test_blocked_reduction_panel_edges():
     for n in (2, 3, 31, 32, 33, 34, 35, 64, 65, 66, 257):
         M = rng.normal(size=(n, n))
         M += M.T
-        want = np.linalg.eigvalsh(M)
+        want = np.linalg.eigh(M)[0]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(_reduced_eigenvalues(M) - want)) < 1e-12 * scale
         row = rng.normal(size=2 * n + 1)   # sectors of n + 1 and n rows
-        want = np.linalg.eigvalsh(toeplitz_from_row(row))
+        want = np.linalg.eigh(toeplitz_from_row(row))[0]
         got = eigenvalues_symmetric(row)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -293,15 +302,20 @@ def test_blocked_reduction_zero_column_inside_panel():
         A[lo:hi, lo:hi] = B + B.T
     d, e = spectral._tridiagonalize(A.copy())
     assert e[9] == 0.0 and np.all(e[:9] != 0.0)
-    want = np.linalg.eigvalsh(A)
+    want = np.linalg.eigh(A)[0]
     got = _reduced_eigenvalues(A)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_eigensolver_iteration_cap(monkeypatch):
-    monkeypatch.setattr(spectral, "_QL_ITERATION_CAP", 0)
+def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
+    # dsterf's info > 0: off-diagonals left nonzero after its sweep budget
+    monkeypatch.setattr(spectral, "dsterf", lambda d, e: (d, 1))
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
+    assert run(["entropy", "--model", "haldane-shastry", "--mu", "2",
+                "--L", "8", "--output", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(tmp_path / "s.csv")
 
 
 def test_eigensolver_validation():
@@ -366,17 +380,6 @@ def test_spectrum_reports_achieved_gate_errors():
     bare = spectral.CorrelationSpectrum(L=1, first_row=np.array([0.5]),
                                         eigenvalues=np.array([0.5]))
     assert bare.trace_gap is None and bare.range_dev is None
-    assert bare.ql_sweeps is None
-
-
-def test_spectrum_reports_ql_sweeps():
-    s = correlation_spectrum(hs_analysis(), 1024)
-    assert isinstance(s.ql_sweeps, int)
-    assert 1 <= s.ql_sweeps <= spectral._QL_ITERATION_CAP
-    eig, sweeps = eigenvalues_symmetric(s.first_row, return_sweeps=True)
-    assert sweeps == s.ql_sweeps
-    assert eig.tobytes() == s.eigenvalues.tobytes()
-    assert correlation_spectrum(hs_analysis(), 1).ql_sweeps == 0
 
 
 # ---------------------------------------------------------------------------
