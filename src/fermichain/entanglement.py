@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from .errors import DomainError, QuadratureError
 from .models import _check_count
 from .specfun import digamma_real_part, entropy_kernel, panel_quadrature
-from .spectral import correlation_spectrum
+from .spectral import correlation_row, correlation_spectrum
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,8 @@ def renyi_asymptotic(analysis, L, alpha, spectrum=None):
     S_app = (m+1) i1(alpha) log(L f^{1/(m+1)}) + (m+1) c_tilde(alpha)
     for a sea with m+1 simple Fermi points.  The exact entropy comes
     from an eigendecomposition of the L x L correlation matrix; pass a
-    precomputed spectrum to amortize it across alpha values.
+    precomputed spectrum to amortize it across alpha values.  Its first
+    row must equal correlation_row(analysis, L), a check of O(L).
     """
     L = _check_count(L, "block length")
     alpha = _check_alpha(alpha)
@@ -237,6 +238,8 @@ def renyi_asymptotic(analysis, L, alpha, spectrum=None):
     elif spectrum.L != L:
         raise DomainError(
             f"spectrum is for block length {spectrum.L}, requested {L}")
+    elif not np.array_equal(spectrum.first_row, correlation_row(analysis, L)):
+        raise DomainError("spectrum is for another sea than the analysis")
     s_exact = renyi_exact(spectrum, alpha)
     return EntropyReport(alpha=alpha, L=L, s_exact=s_exact,
                          s_asymptotic=s_app, c_alpha=c_alpha, c_tilde=ct,

@@ -8,23 +8,29 @@ so that pair is bundled in CorrelationSpectrum.
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
 size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). Each sector
-goes through a blocked Householder reduction to tridiagonal form, and
-LAPACK dsterf (eigenvalues-only implicit QL/QR) takes the tridiagonal.
+is built padded with zero rows and columns to a multiple of 32 and goes
+through two stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 
-The reduction is blocked as in LAPACK dsytrd: reflectors are gathered
-in panels of 32 and applied to the trailing matrix as one rank-64
-product. Every BLAS product in it has at most 256 rows, and the panels
-are laid out so that every update spans a multiple of 32 columns.
-dsterf makes no BLAS call. So up to L = 2048 (sectors of 1024 rows) the
-output has the same bits under any BLAS thread count, and the
-eigenvalues agree with LAPACK's divide and conquer to 1e-10.
+1. dense to bandwidth 32, one panel of 32 columns per step: LAPACK
+   dgeqrt factors the rows below the band, and the trailing matrix takes
+   the panel's compact-WY reflector as one rank-64 product;
+2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
+   the eigenvalues.  Its info > 0 raises EigenConvergenceError.
+
+Every BLAS product of stage 1 has at most 256 rows and a multiple of 32
+columns, and dsbevd calls BLAS only for plane rotations of at most 32
+entries, so up to L = 4096 the output has the same bits under any BLAS
+thread count.  The eigenvalues
+agree with LAPACK's divide and conquer to 1e-10.  A half-filled
+spectrum takes about 3 / 12 / 57 / 295 ms at L = 256 / 512 / 1024 /
+2048 on one BLAS thread of a 2-core Intel Xeon.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
+from scipy.linalg.lapack import dgeqrt, dsbevd
 
 from .errors import (
     AccuracyError,
@@ -35,7 +41,7 @@ from .errors import (
 )
 from .models import _check_count, mode_energies
 
-_PANEL = 32        # reflectors per rank-2b update of the reduction
+_PANEL = 32        # bandwidth of the band form, and columns per panel
 _ROW_BLOCK = 256   # rows per BLAS product in the reduction
 
 
@@ -108,72 +114,48 @@ def correlation_row_finite(model, mu, L, N):
 
 def _by_rows(M, x, out):
     # out = M @ x, one block of at most _ROW_BLOCK rows per BLAS call.
-    # OpenBLAS runs a matrix-vector product that small on one thread in
-    # sectors of up to 1024 rows, so its bits do not depend on the thread
-    # count (with whole 2048-row sectors they do).
+    # OpenBLAS runs products that small with the same rounding under any
+    # thread count when x spans a multiple of _PANEL columns.
     for r in range(0, M.shape[0], _ROW_BLOCK):
         np.matmul(M[r:r + _ROW_BLOCK], x, out=out[r:r + _ROW_BLOCK])
     return out
 
 
-def _tridiagonalize(A):
-    # Blocked Householder reduction of a symmetric matrix, in place
-    # (LAPACK dsytrd/dlatrd; Dongarra, Sorensen & Hammarling, J. Comput.
-    # Appl. Math. 27 (1989) 215).  Returns the diagonal and subdiagonal
-    # of the similar tridiagonal matrix.
+def _sector_eigenvalues(A, n):
+    # Eigenvalues of the leading n x n block of A, a symmetric matrix of
+    # a multiple of _PANEL rows that is zero outside that block.  A is
+    # overwritten.
     #
-    # Reflector k, H = I - 2 v v^T, turns the trailing matrix S into
-    # S - v w^T - w v^T with w = 2 (p - (v.p) v), p = S v.  A panel holds
-    # these updates back in U = [.. v w ..] and Z = [.. w v ..], so the
-    # trailing matrix is A - U Z^T until the panel ends and the rest of
-    # A takes them as one rank-2b product.  Row k stands in for column k
-    # (both triangles are kept), because rows are contiguous.
-    #
-    # Panels end at n - q _PANEL (the first one is the short one), so
-    # every rank-2b update spans a multiple of _PANEL rows and columns.
-    # A threaded OpenBLAS gemm whose column count is not a multiple of 8
-    # rounds differently under 1 and 2 threads; on these shapes it does
-    # not.
-    n = A.shape[0]
-    d = np.empty(n)
-    e = np.zeros(n - 1)
-    p = np.empty(n)
-    corr = np.empty(n)
-    s0, s = 0, n % _PANEL or _PANEL
-    while s0 < n - 2:
-        s = min(s, n - 2)                  # first column after the panel
-        U = np.zeros((n - s0, 2 * (s - s0)))
-        Z = np.zeros_like(U)
-        for k in range(s0, s):
-            j = 2 * (k - s0)               # columns of U, Z in use
-            r = k - s0                     # row of U, Z that holds row k
-            x = A[k, k:] - _by_rows(Z[r:, :j], U[r, :j], corr[:n - k])
-            d[k] = x[0]
-            x = x[1:]
-            nrm = math.sqrt(float(x @ x))
-            if nrm == 0.0:
-                continue                   # e[k] = 0, U and Z keep zeros
-            alpha = -math.copysign(nrm, x[0])
-            e[k] = alpha
-            v = x
-            v[0] -= alpha  # same-sign add, no cancellation
-            v /= math.sqrt(float(v @ v))
-            m = n - k - 1
-            pk = _by_rows(A[k + 1:, k + 1:], v, p[:m])
-            pk -= _by_rows(U[r + 1:, :j], Z[r + 1:, :j].T @ v, corr[:m])
-            w = pk - (v @ pk) * v
-            w *= 2.0
-            U[r + 1:, j] = Z[r + 1:, j + 1] = v
-            U[r + 1:, j + 1] = Z[r + 1:, j] = w
-        # A[s:, s:] -= U Z^T, in place, one row block at a time
-        Zt = Z[s - s0:].T
-        for i in range(s, n, _ROW_BLOCK):
-            A[i:i + _ROW_BLOCK, s:] -= U[i - s0:i - s0 + _ROW_BLOCK] @ Zt
-        s0, s = s, s + _PANEL
-    d[-2:] = np.diag(A)[-2:]
-    if n > 1:
-        e[-1] = A[-2, -1]
-    return d, e
+    # Stage 1, to bandwidth _PANEL: dgeqrt factors the _PANEL columns
+    # below the band as Q R with Q = I - V T V^T, R goes into the band,
+    # and the trailing block C becomes Q^T C Q = C - V Y^T - Y V^T with
+    # W = C V T and Y = W - V (T^T V^T W) / 2.  The reflectors are zero
+    # on the zero padding rows, so the padding stays zero.  Panels stop
+    # once at most one row of the block lies below the band.
+    for k in range(0, n - _PANEL - 1, _PANEL):
+        r = k + _PANEL
+        qr, T, _ = dgeqrt(_PANEL, A[r:, k:r])
+        A[r:r + _PANEL, k:r] = np.triu(qr[:_PANEL])
+        V = np.tril(qr, -1)
+        np.fill_diagonal(V, 1.0)
+        C = A[r:, r:]
+        W = _by_rows(C, _by_rows(V, T, np.empty_like(V)), np.empty_like(V))
+        # V^T W has _PANEL rows, so it is one row block already
+        Y = W - 0.5 * _by_rows(V, T.T @ (V.T @ W), np.empty_like(V))
+        U = np.hstack([V, Y])
+        Zt = np.hstack([Y, V]).T
+        for i in range(0, C.shape[0], _ROW_BLOCK):
+            C[i:i + _ROW_BLOCK] -= U[i:i + _ROW_BLOCK] @ Zt
+    # Stage 2: dsbevd (dsbtrd, then dsterf) on the band in LAPACK's
+    # lower storage; a 1-row sector comes back as it is
+    kd = min(_PANEL, n - 1)
+    ab = np.zeros((kd + 1, n), order="F")   # ab[i, j] = A[j + i, j]
+    for i in range(kd + 1):
+        ab[i, :n - i] = np.diagonal(A, -i)[:n - i]
+    w, _, info = dsbevd(ab, compute_v=0, lower=1)
+    if info > 0:
+        raise EigenConvergenceError(size=n, unconverged=info)
+    return w
 
 
 def eigenvalues_symmetric(first_row):
@@ -186,36 +168,32 @@ def eigenvalues_symmetric(first_row):
         raise DomainError("first row contains non-finite entries")
     if row.size == 1:
         return row.copy()
-    vals = []
-    for sector in _parity_sectors(row):
-        d, e = _tridiagonalize(sector)
-        if e.size:                 # the wrapper refuses a 1-row tridiagonal
-            d, info = dsterf(d, e)
-            if info > 0:
-                raise EigenConvergenceError(size=d.size, unconverged=info)
-        vals.append(d)
-    return np.sort(np.concatenate(vals))
+    return np.sort(np.concatenate(
+        [_sector_eigenvalues(A, n) for A, n in _parity_sectors(row)]))
 
 
 def _parity_sectors(t):
     # Even and odd sectors of the symmetric Toeplitz matrix with first
-    # row t, sizes ceil(n/2) and floor(n/2). With m = n // 2, B the
-    # leading m x m block and H_ij = t[n-1-i-j] its mirrored neighbour,
-    # the odd sector is B - H and the even one B + H; for odd n the even
-    # sector is bordered by the middle column sqrt(2) t[m-i], t[0] in the
-    # corner.
+    # row t, sizes ceil(n/2) and floor(n/2), each as (matrix, size) with
+    # the matrix padded by zeros to a multiple of _PANEL rows. With
+    # m = n // 2, B the leading m x m block and H_ij = t[n-1-i-j] its
+    # mirrored neighbour, the odd sector is B - H and the even one B + H;
+    # for odd n the even sector is bordered by the middle column
+    # sqrt(2) t[m-i], t[0] in the corner.
     n = t.size
     m = n // 2
-    i = np.arange(m)
-    B = t[np.abs(i[:, None] - i)]
-    H = t[n - 1 - i[:, None] - i]
-    even = np.empty((n - m, n - m))
+    # B and H as strided views of t, so no m x m temporary is made
+    window = np.lib.stride_tricks.sliding_window_view
+    B = window(np.concatenate([t[m - 1:0:-1], t[:m]]), m)[::-1]
+    H = window(t[::-1], m)[:m]
+    even, odd = (np.zeros((-(-k // _PANEL) * _PANEL,) * 2)
+                 for k in (n - m, m))
     np.add(B, H, out=even[:m, :m])
+    np.subtract(B, H, out=odd[:m, :m])
     if n > 2 * m:
-        even[:m, m] = even[m, :m] = math.sqrt(2.0) * t[m - i]
+        even[:m, m] = even[m, :m] = math.sqrt(2.0) * t[m:0:-1]
         even[m, m] = t[0]
-    B -= H
-    return even, B
+    return (even, n - m), (odd, m)
 
 
 def _checked_spectrum(L, row):

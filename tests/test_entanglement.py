@@ -277,6 +277,13 @@ def test_asymptotic_validation():
         renyi_asymptotic(hs_analysis(), 10, -1.0)
     with pytest.raises(DomainError):
         renyi_asymptotic(hs_analysis(), 10, 1.0, spectrum=spectrum("hs", 12))
+    # a spectrum of the same length from another sea would give
+    # r_L = -0.0539 (1.6e-5 with the sea's own spectrum)
+    prof = DispersionProfile(InteractionModel.haldane_shastry())
+    with pytest.raises(DomainError):
+        renyi_asymptotic(fermi_points(prof, 2.0), 64, 1.0,
+                         spectrum=correlation_spectrum(
+                             fermi_points(prof, 3.0), 64))
 
 
 def test_fig8_relative_error_at_100():

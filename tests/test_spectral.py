@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg.lapack import dsterf
 
 from fermichain.cli import run
 from fermichain.criticality import fermi_points
@@ -245,15 +244,16 @@ from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.spectral import correlation_spectrum
 a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
                  3.0 * math.pi ** 2 / 8.0)
-for L in (1024, 2047, 2048):
+for L in (1024, 2047, 2048, 4096):
     sys.stdout.write(correlation_spectrum(a, L).eigenvalues.tobytes().hex())
 """
 
 
 def test_spectrum_same_bits_under_blas_threads():
-    # L = 2047 has a 1023-row sector, whose updates would span column
-    # counts that are not multiples of 8 if the panels were not aligned
-    # to the end of the matrix
+    # L = 2047 has a 1023-row sector, which only its zero padding gives
+    # products of a multiple of 32 columns; L = 4096 has 2048-row
+    # sectors, whose rows are longer than those OpenBLAS always runs on
+    # one thread
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     out = []
@@ -264,19 +264,22 @@ def test_spectrum_same_bits_under_blas_threads():
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 8 * (1024 + 2047 + 2048)
+    assert len(out[0]) == 2 * 8 * (1024 + 2047 + 2048 + 4096)
     assert out[0] == out[1]
 
 
-def _reduced_eigenvalues(A):
-    d, e = spectral._tridiagonalize(A.copy())
-    eig, info = dsterf(d, e)
-    assert info == 0
-    return eig
+def _sector_eigenvalues(M):
+    # M embedded in a zero matrix of a multiple of _PANEL rows, as the
+    # parity sectors are
+    n = M.shape[0]
+    N = -(-n // spectral._PANEL) * spectral._PANEL
+    A = np.zeros((N, N))
+    A[:n, :n] = M
+    return spectral._sector_eigenvalues(A, n)
 
 
 def test_blocked_reduction_panel_edges():
-    # sizes around the panel width, the n - 2 tail and the row block
+    # sizes around the panel width, the band edge and the row block
     assert spectral._PANEL == 32 and spectral._ROW_BLOCK == 256
     rng = np.random.default_rng(11)
     for n in (2, 3, 31, 32, 33, 34, 35, 64, 65, 66, 257):
@@ -284,32 +287,42 @@ def test_blocked_reduction_panel_edges():
         M += M.T
         want = np.linalg.eigh(M)[0]
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(_reduced_eigenvalues(M) - want)) < 1e-12 * scale
+        assert np.max(np.abs(_sector_eigenvalues(M) - want)) < 1e-12 * scale
         row = rng.normal(size=2 * n + 1)   # sectors of n + 1 and n rows
         want = np.linalg.eigh(toeplitz_from_row(row))[0]
         got = eigenvalues_symmetric(row)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_blocked_reduction_zero_column_inside_panel():
-    # direct sum of a 10 x 10 and a 50 x 50 block: the Householder column
-    # of step 9 is exactly zero while nine reflectors of the panel are
-    # still pending
+def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
+    # direct sum of a 10 x 10 and a 50 x 50 block: below the band, the
+    # first ten columns of the first panel are exactly zero, so dgeqrt
+    # takes them with tau = 0 ahead of reflectors that are not trivial
     rng = np.random.default_rng(12)
     A = np.zeros((60, 60))
     for lo, hi in ((0, 10), (10, 60)):
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
-    d, e = spectral._tridiagonalize(A.copy())
-    assert e[9] == 0.0 and np.all(e[:9] != 0.0)
+    taus = []
+    lapack_dgeqrt = spectral.dgeqrt
+
+    def dgeqrt(nb, a):
+        qr, T, info = lapack_dgeqrt(nb, a)
+        taus.append(np.diag(T).copy())
+        return qr, T, info
+
+    monkeypatch.setattr(spectral, "dgeqrt", dgeqrt)
+    got = _sector_eigenvalues(A)
+    assert np.all(taus[0][:10] == 0.0) and taus[0][10] != 0.0
     want = np.linalg.eigh(A)[0]
-    got = _reduced_eigenvalues(A)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
-    # dsterf's info > 0: off-diagonals left nonzero after its sweep budget
-    monkeypatch.setattr(spectral, "dsterf", lambda d, e: (d, 1))
+    # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
+    # nonzero after its sweep budget
+    monkeypatch.setattr(spectral, "dsbevd",
+                        lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
     assert run(["entropy", "--model", "haldane-shastry", "--mu", "2",
