@@ -1,14 +1,15 @@
 """Block Renyi entropies: exact from the correlation spectrum, and the
 large-L asymptotic form with its universal additive constant.
 
-The exact entropy is a plain sum of the binary kernel over correlation
-eigenvalues.  The asymptotic side needs two model-independent numbers,
-the prefactor i1(alpha) = (1+alpha)/(6 alpha) and the constant
-c_tilde(alpha), plus one model-dependent factor built from the Fermi
-points.  c_tilde is computed two independent ways so each can vouch for
-the other: a hyperbolic-kernel integral on the library's fixed-panel
-Gauss-Legendre rule, one integrand for every alpha, and a
-digamma-weighted integral on adaptive quad.
+The exact entropy is the binary kernel over all correlation eigenvalues,
+evaluated in one vector pass and summed elementwise.  The asymptotic
+side needs two model-independent numbers, the prefactor
+i1(alpha) = (1+alpha)/(6 alpha) and the constant c_tilde(alpha), plus
+one model-dependent factor built from the Fermi points.  c_tilde is
+computed two independent ways so each can vouch for the other: a
+hyperbolic-kernel integral on the library's fixed-panel Gauss-Legendre
+rule, one integrand for every alpha, and a digamma-weighted integral on
+adaptive quad.
 """
 
 import math
@@ -20,7 +21,8 @@ from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .models import _check_count
-from .specfun import digamma_real_part, entropy_kernel, panel_quadrature
+from .specfun import (_check_alpha, digamma_real_part, entropy_kernel,
+                      panel_quadrature)
 from .spectral import correlation_row, correlation_spectrum
 
 
@@ -36,18 +38,10 @@ class EntropyReport:
     r_L: float
 
 
-def _check_alpha(alpha):
-    alpha = float(alpha)
-    if math.isnan(alpha) or alpha <= 0.0:
-        raise DomainError(f"Renyi order must be positive, got {alpha}")
-    return alpha
-
-
 def renyi_exact(spectrum, alpha):
-    """S_alpha of the block: sum of the entropy kernel over 2 lambda - 1."""
-    alpha = _check_alpha(alpha)
-    return float(sum(entropy_kernel(alpha, 2.0 * lam - 1.0)
-                     for lam in spectrum.eigenvalues))
+    """S_alpha of the block: the entropy kernel over 2 lambda - 1, in one
+    vector pass and one elementwise sum."""
+    return float(entropy_kernel(alpha, 2.0 * spectrum.eigenvalues - 1.0).sum())
 
 
 def _check_roots(roots):

@@ -18,8 +18,6 @@ from .models import _check_count
 from .specfun import log_barnes_pair
 from .spectral import correlation_spectrum, log_det_char
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class FHSymbol:

@@ -2,9 +2,10 @@
 
 Riemann zeta (nu > 1), the polylogarithm on the unit circle, the real part
 of the digamma function on the critical line Re z = 1/2, the Barnes-G pair
-product log[G(1+beta)G(1-beta)], the Renyi entropy kernel s_alpha(x), and
-the one fixed-panel Gauss-Legendre rule behind every smooth integral
-(the free energy and c_tilde).
+product log[G(1+beta)G(1-beta)], the Renyi entropy kernel s_alpha(x) over
+an array x (a scalar is a grid of one) with the one Renyi-order
+validator, and the one fixed-panel Gauss-Legendre rule behind every
+smooth integral (the free energy and c_tilde).
 
 scipy.special.zeta is the only zeta: it gives zeta(nu), the coefficients
 of the polylog series at any argument, and the Hurwitz tail of the
@@ -241,41 +242,49 @@ def panel_quadrature(integrand, edges):
 
 
 # ---------------------------------------------------------------------------
-# Entropy kernel
+# Renyi order and the entropy kernel
+
+def _check_alpha(alpha):
+    """A Renyi order as a float: alpha > 0, inf included, NaN refused."""
+    alpha = float(alpha)
+    if math.isnan(alpha) or alpha <= 0.0:
+        raise DomainError(f"Renyi order must be positive, got {alpha}")
+    return alpha
+
 
 def entropy_kernel(alpha, x):
-    """s_alpha(x) for x = 2*lambda - 1 in [-1, 1].
+    """s_alpha(x) for x = 2*lambda - 1 in [-1, 1], over an array x.
 
     s_alpha(x) = (1-alpha)^{-1} log[ ((1+x)/2)^alpha + ((1-x)/2)^alpha ],
     with the Shannon limit -sum q log q at alpha = 1 (convention
     0 log 0 = 0) and -log max(q) at alpha = inf. For 0 < |u| < 1/2,
     u = alpha - 1, it is -log1p(sum_q q expm1(u log q))/u, which uses
-    sum q = 1 and so loses nothing to the 1/u.
+    sum q = 1 and so loses nothing to the 1/u. Points within 1e-9
+    outside [-1, 1] are rounding and are clipped; any other point, NaN
+    included, raises. A scalar x is a grid of one and gives a float.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"entropy_kernel requires alpha > 0, got {alpha}")
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
-        if not -1.0 - 1e-9 <= x <= 1.0 + 1e-9:
-            raise DomainError(f"entropy_kernel argument {x} outside [-1, 1]")
-        x = max(-1.0, min(1.0, x))
-    qmax = 0.5 * (1.0 + abs(x))
-    qmin = 0.5 * (1.0 - abs(x))
-    if math.isinf(alpha):
-        return -math.log(qmax)
-    if alpha == 1.0:
-        s = -qmax * math.log(qmax)
-        if qmin > 0.0:
-            s -= qmin * math.log(qmin)
-        return s
-    if qmin == 0.0:
-        return 0.0
+    alpha = _check_alpha(alpha)
+    grid = np.atleast_1d(np.asarray(x, dtype=float))
+    ax = np.abs(grid)
+    inside = ax <= 1.0 + 1e-9
+    if not inside.all():
+        raise DomainError(
+            f"entropy_kernel argument {grid[~inside][0]} outside [-1, 1]")
+    ax = np.minimum(ax, 1.0)
+    qmax = 0.5 * (1.0 + ax)
+    qmin = 0.5 * (1.0 - ax)
     u = alpha - 1.0
-    if abs(u) < 0.5:
-        return -math.log1p(qmax * math.expm1(u * math.log(qmax))
-                           + qmin * math.expm1(u * math.log(qmin))) / u
-    ratio = alpha * (math.log(qmin) - math.log(qmax))
-    return (alpha * math.log(qmax) + math.log1p(math.exp(ratio))) / (1.0 - alpha)
-
-
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if math.isinf(alpha):
+            s = -np.log(qmax)
+        elif u == 0.0:
+            s = -(special.xlogy(qmax, qmax) + special.xlogy(qmin, qmin))
+        elif abs(u) < 0.5:
+            s = np.where(qmin > 0.0, -np.log1p(
+                qmax * np.expm1(u * np.log(qmax))
+                + qmin * np.expm1(u * np.log(qmin))) / u, 0.0)
+        else:
+            ratio = alpha * (np.log(qmin) - np.log(qmax))
+            s = np.where(qmin > 0.0, (alpha * np.log(qmax) + np.log1p(
+                np.exp(ratio))) / (1.0 - alpha), 0.0)
+    return float(s[0]) if np.ndim(x) == 0 else s

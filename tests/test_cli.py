@@ -17,6 +17,7 @@ from fermichain import cli, criticality
 from fermichain.cli import main, run
 
 FIG8 = ["--model", "finite-range", "--coeffs", "1,0.5", "--mu", "4.25"]
+HS2 = ["--model", "haldane-shastry", "--mu", "2"]
 
 
 def read_json(path):
@@ -263,6 +264,28 @@ def test_exit_one_on_domain_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+REFUSED = {
+    **{f"{command}-mu-{mu}": [command, "--model", "haldane-shastry",
+                              "--mu", mu, *tail]
+       for mu in ("inf", "nan")
+       for command, tail in (("phase", []), ("free-energy", []),
+                             ("entropy", ["--L", "8"]), ("fh-check", []))},
+    "negative-T": ["free-energy", *HS2, "--T", "-0.001,0.002,0.004,0.008"],
+    "negative-T-fit": ["free-energy", *HS2, "--T",
+                       "-0.001,0.002,0.004,0.008", "--fit"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_library_refusals_exit_one(tmp_path, capsys, argv):
+    # a non-finite mu or a non-positive temperature is refused by the
+    # library, not by a second check in the front end
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
 def test_exit_two_on_rejected_fit(tmp_path, capsys):
     out = str(tmp_path / "fe.csv")
     code = run(["free-energy", "--model", "haldane-shastry", "--mu", "-0.5",
@@ -324,6 +347,32 @@ def test_config_file_merge_and_override(tmp_path):
     assert doc["results"]["phase"] == "gapped-below"
 
 
+def test_parser_shared_across_runs(tmp_path, capsys):
+    # the parser is built once per process; a failed parse, a config
+    # merge and a plain run each write what they write on a fresh one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "finite-range", "coeffs": [1, 0.5],
+                               "mu": 4.25}))
+    runs = [["phase", "--model", "haldane-shastry", "--mu", "abc"],
+            ["phase", "--config", str(cfg), "--mu", "-1"],
+            ["entropy", *FIG8, "--alpha", "0.5,inf", "--L", "16"]]
+
+    def outputs(tag, fresh):
+        got = []
+        for k, argv in enumerate(runs):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{tag}{k}.csv"
+            code = run([*argv, "--output", str(out)])
+            got.append((code, capsys.readouterr().err,
+                        out.read_bytes() if out.exists() else None))
+        return got
+
+    shared = outputs("shared", fresh=False)
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert outputs("alone", fresh=True) == shared
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"bogus": 1}')
@@ -338,9 +387,6 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
     assert run(["phase", "--config", str(tmp_path / "absent.json"),
                 "--mu", "1"]) == 1
-
-
-HS2 = ["--model", "haldane-shastry", "--mu", "2"]
 
 
 @pytest.mark.parametrize("argv, config, flags", [

@@ -281,13 +281,55 @@ def test_entropy_kernel_clamps_roundoff():
 
 
 def test_entropy_kernel_domain():
-    with pytest.raises(DomainError):
-        entropy_kernel(0.0, 0.3)
-    with pytest.raises(DomainError):
-        entropy_kernel(-2.0, 0.3)
+    for alpha in (0.0, -2.0, math.nan):
+        with pytest.raises(DomainError):
+            entropy_kernel(alpha, 0.3)
     for alpha in (0.5, 1.0, 2.0, math.inf):
         with pytest.raises(DomainError):
             entropy_kernel(alpha, math.nan)
+        with pytest.raises(DomainError):
+            entropy_kernel(alpha, np.array([0.0, 0.5, math.nan, 1.0]))
+
+
+# one order per branch of the kernel and on both sides of each switch
+KERNEL_ALPHAS = (0.25, 0.5, 0.9, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.3, 2.0, 10.0,
+                 math.inf)
+_NEAR_ONE = [1.0 - 10.0 ** -k for k in range(1, 16)]
+KERNEL_XS = np.array([0.0, 1.0, -1.0, *_NEAR_ONE, *(-x for x in _NEAR_ONE)])
+
+
+def oracle_entropy_kernel(mpmath, alpha, x):
+    with mpmath.workdps(60):
+        q = [(1 + mpmath.mpf(x)) / 2, (1 - mpmath.mpf(x)) / 2]
+        if alpha == math.inf:
+            return float(-mpmath.log(max(q)))
+        if alpha == 1.0:
+            return float(-sum(v * mpmath.log(v) for v in q if v > 0))
+        a = mpmath.mpf(alpha)
+        return float(mpmath.log(sum(v ** a for v in q)) / (1 - a))
+
+
+def test_entropy_kernel_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in KERNEL_ALPHAS:
+        want = [oracle_entropy_kernel(mpmath, alpha, x) for x in KERNEL_XS]
+        np.testing.assert_allclose(entropy_kernel(alpha, KERNEL_XS), want,
+                                   rtol=0, atol=1e-15, err_msg=str(alpha))
+
+
+def test_entropy_kernel_scalar_calls_match_grid_bitwise():
+    x = np.concatenate([KERNEL_XS, np.linspace(-1.0, 1.0, 41),
+                        [1.0 + 5e-10, -1.0 - 5e-10]])
+    for alpha in KERNEL_ALPHAS:
+        scalar = np.array([entropy_kernel(alpha, v) for v in x])
+        assert scalar.tobytes() == entropy_kernel(alpha, x).tobytes(), alpha
+
+
+def test_entropy_kernel_scalar_gives_float():
+    assert type(entropy_kernel(2.0, 0.5)) is float
+    assert type(entropy_kernel(2.0, np.float64(0.5))) is float
+    assert entropy_kernel(np.int64(2), 0.5) == entropy_kernel(2.0, 0.5)
+    assert entropy_kernel(2.0, [0.5]).shape == (1,)
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0),
