@@ -102,9 +102,8 @@ def _analyze(profile, mu):
 
     cand = half_period_candidates(focus=stationary)
     g = profile.E_grid(cand) - mu
-    bisected = [_bisect_sign_change(lambda p: profile.E(p) - mu,
-                                    cand[i], cand[i + 1], g[i], g[i + 1],
-                                    xtol=1e-13)
+    bisected = [_bisect_sign_change(lambda p: profile.E_grid(p) - mu,
+                                    cand[i], cand[i + 1], g[i], xtol=1e-13)
                 for i in np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)]
     bisected = [r for r in bisected if outside(r)]
     crossing = [(r, 2 if abs(d) < 1e-8 else 1)
@@ -225,7 +224,7 @@ def free_energy(profile, mu, T, analysis=None):
 
     def integrand(nodes):
         # rows f0 and f from one E_grid call
-        e = profile.E_grid(nodes.ravel()).reshape(nodes.shape) - mu
+        e = profile.E_grid(nodes) - mu
         return np.stack([np.minimum(e, 0.0),
                          -T * np.logaddexp(0.0, -e / T)]) / math.pi
 

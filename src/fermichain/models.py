@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .specfun import polylog_circle_grid, zeta
+from .specfun import _horner, polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,20 +127,12 @@ def mode_energies(model, N):
 # Clausen series for the rational-cubic slope near p = pi.
 # Im Li_2(e^{i theta}) = theta (1 - log theta) + theta P(theta^2), where
 # P(t) = sum_k zeta(2k) t^k / (k (2k+1) (2 pi)^{2k}); (theta/2pi)^2 <= 1/4
-# on the half period, so 24 terms suffice.
+# on the half period, so 24 terms suffice. P has no constant term.
 
 _CL_K = np.arange(1, 25, dtype=float)
 _CL_Z = np.array([zeta(2.0 * k) for k in _CL_K])
-_CL2_COEF = _CL_Z / (_CL_K * (2.0 * _CL_K + 1.0) * _TWO_PI ** (2.0 * _CL_K))
-
-
-def _poly_even(coef, theta2):
-    acc = np.zeros_like(theta2)
-    for c in coef[::-1]:
-        acc = (acc + c) * theta2
-    return acc
-
-
+_CL2_COEF = np.concatenate([[0.0], _CL_Z / (
+    _CL_K * (2.0 * _CL_K + 1.0) * _TWO_PI ** (2.0 * _CL_K))])
 _LOG2 = math.log(2.0)
 
 
@@ -153,7 +145,7 @@ def _clausen2_near_pi_slope(u):
     # monotonicity threshold; the naive difference of two O(pi-p) terms has
     # absolute noise that flips signs on fine scans.
     u2 = np.square(np.asarray(u, dtype=float))
-    return _LOG2 + _poly_even(_CL2_COEF, u2) - _poly_even(_CL2_COEF, 4.0 * u2)
+    return _LOG2 + _horner(_CL2_COEF, u2) - _horner(_CL2_COEF, 4.0 * u2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +274,17 @@ def _check_momentum(p):
 
 
 def _trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
-    # constant + sign * sum_j w_j trig(j p), in blocks of 2048 terms so the
-    # outer product stays small. Rows are summed one by one, not by a
-    # matrix product, whose rounding depends on how many rows there are:
+    # constant + sign * sum_j w_j trig(j p) in p's shape, 2048 terms a block
+    # so the outer product stays small. Rows are summed one by one, not by
+    # a matrix product, whose rounding depends on how many rows there are:
     # a point gets the same value in any grid, a grid of one included.
-    out = np.full(p.shape, constant, dtype=float)
+    out = np.full(p.size, constant, dtype=float)
     for lo in range(0, j.size, 2048):
         blk = slice(lo, lo + 2048)
         terms = trig(np.outer(p, j[blk]))
         terms *= w[blk]
         out += sign * terms.sum(axis=1)
-    return out
+    return out.reshape(p.shape)
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,7 @@ def monotonicity_report(profile):
     roots = []
     for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0):
         roots.append(_bisect_sign_change(
-            profile.E1, cand[i], cand[i + 1], d[i], d[i + 1]))
+            profile.E1_grid, cand[i], cand[i + 1], d[i]))
     roots.extend(cand[np.flatnonzero(d == 0.0)])
 
     roots = sorted(r for r in roots if 1e-12 < r < math.pi - 1e-12)
@@ -345,14 +337,39 @@ def monotonicity_report(profile):
                               critical_points=tuple(merged))
 
 
-def _bisect_sign_change(f, a, b, fa, fb, xtol=1e-12):
+# bisection levels evaluated per grid call of _bisect_sign_change
+_BISECT_LEVELS = 8
+
+
+def _bisect_sign_change(f, a, b, fa, xtol=1e-12):
+    # Plain bisection of a sign change of f on [a, b] (f(a) = fa) down to
+    # b - a <= xtol, with f a grid function. Each pass forms the midpoints
+    # of the next levels (_BISECT_LEVELS, or fewer if fewer halvings reach
+    # xtol) as plain bisection forms them, 0.5 * (left + right) level by
+    # level; evaluates them in one f call; then walks down them by the
+    # scalar rules: f(m) == 0 returns m, else keep the half whose ends
+    # differ in sign, until b - a <= xtol. So the root is bit for bit that
+    # of one f call per midpoint whenever f's grid values equal its scalar
+    # values, and a bracket already within xtol costs no call.
     while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
+        levels = max(1, math.ceil(math.log2((b - a) / xtol)))
+        n = 2 ** min(levels, _BISECT_LEVELS)
+        pts = np.empty(n + 1)
+        pts[0], pts[n] = a, b
+        step = n
+        while step > 1:
+            half = step // 2
+            pts[half::step] = 0.5 * (pts[:-1:step] + pts[step::step])
+            step = half
+        vals = f(pts[1:-1])
+        lo, hi = 0, n
+        while hi - lo > 1 and b - a > xtol:
+            mid = (lo + hi) // 2
+            m, fm = pts[mid], vals[mid - 1]
+            if fm == 0.0:
+                return m
+            if (fa < 0.0) != (fm < 0.0):
+                hi, b = mid, m
+            else:
+                lo, a, fa = mid, m, fm
     return 0.5 * (a + b)

@@ -55,15 +55,32 @@ _STIELTJES = (0.57721566490153286061, -0.072815845483676724861,
 _NEAR_INTEGER = 0.05
 
 
+def _horner(coef, t):
+    """sum_k coef[k] t^k by Horner's rule, elementwise in t.
+
+    coef[k] may be an array that broadcasts against t, so several
+    polynomials in the same t share one accumulator. Each coefficient
+    costs two in-place operations, acc += c then acc *= t, and the
+    constant coef[0] is added last.
+    """
+    acc = np.zeros(np.broadcast_shapes(np.shape(coef[0]), np.shape(t)))
+    for c in coef[:0:-1]:
+        acc += c
+        acc *= t
+    acc += coef[0]
+    return acc
+
+
 @functools.lru_cache(maxsize=64)
 def _series_constants(s):
     """Per-order constants of the zeta series for Li_s(e^{iq}).
 
     Li_s(e^{iq}) = Gamma(1-s)(-iq)^{s-1} + sum_k zeta(s-k)(iq)^k/k!
     (DLMF 25.12.12, |q| < 2 pi). Returns the series coefficients with
-    the signs of i^k folded in, split into even and odd k, their powers
-    of q^2, and the singular term as (m, d, w, c): c q^d when m is None,
-    else c q^m expm1(d (log q + w))/d, or c q^m (log q + w) at d = 0.
+    the signs of i^k folded in, as one read-only (terms, 2) array whose
+    row j holds the coefficients of q^{2j} and q^{2j+1}, and the
+    singular term as (m, d, w, c): c q^d when m is None, else
+    c q^m expm1(d (log q + w))/d, or c q^m (log q + w) at d = 0.
 
     Near a positive integer n = m + 1 the Gamma pole and zeta(s-m) cancel.
     With s = n + d, both are combined analytically into
@@ -100,33 +117,33 @@ def _series_constants(s):
     # |terms| <= |coef_k| pi^k on 0 <= q <= pi; drop those below 1e-18
     terms = np.flatnonzero(np.abs(coef) * math.pi ** k > 1e-18).max() + 1
     coef = coef[:terms] * np.where(k[:terms] % 4 < 2, 1.0, -1.0)
-    even = coef[0::2]
-    odd = np.zeros(even.size)
-    odd[:coef[1::2].size] = coef[1::2]
-    powers = np.arange(even.size, dtype=float)
-    for shared in (even, odd, powers):
-        shared.flags.writeable = False  # every caller gets these arrays
-    return even, odd, powers, singular
+    pairs = np.zeros(((terms + 1) // 2, 2))
+    pairs.ravel()[:terms] = coef
+    pairs.flags.writeable = False  # every caller gets this array
+    return pairs, singular
 
 
 def polylog_circle_grid(s, p):
     """Li_s(e^{ip}) for real s, over a float array p in [0, 2*pi].
 
     Sums the zeta series of _series_constants on q = min(p, 2 pi - p)
-    and conjugates for p > pi. q = 0 gives zeta(s) for s > 1 and +inf
-    (the divergent sum of j^{-s}) otherwise. The 100 coefficients kept
-    per order reach 1e-18 for s > -2. The momenta are not checked here:
+    and conjugates for p > pi. Its even (real) and odd (imaginary)
+    parts are two polynomials in q^2, summed side by side by Horner's
+    rule on one (2,) + p.shape accumulator; the result has p's shape.
+    The series keeps every term that can exceed 1e-18 on 0 <= q <= pi,
+    which is 23 to 28 Horner steps for 1 < s <= 4 and at most 32 for
+    s >= -2. q = 0 gives zeta(s) for s > 1 and +inf (the divergent sum
+    of j^{-s}) otherwise. The momenta are not checked here:
     polylog_circle and DispersionProfile validate their input first.
-    Each row is summed on its own, not by a matrix product, so a point
-    gets the same value in any grid.
+    Every operation is elementwise, so a point gets the same value in
+    any grid.
     """
     p = np.asarray(p, dtype=float)
     fold = p > math.pi
     q = np.where(fold, _TWO_PI - p, p)
-    even, odd, powers, (m, d, w, c) = _series_constants(float(s))
-    q2 = np.power.outer(q * q, powers)
-    re = (q2 * even).sum(axis=1)
-    im = (q2 * odd).sum(axis=1) * q
+    pairs, (m, d, w, c) = _series_constants(float(s))
+    series = _horner(pairs.reshape(pairs.shape + (1,) * q.ndim), q * q)
+    series[1] *= q
     with np.errstate(divide="ignore", invalid="ignore"):
         if m is None:
             singular = c * q ** d
@@ -135,7 +152,7 @@ def polylog_circle_grid(s, p):
             if d != 0.0:
                 log_term = np.expm1(d * log_term) / d
             singular = c * q ** m * log_term
-    out = re + 1j * im + singular
+    out = series[0] + 1j * series[1] + singular
     zero = q == 0.0
     if zero.any():
         out[zero] = zeta(s) if s > 1.0 else math.inf

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
     DispersionProfile,
     InteractionModel,
+    _bisect_sign_change,
+    half_period_candidates,
     mode_energies,
     monotonicity_report,
 )
@@ -263,6 +266,18 @@ def test_scalar_calls_match_grid_bitwise():
             assert [scalar(x) for x in p] == grid(p).tolist(), model.family
 
 
+def test_grid_evaluators_keep_momentum_shape():
+    flat = np.array([0.0, 0.4, 1.3, math.pi, 4.0, TWO_PI])
+    models = all_test_models() + [InteractionModel.power_law(1.6)]
+    for model in models:
+        prof = DispersionProfile(model)
+        for grid in (prof.E_grid, prof.E1_grid, prof.E2_grid):
+            got = grid(flat.reshape(2, 3))
+            assert got.shape == (2, 3), model.family
+            assert got.tolist() == grid(flat).reshape(2, 3).tolist(), \
+                model.family
+
+
 def test_finite_range_matches_cosine_sum():
     alphas = (1.0, -0.3, 0.25, 0.05)
     prof = DispersionProfile(fr(*alphas))
@@ -393,6 +408,86 @@ def test_slope_ratio_increases_to_2_log_2():
     phi = [2.0 * polylog_circle(2.0, p).imag / (math.pi - p) for p in ps]
     assert all(a < b for a, b in zip(phi, phi[1:]))
     assert phi[-1] == pytest.approx(2.0 * math.log(2.0), abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# grid bisection
+
+def scalar_bisection(f, a, b, fa, xtol):
+    # one scalar f call per midpoint: the rules the grid passes reproduce
+    while b - a > xtol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) != (fm < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def sign_change_cells(g):
+    return np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)
+
+
+@pytest.mark.parametrize("model, mu", [
+    (hs(), 2.0), (fr(1.0, 0.5), 4.25), (fr(1.0, 0.5), 3.9),
+    (InteractionModel.power_law(2.5), 1.5),
+    (InteractionModel.rational_cubic(0.6), 1.0),
+    (InteractionModel.rational_cubic(0.9), 1.25)])
+def test_grid_bisection_matches_scalar_bisection(model, mu):
+    prof = DispersionProfile(model)
+    cand = half_period_candidates()
+    g = prof.E_grid(cand) - mu
+    cells = sign_change_cells(g)
+    assert cells.size
+    for i in cells:
+        got = _bisect_sign_change(lambda p: prof.E_grid(p) - mu,
+                                  cand[i], cand[i + 1], g[i], xtol=1e-13)
+        want = scalar_bisection(lambda p: prof.E(p) - mu,
+                                cand[i], cand[i + 1], g[i], 1e-13)
+        assert got == want, model.family
+
+
+def test_grid_bisection_of_slope_matches_scalar_bisection():
+    prof = DispersionProfile(fr(1.0, 0.5))
+    cand = half_period_candidates()
+    d = prof.E1_grid(cand)
+    (i,) = sign_change_cells(d)
+    got = _bisect_sign_change(prof.E1_grid, cand[i], cand[i + 1], d[i])
+    assert got == scalar_bisection(prof.E1, cand[i], cand[i + 1], d[i], 1e-12)
+    assert monotonicity_report(prof).critical_points == (got,)
+
+
+def test_grid_bisection_exact_midpoint_and_empty_bracket():
+    calls = []
+
+    def f(p):
+        calls.append(p.size)
+        return p - 0.75
+
+    assert _bisect_sign_change(f, 0.5, 1.0, -0.25) == 0.75
+    assert len(calls) == 1
+    calls.clear()
+    a, b = 1.0, 1.0 + 1e-13
+    assert _bisect_sign_change(f, a, b, -1.0) == 0.5 * (a + b)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model, mu", [
+    (InteractionModel.rational_cubic(0.6), 1.0),
+    (InteractionModel.power_law(2.5), 1.5)])
+def test_thermal_path_makes_no_scalar_calls(model, mu, monkeypatch):
+    def scalar(self, p):
+        raise AssertionError("scalar evaluator called")
+
+    for name in ("E", "E1", "E2"):
+        monkeypatch.setattr(DispersionProfile, name, scalar)
+    prof = DispersionProfile(model)
+    assert fermi_points(prof, mu).phase == "critical"
+    fit = low_temperature_fit(prof, mu)
+    assert fit.exponent == pytest.approx(2.0, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fermichain.specfun import (
     EULER_GAMMA,
     zeta,
     polylog_circle,
+    polylog_circle_grid,
     digamma_real_part,
     log_barnes_pair,
     entropy_kernel,
@@ -212,6 +213,17 @@ def test_polylog_matches_mpmath(nu):
     got = np.array([polylog_circle(nu, x) for x in p])
     want = np.array([oracle_polylog(mpmath, nu, x) for x in p])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nu", POLYLOG_ORDERS)
+def test_polylog_grid_matches_scalar_bitwise(nu):
+    # the ladder, the zone center and edge, and folded points p > pi
+    p = np.concatenate([circle_ladder(), [0.0, math.pi, 3.5, 5.0, TWO_PI]])
+    grid = polylog_circle_grid(nu, p)
+    assert grid.tolist() == [polylog_circle(nu, x) for x in p]
+    assert grid[-5] == grid[-1] == complex(zeta(nu), 0.0)
+    assert polylog_circle_grid(nu, p.reshape(2, -1)).tolist() == \
+        grid.reshape(2, -1).tolist()
 
 
 def test_digamma_matches_mpmath():
