@@ -7,7 +7,10 @@ with anomalous T^{1+1/nu} thermal scaling, and no crossing at all gives
 a gapped phase with activated behavior. The same points place the
 panels on which the free energy takes specfun's fixed Gauss-Legendre
 rule; it reads the dispersion only through E_grid and reports its
-achieved quadrature error.
+achieved quadrature error. A grid of temperatures takes one thermal
+pass: the panels of all temperatures are pooled, each distinct panel
+gets one set of nodes, and one E_grid call evaluates them all; a single
+free_energy call is that pass on a grid of one.
 """
 
 import math
@@ -19,7 +22,7 @@ from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError)
 from .models import (_bisect_sign_change, half_period_candidates,
                      monotonicity_report)
-from .specfun import panel_quadrature, zeta
+from .specfun import _panel_nodes, _panel_sums, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -201,42 +204,71 @@ def _panel_edges(analysis, T):
     return np.array(edges)
 
 
-def free_energy(profile, mu, T, analysis=None):
-    """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
+def _check_temperatures(T_grid):
+    """Temperatures as a 1-D float array, each positive and finite."""
+    T_grid = np.asarray(T_grid, dtype=float)
+    if T_grid.ndim != 1:
+        raise DomainError(
+            f"temperatures must form a 1-D grid, got shape {T_grid.shape}")
+    if not np.all((T_grid > 0.0) & np.isfinite(T_grid)):
+        raise DomainError(
+            f"temperatures must be positive and finite, got {T_grid.tolist()}")
+    return T_grid
 
-    f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
-    f. Both come from one pass of specfun.panel_quadrature over panels
-    that halve toward each Fermi point and band extremum, where the
-    thermal integrand kinks as T -> 0, and toward the zone-center cusps;
-    one E_grid call at the 20- and 10-point nodes of every panel serves
-    both. The summed per-panel |Q20 - Q10| is the achieved error, gated
-    at 1e-10 for f0 and 1e-9 for f; quad_err is the larger of the two.
-    """
-    T = float(T)
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"temperature must be positive and finite, got {T}")
+
+def _thermal_pass(profile, mu, T_grid, analysis=None):
+    # Each T's panels halve toward the same features by the same h 2^-k,
+    # deeper at lower T, so the panels of a grid of temperatures largely
+    # coincide, edges bit for bit. One E_grid call on the nodes of the
+    # distinct panels serves every T; each T then sums its own panels'
+    # values, which equal those of an E_grid call on its panels alone.
+    T_grid = _check_temperatures(T_grid)
     if analysis is None:
         analysis = _analyze(profile, mu)
     elif float(mu) != analysis.mu:
         raise DomainError(
             f"analysis is for mu={analysis.mu}, free energy asked at mu={mu}")
-    mu = analysis.mu
+    edges = [_panel_edges(analysis, T) for T in T_grid.tolist()]
+    # the complex key lo + i hi is exact and sorts by lo, then hi
+    panels, which = np.unique(
+        np.concatenate([edge[:-1] + 1j * edge[1:] for edge in edges]),
+        return_inverse=True)
+    half, nodes = _panel_nodes(panels.real, panels.imag)
+    e_all = profile.E_grid(nodes) - analysis.mu
+    ends = np.cumsum([edge.size - 1 for edge in edges])[:-1]
+    results = []
+    for T, own in zip(T_grid.tolist(), np.split(which, ends)):
+        e = e_all[own]
+        # rows f0 and f
+        g = np.stack([np.minimum(e, 0.0),
+                      -T * np.logaddexp(0.0, -e / T)]) / math.pi
+        (f0, f), errs = _panel_sums(g, half[own])
+        for what, err, target in zip(("ground-energy", "free-energy"),
+                                     errs.tolist(), (1e-10, 1e-9)):
+            if not err <= target:
+                raise QuadratureError(
+                    f"{what} quadrature reached only {err:.3e} (target "
+                    f"{target:.0e}) at T={T}", achieved=err, target=target)
+        results.append(ThermalResult(T=T, f=float(f), f0=float(f0),
+                                     quad_err=float(errs.max())))
+    return tuple(results)
 
-    def integrand(nodes):
-        # rows f0 and f from one E_grid call
-        e = profile.E_grid(nodes) - mu
-        return np.stack([np.minimum(e, 0.0),
-                         -T * np.logaddexp(0.0, -e / T)]) / math.pi
 
-    (f0, f), errs = panel_quadrature(integrand, _panel_edges(analysis, T))
-    for what, err, target in zip(("ground-energy", "free-energy"),
-                                 errs.tolist(), (1e-10, 1e-9)):
-        if not err <= target:
-            raise QuadratureError(
-                f"{what} quadrature reached only {err:.3e} (target "
-                f"{target:.0e}) at T={T}", achieved=err, target=target)
-    return ThermalResult(T=T, f=float(f), f0=float(f0),
-                         quad_err=float(errs.max()))
+def free_energy(profile, mu, T, analysis=None):
+    """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
+
+    f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
+    f. Both come from one pass of specfun's fixed Gauss-Legendre panel
+    rule over panels that halve toward each Fermi point and band
+    extremum, where the thermal integrand kinks as T -> 0, and toward
+    the zone-center cusps; one E_grid call at the 20- and 10-point nodes
+    of every panel serves both. The summed per-panel |Q20 - Q10| is the
+    achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
+    the larger of the two. This is the thermal pass of
+    low_temperature_fit on a grid of one temperature, so a fit's
+    ThermalResult at T is this call's, bit for bit.
+    """
+    return _thermal_pass(profile, mu, [float(T)], analysis)[0]
 
 
 def low_temperature_fit(profile, mu, T_grid=None):
@@ -247,19 +279,19 @@ def low_temperature_fit(profile, mu, T_grid=None):
     power 1 + 1/nu with amplitude
         -(2 b_k/pi)(1 - 2^{-1/nu}) Gamma(1+1/nu) zeta(1+1/nu).
     predicted_coefficient reports the law for the fitted (dominant)
-    power; it is None for gapped and boundary phases.
+    power; it is None for gapped and boundary phases. T_grid is a 1-D
+    grid with at least 4 distinct temperatures; all of them share one
+    thermal pass, whose E_grid call covers the distinct panels of every
+    T once.
     """
     if T_grid is None:
         T_grid = np.geomspace(1e-3, 1e-2, 8)
-    T_grid = np.asarray(T_grid, dtype=float)
-    if T_grid.size < 4:
-        raise DomainError("need at least 4 temperatures to fit")
-    if not np.all((T_grid > 0.0) & np.isfinite(T_grid)):
-        raise DomainError("temperatures must be positive and finite")
+    T_grid = _check_temperatures(T_grid)
+    if np.unique(T_grid).size < 4:
+        raise DomainError("need at least 4 distinct temperatures to fit")
 
     analysis = _analyze(profile, mu)
-    results = [free_energy(profile, mu, T, analysis=analysis)
-               for T in T_grid]
+    results = _thermal_pass(profile, mu, T_grid, analysis)
     gaps = np.array([r.f - r.f0 for r in results])
     if np.any(gaps >= 0.0):
         raise FitRejectedError(

@@ -236,6 +236,24 @@ def log_barnes_pair(beta):
 # two is the error estimate
 _X20, _W20 = np.polynomial.legendre.leggauss(20)
 _X10, _W10 = np.polynomial.legendre.leggauss(10)
+_X30 = np.concatenate([_X20, _X10])
+
+
+def _panel_nodes(lo, hi):
+    """Half-widths h and (panels, 30) nodes (lo + h) + h x of [lo, hi].
+
+    A node depends only on its panel's two edges, so a panel shared by
+    several edge sets gets the same nodes in each.
+    """
+    half = 0.5 * (hi - lo)
+    return half, (lo + half)[:, None] + half[:, None] * _X30
+
+
+def _panel_sums(g, half):
+    """20-point integrals and summed |Q20 - Q10| of node values g."""
+    q20 = (g[..., :20] * _W20).sum(axis=-1) * half
+    q10 = (g[..., 20:] * _W10).sum(axis=-1) * half
+    return q20.sum(axis=-1), np.abs(q20 - q10).sum(axis=-1)
 
 
 def panel_quadrature(integrand, edges):
@@ -249,13 +267,8 @@ def panel_quadrature(integrand, edges):
     (...). Sums are elementwise products and .sum, so no BLAS call
     decides the rounding; callers gate the error themselves.
     """
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * np.concatenate(
-        [_X20, _X10])
-    g = integrand(nodes)
-    q20 = (g[..., :20] * _W20).sum(axis=-1) * half
-    q10 = (g[..., 20:] * _W10).sum(axis=-1) * half
-    return q20.sum(axis=-1), np.abs(q20 - q10).sum(axis=-1)
+    half, nodes = _panel_nodes(edges[:-1], edges[1:])
+    return _panel_sums(integrand(nodes), half)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,29 @@ def test_free_energy_csv_without_fit(tmp_path):
     assert float(rows[0][1]) < float(rows[0][2])
 
 
+def test_free_energy_table_takes_one_thermal_pass(tmp_path, monkeypatch):
+    # without --fit the table is still one E_grid call after the analysis
+    shapes = []
+    analyze = criticality._analyze
+    E_grid = DispersionProfile.E_grid
+
+    def counted(self, p):
+        shapes.append(np.shape(p))
+        return E_grid(self, p)
+
+    def analyze_then_count(profile, mu):
+        analysis = analyze(profile, mu)
+        monkeypatch.setattr(DispersionProfile, "E_grid", counted)
+        return analysis
+
+    monkeypatch.setattr(criticality, "_analyze", analyze_then_count)
+    out = str(tmp_path / "fe.csv")
+    assert run(["free-energy", *HS2, "--T", "0.001:0.01:5",
+                "--output", out]) == 0
+    assert len(shapes) == 1 and shapes[0][1] == 30
+    assert len(read_csv(out)[1]) == 5
+
+
 def test_fh_check_defaults(tmp_path):
     out = str(tmp_path / "fh.csv")
     assert run(["fh-check", "--model", "haldane-shastry", "--mu", "2",
@@ -273,6 +296,8 @@ REFUSED = {
     "negative-T": ["free-energy", *HS2, "--T", "-0.001,0.002,0.004,0.008"],
     "negative-T-fit": ["free-energy", *HS2, "--T",
                        "-0.001,0.002,0.004,0.008", "--fit"],
+    "repeated-T-fit": ["free-energy", *HS2, "--T",
+                       "0.001,0.001,0.001,0.001", "--fit"],
 }
 
 

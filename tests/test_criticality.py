@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fermichain import specfun
+from fermichain import criticality, specfun
 from fermichain.entanglement import c_tilde
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
@@ -333,3 +333,102 @@ def test_fit_validation():
         low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 4e-3, -1.0])
     with pytest.raises(DomainError):
         low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 3e-3, math.inf])
+
+
+def test_fit_needs_four_distinct_temperatures():
+    # a repeated temperature makes the log-log design matrix rank
+    # deficient: four copies of T = 1e-3 once gave exponent 2.18 and
+    # coefficient -0.73 (predicted -0.216) with a 9e-15 residual
+    with pytest.raises(DomainError):
+        low_temperature_fit(hs(), 2.0, T_grid=[1e-3] * 4)
+    with pytest.raises(DomainError):
+        low_temperature_fit(hs(), 2.0, T_grid=[1e-3, 2e-3, 4e-3, 2e-3, 1e-3])
+    grid = np.geomspace(1e-3, 1e-2, 4)
+    fit = low_temperature_fit(hs(), 2.0, T_grid=[*grid, grid[0]])
+    assert [r.T for r in fit.thermal] == [*grid.tolist(), grid[0]]
+    assert fit.thermal[0] == fit.thermal[-1]
+    assert fit.coefficient == pytest.approx(fit.predicted_coefficient,
+                                            rel=0.02)
+
+
+def test_fit_refuses_temperatures_before_analysis(monkeypatch):
+    def analyze(profile, mu):
+        raise AssertionError("the Fermi analysis ran")
+
+    monkeypatch.setattr(criticality, "_analyze", analyze)
+    grid = np.geomspace(1e-3, 1e-2, 8)
+    for T_grid in (grid.reshape(2, 4), grid.reshape(8, 1), 1e-3,
+                   [1e-3] * 4, [1e-3, 2e-3, 4e-3, math.nan]):
+        with pytest.raises(DomainError):
+            low_temperature_fit(hs(), 2.0, T_grid=T_grid)
+
+
+THERMAL_CASES = [
+    (hs(), 2.0),
+    (fig8(), 17.0 / 4.0),
+    (fig8(), 4.5),                     # band tangency, double root
+    (DispersionProfile(InteractionModel.power_law(1.6)), 1.5),  # cusp
+    (DispersionProfile(InteractionModel.rational_cubic(0.55)), 1.0),
+    (DispersionProfile(InteractionModel.custom_summable(
+        lambda j: 0.5 ** j, lambda J: 0.5 ** J)), 1.6),
+]
+
+
+@pytest.mark.parametrize("prof, mu", THERMAL_CASES)
+def test_fit_thermal_is_free_energy_bit_for_bit(prof, mu):
+    # the shared pass over all temperatures gives each T the values of
+    # a single free_energy call at that T
+    fit = low_temperature_fit(prof, mu)
+    assert len(fit.thermal) == 8
+    for r in fit.thermal:
+        alone = free_energy(prof, mu, r.T)
+        assert (r.T, r.f, r.f0, r.quad_err) == (
+            alone.T, alone.f, alone.f0, alone.quad_err)
+
+
+def _distinct_panels(prof, mu, T_grid):
+    analysis = fermi_points(prof, mu)
+    panels = set()
+    total = 0
+    for T in T_grid:
+        e = criticality._panel_edges(analysis, T).tolist()
+        panels.update(zip(e[:-1], e[1:]))
+        total += len(e) - 1
+    return len(panels), total
+
+
+def count_thermal_E_grid(monkeypatch):
+    """Shapes passed to E_grid after the Fermi analysis, reset per analysis."""
+    shapes = []
+    analyze = criticality._analyze
+    E_grid = DispersionProfile.E_grid
+
+    def counted(self, p):
+        shapes.append(np.shape(p))
+        return E_grid(self, p)
+
+    def analyze_then_count(profile, mu):
+        monkeypatch.setattr(DispersionProfile, "E_grid", E_grid)
+        analysis = analyze(profile, mu)
+        shapes.clear()
+        monkeypatch.setattr(DispersionProfile, "E_grid", counted)
+        return analysis
+
+    monkeypatch.setattr(criticality, "_analyze", analyze_then_count)
+    return shapes
+
+
+@pytest.mark.parametrize("prof, mu", [THERMAL_CASES[2], THERMAL_CASES[4]])
+def test_fit_evaluates_each_distinct_panel_once(monkeypatch, prof, mu):
+    grid = np.geomspace(1e-3, 1e-2, 8)
+    distinct, total = _distinct_panels(prof, mu, grid)
+    assert 4 * distinct < total   # nested panel sets share most panels
+    alone = _distinct_panels(prof, mu, grid[:1])[0]
+    shapes = count_thermal_E_grid(monkeypatch)
+    low_temperature_fit(prof, mu, T_grid=grid)
+    assert shapes == [(distinct, 30)]
+    # repeated temperatures add no panels
+    low_temperature_fit(prof, mu, T_grid=[*grid, *grid[::-1], grid[3]])
+    assert shapes == [(distinct, 30)]
+    free_energy(prof, mu, grid[0])
+    assert shapes == [(alone, 30)]
