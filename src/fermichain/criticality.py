@@ -8,9 +8,11 @@ a gapped phase with activated behavior. The same points place the
 panels on which the free energy takes specfun's fixed Gauss-Legendre
 rule; it reads the dispersion only through E_grid and reports its
 achieved quadrature error. A grid of temperatures takes one thermal
-pass: the panels of all temperatures are pooled, each distinct panel
-gets one set of nodes, and one E_grid call evaluates them all; a single
-free_energy call is that pass on a grid of one.
+pass: every temperature's panel edges come from one halving ladder,
+the panels of all temperatures are pooled, each distinct panel gets one
+set of nodes, one E_grid call evaluates them all, and one array
+expression gives the Fermi factor of every temperature at every node; a
+single free_energy call is that pass on a grid of one.
 """
 
 import math
@@ -22,7 +24,7 @@ from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError)
 from .models import (_bisect_sign_change, half_period_candidates,
                      monotonicity_report)
-from .specfun import _panel_nodes, _panel_sums, zeta
+from .specfun import _panel_nodes, _panel_rules, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -106,13 +108,19 @@ def _analyze(profile, mu):
     cand = half_period_candidates(focus=stationary)
     g = profile.E_grid(cand) - mu
     bisected = [_bisect_sign_change(lambda p: profile.E_grid(p) - mu,
-                                    cand[i], cand[i + 1], g[i], xtol=1e-13)
+                                    cand[i], cand[i + 1], g[i], g[i + 1],
+                                    xtol=1e-13)
                 for i in np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)]
     bisected = [r for r in bisected if outside(r)]
-    crossing = [(r, 2 if abs(d) < 1e-8 else 1)
-                for r, d in zip(bisected, profile.E1_grid(bisected))]
-    crossing.extend((float(p), 1) for p in cand[np.flatnonzero(g == 0.0)]
-                    if outside(p))
+    hits = [float(p) for p in cand[np.flatnonzero(g == 0.0)] if outside(p)]
+    # one E1 call gives the multiplicity check and the slopes; a point
+    # has the same E1 bits in any grid
+    points = bisected + hits + tangent
+    slope_at = {}
+    if points:
+        slope_at = dict(zip(points, profile.E1_grid(points).tolist()))
+    crossing = [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in bisected]
+    crossing.extend((p, 1) for p in hits)
 
     roots = []
     for r, nu in sorted(snapped + crossing):
@@ -122,7 +130,7 @@ def _analyze(profile, mu):
     roots = tuple(roots)
 
     ps = np.array([p for p, _ in roots])
-    slopes = profile.E1_grid(ps)
+    slopes = np.array([slope_at[p] for p, _ in roots])
     velocities = tuple(np.abs(slopes).tolist())
     d = slopes.copy()
     multiple = np.array([nu > 1 for _, nu in roots], dtype=bool)
@@ -183,25 +191,41 @@ def _reflect_sea(sea_half):
     return tuple((a, b) for a, b in left + right)
 
 
-def _halvings(h, width):
-    # 1/2, 1/4, ... down to the first fraction of h at most width
-    return 2.0 ** -np.arange(1.0, max(math.ceil(math.log2(h / width)), 0) + 1)
-
-
-def _panel_edges(analysis, T):
+def _panel_edges(analysis, T_grid):
     # Each gap between features (0, pi, band extrema, Fermi points) is
     # split at its midpoint, and each half halves toward its feature:
     # down to _CUSP_WIDTH at 0 and pi, else to T / (4 max(1, max v)).
-    near = T / (4.0 * max((1.0, *analysis.velocities)))
+    # A rung a + h 2^-j has the same bits at every T, so one ladder as
+    # deep as the lowest T needs serves the whole grid, and each T keeps
+    # the rungs down to its own depth. Returns one edge array per T.
+    scale = 4.0 * max((1.0, *analysis.velocities))
+    nears = [T / scale for T in T_grid]
     feats = sorted({0.0, math.pi, *analysis.stationary_points,
                     *(p for p, _ in analysis.roots)})
-    edges = [0.0]
+    always = np.ones((len(nears), 1), dtype=bool)
+    points, keep = [[0.0]], [always]
+
+    def ladder(h, cusp):
+        # rung levels 1..K and, per T, whether it reaches each of them:
+        # rungs h/2, h/4, ... down to the first fraction of h at most
+        # the width
+        depths = np.array([max(math.ceil(math.log2(h / width)), 0)
+                           for width in ([_CUSP_WIDTH] if cusp else nears)],
+                          dtype=float)
+        levels = np.arange(1.0, depths.max() + 1)
+        return levels, np.broadcast_to(levels <= depths[:, None],
+                                       (len(nears), levels.size))
+
     for a, b in zip(feats[:-1], feats[1:]):
         h = 0.5 * (b - a)
-        left = _halvings(h, _CUSP_WIDTH if a == 0.0 else near)
-        right = _halvings(h, _CUSP_WIDTH if b == math.pi else near)
-        edges.extend([*(a + h * left[::-1]), a + h, *(b - h * right), b])
-    return np.array(edges)
+        levels, reach = ladder(h, a == 0.0)
+        points += [a + h * 2.0 ** -levels[::-1], [a + h]]
+        keep += [reach[:, ::-1], always]
+        levels, reach = ladder(h, b == math.pi)
+        points += [b - h * 2.0 ** -levels, [b]]
+        keep += [reach, always]
+    points = np.concatenate(points)
+    return [points[own] for own in np.concatenate(keep, axis=1)]
 
 
 def _check_temperatures(T_grid):
@@ -216,6 +240,33 @@ def _check_temperatures(T_grid):
     return T_grid
 
 
+# exp(-x) is left out (taken as 0) from x = 708 on, before numpy's
+# vector exp turns to its slow path for subnormal results; log1p is
+# left out at and below 2^-53, where log1p(y) == y in floating point
+_EXP_CUT = 708.0
+_LOG1P_CUT = 2.0 ** -53
+# values of f's integrand array per block of temperatures (1 MB)
+_BLOCK_VALUES = 2 ** 17
+
+
+def _fermi_integrand(e, T_grid):
+    """-T log(1 + e^{-e/T}) at node values e = E - mu, one row per T.
+
+    Written as min(e, 0) - T log1p(exp(-|e|/T)), so that one vector exp
+    and one vector log1p cover every temperature, in place of numpy's
+    scalar logaddexp loop; the values left out are below T e^-708 (exp)
+    or exact (log1p). The rows are built in one array, in place.
+    """
+    T = T_grid.reshape(-1, *(1,) * e.ndim)
+    y = np.divide(np.abs(e), T, out=np.empty((T_grid.size, *e.shape)))
+    live = y < _EXP_CUT
+    np.exp(np.negative(y, out=y), out=y, where=live)
+    np.maximum(y, 0.0, out=y)   # the left-out -|e|/T become 0
+    np.log1p(y, out=y, where=y > _LOG1P_CUT)
+    y *= T
+    return np.subtract(np.minimum(e, 0.0), y, out=y)
+
+
 def _thermal_pass(profile, mu, T_grid, analysis=None):
     # Each T's panels halve toward the same features by the same h 2^-k,
     # deeper at lower T, so the panels of a grid of temperatures largely
@@ -228,29 +279,38 @@ def _thermal_pass(profile, mu, T_grid, analysis=None):
     elif float(mu) != analysis.mu:
         raise DomainError(
             f"analysis is for mu={analysis.mu}, free energy asked at mu={mu}")
-    edges = [_panel_edges(analysis, T) for T in T_grid.tolist()]
+    edges = _panel_edges(analysis, T_grid.tolist())
     # the complex key lo + i hi is exact and sorts by lo, then hi
     panels, which = np.unique(
         np.concatenate([edge[:-1] + 1j * edge[1:] for edge in edges]),
         return_inverse=True)
     half, nodes = _panel_nodes(panels.real, panels.imag)
-    e_all = profile.E_grid(nodes) - analysis.mu
-    ends = np.cumsum([edge.size - 1 for edge in edges])[:-1]
+    e = profile.E_grid(nodes) - analysis.mu
+    # per-panel rules on every distinct panel: f0's once, f's with one
+    # row per T, its integrand taking a block of temperatures at a time
+    q0, dq0 = _panel_rules(np.minimum(e, 0.0) / math.pi, half)
+    q20 = np.empty((T_grid.size, half.size))
+    dq = np.empty_like(q20)
+    step = max(1, _BLOCK_VALUES // e.size)
+    for lo in range(0, T_grid.size, step):
+        g = _fermi_integrand(e, T_grid[lo:lo + step])
+        g /= math.pi
+        q20[lo:lo + step], dq[lo:lo + step] = _panel_rules(g, half)
+    # each T sums its own panels, in order: f0, f and their errors
+    sizes = [edge.size - 1 for edge in edges]
+    row = np.repeat(np.arange(T_grid.size), sizes)
+    parts = np.stack([q0[which], q20[row, which], dq0[which], dq[row, which]])
+    ends = np.cumsum(sizes).tolist()
     results = []
-    for T, own in zip(T_grid.tolist(), np.split(which, ends)):
-        e = e_all[own]
-        # rows f0 and f
-        g = np.stack([np.minimum(e, 0.0),
-                      -T * np.logaddexp(0.0, -e / T)]) / math.pi
-        (f0, f), errs = _panel_sums(g, half[own])
+    for T, lo, hi in zip(T_grid.tolist(), [0, *ends], ends):
+        f0, f, *errs = parts[:, lo:hi].sum(axis=-1).tolist()
         for what, err, target in zip(("ground-energy", "free-energy"),
-                                     errs.tolist(), (1e-10, 1e-9)):
+                                     errs, (1e-10, 1e-9)):
             if not err <= target:
                 raise QuadratureError(
                     f"{what} quadrature reached only {err:.3e} (target "
                     f"{target:.0e}) at T={T}", achieved=err, target=target)
-        results.append(ThermalResult(T=T, f=float(f), f0=float(f0),
-                                     quad_err=float(errs.max())))
+        results.append(ThermalResult(T=T, f=f, f0=f0, quad_err=max(errs)))
     return tuple(results)
 
 

@@ -210,10 +210,10 @@ class DispersionProfile:
         if m.family == "haldane-shastry":
             return 0.5 * p * (_TWO_PI - p)
         if m.family == "power-law":
-            li = polylog_circle_grid(m.nu, p).real
+            li = polylog_circle_grid(m.nu, p, "real")
             return 2.0 * m.C * (zeta(m.nu) - li)
         if m.family == "rational-cubic":
-            li = polylog_circle_grid(3.0, p).real
+            li = polylog_circle_grid(3.0, p, "real")
             return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * (zeta(3.0) - li)
         # finite-range and custom-summable: the explicit cosine series
         j, hj = self._couplings(0)
@@ -226,9 +226,9 @@ class DispersionProfile:
             return math.pi - p
         if m.family == "power-law":
             # zone center: Im Li is odd there, so E' = 0 at the cusp
-            return 2.0 * m.C * polylog_circle_grid(m.nu - 1.0, p).imag
+            return 2.0 * m.C * polylog_circle_grid(m.nu - 1.0, p, "imag")
         if m.family == "rational-cubic":
-            li = polylog_circle_grid(2.0, p).imag
+            li = polylog_circle_grid(2.0, p, "imag")
             out = (math.pi - p) - 2.0 * m.J * li
             h = math.pi - p
             near = np.abs(h) < 0.5 * math.pi
@@ -248,7 +248,7 @@ class DispersionProfile:
         if m.family == "power-law":
             # the zone center gives +inf for nu <= 3, where sum j^{2-nu}
             # diverges, and 2 C zeta(nu - 2) otherwise
-            return 2.0 * m.C * polylog_circle_grid(m.nu - 2.0, p).real
+            return 2.0 * m.C * polylog_circle_grid(m.nu - 2.0, p, "real")
         if m.family == "rational-cubic":
             if m.J == 0.0:
                 return np.full(p.shape, -1.0)
@@ -325,7 +325,7 @@ def monotonicity_report(profile):
     roots = []
     for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0):
         roots.append(_bisect_sign_change(
-            profile.E1_grid, cand[i], cand[i + 1], d[i]))
+            profile.E1_grid, cand[i], cand[i + 1], d[i], d[i + 1]))
     roots.extend(cand[np.flatnonzero(d == 0.0)])
 
     roots = sorted(r for r in roots if 1e-12 < r < math.pi - 1e-12)
@@ -337,39 +337,78 @@ def monotonicity_report(profile):
                               critical_points=tuple(merged))
 
 
-# bisection levels evaluated per grid call of _bisect_sign_change
+# bisection levels of a plain pass of _bisect_sign_change
 _BISECT_LEVELS = 8
 
 
-def _bisect_sign_change(f, a, b, fa, xtol=1e-12):
-    # Plain bisection of a sign change of f on [a, b] (f(a) = fa) down to
-    # b - a <= xtol, with f a grid function. Each pass forms the midpoints
-    # of the next levels (_BISECT_LEVELS, or fewer if fewer halvings reach
-    # xtol) as plain bisection forms them, 0.5 * (left + right) level by
-    # level; evaluates them in one f call; then walks down them by the
-    # scalar rules: f(m) == 0 returns m, else keep the half whose ends
-    # differ in sign, until b - a <= xtol. So the root is bit for bit that
-    # of one f call per midpoint whenever f's grid values equal its scalar
-    # values, and a bracket already within xtol costs no call.
+def _bisect_sign_change(f, a, b, fa, fb, xtol=1e-12):
+    # Plain bisection of a sign change of f on [a, b], f(a) = fa and
+    # f(b) = fb, down to b - a <= xtol, with f a grid function. Each grid
+    # call evaluates a set of midpoints formed as plain bisection forms
+    # them, 0.5 * (left + right) level by level; the walk then applies
+    # the scalar rules while the next midpoint is in the set: f(m) == 0
+    # returns m, else keep the half whose ends differ in sign. So the
+    # root is bit for bit that of one f call per midpoint whenever f's
+    # grid values equal its scalar values, and a bracket already within
+    # xtol costs no call. The set is the path down to the secant root of
+    # the bracket, which near a smooth root holds until the bracket is
+    # about as narrow as the secant's error: two or three calls a root.
+    # A path gains at least one level. Once one more could leave plain
+    # passes (every midpoint of _BISECT_LEVELS levels) unable to finish
+    # within the budget, one call more than plain passes alone take,
+    # plain passes finish.
+    def passes(levels):
+        # plain passes that settle this many levels
+        return -(-levels // _BISECT_LEVELS)
+
+    calls, budget = 0, None
     while b - a > xtol:
         levels = max(1, math.ceil(math.log2((b - a) / xtol)))
-        n = 2 ** min(levels, _BISECT_LEVELS)
-        pts = np.empty(n + 1)
-        pts[0], pts[n] = a, b
-        step = n
-        while step > 1:
-            half = step // 2
-            pts[half::step] = 0.5 * (pts[:-1:step] + pts[step::step])
-            step = half
-        vals = f(pts[1:-1])
-        lo, hi = 0, n
-        while hi - lo > 1 and b - a > xtol:
-            mid = (lo + hi) // 2
-            m, fm = pts[mid], vals[mid - 1]
+        if budget is None:
+            budget = passes(levels) + 1
+        if calls + 1 + passes(levels - 1) <= budget:
+            pts = _secant_path(a, b, fa, fb, xtol)
+        else:
+            pts = _plain_levels(a, b, min(levels, _BISECT_LEVELS))
+        known = dict(zip(pts.tolist(), f(pts).tolist()))
+        calls += 1
+        while b - a > xtol:
+            m = 0.5 * (a + b)
+            if m not in known:
+                break
+            fm = known[m]
             if fm == 0.0:
                 return m
             if (fa < 0.0) != (fm < 0.0):
-                hi, b = mid, m
+                b, fb = m, fm
             else:
-                lo, a, fa = mid, m, fm
+                a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def _secant_path(a, b, fa, fb, xtol):
+    # the midpoints plain bisection forms if the root is where the
+    # secant through (a, fa) and (b, fb) meets zero
+    guess = a - fa * ((b - a) / (fb - fa))
+    pts = []
+    while b - a > xtol and len(pts) < 64:
+        m = 0.5 * (a + b)
+        pts.append(m)
+        if guess < m:
+            b = m
+        else:
+            a = m
+    return np.array(pts)
+
+
+def _plain_levels(a, b, levels):
+    # every midpoint of the first `levels` levels of plain bisection
+    n = 2 ** levels
+    pts = np.empty(n + 1)
+    pts[0], pts[n] = a, b
+    step = n
+    while step > 1:
+        half = step // 2
+        pts[half::step] = 0.5 * (pts[:-1:step] + pts[step::step])
+        step = half
+    return pts[1:-1]

@@ -123,13 +123,15 @@ def _series_constants(s):
     return pairs, singular
 
 
-def polylog_circle_grid(s, p):
+def polylog_circle_grid(s, p, part=None):
     """Li_s(e^{ip}) for real s, over a float array p in [0, 2*pi].
 
     Sums the zeta series of _series_constants on q = min(p, 2 pi - p)
     and conjugates for p > pi. Its even (real) and odd (imaginary)
     parts are two polynomials in q^2, summed side by side by Horner's
     rule on one (2,) + p.shape accumulator; the result has p's shape.
+    part="real" or "imag" sums only that part's polynomial and returns
+    a float array, bit for bit that part of the complex result.
     The series keeps every term that can exceed 1e-18 on 0 <= q <= pi,
     which is 23 to 28 Horner steps for 1 < s <= 4 and at most 32 for
     s >= -2. q = 0 gives zeta(s) for s > 1 and +inf (the divergent sum
@@ -142,8 +144,6 @@ def polylog_circle_grid(s, p):
     fold = p > math.pi
     q = np.where(fold, _TWO_PI - p, p)
     pairs, (m, d, w, c) = _series_constants(float(s))
-    series = _horner(pairs.reshape(pairs.shape + (1,) * q.ndim), q * q)
-    series[1] *= q
     with np.errstate(divide="ignore", invalid="ignore"):
         if m is None:
             singular = c * q ** d
@@ -152,10 +152,23 @@ def polylog_circle_grid(s, p):
             if d != 0.0:
                 log_term = np.expm1(d * log_term) / d
             singular = c * q ** m * log_term
-    out = series[0] + 1j * series[1] + singular
     zero = q == 0.0
-    if zero.any():
-        out[zero] = zeta(s) if s > 1.0 else math.inf
+    at_zero = zeta(s) if s > 1.0 else math.inf
+    if part == "real":
+        out = _horner(pairs[:, 0].reshape((-1,) + (1,) * q.ndim), q * q)
+        out += singular.real
+        out[zero] = at_zero
+        return out
+    if part == "imag":
+        out = _horner(pairs[:, 1].reshape((-1,) + (1,) * q.ndim), q * q)
+        out *= q
+        out += singular.imag
+        out[zero] = 0.0
+        return np.where(fold, -out, out)
+    series = _horner(pairs.reshape(pairs.shape + (1,) * q.ndim), q * q)
+    series[1] *= q
+    out = series[0] + 1j * series[1] + singular
+    out[zero] = at_zero
     return np.where(fold, out.conj(), out)
 
 
@@ -249,11 +262,11 @@ def _panel_nodes(lo, hi):
     return half, (lo + half)[:, None] + half[:, None] * _X30
 
 
-def _panel_sums(g, half):
-    """20-point integrals and summed |Q20 - Q10| of node values g."""
+def _panel_rules(g, half):
+    """Per-panel 20-point integrals and |Q20 - Q10| of node values g."""
     q20 = (g[..., :20] * _W20).sum(axis=-1) * half
     q10 = (g[..., 20:] * _W10).sum(axis=-1) * half
-    return q20.sum(axis=-1), np.abs(q20 - q10).sum(axis=-1)
+    return q20, np.abs(q20 - q10)
 
 
 def panel_quadrature(integrand, edges):
@@ -268,7 +281,8 @@ def panel_quadrature(integrand, edges):
     decides the rounding; callers gate the error themselves.
     """
     half, nodes = _panel_nodes(edges[:-1], edges[1:])
-    return _panel_sums(integrand(nodes), half)
+    q20, err = _panel_rules(integrand(nodes), half)
+    return q20.sum(axis=-1), err.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -386,12 +386,24 @@ def test_fit_thermal_is_free_energy_bit_for_bit(prof, mu):
             alone.T, alone.f, alone.f0, alone.quad_err)
 
 
+@pytest.mark.parametrize("prof, mu", [THERMAL_CASES[1], THERMAL_CASES[4]])
+def test_thermal_pass_same_bits_in_temperature_blocks(monkeypatch, prof,
+                                                      mu):
+    # f's integrand array goes a block of temperatures at a time; the
+    # block size changes no result
+    grid = np.geomspace(1e-4, 1e-1, 30)
+    whole = criticality._thermal_pass(prof, mu, grid)
+    for values in (1, 3 * 30 * 173):
+        monkeypatch.setattr(criticality, "_BLOCK_VALUES", values)
+        assert criticality._thermal_pass(prof, mu, grid) == whole
+
+
 def _distinct_panels(prof, mu, T_grid):
     analysis = fermi_points(prof, mu)
     panels = set()
     total = 0
     for T in T_grid:
-        e = criticality._panel_edges(analysis, T).tolist()
+        e = criticality._panel_edges(analysis, [T])[0].tolist()
         panels.update(zip(e[:-1], e[1:]))
         total += len(e) - 1
     return len(panels), total
@@ -432,3 +444,75 @@ def test_fit_evaluates_each_distinct_panel_once(monkeypatch, prof, mu):
     assert shapes == [(distinct, 30)]
     free_energy(prof, mu, grid[0])
     assert shapes == [(alone, 30)]
+
+
+def panel_edges_one_temperature(analysis, T):
+    # the edges of one T built on their own, as the panel ladder must
+    # reproduce them: per gap between features, the midpoint and
+    # halvings toward each end, down to the cusp width at 0 and pi and
+    # to T / (4 max(1, max v)) elsewhere
+    near = T / (4.0 * max((1.0, *analysis.velocities)))
+    feats = sorted({0.0, math.pi, *analysis.stationary_points,
+                    *(p for p, _ in analysis.roots)})
+
+    def halvings(h, width):
+        depth = max(math.ceil(math.log2(h / width)), 0)
+        return 2.0 ** -np.arange(1.0, depth + 1)
+
+    edges = [0.0]
+    for a, b in zip(feats[:-1], feats[1:]):
+        h = 0.5 * (b - a)
+        left = halvings(h, criticality._CUSP_WIDTH if a == 0.0 else near)
+        right = halvings(h, criticality._CUSP_WIDTH if b == math.pi
+                         else near)
+        edges.extend([*(a + h * left[::-1]), a + h, *(b - h * right), b])
+    return np.array(edges)
+
+
+@pytest.mark.parametrize("prof, mu", THERMAL_CASES)
+def test_panel_ladder_gives_each_temperature_its_edges(prof, mu):
+    analysis = fermi_points(prof, mu)
+    T_grid = [*np.geomspace(1e-3, 1e-2, 8).tolist(), 1e-6, 1.0]
+    got = criticality._panel_edges(analysis, T_grid)
+    assert len(got) == len(T_grid)
+    for T, edges in zip(T_grid, got):
+        want = panel_edges_one_temperature(analysis, T)
+        assert edges.tobytes() == want.tobytes(), T
+    assert got[-2].size > got[0].size > got[-1].size
+
+
+@pytest.mark.parametrize("T", [1e-6, 1e-3, 1e-2, 1.0])
+def test_fermi_integrand_matches_logaddexp(T):
+    # min(e, 0) - T log1p(exp(-|e|/T)) with exp and log1p left out where
+    # they would underflow or equal their argument, against numpy's
+    # logaddexp, across |e| / T > 745 too. numpy's vector exp and log1p
+    # are each up to one unit in the last place from the scalar libm
+    # calls inside logaddexp, so the two can differ by up to three such
+    # units (4.8e-16 relative on 8e6 random nodes); 5e-16 holds that.
+    mag = np.concatenate([[0.0, 1e-300, 1e-20, 5e-324],
+                          np.geomspace(1e-12, 10.0, 400),
+                          np.linspace(0.0, 10.0, 401),
+                          T * np.array([36.7, 37.5, 707.9, 708.0, 708.1,
+                                        745.0, 745.2, 800.0])])
+    mag = mag[mag <= 10.0]
+    e = np.concatenate([mag, -mag])
+    g = criticality._fermi_integrand(e, np.array([T, T]))
+    assert g.shape == (2, e.size)
+    assert g[0].tobytes() == g[1].tobytes()
+    want = -T * np.logaddexp(0.0, -e / T)
+    err = np.abs(g[0] - want)
+    assert np.all((err <= 5e-16 * np.abs(want)) | (err <= 1e-300))
+    if T <= 1e-2:
+        assert np.any(np.abs(e) / T > 745.0)
+
+
+def test_free_energy_at_very_low_temperature():
+    # at T = 1e-5 nearly every node has |E - mu| / T beyond exp's range
+    mu = 2.0
+    r = free_energy(hs(), mu, 1e-5)
+    assert r.quad_err <= 1e-9
+    pf = math.pi - math.sqrt(math.pi ** 2 - 2.0 * mu)
+    # (1/pi) int_0^pf [p (2 pi - p) / 2 - mu] dp
+    want = (math.pi * pf ** 2 / 2.0 - pf ** 3 / 6.0 - mu * pf) / math.pi
+    assert r.f0 == pytest.approx(want, abs=1e-12)
+    assert r.f < r.f0

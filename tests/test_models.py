@@ -444,7 +444,8 @@ def test_grid_bisection_matches_scalar_bisection(model, mu):
     assert cells.size
     for i in cells:
         got = _bisect_sign_change(lambda p: prof.E_grid(p) - mu,
-                                  cand[i], cand[i + 1], g[i], xtol=1e-13)
+                                  cand[i], cand[i + 1], g[i], g[i + 1],
+                                  xtol=1e-13)
         want = scalar_bisection(lambda p: prof.E(p) - mu,
                                 cand[i], cand[i + 1], g[i], 1e-13)
         assert got == want, model.family
@@ -455,7 +456,8 @@ def test_grid_bisection_of_slope_matches_scalar_bisection():
     cand = half_period_candidates()
     d = prof.E1_grid(cand)
     (i,) = sign_change_cells(d)
-    got = _bisect_sign_change(prof.E1_grid, cand[i], cand[i + 1], d[i])
+    got = _bisect_sign_change(prof.E1_grid, cand[i], cand[i + 1], d[i],
+                              d[i + 1])
     assert got == scalar_bisection(prof.E1, cand[i], cand[i + 1], d[i], 1e-12)
     assert monotonicity_report(prof).critical_points == (got,)
 
@@ -467,12 +469,70 @@ def test_grid_bisection_exact_midpoint_and_empty_bracket():
         calls.append(p.size)
         return p - 0.75
 
-    assert _bisect_sign_change(f, 0.5, 1.0, -0.25) == 0.75
+    assert _bisect_sign_change(f, 0.5, 1.0, -0.25, 0.25) == 0.75
     assert len(calls) == 1
     calls.clear()
     a, b = 1.0, 1.0 + 1e-13
-    assert _bisect_sign_change(f, a, b, -1.0) == 0.5 * (a + b)
+    assert _bisect_sign_change(f, a, b, -1.0, 1.0) == 0.5 * (a + b)
     assert calls == []
+
+
+def counting(f):
+    """f and the list of grid sizes it is called with."""
+    calls = []
+
+    def counted(p):
+        calls.append(np.size(p))
+        return f(np.asarray(p))
+
+    return counted, calls
+
+
+ADVERSARIAL = {
+    "step": lambda r: lambda p: np.where(p < r, -1.0, 1.0),
+    "skewed-step": lambda r: lambda p: np.where(p < r, -1e-9, 1e6),
+    "cube": lambda r: lambda p: (p - r) ** 3,
+    "sqrt": lambda r: lambda p: np.sign(p - r) * np.sqrt(np.abs(p - r)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ADVERSARIAL))
+def test_grid_bisection_call_bound(shape):
+    # plain passes of eight levels settle [0.5, 1] to 1e-13 (43 levels)
+    # in 6 calls; a secant guess that keeps missing may cost one more
+    for r in (0.5 + 1e-12, 0.5 + 3e-7, 0.6180339887, 2.0 / 3.0, 0.75,
+              0.75 + 1e-14, 0.5 + math.pi / 10.0, 1.0 - 1e-11):
+        f = ADVERSARIAL[shape](r)
+        fa, fb = float(f(0.5)), float(f(1.0))
+        counted, calls = counting(f)
+        got = _bisect_sign_change(counted, 0.5, 1.0, fa, fb, xtol=1e-13)
+        assert got == scalar_bisection(lambda p: float(f(p)), 0.5, 1.0, fa,
+                                       1e-13), r
+        assert 1 <= len(calls) <= 7, r
+
+
+def test_grid_bisection_typical_root_takes_few_calls():
+    # near a smooth root the secant path holds down to about the width
+    # of the secant's error, so a root costs two or three calls
+    brackets = []
+    for model, mu in [(hs(), 2.0), (fr(1.0, 0.5), 4.25), (fr(1.0, 0.5), 3.9),
+                      (InteractionModel.power_law(2.5), 1.5),
+                      (InteractionModel.rational_cubic(0.6), 1.0),
+                      (InteractionModel.rational_cubic(0.9), 1.25)]:
+        prof = DispersionProfile(model)
+        cand = half_period_candidates()
+        g = prof.E_grid(cand) - mu
+        brackets += [(lambda p, prof=prof, mu=mu: prof.E_grid(p) - mu,
+                      cand[i], cand[i + 1], g[i], g[i + 1], 1e-13)
+                     for i in sign_change_cells(g)]
+        d = prof.E1_grid(cand)
+        brackets += [(prof.E1_grid, cand[i], cand[i + 1], d[i], d[i + 1],
+                      1e-12) for i in sign_change_cells(d)]
+    assert len(brackets) >= 10
+    for f, a, b, fa, fb, xtol in brackets:
+        counted, calls = counting(f)
+        _bisect_sign_change(counted, a, b, fa, fb, xtol=xtol)
+        assert 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize("model, mu", [

@@ -226,6 +226,18 @@ def test_polylog_grid_matches_scalar_bitwise(nu):
         grid.reshape(2, -1).tolist()
 
 
+@pytest.mark.parametrize("nu", POLYLOG_ORDERS + (1.0, 0.5, -0.4, -2.0))
+def test_polylog_grid_parts_are_the_complex_parts(nu):
+    # E and E'' read the real part, E' the imaginary one; summing one
+    # polynomial changes no bit of it
+    p = np.concatenate([circle_ladder(), [0.0, math.pi, 3.5, 5.0, TWO_PI]])
+    grid = polylog_circle_grid(nu, p)
+    for part, want in (("real", grid.real), ("imag", grid.imag)):
+        got = polylog_circle_grid(nu, p, part)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), part
+
+
 def test_digamma_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     ws = np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 25)])
