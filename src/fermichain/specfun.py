@@ -128,10 +128,10 @@ def polylog_circle_grid(s, p, part=None):
 
     Sums the zeta series of _series_constants on q = min(p, 2 pi - p)
     and conjugates for p > pi. Its even (real) and odd (imaginary)
-    parts are two polynomials in q^2, summed side by side by Horner's
-    rule on one (2,) + p.shape accumulator; the result has p's shape.
-    part="real" or "imag" sums only that part's polynomial and returns
-    a float array, bit for bit that part of the complex result.
+    parts are two polynomials in q^2, summed by Horner's rule; the
+    result has p's shape. part="real" or "imag" sums only that part's
+    polynomial and returns a float array; part=None sums both and
+    returns them as one complex array.
     The series keeps every term that can exceed 1e-18 on 0 <= q <= pi,
     which is 23 to 28 Horner steps for 1 < s <= 4 and at most 32 for
     s >= -2. q = 0 gives zeta(s) for s > 1 and +inf (the divergent sum
@@ -141,6 +141,12 @@ def polylog_circle_grid(s, p, part=None):
     any grid.
     """
     p = np.asarray(p, dtype=float)
+    if part is None:
+        out = np.empty(p.shape, dtype=complex)
+        out.real = polylog_circle_grid(s, p, "real")
+        out.imag = polylog_circle_grid(s, p, "imag")
+        return out
+    odd = {"real": 0, "imag": 1}[part]
     fold = p > math.pi
     q = np.where(fold, _TWO_PI - p, p)
     pairs, (m, d, w, c) = _series_constants(float(s))
@@ -152,24 +158,16 @@ def polylog_circle_grid(s, p, part=None):
             if d != 0.0:
                 log_term = np.expm1(d * log_term) / d
             singular = c * q ** m * log_term
+    out = _horner(pairs[:, odd].reshape((-1,) + (1,) * q.ndim), q * q)
     zero = q == 0.0
-    at_zero = zeta(s) if s > 1.0 else math.inf
-    if part == "real":
-        out = _horner(pairs[:, 0].reshape((-1,) + (1,) * q.ndim), q * q)
-        out += singular.real
-        out[zero] = at_zero
-        return out
-    if part == "imag":
-        out = _horner(pairs[:, 1].reshape((-1,) + (1,) * q.ndim), q * q)
+    if odd:
         out *= q
         out += singular.imag
         out[zero] = 0.0
         return np.where(fold, -out, out)
-    series = _horner(pairs.reshape(pairs.shape + (1,) * q.ndim), q * q)
-    series[1] *= q
-    out = series[0] + 1j * series[1] + singular
-    out[zero] = at_zero
-    return np.where(fold, out.conj(), out)
+    out += singular.real
+    out[zero] = zeta(s) if s > 1.0 else math.inf
+    return out
 
 
 def polylog_circle(nu, p):

@@ -228,14 +228,22 @@ def test_polylog_grid_matches_scalar_bitwise(nu):
 
 @pytest.mark.parametrize("nu", POLYLOG_ORDERS + (1.0, 0.5, -0.4, -2.0))
 def test_polylog_grid_parts_are_the_complex_parts(nu):
-    # E and E'' read the real part, E' the imaginary one; summing one
-    # polynomial changes no bit of it
-    p = np.concatenate([circle_ladder(), [0.0, math.pi, 3.5, 5.0, TWO_PI]])
-    grid = polylog_circle_grid(nu, p)
-    for part, want in (("real", grid.real), ("imag", grid.imag)):
-        got = polylog_circle_grid(nu, p, part)
-        assert got.dtype == np.float64
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), part
+    # E and E'' read the real part, E' the imaginary one, at orders down
+    # to nu - 2; the complex grid is those two float arrays
+    mpmath = pytest.importorskip("mpmath")
+    p = np.concatenate([circle_ladder(), [math.pi, 3.5, 5.0]])
+    want = np.array([oracle_polylog(mpmath, nu, x) for x in p])
+    scale = np.maximum(1.0, np.abs(want))
+    grid = polylog_circle_grid(nu, p.reshape(2, -1))
+    for part, exact in (("real", want.real), ("imag", want.imag)):
+        got = polylog_circle_grid(nu, p.reshape(2, -1), part)
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        assert got.tobytes() == getattr(grid, part).tobytes(), part
+        assert np.all(np.abs(got.ravel() - exact) <= 1e-12 * scale), part
+    ends = [0.0, TWO_PI]
+    assert polylog_circle_grid(nu, ends, "real").tolist() == \
+        [zeta(nu) if nu > 1.0 else math.inf] * 2
+    assert polylog_circle_grid(nu, ends, "imag").tolist() == [0.0, 0.0]
 
 
 def test_digamma_matches_mpmath():
