@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .criticality import _thermal_pass, fermi_points, low_temperature_fit
+from .criticality import fermi_points, free_energy, low_temperature_fit
 from .entanglement import c_tilde, i1, renyi_asymptotic, renyi_exact
 from .errors import DomainError
 from .fisher_hartwig import fh_deviation
@@ -335,7 +335,7 @@ def _cmd_free_energy(args):
         thermal = fit.thermal
     else:
         fit = None
-        thermal = _thermal_pass(prof, mu, temps)
+        thermal = free_energy(prof, mu, temps)
     header = ["T", "f", "f0", "fit_exponent", "fit_coefficient",
               "fit_predicted"]
     tail = ([fit.exponent, fit.coefficient, fit.predicted_coefficient]

@@ -4,15 +4,17 @@ The chemical potential mu cuts the band E(p); everything here derives
 from where and how the two meet: simple crossings give a critical phase
 whose central charge counts Fermi seas, tangencies give multiple roots
 with anomalous T^{1+1/nu} thermal scaling, and no crossing at all gives
-a gapped phase with activated behavior. The same points place the
-panels on which the free energy takes specfun's fixed Gauss-Legendre
-rule; it reads the dispersion only through E_grid and reports its
-achieved quadrature error. A grid of temperatures takes one thermal
-pass: every temperature's panel edges come from one halving ladder,
-the panels of all temperatures are pooled, each distinct panel gets one
-set of nodes, one E_grid call evaluates them all, and one array
-expression gives the Fermi factor of every temperature at every node; a
-single free_energy call is that pass on a grid of one.
+a gapped phase with activated behavior. Crossings are the zeros of
+E - mu from models.half_period_zeros, the scan monotonicity_report uses
+on E'. A zone edge where E' vanishes is a band extremum like the
+stationary points, but never a Fermi point; mu on one inside the band
+is refused. The same points place the panels of free_energy, which
+takes specfun's fixed Gauss-Legendre rule, reads the dispersion only
+through E_grid and reports its achieved quadrature error. A grid of
+temperatures takes one pass: the panel edges of every temperature come
+from one halving ladder, one E_grid call evaluates the nodes of the
+distinct panels, and one array expression gives the Fermi factor of
+every temperature at every node.
 """
 
 import math
@@ -22,8 +24,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError)
-from .models import (_bisect_sign_change, half_period_candidates,
-                     monotonicity_report)
+from .models import half_period_zeros, monotonicity_report
 from .specfun import _panel_nodes, _panel_rules, zeta
 
 _TWO_PI = 2.0 * math.pi
@@ -88,46 +89,47 @@ def _analyze(profile, mu):
     band_vals = profile.E_grid([0.0, *stationary, math.pi])
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
+    btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
 
     snap_tol = 1e-10 * max(1.0, abs(mu))
     # tangency: mu sits on a band extremum to working precision
-    tangent = [pc for pc, e in zip(stationary, band_vals[1:-1])
-               if abs(e - mu) < snap_tol]
-    snapped = [(pc, 2) for pc in tangent]
+    near = [p for p, e in zip([0.0, *stationary, math.pi], band_vals)
+            if abs(e - mu) < snap_tol]
+    tangent = [p for p in near if 0.0 < p < math.pi]
+    # a zone edge is an extremum where E' vanishes, never a Fermi point
+    ends = [p for p in near if p in (0.0, math.pi)]
+    if ends:
+        ends = [p for p, d in zip(ends, profile.E1_grid(ends))
+                if abs(d) < 1e-8]
+    if ends and e_min + btol < mu < e_max - btol:
+        raise DomainError(
+            f"mu={mu} touches the band at the zone edge "
+            f"p={'0' if ends[0] == 0.0 else 'pi'} inside the band; "
+            "such a tangency is not classified")
+    snapped = tangent + ends
     excluded = []
-    if tangent:
-        curvature = np.abs(profile.E2_grid(tangent))
-        radius = 2.0 * np.sqrt(2.0 * snap_tol / np.maximum(curvature, 1e-6))
-        excluded = list(zip(np.subtract(tangent, radius),
-                            np.add(tangent, radius)))
+    if snapped:
+        # the quadratic neighborhood of a tangency holds no crossing. It
+        # is at least 1e-10 wide, the merge distance of zeros, so no
+        # crossing left needs merging with a tangency.
+        curvature = np.abs(profile.E2_grid(snapped))
+        radius = np.maximum(2.0 * np.sqrt(
+            2.0 * snap_tol / np.maximum(curvature, 1e-6)), 1e-10)
+        excluded = list(zip(np.subtract(snapped, radius),
+                            np.add(snapped, radius)))
 
-    def outside(p):
-        # the quadratic neighborhood of a snapped tangency holds no crossing
-        return not any(a <= p <= b for a, b in excluded)
-
-    cand = half_period_candidates(focus=stationary)
-    g = profile.E_grid(cand) - mu
-    bisected = [_bisect_sign_change(lambda p: profile.E_grid(p) - mu,
-                                    cand[i], cand[i + 1], g[i], g[i + 1],
-                                    xtol=1e-13)
-                for i in np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)]
-    bisected = [r for r in bisected if outside(r)]
-    hits = [float(p) for p in cand[np.flatnonzero(g == 0.0)] if outside(p)]
+    crossing = [r for r in half_period_zeros(
+                    lambda p: profile.E_grid(p) - mu, 1e-13, stationary)
+                if not any(a <= r <= b for a, b in excluded)]
     # one E1 call gives the multiplicity check and the slopes; a point
     # has the same E1 bits in any grid
-    points = bisected + hits + tangent
+    points = crossing + tangent
     slope_at = {}
     if points:
         slope_at = dict(zip(points, profile.E1_grid(points).tolist()))
-    crossing = [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in bisected]
-    crossing.extend((p, 1) for p in hits)
-
-    roots = []
-    for r, nu in sorted(snapped + crossing):
-        if 1e-12 < r < math.pi - 1e-12 and (
-                not roots or r - roots[-1][0] > 1e-10):
-            roots.append((r, nu))
-    roots = tuple(roots)
+    roots = tuple(sorted(
+        [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in crossing]
+        + [(pc, 2) for pc in tangent]))
 
     ps = np.array([p for p, _ in roots])
     slopes = np.array([slope_at[p] for p, _ in roots])
@@ -146,7 +148,6 @@ def _analyze(profile, mu):
     sea_half = _half_sea(profile, mu, [p for p, _ in roots])
     sea = _reflect_sea(sea_half)
 
-    btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
     if any(nu >= 2 for _, nu in roots):
         phase, charge = "non-critical-multiple-root", None
     elif abs(mu - e_min) <= btol or abs(mu - e_max) <= btol:
@@ -267,13 +268,26 @@ def _fermi_integrand(e, T_grid):
     return np.subtract(np.minimum(e, 0.0), y, out=y)
 
 
-def _thermal_pass(profile, mu, T_grid, analysis=None):
-    # Each T's panels halve toward the same features by the same h 2^-k,
-    # deeper at lower T, so the panels of a grid of temperatures largely
-    # coincide, edges bit for bit. One E_grid call on the nodes of the
-    # distinct panels serves every T; each T then sums its own panels'
-    # values, which equal those of an E_grid call on its panels alone.
-    T_grid = _check_temperatures(T_grid)
+def free_energy(profile, mu, T, analysis=None):
+    """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
+
+    f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
+    f. Both come from one pass of specfun's fixed Gauss-Legendre panel
+    rule over panels that halve toward each Fermi point and band
+    extremum, where the thermal integrand kinks as T -> 0, and toward
+    the zone-center cusps; one E_grid call at the 20- and 10-point nodes
+    of every panel serves both. The summed per-panel |Q20 - Q10| is the
+    achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
+    the larger of the two.
+
+    T is a temperature or a 1-D grid of them; a scalar is a grid of one
+    and gives a ThermalResult, a grid a tuple of them. The panels of a
+    grid halve toward the same features by the same h 2^-k, deeper at
+    lower T, so they largely coincide, edges bit for bit: one E_grid
+    call on the distinct panels serves every T, and each T's result is
+    that of a call at that T alone, bit for bit.
+    """
+    T_grid = _check_temperatures([T] if np.ndim(T) == 0 else T)
     if analysis is None:
         analysis = _analyze(profile, mu)
     elif float(mu) != analysis.mu:
@@ -302,33 +316,16 @@ def _thermal_pass(profile, mu, T_grid, analysis=None):
     parts = np.stack([q0[which], q20[row, which], dq0[which], dq[row, which]])
     ends = np.cumsum(sizes).tolist()
     results = []
-    for T, lo, hi in zip(T_grid.tolist(), [0, *ends], ends):
+    for t, lo, hi in zip(T_grid.tolist(), [0, *ends], ends):
         f0, f, *errs = parts[:, lo:hi].sum(axis=-1).tolist()
         for what, err, target in zip(("ground-energy", "free-energy"),
                                      errs, (1e-10, 1e-9)):
             if not err <= target:
                 raise QuadratureError(
                     f"{what} quadrature reached only {err:.3e} (target "
-                    f"{target:.0e}) at T={T}", achieved=err, target=target)
-        results.append(ThermalResult(T=T, f=f, f0=f0, quad_err=max(errs)))
-    return tuple(results)
-
-
-def free_energy(profile, mu, T, analysis=None):
-    """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
-
-    f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
-    f. Both come from one pass of specfun's fixed Gauss-Legendre panel
-    rule over panels that halve toward each Fermi point and band
-    extremum, where the thermal integrand kinks as T -> 0, and toward
-    the zone-center cusps; one E_grid call at the 20- and 10-point nodes
-    of every panel serves both. The summed per-panel |Q20 - Q10| is the
-    achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
-    the larger of the two. This is the thermal pass of
-    low_temperature_fit on a grid of one temperature, so a fit's
-    ThermalResult at T is this call's, bit for bit.
-    """
-    return _thermal_pass(profile, mu, [float(T)], analysis)[0]
+                    f"{target:.0e}) at T={t}", achieved=err, target=target)
+        results.append(ThermalResult(T=t, f=f, f0=f0, quad_err=max(errs)))
+    return results[0] if np.ndim(T) == 0 else tuple(results)
 
 
 def low_temperature_fit(profile, mu, T_grid=None):
@@ -341,8 +338,8 @@ def low_temperature_fit(profile, mu, T_grid=None):
     predicted_coefficient reports the law for the fitted (dominant)
     power; it is None for gapped and boundary phases. T_grid is a 1-D
     grid with at least 4 distinct temperatures; all of them share one
-    thermal pass, whose E_grid call covers the distinct panels of every
-    T once.
+    free_energy pass, whose E_grid call covers the distinct panels of
+    every T once.
     """
     if T_grid is None:
         T_grid = np.geomspace(1e-3, 1e-2, 8)
@@ -351,7 +348,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
         raise DomainError("need at least 4 distinct temperatures to fit")
 
     analysis = _analyze(profile, mu)
-    results = _thermal_pass(profile, mu, T_grid, analysis)
+    results = free_energy(profile, mu, T_grid, analysis)
     gaps = np.array([r.f - r.f0 for r in results])
     if np.any(gaps >= 0.0):
         raise FitRejectedError(

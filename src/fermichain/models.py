@@ -87,11 +87,9 @@ class InteractionModel:
                 "both callable")
         return cls(family="custom-summable", h=h, tail_bound=tail_bound)
 
-    def coupling(self, j, N=None):
-        """h(j) at chord distance j >= 1; N selects the finite-ring form."""
+    def coupling(self, j, N):
+        """h_N(j) at chord distance 1 <= j <= N/2 on the N-site ring."""
         if self.family == "haldane-shastry":
-            if N is None:
-                return 1.0 / (j * j)
             return (math.pi / N) ** 2 / math.sin(math.pi * j / N) ** 2
         if self.family == "finite-range":
             return self.alphas[j - 1] if j <= len(self.alphas) else 0.0
@@ -318,23 +316,39 @@ def half_period_candidates(focus=()):
 
 
 def monotonicity_report(profile):
-    """Scan E' for sign changes on (0, pi), bisect each to 1e-12."""
-    cand = half_period_candidates()
-    d = profile.E1_grid(cand)
+    """Scan E' for sign changes on (0, pi), bisect each to 1e-12.
 
-    roots = []
-    for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0):
-        roots.append(_bisect_sign_change(
-            profile.E1_grid, cand[i], cand[i + 1], d[i], d[i + 1]))
-    roots.extend(cand[np.flatnonzero(d == 0.0)])
+    Finite-range couplings past index _SCAN_CELLS/4 are refused: their
+    E' can change sign faster than the scan resolves.
+    """
+    top = len(profile.model.alphas)
+    if top > _SCAN_CELLS // 4:
+        raise AccuracyError(
+            f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "
+            f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
+            achieved=top, target=_SCAN_CELLS // 4)
+    points = tuple(half_period_zeros(profile.E1_grid, 1e-12))
+    return MonotonicityReport(monotonic=not points, critical_points=points)
 
-    roots = sorted(r for r in roots if 1e-12 < r < math.pi - 1e-12)
-    merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-10:
-            merged.append(r)
-    return MonotonicityReport(monotonic=not merged,
-                              critical_points=tuple(merged))
+
+def half_period_zeros(f, xtol, focus=()):
+    """Zeros of the grid function f on (0, pi), bisected to xtol, sorted.
+
+    A cell of the half_period_candidates(focus) scan brackets a zero
+    when f is negative at one end only, so an exact 0 is an ordinary
+    bracket end. Zeros within 1e-12 of 0 or pi are dropped, and one
+    within 1e-10 of the last zero kept is merged into it.
+    """
+    cand = half_period_candidates(focus)
+    v = f(cand)
+    neg = v < 0.0
+    zeros = []
+    for i in np.flatnonzero(neg[:-1] != neg[1:]):
+        r = _bisect_sign_change(f, cand[i], cand[i + 1], v[i], v[i + 1], xtol)
+        if 1e-12 < r < math.pi - 1e-12 and (
+                not zeros or r - zeros[-1] > 1e-10):
+            zeros.append(r)
+    return zeros
 
 
 # bisection levels of a plain pass of _bisect_sign_change

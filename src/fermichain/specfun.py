@@ -17,7 +17,6 @@ are safe.
 
 import functools
 import math
-import cmath
 
 import numpy as np
 from scipy import special
@@ -191,22 +190,11 @@ def polylog_circle(nu, p):
 # Digamma on the critical line
 
 def digamma_real_part(w):
-    """Re psi(1/2 + i w) by recurrence shift plus the asymptotic series."""
+    """Re psi(1/2 + i w) for finite real w, from scipy.special.psi."""
     w = float(w)
     if not math.isfinite(w):
         raise DomainError("digamma_real_part requires finite w")
-    z = complex(0.5, w)
-    acc = 0.0j
-    while abs(z) < 12.0:
-        acc += 1.0 / z
-        z += 1.0
-    zi2 = 1.0 / (z * z)
-    # psi(z) ~ log z - 1/(2z) - sum B_{2k}/(2k) z^{-2k}
-    series = zi2 * (1.0 / 12.0 + zi2 * (-1.0 / 120.0 + zi2 * (
-        1.0 / 252.0 + zi2 * (-1.0 / 240.0 + zi2 * (
-            1.0 / 132.0 + zi2 * (-691.0 / 32760.0 + zi2 * (1.0 / 12.0)))))))
-    psi = cmath.log(z) - 0.5 / z - series
-    return (psi - acc).real
+    return float(special.psi(complex(0.5, w)).real)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def _parity_sectors(t):
     return (even, n - m), (odd, m)
 
 
-def _checked_spectrum(L, row):
+def _checked_spectrum(row):
+    L = row.size
     eig = eigenvalues_symmetric(row)
     low = float(eig[0])
     high = float(eig[-1])
@@ -216,14 +217,12 @@ def _checked_spectrum(L, row):
 
 def correlation_spectrum(analysis, L):
     """Build and cross-check the L x L spectrum from a critical sea."""
-    L = _check_count(L, "block length")
-    return _checked_spectrum(L, correlation_row(analysis, L))
+    return _checked_spectrum(correlation_row(analysis, L))
 
 
 def correlation_spectrum_finite(model, mu, L, N):
     """Same checks, with the row taken from an N-site ring."""
-    L = _check_count(L, "block length")
-    return _checked_spectrum(L, correlation_row_finite(model, mu, L, N))
+    return _checked_spectrum(correlation_row_finite(model, mu, L, N))
 
 
 def log_det_char(spectrum, lam):

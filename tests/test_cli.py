@@ -311,6 +311,36 @@ def test_library_refusals_exit_one(tmp_path, capsys, argv):
     assert os.listdir(tmp_path) == []
 
 
+FRONT_END_REFUSED = {
+    "coeffs-token": ["phase", "--model", "finite-range", "--coeffs", "1,x",
+                     "--mu", "1"],
+    "alpha-token": ["entropy", *HS2, "--alpha", "one", "--L", "8"],
+    "T-token": ["free-energy", *HS2, "--T", "0.01,warm"],
+    "L-token": ["entropy", *HS2, "--L", "8,ten"],
+    "L-range-two-parts": ["entropy", *HS2, "--L", "8:16"],
+    "L-range-token": ["entropy", *HS2, "--L", "8:x:2"],
+    "L-range-zero-step": ["entropy", *HS2, "--L", "8:16:0"],
+    "T-range-two-parts": ["free-energy", *HS2, "--T", "0.001:0.01"],
+    "T-count-token": ["free-energy", *HS2, "--T", "0.001:0.01:many"],
+    "T-count-one": ["free-energy", *HS2, "--T", "0.001:0.01:1"],
+    "missing-coeffs": ["phase", "--model", "finite-range", "--mu", "1"],
+    "missing-nu": ["phase", "--model", "power-law", "--mu", "1"],
+    "missing-J": ["phase", "--model", "rational-cubic", "--mu", "1"],
+    "grid-points-1": ["dispersion", "--model", "haldane-shastry",
+                      "--grid-points", "1"],
+    "stub-on-phase": ["phase", *HS2, "--gnuplot-stub"],
+}
+
+
+@pytest.mark.parametrize("argv", FRONT_END_REFUSED.values(),
+                         ids=FRONT_END_REFUSED.keys())
+def test_front_end_refusals_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
 def test_exit_two_on_rejected_fit(tmp_path, capsys):
     out = str(tmp_path / "fe.csv")
     code = run(["free-energy", "--model", "haldane-shastry", "--mu", "-0.5",

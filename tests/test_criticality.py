@@ -167,6 +167,44 @@ def test_negative_band_minimum():
     assert circle_components(a.sea) == 1
 
 
+def top_of_band(model):
+    prof = DispersionProfile(model)
+    return prof, prof.E(math.pi)
+
+
+# mu on a zone-edge extremum, where E - mu rounds to 0 on a run of scan
+# points: at the top or bottom of the band a boundary phase with no
+# Fermi point; inside the band a refusal
+ZONE_EDGE = {
+    "hs-top": (hs(), math.pi ** 2 / 2.0, ((0.0, TWO_PI),)),
+    "fr-0.1-top": (DispersionProfile(InteractionModel.finite_range(
+        (1.0, 0.1))), 4.0, ((0.0, TWO_PI),)),
+    "rc-0.6-top": (*top_of_band(InteractionModel.rational_cubic(0.6)),
+                   ((0.0, TWO_PI),)),
+    "pl-3.9-top": (*top_of_band(InteractionModel.power_law(3.9)),
+                   ((0.0, TWO_PI),)),
+    "fr-0.1-bottom": (DispersionProfile(InteractionModel.finite_range(
+        (1.0, 0.1))), 0.0, ()),
+    "pl-2.5-bottom": (DispersionProfile(InteractionModel.power_law(2.5)),
+                      0.0, ()),
+    "fr-0.5-inside": (fig8(), 4.0, None),
+    "fr-0.5-inside-off": (fig8(), 4.0 + 1e-13, None),
+    "fr-neg-0.5-inside": (DispersionProfile(InteractionModel.finite_range(
+        (1.0, -0.5))), 0.0, None),
+}
+
+
+@pytest.mark.parametrize("prof, mu, sea", ZONE_EDGE.values(),
+                         ids=ZONE_EDGE.keys())
+def test_zone_edge_tangency(prof, mu, sea):
+    if sea is None:
+        with pytest.raises(DomainError, match="zone edge"):
+            fermi_points(prof, mu)
+        return
+    a = fermi_points(prof, mu)
+    assert (a.phase, a.roots, a.sea) == ("boundary", (), sea)
+
+
 # ---------------------------------------------------------------------------
 # free energy
 
@@ -392,10 +430,10 @@ def test_thermal_pass_same_bits_in_temperature_blocks(monkeypatch, prof,
     # f's integrand array goes a block of temperatures at a time; the
     # block size changes no result
     grid = np.geomspace(1e-4, 1e-1, 30)
-    whole = criticality._thermal_pass(prof, mu, grid)
+    whole = free_energy(prof, mu, grid)
     for values in (1, 3 * 30 * 173):
         monkeypatch.setattr(criticality, "_BLOCK_VALUES", values)
-        assert criticality._thermal_pass(prof, mu, grid) == whole
+        assert free_energy(prof, mu, grid) == whole
 
 
 def _distinct_panels(prof, mu, T_grid):
@@ -506,6 +544,35 @@ def test_fermi_integrand_matches_logaddexp(T):
     assert np.all((err <= 5e-16 * np.abs(want)) | (err <= 1e-300))
     if T <= 1e-2:
         assert np.any(np.abs(e) / T > 745.0)
+
+
+@pytest.mark.parametrize("T", [1e-6, 1e-3, 1e-2, 1.0])
+def test_fermi_integrand_against_exact_value(T):
+    # node values against -T log(1 + e^{-e/T}) of the float e and T at
+    # 40 digits. The criterion is 4e-16 relative or 1e-300 absolute. It
+    # holds where e <= 0, and where T is a power of 2, so that e/T is
+    # exact. Elsewhere, for e > 0, it is not met once e/T exceeds about
+    # 4: the rounding of e/T alone moves exp(-e/T) by up to (e/T) 2^-53
+    # relative (5.6e-14 at T = 1e-6, e = 6.1e-4), so that rounding is
+    # allowed on top of the criterion there.
+    mpmath = pytest.importorskip("mpmath")
+    mag = np.concatenate([[0.0, 1e-300, 1e-20, 5e-324],
+                          np.geomspace(1e-12, 10.0, 200),
+                          T * np.array([36.7, 707.9, 708.0, 708.1, 745.0,
+                                        745.2, 800.0])])
+    e = np.concatenate([mag, -mag])
+    e = e[np.abs(e) <= 10.0]
+    got = criticality._fermi_integrand(e, np.array([T]))[0]
+    with mpmath.workdps(40):
+        t = mpmath.mpf(T)
+        want = [-t * mpmath.log1p(mpmath.exp(-mpmath.mpf(x) / t)) for x in e]
+        err = np.array([float(abs(mpmath.mpf(g) - w))
+                        for g, w in zip(got, want)])
+        ref = np.array([float(abs(w)) for w in want])
+    quotient = 0.0 if math.frexp(T)[0] == 0.5 else 2.0 ** -53
+    bound = 4e-16 + np.where(e > 0.0, e / T * quotient, 0.0)
+    assert np.all((err <= bound * ref) | (err <= 1e-300))
+    assert np.any(np.abs(e) / T > 745.0) or T == 1.0
 
 
 def test_free_energy_at_very_low_temperature():

@@ -9,6 +9,7 @@ from fermichain.models import (
     InteractionModel,
     _bisect_sign_change,
     half_period_candidates,
+    half_period_zeros,
     mode_energies,
     monotonicity_report,
 )
@@ -402,6 +403,25 @@ def test_near_threshold_root_close_to_zone_edge():
     assert rep.critical_points[0] == pytest.approx(want, abs=1e-9)
 
 
+def test_scan_refuses_harmonics_finer_than_its_cells():
+    # (1, 0, ..., 0, a_j) with j a_j = 4/3 has j - 1 sign changes of E'
+    # on (0, pi). The 4096-cell scan misses some of them from about
+    # j = 2048 on, so a top harmonic above j = 1024 is refused.
+    def model(j):
+        return fr(1.0, *[0.0] * (j - 2), 4.0 / (3.0 * j))
+
+    prof = DispersionProfile(model(64))
+    assert len(monotonicity_report(prof).critical_points) == 63
+    prof = DispersionProfile(model(1025))
+    with pytest.raises(AccuracyError, match="1025"):
+        monotonicity_report(prof)
+    with pytest.raises(AccuracyError):
+        fermi_points(prof, 1.0)
+    assert prof.E(1.0) == pytest.approx(
+        2.0 * (1.0 - math.cos(1.0))
+        + 8.0 / 3075.0 * (1.0 - math.cos(1025.0)), abs=1e-14)
+
+
 def test_slope_ratio_increases_to_2_log_2():
     # phi(p) = 2 Im Li_2(e^{ip}) / (pi - p) climbs monotonically to 2 log 2
     ps = np.linspace(0.05, math.pi - 1e-4, 50)
@@ -460,6 +480,21 @@ def test_grid_bisection_of_slope_matches_scalar_bisection():
                               d[i + 1])
     assert got == scalar_bisection(prof.E1, cand[i], cand[i + 1], d[i], 1e-12)
     assert monotonicity_report(prof).critical_points == (got,)
+
+
+def test_half_period_zeros_rule():
+    # an exact 0 on the scan grid is an ordinary bracket end; a zero
+    # that touches 0 without a sign change is none; zeros within 1e-12
+    # of 0 or pi drop, and zeros closer than 1e-10 merge
+    c = float(half_period_candidates()[1000])
+    (z,) = half_period_zeros(lambda p: p - c, 1e-13)
+    assert abs(z - c) <= 1e-13
+    assert half_period_zeros(lambda p: (p - c) ** 2, 1e-13) == []
+    assert half_period_zeros(lambda p: p - 5e-13, 1e-13) == []
+    assert half_period_zeros(lambda p: (math.pi - 5e-13) - p, 1e-13) == []
+    pair = half_period_zeros(
+        lambda p: (p - (c + 1e-11)) * (p - (c + 6e-11)), 1e-13, [c])
+    assert len(pair) == 1 and abs(pair[0] - (c + 1e-11)) <= 1e-13
 
 
 def test_grid_bisection_exact_midpoint_and_empty_bracket():

@@ -112,6 +112,21 @@ def test_polylog_domain():
             polylog_circle(2.0, p)
 
 
+def test_polylog_reduces_momenta_outside_the_zone():
+    for nu, p in ((2.0, 1.0), (3.5, 0.25), (1.5, 5.0)):
+        want = polylog_circle(nu, p)
+        for shifted in (p + 2.0 * math.pi, p - 2.0 * math.pi,
+                        p + 6.0 * math.pi, p - 4.0 * math.pi):
+            got = polylog_circle(nu, shifted)
+            assert abs(got - want) <= 1e-13 * abs(want), (nu, shifted)
+
+
+def test_digamma_refuses_nonfinite_w():
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            digamma_real_part(w)
+
+
 def test_digamma_frozen_values():
     assert digamma_real_part(1.0) == pytest.approx(PSI_HALF_PLUS_I, abs=1e-13)
     assert digamma_real_part(2.5) == pytest.approx(PSI_HALF_PLUS_2p5I, abs=1e-13)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from fermichain.cli import run
 from fermichain.criticality import fermi_points
 from fermichain.errors import (
+    AccuracyError,
     DegenerateGroundStateError,
     DomainError,
     EigenConvergenceError,
@@ -329,6 +330,28 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
                 "--L", "8", "--output", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not os.path.exists(tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("shift, gate", [
+    (lambda eig: np.append(eig[:-1], 1.0 + 2e-10), "leave"),
+    (lambda eig: eig + 1e-8 * (eig > 0.25) * (eig < 0.75), "trace")],
+    ids=["range", "trace"])
+def test_spectrum_gates_refuse(monkeypatch, tmp_path, capsys, shift, gate):
+    # an eigensolver whose output leaves [0, 1] or misses the trace is
+    # refused by the gates, and the CLI exits 2 with no output written
+    solve = spectral.eigenvalues_symmetric
+    monkeypatch.setattr(spectral, "eigenvalues_symmetric",
+                        lambda row: shift(solve(row)))
+    with pytest.raises(AccuracyError, match=gate):
+        correlation_spectrum(hs_analysis(), 16)
+    with pytest.raises(AccuracyError, match=gate):
+        correlation_spectrum_finite(InteractionModel.haldane_shastry(),
+                                    3.0, 16, 64)
+    out = tmp_path / "s.csv"
+    assert run(["entropy", "--model", "haldane-shastry", "--mu", "2",
+                "--L", "16", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == []
 
 
 def test_eigensolver_validation():
