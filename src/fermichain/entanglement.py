@@ -12,12 +12,11 @@ rule, one integrand for every alpha, and a digamma-weighted integral on
 adaptive quad.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .models import _check_count
@@ -90,13 +89,22 @@ def i1(alpha):
 # ---------------------------------------------------------------------------
 # the universal constant, hyperbolic-kernel form
 
-# csch x - 1/x = sum_k _CSCH_SERIES[k] x^{2k+1}, with coefficients
+# csch x - 1/x = sum_k _csch_series()[k] x^{2k+1}, with coefficients
 # (-1)^{k+1} (2 - 4^{-k}) zeta(2k+2) / pi^{2k+2} (the Bernoulli form
 # through special.bernoulli is 1.7e-12 off at k = 1); 13 terms reach
 # 1e-18 at x <= 1/2
 _K = np.arange(13)
-_CSCH_SERIES = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
-                * special.zeta(2 * _K + 2) / math.pi ** (2 * _K + 2))
+
+
+@functools.cache
+def _csch_series():
+    # built on first use, so that importing the module loads no
+    # scipy.special, and shared read-only by every caller
+    from scipy import special
+    coef = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
+            * special.zeta(2 * _K + 2) / math.pi ** (2 * _K + 2))
+    coef.flags.writeable = False
+    return coef
 
 
 def _xcsch(x):
@@ -124,7 +132,7 @@ def c_tilde(alpha):
     # (m/alpha)^j with s = t/m: no factor exceeds 1, so none overflows
     odd = 2 * _K[:, None] + 1
     j = np.arange(26)
-    coef = _CSCH_SERIES * np.where(
+    coef = _csch_series() * np.where(
         j <= odd, m ** np.maximum(odd - j, 0) * (m / alpha) ** j,
         0.0).sum(axis=1)
 
@@ -182,6 +190,7 @@ def _s_alpha_exponential(alpha, w):
 
 def c_tilde_oracle(alpha):
     """c_tilde via the digamma-weighted eigenvalue-density integral."""
+    from scipy.integrate import quad
     alpha = _check_alpha(alpha)
     rate = 2.0 * math.pi * min(1.0, alpha)
     w_hi = 40.0 / rate + 2.0

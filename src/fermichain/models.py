@@ -7,6 +7,7 @@ even N); the thermodynamic limit gives E(p) on [0, 2*pi] together with
 its first two derivatives. Models are immutable after construction.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,11 +128,19 @@ def mode_energies(model, N):
 # P(t) = sum_k zeta(2k) t^k / (k (2k+1) (2 pi)^{2k}); (theta/2pi)^2 <= 1/4
 # on the half period, so 24 terms suffice. P has no constant term.
 
-_CL_K = np.arange(1, 25, dtype=float)
-_CL_Z = np.array([zeta(2.0 * k) for k in _CL_K])
-_CL2_COEF = np.concatenate([[0.0], _CL_Z / (
-    _CL_K * (2.0 * _CL_K + 1.0) * _TWO_PI ** (2.0 * _CL_K))])
 _LOG2 = math.log(2.0)
+
+
+@functools.cache
+def _cl2_coef():
+    # the coefficients of P, built on first use (zeta loads scipy.special)
+    # and shared read-only by every caller
+    k = np.arange(1, 25, dtype=float)
+    z = np.array([zeta(2.0 * j) for j in k])
+    coef = np.concatenate([[0.0], z / (k * (2.0 * k + 1.0)
+                                      * _TWO_PI ** (2.0 * k))])
+    coef.flags.writeable = False
+    return coef
 
 
 def _clausen2_near_pi_slope(u):
@@ -143,7 +152,8 @@ def _clausen2_near_pi_slope(u):
     # monotonicity threshold; the naive difference of two O(pi-p) terms has
     # absolute noise that flips signs on fine scans.
     u2 = np.square(np.asarray(u, dtype=float))
-    return _LOG2 + _horner(_CL2_COEF, u2) - _horner(_CL2_COEF, 4.0 * u2)
+    coef = _cl2_coef()
+    return _LOG2 + _horner(coef, u2) - _horner(coef, 4.0 * u2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,18 @@ smooth integral (the free energy and c_tilde).
 
 scipy.special.zeta is the only zeta: it gives zeta(nu), the coefficients
 of the polylog series at any argument, and the Hurwitz tail of the
-Barnes sum. All routines are pure functions of their arguments; the one
-piece of shared state is an lru_cache of per-order polylog constants,
-which are themselves pure functions of the order, so concurrent calls
-are safe.
+Barnes sum. scipy.special is imported by the functions that call it, so
+a caller that needs none of them never loads it. All routines are pure
+functions of their arguments. The shared state is three caches of
+read-only constants: the per-order polylog constants here, the Clausen
+coefficients in models and the csch series in entanglement. Each is a
+pure function of its arguments, so concurrent calls are safe.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -34,6 +35,7 @@ _TWO_PI = 2.0 * math.pi
 
 def zeta(nu):
     """zeta(nu) for real nu > 1."""
+    from scipy import special
     nu = float(nu)
     if not nu > 1.0:
         raise DomainError(f"zeta requires nu > 1, got {nu}")
@@ -90,6 +92,7 @@ def _series_constants(s):
     bracket is H_m - log(-iq). For 1 < s <= 25 both forms measure within
     1e-13 of mpmath at 30 digits on either side of the switch.
     """
+    from scipy import special
     k = np.arange(100.0)
     coef = special.zeta(s - k) / special.factorial(k)
     n = round(s)
@@ -191,6 +194,7 @@ def polylog_circle(nu, p):
 
 def digamma_real_part(w):
     """Re psi(1/2 + i w) for finite real w, from scipy.special.psi."""
+    from scipy import special
     w = float(w)
     if not math.isfinite(w):
         raise DomainError("digamma_real_part requires finite w")
@@ -211,6 +215,7 @@ def log_barnes_pair(beta):
     the first four tail orders are restored analytically, leaving a
     residual below 1e-13 on the whole strip.
     """
+    from scipy import special
     b = complex(beta)
     if abs(b.real) >= 0.5:
         raise DomainError(f"log_barnes_pair requires |Re beta| < 1/2, got {b}")
@@ -282,6 +287,14 @@ def _check_alpha(alpha):
     return alpha
 
 
+def _xlogx(q):
+    # q log q over an array q >= 0, 0 at q = 0, through libm's log
+    # (math.log): the bits of scipy.special.xlogy(q, q). numpy's vector
+    # log can round differently in the last place on SIMD hosts.
+    logs = map(math.log, np.where(q > 0.0, q, 1.0).ravel().tolist())
+    return q * np.array(list(logs)).reshape(q.shape)
+
+
 def entropy_kernel(alpha, x):
     """s_alpha(x) for x = 2*lambda - 1 in [-1, 1], over an array x.
 
@@ -308,7 +321,7 @@ def entropy_kernel(alpha, x):
         if math.isinf(alpha):
             s = -np.log(qmax)
         elif u == 0.0:
-            s = -(special.xlogy(qmax, qmax) + special.xlogy(qmin, qmin))
+            s = -(_xlogx(qmax) + _xlogx(qmin))
         elif abs(u) < 0.5:
             s = np.where(qmin > 0.0, -np.log1p(
                 qmax * np.expm1(u * np.log(qmax))

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt, dsbevd
 
 from .errors import (
     AccuracyError,
@@ -125,7 +124,8 @@ def _sector_eigenvalues(A, n):
     # Eigenvalues of the leading n x n block of A, a symmetric matrix of
     # a multiple of _PANEL rows that is zero outside that block.  A is
     # overwritten.
-    #
+    from scipy.linalg.lapack import dgeqrt, dsbevd
+
     # Stage 1, to bandwidth _PANEL: dgeqrt factors the _PANEL columns
     # below the band as Q R with Q = I - V T V^T, R goes into the band,
     # and the trailing block C becomes Q^T C Q = C - V Y^T - Y V^T with

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -507,3 +509,42 @@ def test_main_exits_with_run_code(tmp_path, monkeypatch):
         main()
     assert exc.value.code == 0
     assert os.path.exists(out)
+
+
+_IMPORT_PROBE = """
+import json, sys
+import fermichain
+from fermichain import cli
+SCIPY = ("scipy.special", "scipy.integrate", "scipy.linalg")
+seen = {"import": [m for m in SCIPY if m in sys.modules]}
+assert cli.run(["phase", "--model", "haldane-shastry", "--mu", "2"]) == 0
+assert cli.run(["free-energy", "--model", "finite-range", "--coeffs", "1,0.5",
+                "--mu", "4.25", "--fit"]) == 0
+seen["hs_fr"] = [m for m in SCIPY if m in sys.modules]
+assert cli.run(["entropy", "--model", "haldane-shastry", "--mu", "2",
+                "--L", "64", "--alpha", "0.5,1,inf", "--compare"]) == 0
+seen["entropy"] = [m for m in SCIPY if m in sys.modules]
+fermichain.c_tilde_oracle(1.0)
+seen["oracle"] = [m for m in SCIPY if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_commands_import_only_the_scipy_they_call(tmp_path):
+    # a fresh process: importing fermichain and the haldane-shastry and
+    # finite-range commands load no scipy module; entropy loads linalg
+    # (the spectrum) and special (c_tilde), and only c_tilde_oracle
+    # loads integrate
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                           cwd=tmp_path, capture_output=True, text=True,
+                           check=True)
+    seen = json.loads(probe.stdout)
+    assert seen["import"] == []
+    assert seen["hs_fr"] == []
+    assert seen["entropy"] == ["scipy.special", "scipy.linalg"]
+    assert seen["oracle"] == ["scipy.special", "scipy.integrate",
+                              "scipy.linalg"]

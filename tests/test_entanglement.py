@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from fermichain.criticality import fermi_points
 from fermichain.entanglement import (
     EntropyReport,
+    _csch_series,
     c_tilde,
     c_tilde_oracle,
     f_factor,
@@ -184,6 +186,27 @@ def test_c_tilde_frozen_values():
         assert c_tilde(alpha) == pytest.approx(want, abs=1e-9)
     assert c_tilde(0.37) == pytest.approx(CT_037, abs=1e-9)
     assert c_tilde(5.0) == pytest.approx(CT_5, abs=1e-9)
+
+
+def test_csch_series_cached_read_only():
+    # the defining expression, written out with scipy.special, to the bit
+    k = np.arange(13)
+    want = ((-1.0) ** (k + 1) * (2.0 - 4.0 ** -k)
+            * special.zeta(2 * k + 2) / math.pi ** (2 * k + 2))
+    coef = _csch_series()
+    assert coef is _csch_series()
+    assert np.array_equal(coef, want)
+    with pytest.raises(ValueError):
+        coef[0] = 0.0
+    # zeta(2k + 2) against 40 digits; the reference takes pi as the same
+    # double, so only zeta and the float arithmetic are measured
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        pi = mpmath.mpf(math.pi)
+        for j in range(13):
+            ref = ((-1) ** (j + 1) * (2 - mpmath.mpf(4) ** -j)
+                   * mpmath.zeta(2 * j + 2) / pi ** (2 * j + 2))
+            assert abs(coef[j] / ref - 1) < 1e-15, j
 
 
 def test_c_tilde_oracle_frozen_values():

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
     DispersionProfile,
     InteractionModel,
     _bisect_sign_change,
+    _cl2_coef,
     half_period_candidates,
     half_period_zeros,
     mode_energies,
@@ -222,6 +224,27 @@ def test_rational_cubic_matches_mpmath():
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose([prof.E(x) for x in p], want_e,
                                    rtol=0, atol=1e-12)
+
+
+def test_clausen_coefficients_cached_read_only():
+    # the defining expression, written out with scipy.special, to the bit
+    k = np.arange(1, 25, dtype=float)
+    z = np.array([float(special.zeta(2.0 * j)) for j in k])
+    want = np.concatenate([[0.0], z / (
+        k * (2.0 * k + 1.0) * TWO_PI ** (2.0 * k))])
+    coef = _cl2_coef()
+    assert coef is _cl2_coef()
+    assert np.array_equal(coef, want)
+    with pytest.raises(ValueError):
+        coef[1] = 0.0
+    # zeta(2k) against 40 digits; the reference takes 2 pi as the same
+    # double, so only zeta and the float arithmetic are measured
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        two_pi = mpmath.mpf(TWO_PI)
+        for j in range(1, 25):
+            ref = mpmath.zeta(2 * j) / (j * (2 * j + 1) * two_pi ** (2 * j))
+            assert abs(coef[j] / ref - 1) < 1e-15, j
 
 
 @pytest.mark.parametrize("nu", [1.0001, 1.6, 2.5, 3.9])

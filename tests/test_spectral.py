@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 
 from fermichain.cli import run
 from fermichain.criticality import fermi_points
@@ -305,14 +306,14 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
     taus = []
-    lapack_dgeqrt = spectral.dgeqrt
+    lapack_dgeqrt = lapack.dgeqrt
 
     def dgeqrt(nb, a):
         qr, T, info = lapack_dgeqrt(nb, a)
         taus.append(np.diag(T).copy())
         return qr, T, info
 
-    monkeypatch.setattr(spectral, "dgeqrt", dgeqrt)
+    monkeypatch.setattr(lapack, "dgeqrt", dgeqrt)
     got = _sector_eigenvalues(A)
     assert np.all(taus[0][:10] == 0.0) and taus[0][10] != 0.0
     want = np.linalg.eigh(A)[0]
@@ -322,7 +323,7 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
     # nonzero after its sweep budget
-    monkeypatch.setattr(spectral, "dsbevd",
+    monkeypatch.setattr(lapack, "dsbevd",
                         lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
