@@ -6,8 +6,8 @@ sweeps, determinant-asymptotics checks and the universal constants.
 Output is written atomically (temp file + rename) and is byte-stable
 for a fixed config, except for the meta.runtime_s field in JSON.
 
-Exit codes: 0 success, 1 invalid input or domain error, 2 numerical
-non-convergence.
+Exit codes: 0 success, 1 invalid input, domain error or an output that
+cannot be written, 2 numerical non-convergence.
 """
 
 import argparse
@@ -37,12 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _fmt_float(x):
-    if math.isfinite(x):
-        return "%.17g" % x
-    return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-
-
 def _fmt_cell(x):
     if x is None:
         return ""
@@ -52,7 +46,7 @@ def _fmt_cell(x):
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return _fmt_float(float(x))
+    return "%.17g" % x
 
 
 def _json_ready(obj):
@@ -64,7 +58,7 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else _fmt_float(obj)
+        return float(obj) if math.isfinite(obj) else "%.17g" % obj
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -87,78 +81,63 @@ def _write_text(path, text):
 
 
 # ---------------------------------------------------------------------------
-# flag parsing and config-file merging
+# flag parsing and config-file merging: argparse converts and defaults
+# every flag; a converter's refusal comes back as "argument --FLAG: ..."
 
-def _parse_float_token(tok):
-    tok = tok.strip()
-    if tok.lower() in ("inf", "infinity"):
-        return math.inf
+def _values(spec, kind=float):
+    # comma separated; float() reads inf, Infinity and nan in any case
     try:
-        return float(tok)
+        vals = tuple(kind(t) for t in spec.split(",") if t.strip())
     except ValueError:
-        raise DomainError(f"not a number: {tok!r}") from None
-
-
-def _parse_float_list(spec):
-    vals = [_parse_float_token(t) for t in str(spec).split(",") if t.strip()]
+        raise argparse.ArgumentTypeError(
+            f"not a list of {kind.__name__}: {spec!r}") from None
     if not vals:
-        raise DomainError(f"empty value list: {spec!r}")
-    return tuple(vals)
-
-
-def _parse_int_list(spec):
-    spec = str(spec)
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"range spec must be min:max:step, got {spec!r}")
-        try:
-            lo, hi, step = (int(p) for p in parts)
-        except ValueError:
-            raise DomainError(f"non-integer range spec: {spec!r}") from None
-        if lo < 1 or step < 1 or hi < lo:
-            raise DomainError(f"bad range spec: {spec!r}")
-        return tuple(range(lo, hi + 1, step))
-    try:
-        vals = tuple(int(t) for t in spec.split(",") if t.strip())
-    except ValueError:
-        raise DomainError(f"non-integer list: {spec!r}") from None
-    if not vals:
-        raise DomainError(f"empty value list: {spec!r}")
+        raise argparse.ArgumentTypeError(f"empty value list: {spec!r}")
     return vals
 
 
-def _parse_temperature_spec(spec):
-    spec = str(spec)
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(
-                f"temperature spec must be min:max:count, got {spec!r}")
-        lo = _parse_float_token(parts[0])
-        hi = _parse_float_token(parts[1])
-        try:
-            n = int(parts[2])
-        except ValueError:
-            raise DomainError(f"non-integer grid count: {parts[2]!r}") from None
-        if not (0.0 < lo < hi) or n < 2:
-            raise DomainError(f"bad temperature spec: {spec!r}")
-        return tuple(float(t) for t in np.geomspace(lo, hi, n))
-    return _parse_float_list(spec)
+def _range(spec, form, kinds):
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"range must be {form}: {spec!r}")
+    try:
+        return tuple(kind(p) for kind, p in zip(kinds, parts))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range {form} has a malformed part: {spec!r}") from None
+
+
+def _sizes(spec):
+    if ":" not in spec:
+        return _values(spec, int)
+    lo, hi, step = _range(spec, "min:max:step", (int, int, int))
+    if lo < 1 or step < 1 or hi < lo:
+        raise argparse.ArgumentTypeError(f"bad range spec: {spec!r}")
+    return tuple(range(lo, hi + 1, step))
+
+
+def _temperatures(spec):
+    if ":" not in spec:
+        return _values(spec)
+    lo, hi, n = _range(spec, "min:max:count", (float, float, int))
+    if not (0.0 < lo < hi < math.inf) or n < 2:
+        raise argparse.ArgumentTypeError(f"bad temperature spec: {spec!r}")
+    return tuple(float(t) for t in np.geomspace(lo, hi, n))
 
 
 @functools.cache
 def _build_parser():
+    # a list default is converted once, here, as its flag value would be
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--model", choices=[
         "haldane-shastry", "finite-range", "power-law", "rational-cubic"])
-    model_flags.add_argument("--coeffs")
+    model_flags.add_argument("--coeffs", type=_values)
     model_flags.add_argument("--nu", type=float)
     model_flags.add_argument("--C", type=float)
     model_flags.add_argument("--J", type=float)
 
     out_flags = argparse.ArgumentParser(add_help=False)
-    out_flags.add_argument("--format", choices=["csv", "json"])
+    out_flags.add_argument("--format", choices=["csv", "json"], default="csv")
     out_flags.add_argument("--output")
     out_flags.add_argument("--config")
     out_flags.add_argument("--gnuplot-stub", action="store_true")
@@ -169,7 +148,7 @@ def _build_parser():
 
     p = sub.add_parser("dispersion", parents=[model_flags, out_flags],
                        help="tabulate E, E', E'' over one period")
-    p.add_argument("--grid-points", type=int)
+    p.add_argument("--grid-points", type=int, default=256)
 
     p = sub.add_parser("phase", parents=[model_flags, out_flags],
                        help="Fermi points and phase at a chemical potential")
@@ -178,26 +157,28 @@ def _build_parser():
     p = sub.add_parser("free-energy", parents=[model_flags, out_flags],
                        help="thermal free energy over a temperature grid")
     p.add_argument("--mu", type=float)
-    p.add_argument("--T")
+    p.add_argument("--T", type=_temperatures,
+                   default=_temperatures("1e-3:1e-2:8"))
     p.add_argument("--fit", action="store_true")
 
     p = sub.add_parser("entropy", parents=[model_flags, out_flags],
                        help="block entropies over an L sweep")
     p.add_argument("--mu", type=float)
-    p.add_argument("--alpha")
-    p.add_argument("--L")
+    p.add_argument("--alpha", type=_values, default=_values("1"))
+    p.add_argument("--L", type=_sizes)
     p.add_argument("--compare", action="store_true")
 
     p = sub.add_parser("fh-check", parents=[model_flags, out_flags],
                        help="determinant asymptotics deviation over L")
     p.add_argument("--mu", type=float)
-    p.add_argument("--L")
-    p.add_argument("--lambda-re", type=float)
-    p.add_argument("--lambda-im", type=float)
+    p.add_argument("--L", type=_sizes, default=_sizes("8,16,32,64,128"))
+    p.add_argument("--lambda-re", type=float, default=3.0)
+    p.add_argument("--lambda-im", type=float, default=0.0)
 
     p = sub.add_parser("constants", parents=[out_flags],
                        help="universal entropy constants per Renyi order")
-    p.add_argument("--alpha")
+    p.add_argument("--alpha", type=_values,
+                   default=_values("0.25,0.5,1,2,3,10,inf"))
 
     return parser
 
@@ -239,69 +220,62 @@ def _config_flags(parser, command, path):
 
 
 def _resolve_model(args):
-    family = getattr(args, "model", None)
+    family = args.model
     if family is None:
         raise DomainError("a --model family is required")
     if family == "haldane-shastry":
         return InteractionModel.haldane_shastry()
     if family == "finite-range":
-        if getattr(args, "coeffs", None) is None:
+        if args.coeffs is None:
             raise DomainError("finite-range needs --coeffs a1,a2,...")
-        return InteractionModel.finite_range(_parse_float_list(args.coeffs))
+        return InteractionModel.finite_range(args.coeffs)
     if family == "power-law":
-        if getattr(args, "nu", None) is None:
+        if args.nu is None:
             raise DomainError("power-law needs --nu")
-        c = args.C if getattr(args, "C", None) is not None else 1.0
-        return InteractionModel.power_law(float(args.nu), C=float(c))
-    if family == "rational-cubic":
-        if getattr(args, "J", None) is None:
-            raise DomainError("rational-cubic needs --J")
-        return InteractionModel.rational_cubic(float(args.J))
-    raise DomainError(f"unknown model family {family!r}")
+        # without --C the library's own amplitude default applies
+        amplitude = {} if args.C is None else {"C": args.C}
+        return InteractionModel.power_law(args.nu, **amplitude)
+    if args.J is None:                     # rational-cubic, by the choices
+        raise DomainError("rational-cubic needs --J")
+    return InteractionModel.rational_cubic(args.J)
 
 
 def _model_config(args):
-    cfg = {"family": getattr(args, "model", None)}
-    for key in ("coeffs", "nu", "C", "J"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = _parse_float_list(val) if key == "coeffs" else float(val)
-    return cfg
+    # run() drops the flags left unset (None) from the JSON config
+    return {"family": args.model, "coeffs": args.coeffs, "nu": args.nu,
+            "C": args.C, "J": args.J}
 
 
-def _need_mu(args):
-    if getattr(args, "mu", None) is None:
+def _profile_at_mu(args):
+    # the dispersion profile and the config of a command at --mu
+    model = _resolve_model(args)
+    if args.mu is None:
         raise DomainError("--mu is required")
-    return float(args.mu)
+    return DispersionProfile(model), {**_model_config(args), "mu": args.mu}
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (config, header, rows, json_results, plot_cols)
+# subcommands: each returns (config, header, rows, json_results, plot_cols);
+# json_results None stands for the table itself
 
 def _cmd_dispersion(args):
-    model = _resolve_model(args)
-    prof = DispersionProfile(model)
-    n = args.grid_points if args.grid_points is not None else 256
+    prof = DispersionProfile(_resolve_model(args))
+    n = args.grid_points
     if n < 2:
         raise DomainError(f"--grid-points must be at least 2, got {n}")
-    ps = np.linspace(0.0, 2.0 * math.pi, int(n))
+    ps = np.linspace(0.0, 2.0 * math.pi, n)
     e = prof.E_grid(ps)
     e1 = prof.E1_grid(ps)
     e2 = prof.E2_grid(ps)
     rows = [[float(p), float(ev), float(dv), float(d2v)]
             for p, ev, dv, d2v in zip(ps, e, e1, e2)]
-    cfg = _model_config(args)
-    cfg["grid_points"] = int(n)
-    header = ["p", "E", "dE", "d2E"]
-    return cfg, header, rows, {"columns": header, "rows": rows}, (1, 2)
+    cfg = {**_model_config(args), "grid_points": n}
+    return cfg, ["p", "E", "dE", "d2E"], rows, None, (1, 2)
 
 
 def _cmd_phase(args):
-    model = _resolve_model(args)
-    mu = _need_mu(args)
-    a = fermi_points(DispersionProfile(model), mu)
-    cfg = _model_config(args)
-    cfg["mu"] = mu
+    prof, cfg = _profile_at_mu(args)
+    a = fermi_points(prof, args.mu)
     header = ["phase", "central_charge", "e_min", "e_max",
               "root_index", "p", "nu", "velocity"]
     base = [a.phase, a.central_charge, a.e_min, a.e_max]
@@ -323,26 +297,19 @@ def _cmd_phase(args):
 
 
 def _cmd_free_energy(args):
-    model = _resolve_model(args)
-    mu = _need_mu(args)
-    prof = DispersionProfile(model)
-    if getattr(args, "T", None) is not None:
-        temps = _parse_temperature_spec(args.T)
-    else:
-        temps = tuple(float(t) for t in np.geomspace(1e-3, 1e-2, 8))
+    prof, cfg = _profile_at_mu(args)
     if args.fit:
-        fit = low_temperature_fit(prof, mu, T_grid=temps)
+        fit = low_temperature_fit(prof, args.mu, T_grid=args.T)
         thermal = fit.thermal
     else:
         fit = None
-        thermal = free_energy(prof, mu, temps)
+        thermal = free_energy(prof, args.mu, args.T)
     header = ["T", "f", "f0", "fit_exponent", "fit_coefficient",
               "fit_predicted"]
     tail = ([fit.exponent, fit.coefficient, fit.predicted_coefficient]
             if fit is not None else [None, None, None])
     rows = [[r.T, r.f, r.f0] + tail for r in thermal]
-    cfg = _model_config(args)
-    cfg.update({"mu": mu, "T_values": temps, "fit": bool(args.fit)})
+    cfg.update({"T_values": args.T, "fit": args.fit})
     results = {
         "table": {"columns": header[:3],
                   "rows": [[r.T, r.f, r.f0] for r in thermal]},
@@ -357,61 +324,40 @@ def _cmd_free_energy(args):
 
 
 def _cmd_entropy(args):
-    model = _resolve_model(args)
-    mu = _need_mu(args)
-    if getattr(args, "L", None) is None:
+    prof, cfg = _profile_at_mu(args)
+    if args.L is None:
         raise DomainError("--L is required (min:max:step or comma list)")
-    sizes = _parse_int_list(args.L)
-    alphas = (_parse_float_list(args.alpha)
-              if getattr(args, "alpha", None) is not None else (1.0,))
-    compare = bool(args.compare)
-    prof = DispersionProfile(model)
-    analysis = fermi_points(prof, mu)
+    analysis = fermi_points(prof, args.mu)
     rows = []
-    for L in sizes:
-        spectrum = correlation_spectrum(analysis, int(L))
-        for alpha in alphas:
-            if compare:
-                rep = renyi_asymptotic(analysis, int(L), alpha,
-                                       spectrum=spectrum)
-                rows.append([int(L), alpha, rep.s_exact, rep.s_asymptotic,
+    for L in args.L:
+        spectrum = correlation_spectrum(analysis, L)
+        for alpha in args.alpha:
+            if args.compare:
+                rep = renyi_asymptotic(analysis, L, alpha, spectrum=spectrum)
+                rows.append([L, alpha, rep.s_exact, rep.s_asymptotic,
                              rep.r_L])
             else:
-                rows.append([int(L), alpha, renyi_exact(spectrum, alpha),
+                rows.append([L, alpha, renyi_exact(spectrum, alpha),
                              None, None])
-    cfg = _model_config(args)
-    cfg.update({"mu": mu, "alpha": alphas, "L_values": sizes,
-                "compare": compare})
+    cfg.update({"alpha": args.alpha, "L_values": args.L,
+                "compare": args.compare})
     header = ["L", "alpha", "s_exact", "s_asymptotic", "r_L"]
-    return cfg, header, rows, {"columns": header, "rows": rows}, (1, 3)
+    return cfg, header, rows, None, (1, 3)
 
 
 def _cmd_fh_check(args):
-    model = _resolve_model(args)
-    mu = _need_mu(args)
-    sizes = (_parse_int_list(args.L)
-             if getattr(args, "L", None) is not None else (8, 16, 32, 64, 128))
-    lam_re = args.lambda_re if args.lambda_re is not None else 3.0
-    lam_im = args.lambda_im if args.lambda_im is not None else 0.0
-    analysis = fermi_points(DispersionProfile(model), mu)
-    devs = fh_deviation(analysis, complex(lam_re, lam_im),
-                        [int(L) for L in sizes])
-    rows = [[L, d] for L, d in devs]
-    cfg = _model_config(args)
-    cfg.update({"mu": mu, "L_values": sizes,
-                "lambda_re": float(lam_re), "lambda_im": float(lam_im)})
-    header = ["L", "deviation"]
-    return cfg, header, rows, {"columns": header, "rows": rows}, (1, 2)
+    prof, cfg = _profile_at_mu(args)
+    devs = fh_deviation(fermi_points(prof, args.mu),
+                        complex(args.lambda_re, args.lambda_im), args.L)
+    cfg.update({"L_values": args.L, "lambda_re": args.lambda_re,
+                "lambda_im": args.lambda_im})
+    return cfg, ["L", "deviation"], [[L, d] for L, d in devs], None, (1, 2)
 
 
 def _cmd_constants(args):
-    alphas = (_parse_float_list(args.alpha)
-              if getattr(args, "alpha", None) is not None
-              else (0.25, 0.5, 1.0, 2.0, 3.0, 10.0, math.inf))
-    rows = [[alpha, i1(alpha), c_tilde(alpha)] for alpha in alphas]
-    header = ["alpha", "i1", "c_tilde"]
-    return ({"alpha": alphas}, header, rows,
-            {"columns": header, "rows": rows}, (1, 3))
+    rows = [[alpha, i1(alpha), c_tilde(alpha)] for alpha in args.alpha]
+    return ({"alpha": args.alpha}, ["alpha", "i1", "c_tilde"], rows, None,
+            (1, 3))
 
 
 _COMMANDS = {
@@ -453,13 +399,16 @@ def run(argv):
             args = parser.parse_args(
                 [*argv[:at], *_config_flags(parser, args.command, args.config),
                  *argv[at:]])
-        fmt = args.format if args.format is not None else "csv"
+        fmt = args.format
+        # the default output path depends on the command and the format
         output = (args.output if args.output is not None
                   else f"{args.command.replace('-', '_')}.{fmt}")
-        stub = bool(args.gnuplot_stub)
+        stub = args.gnuplot_stub
         if stub and fmt != "csv":
             raise DomainError("--gnuplot-stub needs --format csv")
         cfg, header, rows, results, plot_cols = _COMMANDS[args.command](args)
+        if results is None:
+            results = {"columns": header, "rows": rows}
         if stub and plot_cols is None:
             raise DomainError(
                 f"{args.command} has no default plot; drop --gnuplot-stub")
@@ -478,7 +427,8 @@ def run(argv):
         if stub:
             _write_text(output + ".gp", _render_gnuplot(output, plot_cols))
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: the output cannot be written, e.g. a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .models import _check_count
-from .specfun import (_check_alpha, digamma_real_part, entropy_kernel,
-                      panel_quadrature)
-from .spectral import correlation_row, correlation_spectrum
+from .specfun import (_check_alpha, _horner, digamma_real_part,
+                      entropy_kernel, panel_quadrature)
+from .spectral import (_critical_momenta, correlation_row,
+                       correlation_spectrum)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def c_tilde(alpha):
         small = t <= 0.5 * m
         N = np.empty_like(t)
         s = t[small] / m
-        N[small] = -s * np.polynomial.polynomial.polyval(s * s, coef)
+        N[small] = -s * _horner(coef, s * s)
         u = t[~small]
         y = u / alpha
         if abs(alpha - 1.0) > 0.5:
@@ -225,11 +226,7 @@ def renyi_asymptotic(analysis, L, alpha, spectrum=None):
     """
     L = _check_count(L, "block length")
     alpha = _check_alpha(alpha)
-    if analysis.phase != "critical":
-        raise DomainError(
-            "asymptotic entropy needs a sea bounded by simple Fermi "
-            f"points; phase is {analysis.phase!r}")
-    roots = [p for p, _ in analysis.roots]
+    roots = _critical_momenta(analysis, "asymptotic entropy needs")
     nsea = len(roots)
     f = f_factor(roots)
     ct = c_tilde(alpha)

@@ -16,7 +16,7 @@ from .entanglement import _check_roots, f_factor
 from .errors import DomainError
 from .models import _check_count
 from .specfun import log_barnes_pair
-from .spectral import correlation_spectrum, log_det_char
+from .spectral import _critical_momenta, correlation_spectrum, log_det_char
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,9 @@ def log_dl_asymptotic(symbol, L):
 def fh_deviation(analysis, lam, L_list):
     """|log D_L exact - asymptotic| for each L, exact side from the
     eigenvalues of the correlation matrix."""
-    if analysis.phase != "critical":
-        raise DomainError(
-            "determinant asymptotics need a sea bounded by simple Fermi "
-            f"points; phase is {analysis.phase!r}")
-    roots = [p for p, _ in analysis.roots]
-    symbol = symbol_params(roots, lam)
+    # the phase gate runs first: a gapped sea has no Fermi points at all
+    symbol = symbol_params(
+        _critical_momenta(analysis, "determinant asymptotics need"), lam)
     sizes = [_check_count(L, "block length", minimum=2) for L in L_list]
     out = []
     for L in sizes:

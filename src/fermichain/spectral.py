@@ -60,6 +60,19 @@ class CorrelationSpectrum:
     range_dev: float = None
 
 
+def _critical_momenta(analysis, needs):
+    """The Fermi momenta of a sea bounded by simple Fermi points.
+
+    Any other phase is refused with a DomainError that begins with
+    `needs`, the name of what requires such a sea.
+    """
+    if analysis.phase != "critical":
+        raise DomainError(
+            f"{needs} a sea bounded by simple Fermi points; "
+            f"phase is {analysis.phase!r}")
+    return [p for p, _ in analysis.roots]
+
+
 def correlation_row(analysis, L):
     """First row of A_L in the thermodynamic limit.
 
@@ -69,10 +82,7 @@ def correlation_row(analysis, L):
     the endpoints 0 and pi contribute nothing at integer lag.
     """
     L = _check_count(L, "block length")
-    if analysis.phase != "critical":
-        raise DomainError(
-            "correlation row needs a sea bounded by simple Fermi points; "
-            f"phase is {analysis.phase!r}")
+    _critical_momenta(analysis, "correlation row needs")
     measure_half = sum(b - a for a, b in analysis.sea_half)
     row = np.empty(L)
     row[0] = measure_half / math.pi

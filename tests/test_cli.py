@@ -259,6 +259,7 @@ def test_write_text_leaves_no_stray_file(tmp_path, monkeypatch):
 
 
 def test_exit_one_on_bad_flags(tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
     cases = [
         ["phase", "--model", "nonsense", "--mu", "1"],
         ["phase", "--model", "haldane-shastry"],
@@ -271,6 +272,10 @@ def test_exit_one_on_bad_flags(tmp_path, capsys):
         ["phase", "--model", "haldane-shastry", "--mu", "abc"],
         ["phase", "--model", "power-law", "--nu", "inf", "--mu", "1"],
         ["nonsense-command"],
+        # an output that cannot be written: no such directory, a directory
+        ["constants", "--alpha", "2",
+         "--output", str(tmp_path / "missing" / "x.csv")],
+        ["constants", "--alpha", "2", "--output", str(tmp_path / "taken")],
     ]
     for argv in cases:
         capsys.readouterr()
@@ -278,6 +283,8 @@ def test_exit_one_on_bad_flags(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.strip().count("\n") == 0
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(tmp_path / "taken") == []
 
 
 def test_exit_one_on_domain_error(tmp_path, capsys):
@@ -334,13 +341,18 @@ FRONT_END_REFUSED = {
 }
 
 
-@pytest.mark.parametrize("argv", FRONT_END_REFUSED.values(),
+@pytest.mark.parametrize("case, argv", FRONT_END_REFUSED.items(),
                          ids=FRONT_END_REFUSED.keys())
-def test_front_end_refusals_exit_one(tmp_path, capsys, argv):
+def test_front_end_refusals_exit_one(tmp_path, capsys, case, argv):
     out = tmp_path / "out.csv"
     assert run([*argv, "--output", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert os.listdir(tmp_path) == []
+    # a malformed token or range is refused by the name of its flag
+    flag = case.split("-")[0]
+    if flag in ("coeffs", "alpha", "T", "L"):
+        assert f"argument --{flag}:" in err
 
 
 def test_exit_two_on_rejected_fit(tmp_path, capsys):
@@ -456,8 +468,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     (["free-energy", *HS2], {"fit": "no"}, None),
     (["entropy", *HS2, "--L", "8"], {"compare": True}, ["--compare"]),
     (["entropy", *HS2, "--L", "8", "--compare"], {"compare": False}, []),
+    (["entropy", *HS2], {"alpha": [0.5, "inf"], "L": "8:32:8"},
+     ["--alpha", "0.5,inf", "--L", "8:32:8"]),
+    (["free-energy", *HS2], {"T": [0.001, 0.002, 0.004, 0.008]},
+     ["--T", "0.001,0.002,0.004,0.008"]),
 ], ids=["int-string", "float-string", "fractional-int", "switch-string",
-        "switch-true", "switch-flag-wins"])
+        "switch-true", "switch-flag-wins", "float-list-and-range",
+        "temperature-list"])
 def test_config_values_parse_like_flags(tmp_path, capsys, argv, config,
                                         flags):
     cfg = tmp_path / "cfg.json"
