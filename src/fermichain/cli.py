@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -31,6 +32,13 @@ from .spectral import correlation_spectrum
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with a dash and then a digit or a dot and a
+        # digit is a value, so -1e-3 and -1,0.5 reach their converters; no
+        # fermichain flag looks like that
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad flags; route everything through
     # the DomainError -> exit 1 path instead
     def error(self, message):
@@ -425,7 +433,12 @@ def run(argv):
                               indent=2) + "\n"
         _write_text(output, text)
         if stub:
-            _write_text(output + ".gp", _render_gnuplot(output, plot_cols))
+            try:
+                _write_text(output + ".gp", _render_gnuplot(output, plot_cols))
+            except BaseException:
+                # a run that fails leaves neither file
+                os.unlink(output)
+                raise
         return 0
     except (ValueError, OSError) as exc:
         # OSError: the output cannot be written, e.g. a missing directory

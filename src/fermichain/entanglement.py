@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .models import _check_count
 from .specfun import (_check_alpha, _horner, digamma_real_part,
-                      entropy_kernel, panel_quadrature)
+                      entropy_kernel, panel_quadrature, zeta)
 from .spectral import (_critical_momenta, correlation_row,
                        correlation_spectrum)
 
@@ -91,19 +91,18 @@ def i1(alpha):
 # the universal constant, hyperbolic-kernel form
 
 # csch x - 1/x = sum_k _csch_series()[k] x^{2k+1}, with coefficients
-# (-1)^{k+1} (2 - 4^{-k}) zeta(2k+2) / pi^{2k+2} (the Bernoulli form
-# through special.bernoulli is 1.7e-12 off at k = 1); 13 terms reach
+# (-1)^{k+1} (2 - 4^{-k}) zeta(2k+2) / pi^{2k+2} from specfun.zeta (a
+# Bernoulli-number form measured 1.7e-12 off at k = 1); 13 terms reach
 # 1e-18 at x <= 1/2
 _K = np.arange(13)
 
 
 @functools.cache
 def _csch_series():
-    # built on first use, so that importing the module loads no
-    # scipy.special, and shared read-only by every caller
-    from scipy import special
+    # built on first use and shared read-only by every caller
     coef = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
-            * special.zeta(2 * _K + 2) / math.pi ** (2 * _K + 2))
+            * np.array([zeta(2.0 * k + 2.0) for k in _K])
+            / math.pi ** (2 * _K + 2))
     coef.flags.writeable = False
     return coef
 

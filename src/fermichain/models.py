@@ -133,8 +133,8 @@ _LOG2 = math.log(2.0)
 
 @functools.cache
 def _cl2_coef():
-    # the coefficients of P, built on first use (zeta loads scipy.special)
-    # and shared read-only by every caller
+    # the coefficients of P, built on first use from specfun.zeta and
+    # shared read-only by every caller
     k = np.arange(1, 25, dtype=float)
     z = np.array([zeta(2.0 * j) for j in k])
     coef = np.concatenate([[0.0], z / (k * (2.0 * k + 1.0)

@@ -7,14 +7,16 @@ an array x (a scalar is a grid of one) with the one Renyi-order
 validator, and the one fixed-panel Gauss-Legendre rule behind every
 smooth integral (the free energy and c_tilde).
 
-scipy.special.zeta is the only zeta: it gives zeta(nu), the coefficients
-of the polylog series at any argument, and the Hurwitz tail of the
-Barnes sum. scipy.special is imported by the functions that call it, so
-a caller that needs none of them never loads it. All routines are pure
-functions of their arguments. The shared state is three caches of
-read-only constants: the per-order polylog constants here, the Clausen
-coefficients in models and the csch series in entanglement. Each is a
-pure function of its arguments, so concurrent calls are safe.
+One real-line Riemann zeta, _zeta_real, serves the whole library:
+zeta(nu), the coefficients of the polylog series at any order, and (in
+its Hurwitz form) the tail of the Barnes sum; Gamma and k! come from
+math. Only digamma_real_part, which the c_tilde oracle alone calls,
+imports scipy.special, so no command path loads it. All routines are
+pure functions of their arguments. The shared state is four caches of
+read-only constants: zeta values and the per-order polylog constants
+here, the Clausen coefficients in models and the csch series in
+entanglement. Each is a pure function of its arguments, so concurrent
+calls are safe.
 """
 
 import functools
@@ -33,13 +35,89 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # Riemann zeta
 
+# B_2k / (2k)! for k = 1..8, each rounded once from the exact fraction
+_B2K = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+        (-3617, 510))
+_EULER_MACLAURIN = tuple(b / (d * math.factorial(2 * k))
+                         for k, (b, d) in enumerate(_B2K, 1))
+# pi - math.pi: pi^y = math.pi^y (1 + y _PI_LO / math.pi) to O(y^2 eps^2)
+_PI_LO = 1.2246467991473532e-16
+
+
+def _zeta_tail(s, a, d):
+    """Terms of sum_{n >= a} n^{-s} (DLMF 25.2.9) for real s, with d = s - 1.
+
+    a^{-d}/d + a^{-s}/2 + sum_k B_2k/(2k)! (s)_{2k-1} a^{1-s-2k}, a list
+    for math.fsum. The caller passes d exactly, so the pole term keeps
+    full relative accuracy next to s = 1. The eight Bernoulli terms
+    leave a remainder below 1e-18 of zeta(s) at a = 10 for
+    1/2 <= s < 64, and of the sum itself at a >= 81 for s <= 9.
+    """
+    p = a ** -s
+    terms = [a ** -d / d, 0.5 * p]
+    f = s * p / a
+    inv_a2 = 1.0 / (a * a)
+    for k, c in enumerate(_EULER_MACLAURIN, 1):
+        terms.append(c * f)
+        f *= (s + 2 * k - 1) * (s + 2 * k) * inv_a2
+    return terms
+
+
+def _sin_half_pi(x):
+    # sin(pi x / 2), exactly 0 at the even integers: fmod and the
+    # quadrant split are exact, so the angle left is |f| <= pi/4
+    r = math.fmod(x, 4.0)
+    n = round(r)
+    f = 0.5 * math.pi * (r - n)
+    return (math.sin(f), math.cos(f), -math.sin(f), -math.cos(f))[n % 4]
+
+
+def _zeta_real(x):
+    """Riemann zeta at a real float x: -1/2 at 0 and +inf at the pole 1.
+
+    For x >= 1/2 the first nine terms of sum n^{-x} and the
+    Euler-Maclaurin tail from n = 10, summed by math.fsum: within an
+    ulp or two of a 40-digit reference. Below 1/2 the reflection
+    2^x pi^{x-1} sin(pi x/2) Gamma(1-x) zeta(1-x) (DLMF 25.4.2), each
+    factor taken from the exact x: the sine reduced exactly, so the
+    trivial zeros stay accurate, pi^{x-1} as pi^x/pi and Gamma(1-x) as
+    -x Gamma(-x), since a rounded 1 - x would cost tens of ulps at
+    x = -30. That is within a few ulps of the reflection's scale
+    2 (2 pi)^{x-1} Gamma(1-x) down to x = -100, below the lowest order
+    the polylog series asks for. Gamma(-x) overflows (OverflowError)
+    below x = -171.
+    """
+    if x >= 64.0:
+        return 1.0                      # zeta(x) - 1 < 2^-63 rounds away
+    if x >= 0.5:
+        if x == 1.0:
+            return math.inf
+        return math.fsum([n ** -x for n in range(1, 10)]
+                         + _zeta_tail(x, 10.0, x - 1.0))
+    if abs(x) < 2.0 ** -30:
+        # zeta(x) = -1/2 - x log(2 pi)/2 + O(x^2)
+        return -0.5 - 0.5 * math.log(_TWO_PI) * x
+    sine = _sin_half_pi(x)
+    if sine == 0.0:
+        return 0.0
+    scale = (2.0 ** x * (math.pi ** x / math.pi) * (-x * math.gamma(-x))
+             * (1.0 + (x - 1.0) * _PI_LO / math.pi))
+    s = 1.0 - x
+    return scale * sine * math.fsum([n ** -s for n in range(1, 10)]
+                                    + _zeta_tail(s, 10.0, -x))
+
+
+# the zeta(nu) behind every E_grid call of the power-law and
+# rational-cubic families; bounded, as the orders a run uses are few
+_zeta_cached = functools.lru_cache(maxsize=64)(_zeta_real)
+
+
 def zeta(nu):
     """zeta(nu) for real nu > 1."""
-    from scipy import special
     nu = float(nu)
     if not nu > 1.0:
         raise DomainError(f"zeta requires nu > 1, got {nu}")
-    return float(special.zeta(nu))
+    return _zeta_cached(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +170,9 @@ def _series_constants(s):
     bracket is H_m - log(-iq). For 1 < s <= 25 both forms measure within
     1e-13 of mpmath at 30 digits on either side of the switch.
     """
-    from scipy import special
     k = np.arange(100.0)
-    coef = special.zeta(s - k) / special.factorial(k)
+    coef = (np.array([_zeta_real(s - j) for j in range(100)])
+            / np.array([math.factorial(j) for j in range(100)], dtype=float))
     n = round(s)
     d = s - n
     if n >= 1 and abs(d) <= _NEAR_INTEGER:
@@ -105,7 +183,7 @@ def _series_constants(s):
             g_over_d = EULER_GAMMA - sum(1.0 / i for i in range(1, m + 1))
         else:
             g_over_d = (EULER_GAMMA
-                        + sum(special.zeta(j) * d ** (j - 1) / j
+                        + sum(_zeta_real(float(j)) * d ** (j - 1) / j
                               for j in range(2, 18))
                         - sum(math.log1p(d / i) / d for i in range(1, m + 1)))
         singular = (m, d, complex(g_over_d, -0.5 * math.pi),
@@ -113,7 +191,7 @@ def _series_constants(s):
     else:
         # Gamma(1-s)(-iq)^{s-1} = Gamma(1-s) e^{-i pi (s-1)/2} q^{s-1}
         singular = (None, s - 1.0, None,
-                    special.gamma(1.0 - s) * complex(
+                    math.gamma(1.0 - s) * complex(
                         math.cos(0.5 * math.pi * (s - 1.0)),
                         -math.sin(0.5 * math.pi * (s - 1.0))))
     # |terms| <= |coef_k| pi^k on 0 <= q <= pi; drop those below 1e-18
@@ -213,9 +291,9 @@ def log_barnes_pair(beta):
 
     with the summand ~ -beta^4/(2n^3); the sum is truncated adaptively and
     the first four tail orders are restored analytically, leaving a
-    residual below 1e-13 on the whole strip.
+    residual below 1e-13 on the whole strip. The tail's Hurwitz sums
+    sum_{n>N} n^{-s} are the Euler-Maclaurin tail of _zeta_real.
     """
-    from scipy import special
     b = complex(beta)
     if abs(b.real) >= 0.5:
         raise DomainError(f"log_barnes_pair requires |Re beta| < 1/2, got {b}")
@@ -228,7 +306,8 @@ def log_barnes_pair(beta):
     # tail: sum_{n>N} n log(1-z/n^2)+z/n = -sum_{k>=2} z^k/k sum_{n>N} n^{1-2k}
     zk = z * z
     for k in (2, 3, 4, 5):
-        total -= zk / k * float(special.zeta(2 * k - 1, N + 1))
+        total -= zk / k * math.fsum(
+            _zeta_tail(2.0 * k - 1.0, N + 1.0, 2.0 * k - 2.0))
         zk = zk * z
     return -(1.0 + EULER_GAMMA) * z + total
 
@@ -289,7 +368,7 @@ def _check_alpha(alpha):
 
 def _xlogx(q):
     # q log q over an array q >= 0, 0 at q = 0, through libm's log
-    # (math.log): the bits of scipy.special.xlogy(q, q). numpy's vector
+    # (math.log): the bits of scipy's xlogy(q, q). numpy's vector
     # log can round differently in the last place on SIMD hosts.
     logs = map(math.log, np.where(q > 0.0, q, 1.0).ravel().tolist())
     return q * np.array(list(logs)).reshape(q.shape)

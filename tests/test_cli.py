@@ -296,28 +296,60 @@ def test_exit_one_on_domain_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+MU_NOT_FINITE = "chemical potential must be finite"
+T_NOT_POSITIVE = "temperatures must be positive and finite"
+
+# argv and the library's message that refuses it
 REFUSED = {
-    **{f"{command}-mu-{mu}": [command, "--model", "haldane-shastry",
-                              "--mu", mu, *tail]
+    **{f"{command}-mu-{mu}": ([command, "--model", "haldane-shastry",
+                               "--mu", mu, *tail], MU_NOT_FINITE)
        for mu in ("inf", "nan")
        for command, tail in (("phase", []), ("free-energy", []),
                              ("entropy", ["--L", "8"]), ("fh-check", []))},
-    "negative-T": ["free-energy", *HS2, "--T", "-0.001,0.002,0.004,0.008"],
-    "negative-T-fit": ["free-energy", *HS2, "--T",
-                       "-0.001,0.002,0.004,0.008", "--fit"],
-    "repeated-T-fit": ["free-energy", *HS2, "--T",
-                       "0.001,0.001,0.001,0.001", "--fit"],
+    "negative-T": (["free-energy", *HS2, "--T", "-0.001,0.002,0.004,0.008"],
+                   T_NOT_POSITIVE),
+    "negative-T-fit": (["free-energy", *HS2, "--T",
+                        "-0.001,0.002,0.004,0.008", "--fit"],
+                       T_NOT_POSITIVE),
+    "repeated-T-fit": (["free-energy", *HS2, "--T",
+                        "0.001,0.001,0.001,0.001", "--fit"],
+                       "need at least 4 distinct temperatures"),
 }
 
 
-@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
-def test_library_refusals_exit_one(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", REFUSED.values(),
+                         ids=REFUSED.keys())
+def test_library_refusals_exit_one(tmp_path, capsys, argv, message):
     # a non-finite mu or a non-positive temperature is refused by the
     # library, not by a second check in the front end
     out = tmp_path / "out.csv"
     assert run([*argv, "--output", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert os.listdir(tmp_path) == []
+
+
+# argv whose last value starts with a dash, and the phase it finds
+NEGATIVE_VALUES = {
+    "mu-e-notation": (["phase", "--model", "haldane-shastry",
+                       "--mu", "-1e-3"], "gapped-below"),
+    "mu-leading-dot": (["phase", "--model", "haldane-shastry",
+                        "--mu", "-.5"], "gapped-below"),
+    "coeffs-list": (["phase", "--model", "finite-range", "--mu", "-1",
+                     "--coeffs", "-1,0.5"], "critical"),
+}
+
+
+@pytest.mark.parametrize("argv, phase", NEGATIVE_VALUES.values(),
+                         ids=NEGATIVE_VALUES.keys())
+def test_negative_values_reach_their_converters(tmp_path, argv, phase):
+    # a negative value as its own token exits 0 and reads as it does
+    # after "="
+    out, want = tmp_path / "sep.csv", tmp_path / "eq.csv"
+    assert run([*argv, "--output", str(out)]) == 0
+    assert read_csv(out)[1][0][0] == phase
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run([*joined, "--output", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 FRONT_END_REFUSED = {
@@ -507,6 +539,18 @@ def test_gnuplot_stub(tmp_path, capsys):
     assert "csv" in capsys.readouterr().err
 
 
+def test_gnuplot_stub_unwritable_leaves_no_file(tmp_path, capsys):
+    # the stub's path is a directory: the run exits 1 and leaves neither
+    # the data file nor the stub, nor any temp file
+    (tmp_path / "x.csv.gp").mkdir()
+    out = str(tmp_path / "x.csv")
+    assert run(["constants", "--alpha", "2", "--gnuplot-stub",
+                "--output", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == ["x.csv.gp"]
+    assert os.listdir(tmp_path / "x.csv.gp") == []
+
+
 def test_lambda_flags(tmp_path):
     out = str(tmp_path / "fh.csv")
     assert run(["fh-check", "--model", "haldane-shastry", "--mu", "2",
@@ -528,19 +572,33 @@ def test_main_exits_with_run_code(tmp_path, monkeypatch):
     assert os.path.exists(out)
 
 
+RC = ["--model", "rational-cubic", "--J", "0.6", "--mu", "1"]
+PL = ["--model", "power-law", "--nu", "2.5", "--mu", "1.5"]
+
+# (name, the runs after which the probe lists the scipy modules loaded),
+# in the order they run in one process
+_PROBE_STEPS = [
+    ("hs_fr", [["phase", *HS2], ["free-energy", *FIG8, "--fit"]]),
+    ("rc_pl", [[command, *model, *tail] for model in (RC, PL)
+               for command, tail in (("phase", []),
+                                     ("free-energy", ["--fit"]))]
+     + [["dispersion", *model[:-2]] for model in (RC, PL)]),
+    ("constants", [["constants"]]),
+    ("fh_check", [["fh-check", *HS2, "--L", "8,16"]]),
+    ("entropy", [["entropy", *HS2, "--L", "64", "--alpha", "0.5,1,inf",
+                  "--compare"]]),
+]
+
 _IMPORT_PROBE = """
 import json, sys
 import fermichain
 from fermichain import cli
 SCIPY = ("scipy.special", "scipy.integrate", "scipy.linalg")
 seen = {"import": [m for m in SCIPY if m in sys.modules]}
-assert cli.run(["phase", "--model", "haldane-shastry", "--mu", "2"]) == 0
-assert cli.run(["free-energy", "--model", "finite-range", "--coeffs", "1,0.5",
-                "--mu", "4.25", "--fit"]) == 0
-seen["hs_fr"] = [m for m in SCIPY if m in sys.modules]
-assert cli.run(["entropy", "--model", "haldane-shastry", "--mu", "2",
-                "--L", "64", "--alpha", "0.5,1,inf", "--compare"]) == 0
-seen["entropy"] = [m for m in SCIPY if m in sys.modules]
+for name, runs in json.loads(sys.argv[1]):
+    for argv in runs:
+        assert cli.run(argv) == 0, argv
+    seen[name] = [m for m in SCIPY if m in sys.modules]
 fermichain.c_tilde_oracle(1.0)
 seen["oracle"] = [m for m in SCIPY if m in sys.modules]
 print(json.dumps(seen))
@@ -548,20 +606,24 @@ print(json.dumps(seen))
 
 
 def test_cold_commands_import_only_the_scipy_they_call(tmp_path):
-    # a fresh process: importing fermichain and the haldane-shastry and
-    # finite-range commands load no scipy module; entropy loads linalg
-    # (the spectrum) and special (c_tilde), and only c_tilde_oracle
-    # loads integrate
+    # a fresh process: importing fermichain and the phase, dispersion and
+    # free-energy commands of every family, and constants, load no scipy
+    # module; fh-check and entropy load linalg (the spectrum), and only
+    # c_tilde_oracle loads special (digamma) and integrate
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                            json.dumps(_PROBE_STEPS)], env=env,
                            cwd=tmp_path, capture_output=True, text=True,
                            check=True)
     seen = json.loads(probe.stdout)
     assert seen["import"] == []
     assert seen["hs_fr"] == []
-    assert seen["entropy"] == ["scipy.special", "scipy.linalg"]
+    assert seen["rc_pl"] == []
+    assert seen["constants"] == []
+    assert seen["fh_check"] == ["scipy.linalg"]
+    assert seen["entropy"] == ["scipy.linalg"]
     assert seen["oracle"] == ["scipy.special", "scipy.integrate",
                               "scipy.linalg"]

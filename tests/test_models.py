@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
@@ -227,9 +226,9 @@ def test_rational_cubic_matches_mpmath():
 
 
 def test_clausen_coefficients_cached_read_only():
-    # the defining expression, written out with scipy.special, to the bit
+    # the defining expression, written out with specfun.zeta, to the bit
     k = np.arange(1, 25, dtype=float)
-    z = np.array([float(special.zeta(2.0 * j)) for j in k])
+    z = np.array([zeta(2.0 * j) for j in k])
     want = np.concatenate([[0.0], z / (
         k * (2.0 * k + 1.0) * TWO_PI ** (2.0 * k))])
     coef = _cl2_coef()

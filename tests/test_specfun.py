@@ -8,6 +8,8 @@ from scipy import special
 
 from fermichain.specfun import (
     EULER_GAMMA,
+    _zeta_real,
+    _zeta_tail,
     zeta,
     polylog_circle,
     polylog_circle_grid,
@@ -215,6 +217,65 @@ def test_zeta_matches_mpmath():
         want = [float(mpmath.zeta(nu)) for nu in nus]
     np.testing.assert_allclose([zeta(nu) for nu in nus], want,
                                rtol=1e-14, atol=0)
+
+
+def zeta_scale(mpmath, x):
+    # |zeta(x)|, or below 1/2 the reflection's scale 2 (2 pi)^{x-1}
+    # Gamma(1-x) if that is larger; unlike zeta it has no zeros
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        want = mpmath.zeta(x) if x != 1 else mpmath.inf
+        scale = abs(want)
+        if x < 0.5:
+            scale = max(scale, 2 * (2 * mpmath.pi) ** (x - 1)
+                        * mpmath.gamma(1 - x))
+        return want, scale
+
+
+def check_zeta_real(mpmath, xs, rtol):
+    for x in map(float, xs):
+        want, scale = zeta_scale(mpmath, x)
+        got = _zeta_real(x)
+        if math.isinf(want):
+            assert got == math.inf, x
+        else:
+            assert abs(got - want) <= rtol * scale, (x, got, float(want))
+
+
+def test_zeta_real_matches_mpmath_on_the_line():
+    mpmath = pytest.importorskip("mpmath")
+    above = np.concatenate([np.linspace(0.5, 60.0, 239),
+                            1.0 + np.array([-1e-10, 1e-10, -1e-6, 1e-6])])
+    check_zeta_real(mpmath, above, 1e-15)
+    below = np.concatenate([np.linspace(-35.0, 0.5, 143)[:-1],
+                            [0.0, -1e-12, 1e-12, -1e-9, 1e-9, 0.4999]])
+    check_zeta_real(mpmath, below, 3e-15)
+    # the pole, the value at 0 and the trivial zeros, to the bit
+    assert _zeta_real(1.0) == math.inf
+    assert _zeta_real(0.0) == -0.5
+    assert all(_zeta_real(-2.0 * n) == 0.0 for n in range(1, 18))
+    # next to a trivial zero the relative error stays small as well
+    for x in (-2.0 + 1e-9, -10.0 - 1e-12, -34.0 + 1e-6):
+        want, _ = zeta_scale(mpmath, x)
+        assert abs(_zeta_real(x) / want - 1) < 1e-14, x
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0, 1.6, 2.5, 3.9, -1.5])
+def test_zeta_real_at_the_polylog_series_orders(s):
+    # zeta(s - k) for the 100 orders _series_constants asks for
+    mpmath = pytest.importorskip("mpmath")
+    check_zeta_real(mpmath, s - np.arange(100.0), 3e-15)
+
+
+def test_zeta_tail_matches_hurwitz():
+    # the tail of log_barnes_pair: zeta(s, a) at odd s and a >= 81
+    mpmath = pytest.importorskip("mpmath")
+    for s in (3.0, 5.0, 7.0, 9.0):
+        for a in (81.0, 100.0, 137.0, 250.0, 400.0):
+            got = math.fsum(_zeta_tail(s, a, s - 1.0))
+            with mpmath.workdps(40):
+                want = mpmath.zeta(s, a)
+            assert abs(got / want - 1) < 1e-15, (s, a)
 
 
 # the orders named in the zeta-series design, plus both sides of the
