@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     DomainError,
     DegenerateGroundStateError,
-    SingularMatrixError,
     AccuracyError,
     QuadratureError,
     EigenConvergenceError,
@@ -42,7 +41,6 @@ from .spectral import (
     correlation_spectrum,
     correlation_spectrum_finite,
     eigenvalues_symmetric,
-    log_det_char,
 )
 from .entanglement import (
     EntropyReport,
@@ -64,7 +62,6 @@ __all__ = [
     "__version__",
     "DomainError",
     "DegenerateGroundStateError",
-    "SingularMatrixError",
     "AccuracyError",
     "QuadratureError",
     "EigenConvergenceError",
@@ -93,7 +90,6 @@ __all__ = [
     "correlation_spectrum",
     "correlation_spectrum_finite",
     "eigenvalues_symmetric",
-    "log_det_char",
     "EntropyReport",
     "renyi_exact",
     "f_factor",

@@ -35,9 +35,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a token that starts with a dash and then a digit or a dot and a
-        # digit is a value, so -1e-3 and -1,0.5 reach their converters; no
+        # digit, or that is -inf, -infinity or -nan in any case, is a
+        # value, so -1e-3, -1,0.5 and -inf reach their converters; no
         # fermichain flag looks like that
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
     # argparse exits with status 2 on bad flags; route everything through
     # the DomainError -> exit 1 path instead
@@ -341,7 +343,7 @@ def _cmd_entropy(args):
         spectrum = correlation_spectrum(analysis, L)
         for alpha in args.alpha:
             if args.compare:
-                rep = renyi_asymptotic(analysis, L, alpha, spectrum=spectrum)
+                rep = renyi_asymptotic(spectrum, alpha)
                 rows.append([L, alpha, rep.s_exact, rep.s_asymptotic,
                              rep.r_L])
             else:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError)
-from .models import half_period_zeros, monotonicity_report
+from .models import _check_mu, half_period_zeros, monotonicity_report
 from .specfun import _panel_nodes, _panel_rules, zeta
 
 _TWO_PI = 2.0 * math.pi
@@ -82,9 +82,7 @@ def fermi_points(profile, mu):
 
 
 def _analyze(profile, mu):
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError("chemical potential must be finite")
+    mu = _check_mu(mu)
     stationary = monotonicity_report(profile).critical_points
     band_vals = profile.E_grid([0.0, *stationary, math.pi])
     e_min = float(band_vals.min())

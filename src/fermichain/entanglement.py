@@ -19,11 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .models import _check_count
 from .specfun import (_check_alpha, _horner, digamma_real_part,
                       entropy_kernel, panel_quadrature, zeta)
-from .spectral import (_critical_momenta, correlation_row,
-                       correlation_spectrum)
 
 
 @dataclass(frozen=True)
@@ -214,31 +211,27 @@ def c_tilde_oracle(alpha):
 # ---------------------------------------------------------------------------
 # the asymptotic entropy
 
-def renyi_asymptotic(analysis, L, alpha, spectrum=None):
+def renyi_asymptotic(spectrum, alpha):
     """Asymptotic block entropy and its error against the exact value.
 
     S_app = (m+1) i1(alpha) log(L f^{1/(m+1)}) + (m+1) c_tilde(alpha)
-    for a sea with m+1 simple Fermi points.  The exact entropy comes
-    from an eigendecomposition of the L x L correlation matrix; pass a
-    precomputed spectrum to amortize it across alpha values.  Its first
-    row must equal correlation_row(analysis, L), a check of O(L).
+    for a sea with m+1 simple Fermi points.  L and the Fermi points are
+    the spectrum's own, so it must come from correlation_spectrum; the
+    exact side is renyi_exact(spectrum, alpha).
     """
-    L = _check_count(L, "block length")
     alpha = _check_alpha(alpha)
-    roots = _critical_momenta(analysis, "asymptotic entropy needs")
+    roots = spectrum.fermi_momenta
+    if roots is None:
+        raise DomainError(
+            "asymptotic entropy needs the Fermi points of a critical sea; "
+            "this spectrum carries none")
+    L = spectrum.L
     nsea = len(roots)
     f = f_factor(roots)
     ct = c_tilde(alpha)
     pref = i1(alpha)
     s_app = nsea * pref * math.log(L * f ** (1.0 / nsea)) + nsea * ct
     c_alpha = pref * math.log(f) + nsea * ct
-    if spectrum is None:
-        spectrum = correlation_spectrum(analysis, L)
-    elif spectrum.L != L:
-        raise DomainError(
-            f"spectrum is for block length {spectrum.L}, requested {L}")
-    elif not np.array_equal(spectrum.first_row, correlation_row(analysis, L)):
-        raise DomainError("spectrum is for another sea than the analysis")
     s_exact = renyi_exact(spectrum, alpha)
     return EntropyReport(alpha=alpha, L=L, s_exact=s_exact,
                          s_asymptotic=s_app, c_alpha=c_alpha, c_tilde=ct,

@@ -14,10 +14,6 @@ class DegenerateGroundStateError(ValueError):
     """A finite-chain mode energy coincides with the chemical potential."""
 
 
-class SingularMatrixError(ValueError):
-    """lambda hits the spectrum of the correlation matrix."""
-
-
 class AccuracyError(RuntimeError):
     """A numerical routine could not reach its accuracy target."""
 

@@ -31,6 +31,14 @@ def _check_count(n, name, minimum=1):
     return int(n)
 
 
+def _check_mu(mu):
+    """mu as a float; NaN and infinities are refused."""
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise DomainError(f"chemical potential must be finite, got {mu}")
+    return mu
+
+
 @dataclass(frozen=True)
 class InteractionModel:
     family: str

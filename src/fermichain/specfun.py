@@ -19,6 +19,7 @@ entanglement. Each is a pure function of its arguments, so concurrent
 calls are safe.
 """
 
+import cmath
 import functools
 import math
 
@@ -137,12 +138,10 @@ _NEAR_INTEGER = 0.05
 def _horner(coef, t):
     """sum_k coef[k] t^k by Horner's rule, elementwise in t.
 
-    coef[k] may be an array that broadcasts against t, so several
-    polynomials in the same t share one accumulator. Each coefficient
-    costs two in-place operations, acc += c then acc *= t, and the
-    constant coef[0] is added last.
+    Each coefficient costs two in-place operations, acc += c then
+    acc *= t, and the constant coef[0] is added last.
     """
-    acc = np.zeros(np.broadcast_shapes(np.shape(coef[0]), np.shape(t)))
+    acc = np.zeros(np.shape(t))
     for c in coef[:0:-1]:
         acc += c
         acc *= t
@@ -238,7 +237,7 @@ def polylog_circle_grid(s, p, part=None):
             if d != 0.0:
                 log_term = np.expm1(d * log_term) / d
             singular = c * q ** m * log_term
-    out = _horner(pairs[:, odd].reshape((-1,) + (1,) * q.ndim), q * q)
+    out = _horner(pairs[:, odd], q * q)
     zero = q == 0.0
     if odd:
         out *= q
@@ -295,6 +294,8 @@ def log_barnes_pair(beta):
     sum_{n>N} n^{-s} are the Euler-Maclaurin tail of _zeta_real.
     """
     b = complex(beta)
+    if not cmath.isfinite(b):
+        raise DomainError(f"log_barnes_pair requires a finite beta, got {b}")
     if abs(b.real) >= 0.5:
         raise DomainError(f"log_barnes_pair requires |Re beta| < 1/2, got {b}")
     z = b * b

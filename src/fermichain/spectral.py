@@ -3,7 +3,8 @@
 The two-point function of a translation-invariant free-fermion ground
 state is a symmetric Toeplitz matrix A_L.  Everything entropy- or
 determinant-shaped downstream only needs its first row and eigenvalues,
-so that pair is bundled in CorrelationSpectrum.
+and the asymptotic side the Fermi points of the sea, so CorrelationSpectrum
+bundles them.
 
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
@@ -36,9 +37,8 @@ from .errors import (
     DegenerateGroundStateError,
     DomainError,
     EigenConvergenceError,
-    SingularMatrixError,
 )
-from .models import _check_count, mode_energies
+from .models import _check_count, _check_mu, mode_energies
 
 _PANEL = 32        # bandwidth of the band form, and columns per panel
 _ROW_BLOCK = 256   # rows per BLAS product in the reduction
@@ -51,6 +51,8 @@ class CorrelationSpectrum:
     trace_gap (|sum of eigenvalues - trace|) and range_dev (how far the
     eigenvalues leave [0, 1], or 0) are the achieved errors of the two
     gates a built spectrum passed, or None when it was not checked.
+    fermi_momenta holds the Fermi points of the critical sea the block
+    was cut from, or None for a ring or a hand-built spectrum.
     """
 
     L: int
@@ -58,6 +60,7 @@ class CorrelationSpectrum:
     eigenvalues: np.ndarray
     trace_gap: float = None
     range_dev: float = None
+    fermi_momenta: tuple = None
 
 
 def _critical_momenta(analysis, needs):
@@ -108,9 +111,7 @@ def correlation_row_finite(model, mu, L, N):
     N = _check_count(N, "ring size")
     if N < L:
         raise DomainError(f"ring size {N} smaller than block length {L}")
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError(f"chemical potential must be finite, got {mu}")
+    mu = _check_mu(mu)
     energies = mode_energies(model, N)
     hits = np.nonzero(np.abs(energies - mu) < 1e-12)[0]
     if hits.size:
@@ -206,7 +207,7 @@ def _parity_sectors(t):
     return (even, n - m), (odd, m)
 
 
-def _checked_spectrum(row):
+def _checked_spectrum(row, fermi_momenta=None):
     L = row.size
     eig = eigenvalues_symmetric(row)
     low = float(eig[0])
@@ -222,27 +223,19 @@ def _checked_spectrum(row):
             "eigenvalue sum disagrees with the matrix trace",
             achieved=trace_gap, target=1e-9)
     return CorrelationSpectrum(L=L, first_row=row, eigenvalues=eig,
-                               trace_gap=trace_gap, range_dev=dev)
+                               trace_gap=trace_gap, range_dev=dev,
+                               fermi_momenta=fermi_momenta)
 
 
 def correlation_spectrum(analysis, L):
-    """Build and cross-check the L x L spectrum from a critical sea."""
-    return _checked_spectrum(correlation_row(analysis, L))
+    """Build and cross-check the L x L spectrum from a critical sea; it
+    carries the sea's Fermi points."""
+    row = correlation_row(analysis, L)
+    return _checked_spectrum(row, tuple(
+        _critical_momenta(analysis, "correlation row needs")))
 
 
 def correlation_spectrum_finite(model, mu, L, N):
     """Same checks, with the row taken from an N-site ring."""
     return _checked_spectrum(correlation_row_finite(model, mu, L, N))
 
-
-def log_det_char(spectrum, lam):
-    """log det(lam + 1 - 2 A_L), principal branch factor by factor."""
-    lam = complex(lam)
-    factors = lam + 1.0 - 2.0 * spectrum.eigenvalues
-    small = np.abs(factors) < 1e-12
-    if np.any(small):
-        i = int(np.nonzero(small)[0][0])
-        raise SingularMatrixError(
-            f"lam={lam} is within 1e-12 of eigenvalue point "
-            f"2*{spectrum.eigenvalues[i]}-1")
-    return complex(np.sum(np.log(factors.astype(complex))))

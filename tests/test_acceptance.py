@@ -24,7 +24,6 @@ from fermichain import (
     fh_deviation,
     free_energy,
     i1,
-    log_det_char,
     low_temperature_fit,
     monotonicity_report,
     renyi_asymptotic,
@@ -60,9 +59,8 @@ def test_01_two_component_entropy_sweep():
     sizes = list(range(100, 501, 50))
     r = []
     for L in sizes:
-        spectrum = correlation_spectrum(analysis, L)
-        r.append(abs(renyi_asymptotic(analysis, L, 1.0,
-                                      spectrum=spectrum).r_L))
+        r.append(abs(renyi_asymptotic(correlation_spectrum(analysis, L),
+                                      1.0).r_L))
     elapsed = time.perf_counter() - started
     report("entropy deviation r_100 <= 3e-5", r[0] <= 3e-5, f"got {r[0]:.3e}")
     report("entropy deviation r_500 <= 2e-6", r[-1] <= 2e-6,
@@ -236,7 +234,7 @@ def _plain_determinant(a):
     return det
 
 
-def test_09_spectral_sanity_battery():
+def test_09_spectral_sanity_battery(log_det_char):
     rng = np.random.default_rng(20260814)
     hs_prof = hs()
     band_top = math.pi ** 2 / 2.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -314,21 +315,28 @@ REFUSED = {
     "repeated-T-fit": (["free-energy", *HS2, "--T",
                         "0.001,0.001,0.001,0.001", "--fit"],
                        "need at least 4 distinct temperatures"),
+    "fh-check-lambda-nan": (["fh-check", *HS2, "--lambda-re", "nan"],
+                            "lambda=(nan+0j) is not finite"),
+    "fh-check-lambda-inf": (["fh-check", *HS2, "--lambda-im", "inf"],
+                            "lambda=(3+infj) is not finite"),
 }
 
 
 @pytest.mark.parametrize("argv, message", REFUSED.values(),
                          ids=REFUSED.keys())
 def test_library_refusals_exit_one(tmp_path, capsys, argv, message):
-    # a non-finite mu or a non-positive temperature is refused by the
-    # library, not by a second check in the front end
+    # a non-finite mu or lambda or a non-positive temperature is refused
+    # by the library, not by a second check in the front end
     out = tmp_path / "out.csv"
     assert run([*argv, "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert os.listdir(tmp_path) == []
 
 
-# argv whose last value starts with a dash, and the phase it finds
+LAMBDA_NOT_FINITE = "lambda=.* is not finite"
+
+# argv whose last value starts with a dash, and the phase it finds or the
+# library's refusal of it
 NEGATIVE_VALUES = {
     "mu-e-notation": (["phase", "--model", "haldane-shastry",
                        "--mu", "-1e-3"], "gapped-below"),
@@ -336,18 +344,35 @@ NEGATIVE_VALUES = {
                         "--mu", "-.5"], "gapped-below"),
     "coeffs-list": (["phase", "--model", "finite-range", "--mu", "-1",
                      "--coeffs", "-1,0.5"], "critical"),
+    **{f"mu{token}": (["phase", "--model", "haldane-shastry", "--mu", token],
+                      MU_NOT_FINITE)
+       for token in ("-inf", "-Infinity", "-INF", "-nan", "-NaN")},
+    "lambda-re-inf": (["fh-check", *HS2, "--lambda-re", "-inf"],
+                      LAMBDA_NOT_FINITE),
+    "lambda-im-nan": (["fh-check", *HS2, "--lambda-im", "-nan"],
+                      LAMBDA_NOT_FINITE),
 }
 
 
-@pytest.mark.parametrize("argv, phase", NEGATIVE_VALUES.values(),
+@pytest.mark.parametrize("argv, outcome", NEGATIVE_VALUES.values(),
                          ids=NEGATIVE_VALUES.keys())
-def test_negative_values_reach_their_converters(tmp_path, argv, phase):
-    # a negative value as its own token exits 0 and reads as it does
-    # after "="
+def test_negative_values_reach_their_converters(tmp_path, capsys, argv,
+                                                outcome):
+    # a negative value as its own token reads as it does after "=": the
+    # same output, or the same refusal by the library
     out, want = tmp_path / "sep.csv", tmp_path / "eq.csv"
-    assert run([*argv, "--output", str(out)]) == 0
-    assert read_csv(out)[1][0][0] == phase
     joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    if outcome in (MU_NOT_FINITE, LAMBDA_NOT_FINITE):
+        errors = []
+        for args in (argv, joined):
+            assert run([*args, "--output", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert re.match(f"error: {outcome}", errors[-1]), errors[-1]
+        assert errors[0] == errors[1]
+        assert os.listdir(tmp_path) == []
+        return
+    assert run([*argv, "--output", str(out)]) == 0
+    assert read_csv(out)[1][0][0] == outcome
     assert run([*joined, "--output", str(want)]) == 0
     assert out.read_bytes() == want.read_bytes()
 

@@ -15,6 +15,7 @@ from fermichain.criticality import (
     low_temperature_fit,
 )
 from fermichain.errors import DomainError, FitRejectedError, QuadratureError
+from fermichain.spectral import correlation_row_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,6 +81,17 @@ def test_single_component_sea():
     assert a.velocities[0] == pytest.approx(math.sqrt(math.pi ** 2 - 4.0),
                                             abs=1e-12)
     assert circle_components(a.sea) == 1
+
+
+def test_nonfinite_mu_one_message():
+    # the Fermi analysis and the ring row share one mu validator
+    for mu in (math.nan, math.inf, -math.inf):
+        want = f"chemical potential must be finite, got {mu}"
+        with pytest.raises(DomainError, match=want):
+            fermi_points(hs(), mu)
+        with pytest.raises(DomainError, match=want):
+            correlation_row_finite(InteractionModel.haldane_shastry(), mu,
+                                   4, 8)
 
 
 def test_gapped_phases():

@@ -19,7 +19,8 @@ from fermichain.entanglement import (
 from fermichain.errors import DomainError, QuadratureError
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.specfun import zeta
-from fermichain.spectral import correlation_spectrum, correlation_spectrum_finite
+from fermichain.spectral import (CorrelationSpectrum, correlation_spectrum,
+                                 correlation_spectrum_finite)
 
 # frozen references (60-digit oracle)
 CT1 = 0.49501790813513705
@@ -269,8 +270,7 @@ def test_c_tilde_validation():
 # asymptotic reports
 
 def test_asymptotic_single_sea_formula():
-    report = renyi_asymptotic(hs_analysis(), 64, 1.0,
-                              spectrum=spectrum("hs", 64))
+    report = renyi_asymptotic(spectrum("hs", 64), 1.0)
     assert isinstance(report, EntropyReport)
     assert report.f_factor == pytest.approx(2.0, abs=1e-12)
     assert report.c_tilde == pytest.approx(CT1, abs=1e-10)
@@ -283,35 +283,41 @@ def test_asymptotic_single_sea_formula():
 
 
 def test_asymptotic_requires_critical():
+    # a gapped or tangent sea gives no spectrum to compare
     prof = DispersionProfile(InteractionModel.haldane_shastry())
     with pytest.raises(DomainError):
-        renyi_asymptotic(fermi_points(prof, -1.0), 10, 1.0)
+        correlation_spectrum(fermi_points(prof, -1.0), 10)
     fr = DispersionProfile(InteractionModel.finite_range((1.0, 0.5)))
     with pytest.raises(DomainError):
-        renyi_asymptotic(fermi_points(fr, 4.5), 10, 1.0)
+        correlation_spectrum(fermi_points(fr, 4.5), 10)
+    # a ring's spectrum and a hand-built one carry no Fermi points
+    ring = correlation_spectrum_finite(InteractionModel.haldane_shastry(),
+                                       2.0, 10, 64)
+    bare = CorrelationSpectrum(L=1, first_row=np.array([0.5]),
+                               eigenvalues=np.array([0.5]))
+    for s in (ring, bare):
+        assert s.fermi_momenta is None
+        with pytest.raises(DomainError):
+            renyi_asymptotic(s, 1.0)
 
 
 def test_asymptotic_validation():
     for bad in (0, np.int64(0), 2.5, True):
         with pytest.raises(DomainError):
-            renyi_asymptotic(hs_analysis(), bad, 1.0)
-    assert renyi_asymptotic(hs_analysis(), np.int64(16), 1.0) == \
-        renyi_asymptotic(hs_analysis(), 16, 1.0)
+            correlation_spectrum(hs_analysis(), bad)
+    assert renyi_asymptotic(correlation_spectrum(hs_analysis(),
+                                                 np.int64(16)), 1.0) == \
+        renyi_asymptotic(correlation_spectrum(hs_analysis(), 16), 1.0)
     with pytest.raises(DomainError):
-        renyi_asymptotic(hs_analysis(), 10, -1.0)
-    with pytest.raises(DomainError):
-        renyi_asymptotic(hs_analysis(), 10, 1.0, spectrum=spectrum("hs", 12))
-    # a spectrum of the same length from another sea would give
-    # r_L = -0.0539 (1.6e-5 with the sea's own spectrum)
-    prof = DispersionProfile(InteractionModel.haldane_shastry())
-    with pytest.raises(DomainError):
-        renyi_asymptotic(fermi_points(prof, 2.0), 64, 1.0,
-                         spectrum=correlation_spectrum(
-                             fermi_points(prof, 3.0), 64))
+        renyi_asymptotic(spectrum("hs", 10), -1.0)
+    # the spectrum carries its sea's Fermi points and its own L
+    s = spectrum("fig8", 12)
+    assert s.fermi_momenta == tuple(p for p, _ in fig8_analysis().roots)
+    assert renyi_asymptotic(s, 1.0).L == 12
 
 
 def test_fig8_relative_error_at_100():
-    report = renyi_asymptotic(fig8_analysis(), 100, 1.0)
+    report = renyi_asymptotic(spectrum("fig8", 100), 1.0)
     assert abs(report.r_L) < 3e-5
 
 

@@ -14,6 +14,7 @@ from fermichain.fisher_hartwig import (
 )
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.specfun import log_barnes_pair
+from fermichain.spectral import correlation_spectrum
 
 # frozen references (40-digit oracle, m=0, p0=pi/2, lambda=3)
 B_M0 = 2.8284271247461901          # 2 sqrt 2
@@ -114,6 +115,15 @@ def test_symbol_on_cut_rejected():
             symbol_params([1.0], lam)
 
 
+def test_symbol_nonfinite_lambda_rejected():
+    for lam in (math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                complex(math.nan, 0.0), complex(3.0, math.nan)):
+        with pytest.raises(DomainError, match="lambda=.* is not finite"):
+            symbol_params([1.0], lam)
+        with pytest.raises(DomainError, match="lambda=.* is not finite"):
+            fh_deviation(hs_analysis(), lam, [8])
+
+
 def test_symbol_root_validation():
     with pytest.raises(DomainError):
         symbol_params([], 3.0)
@@ -204,6 +214,31 @@ def test_deviation_two_pair_trend():
     drops = sum(1 for a, b in zip(values, values[1:]) if b < a)
     assert drops >= len(values) - 2     # one non-monotone step allowed
     assert values[-1] < values[0]
+
+
+def test_deviation_exact_side_is_eigenvalue_reference(log_det_char):
+    # |reference log det - asymptotic|, bit for bit
+    for analysis in (hs_analysis(), fig8_analysis()):
+        roots = [p for p, _ in analysis.roots]
+        for lam in (3.0, -3.0, 0.2 + 0.5j, 1.0 + 1e-3):
+            symbol = symbol_params(roots, lam)
+            for L, dev in fh_deviation(analysis, lam, [4, 16, 64]):
+                exact = log_det_char(correlation_spectrum(analysis, L), lam)
+                assert dev == abs(exact - log_dl_asymptotic(symbol, L))
+
+
+def test_deviation_branch_convention():
+    # Re lambda < 0 and inside the strip |Re lambda| < 1: a branch slip
+    # in the asymptotic side would show as a 2 pi jump, not a decay
+    hs2 = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
+                       2.0)
+    sizes = [16, 32, 64, 128, 256]
+    for analysis in (hs2, fig8_analysis()):
+        for lam in (-3.0, 0.2 + 0.5j, -0.7 - 0.3j):
+            devs = [d for _, d in fh_deviation(analysis, lam, sizes)]
+            assert all(devs[i + 2] < devs[i] for i in range(len(devs) - 2))
+            assert devs[-1] < devs[0]
+            assert devs[-1] <= 3e-2, (lam, devs)
 
 
 def test_deviation_near_cut_is_finite():

@@ -182,6 +182,10 @@ def test_barnes_domain():
         log_barnes_pair(0.5)
     with pytest.raises(DomainError):
         log_barnes_pair(-0.62 + 1j)
+    for beta in (math.nan, complex(0.0, math.inf), complex(0.1, -math.inf),
+                 complex(math.nan, 1.0), complex(0.1, math.nan)):
+        with pytest.raises(DomainError, match="finite beta"):
+            log_barnes_pair(beta)
 
 
 # ---------------------------------------------------------------------------

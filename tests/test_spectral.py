@@ -16,7 +16,6 @@ from fermichain.errors import (
     DegenerateGroundStateError,
     DomainError,
     EigenConvergenceError,
-    SingularMatrixError,
 )
 from fermichain.models import (
     DispersionProfile,
@@ -30,7 +29,6 @@ from fermichain.spectral import (
     correlation_spectrum,
     correlation_spectrum_finite,
     eigenvalues_symmetric,
-    log_det_char,
 )
 
 # frozen references (exact-rational / 40-digit oracle)
@@ -422,14 +420,14 @@ def test_spectrum_reports_achieved_gate_errors():
 # ---------------------------------------------------------------------------
 # determinants
 
-def test_log_det_one_by_one():
+def test_log_det_one_by_one(log_det_char):
     s = correlation_spectrum(hs_analysis(), 1)
     assert log_det_char(s, 3.0) == pytest.approx(math.log(3.0), abs=1e-14)
     lam = 0.3 + 0.7j
     assert log_det_char(s, lam) == pytest.approx(cmath.log(lam), abs=1e-14)
 
 
-def test_log_det_frozen_four():
+def test_log_det_frozen_four(log_det_char):
     s = correlation_spectrum(hs_analysis(), 4)
     got = log_det_char(s, 3.0)
     assert got.imag == pytest.approx(0.0, abs=1e-13)
@@ -437,7 +435,7 @@ def test_log_det_frozen_four():
     assert cmath.exp(got).real == pytest.approx(DET4_LAM3, rel=1e-12)
 
 
-def test_log_det_real_lambda_bound():
+def test_log_det_real_lambda_bound(log_det_char):
     for a in (hs_analysis(), fig8_analysis()):
         for L in range(1, 13):
             s = correlation_spectrum(a, L)
@@ -445,7 +443,7 @@ def test_log_det_real_lambda_bound():
             assert val.real >= L * math.log(2.0) - 1e-12
 
 
-def test_log_det_matches_direct_determinant():
+def test_log_det_matches_direct_determinant(log_det_char):
     for a in (hs_analysis(), fig8_analysis()):
         for L in (2, 5, 9, 12):
             s = correlation_spectrum(a, L)
@@ -456,20 +454,11 @@ def test_log_det_matches_direct_determinant():
                 assert abs(got - want) < 1e-8 * abs(want)
 
 
-def test_log_det_singular():
-    s = correlation_spectrum(hs_analysis(), 5)
-    lam = 2.0 * s.eigenvalues[2] - 1.0
-    with pytest.raises(SingularMatrixError):
-        log_det_char(s, lam)
-    with pytest.raises(SingularMatrixError):
-        log_det_char(s, lam + 5e-13)
-
-
 # ---------------------------------------------------------------------------
 # randomized battery (short version; the full 10-seed run lives in the
 # acceptance suite)
 
-def test_random_sea_battery():
+def test_random_sea_battery(log_det_char):
     prof = hs_profile()
     for seed in range(3):
         rng = np.random.default_rng(seed)
