@@ -14,7 +14,6 @@ from .specfun import (
     EULER_GAMMA,
     zeta,
     polylog_circle,
-    digamma_real_part,
     log_barnes_pair,
     entropy_kernel,
 )
@@ -48,7 +47,6 @@ from .entanglement import (
     f_factor,
     i1,
     c_tilde,
-    c_tilde_oracle,
     renyi_asymptotic,
 )
 from .fisher_hartwig import (
@@ -69,7 +67,6 @@ __all__ = [
     "EULER_GAMMA",
     "zeta",
     "polylog_circle",
-    "digamma_real_part",
     "log_barnes_pair",
     "entropy_kernel",
     "FAMILIES",
@@ -95,7 +92,6 @@ __all__ = [
     "f_factor",
     "i1",
     "c_tilde",
-    "c_tilde_oracle",
     "renyi_asymptotic",
     "FHSymbol",
     "symbol_params",

@@ -35,11 +35,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # a token that starts with a dash and then a digit or a dot and a
-        # digit, or that is -inf, -infinity or -nan in any case, is a
-        # value, so -1e-3, -1,0.5 and -inf reach their converters; no
-        # fermichain flag looks like that
+        # digit, or with -inf, -infinity or -nan (any case) alone or before
+        # a comma, is a value, so -1e-3, -1,0.5, -inf and -inf,0.5 reach
+        # their converters; no fermichain flag looks like that
         self._negative_number_matcher = re.compile(
-            r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+            r"^-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
 
     # argparse exits with status 2 on bad flags; route everything through
     # the DomainError -> exit 1 path instead

@@ -38,18 +38,17 @@ _CUSP_WIDTH = math.pi * 2.0 ** -40
 class FermiAnalysis:
     """Where E(p) = mu on (0, pi) and what that means for the phase.
 
-    roots holds (p_i, multiplicity) pairs sorted by p_i; velocities,
-    b_k and eps_k line up with it. b_k = (nu! / |E^(nu)(p_k)|)^(1/nu)
-    and eps_k = sign E^(nu)(p_k); for simple roots these reduce to the
-    inverse velocity and the slope sign. sea lists disjoint intervals
-    of [0, 2*pi) with E < mu; sea_half is its [0, pi] restriction.
+    roots holds (p_i, multiplicity) pairs sorted by p_i; velocities and
+    b_k line up with it. b_k = (nu! / |E^(nu)(p_k)|)^(1/nu), which for
+    simple roots reduces to the inverse velocity. sea lists disjoint
+    intervals of [0, 2*pi) with E < mu; sea_half is its [0, pi]
+    restriction.
     central_charge is None unless the phase is critical.
     """
     mu: float
     roots: tuple
     velocities: tuple
     b_k: tuple
-    eps_k: tuple
     sea: tuple
     sea_half: tuple
     phase: str
@@ -136,12 +135,9 @@ def _analyze(profile, mu):
     multiple = np.array([nu > 1 for _, nu in roots], dtype=bool)
     if multiple.any():
         d[multiple] = profile.E2_grid(ps[multiple])
-    b_k = []
-    eps_k = []
-    for dk, (_, nu) in zip(d.tolist(), roots):
-        b_k.append((math.factorial(nu) / abs(dk)) ** (1.0 / nu)
-                   if dk != 0.0 else math.inf)
-        eps_k.append(int(math.copysign(1.0, dk)) if dk != 0.0 else 0)
+    b_k = tuple((math.factorial(nu) / abs(dk)) ** (1.0 / nu)
+                if dk != 0.0 else math.inf
+                for dk, (_, nu) in zip(d.tolist(), roots))
 
     sea_half = _half_sea(profile, mu, [p for p, _ in roots])
     sea = _reflect_sea(sea_half)
@@ -162,8 +158,7 @@ def _analyze(profile, mu):
             achieved=math.nan, target=1e-13)
 
     return FermiAnalysis(mu=mu, roots=roots, velocities=velocities,
-                         b_k=tuple(b_k), eps_k=tuple(eps_k), sea=sea,
-                         sea_half=sea_half, phase=phase,
+                         b_k=b_k, sea=sea, sea_half=sea_half, phase=phase,
                          central_charge=charge, e_min=e_min, e_max=e_max,
                          stationary_points=tuple(stationary))
 

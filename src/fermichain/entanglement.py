@@ -5,11 +5,11 @@ The exact entropy is the binary kernel over all correlation eigenvalues,
 evaluated in one vector pass and summed elementwise.  The asymptotic
 side needs two model-independent numbers, the prefactor
 i1(alpha) = (1+alpha)/(6 alpha) and the constant c_tilde(alpha), plus
-one model-dependent factor built from the Fermi points.  c_tilde is
-computed two independent ways so each can vouch for the other: a
+one model-dependent factor built from the Fermi points.  c_tilde is a
 hyperbolic-kernel integral on the library's fixed-panel Gauss-Legendre
-rule, one integrand for every alpha, and a digamma-weighted integral on
-adaptive quad.
+rule, one integrand for every alpha.  Its independent cross-check, a
+digamma-weighted integral on adaptive quad, is test code and lives in
+tests/conftest.py.
 """
 
 import functools
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .specfun import (_check_alpha, _horner, digamma_real_part,
-                      entropy_kernel, panel_quadrature, zeta)
+from .specfun import (_check_alpha, _horner, entropy_kernel,
+                      panel_quadrature, zeta)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class EntropyReport:
     L: int
     s_exact: float
     s_asymptotic: float
-    c_alpha: float
     c_tilde: float
     f_factor: float
     r_L: float
@@ -163,52 +162,6 @@ def c_tilde(alpha):
 
 
 # ---------------------------------------------------------------------------
-# the same constant, digamma form (independent cross-check)
-
-def _s_alpha_exponential(alpha, w):
-    # entropy kernel at x = tanh(pi w) without forming tanh: the
-    # eigenvalue weights become log1p of exponentially small arguments
-    q = 2.0 * math.pi * w
-    e = math.exp(-q)
-    if alpha == math.inf:
-        return math.log1p(e)
-    if alpha == 1.0:
-        return math.log1p(e) + q * e / (1.0 + e)
-    if abs(alpha - 1.0) < 0.5:
-        # log1p(e) + log[(1 + e^{-alpha q})/(1 + e)]/(1 - alpha), the
-        # ratio written as 1 + sigma expm1((1 - alpha) q)
-        sigma = e / (1.0 + e)
-        return (math.log1p(e)
-                - math.log1p(sigma * math.expm1((1.0 - alpha) * q))
-                / (alpha - 1.0))
-    return (math.log1p(math.exp(-alpha * q))
-            - alpha * math.log1p(e)) / (1.0 - alpha)
-
-
-def c_tilde_oracle(alpha):
-    """c_tilde via the digamma-weighted eigenvalue-density integral."""
-    from scipy.integrate import quad
-    alpha = _check_alpha(alpha)
-    rate = 2.0 * math.pi * min(1.0, alpha)
-    w_hi = 40.0 / rate + 2.0
-
-    def integrand(w):
-        return _s_alpha_exponential(alpha, w) * digamma_real_part(w)
-
-    # the kernel's knee sits at w ~ 1/(2 pi alpha), which quad alone
-    # misses once alpha is large
-    knees = [k / (2.0 * math.pi * alpha) for k in (1.0, 10.0, 100.0)]
-    val, err = quad(integrand, 0.0, w_hi,
-                    points=[w for w in knees if 0.0 < w < w_hi],
-                    epsabs=1e-12, epsrel=1e-11, limit=300)
-    if err * 4.0 / math.pi > 1e-9:
-        raise QuadratureError(
-            f"digamma-form c_tilde({alpha}) integral did not converge",
-            achieved=err * 4.0 / math.pi, target=1e-9)
-    return -(4.0 / math.pi) * val
-
-
-# ---------------------------------------------------------------------------
 # the asymptotic entropy
 
 def renyi_asymptotic(spectrum, alpha):
@@ -231,8 +184,7 @@ def renyi_asymptotic(spectrum, alpha):
     ct = c_tilde(alpha)
     pref = i1(alpha)
     s_app = nsea * pref * math.log(L * f ** (1.0 / nsea)) + nsea * ct
-    c_alpha = pref * math.log(f) + nsea * ct
     s_exact = renyi_exact(spectrum, alpha)
     return EntropyReport(alpha=alpha, L=L, s_exact=s_exact,
-                         s_asymptotic=s_app, c_alpha=c_alpha, c_tilde=ct,
+                         s_asymptotic=s_app, c_tilde=ct,
                          f_factor=f, r_L=s_app / s_exact - 1.0)

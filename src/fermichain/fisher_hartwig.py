@@ -3,7 +3,8 @@ det(lam + 1 - 2 A_L).
 
 The symbol of this Toeplitz matrix is piecewise constant on the unit
 circle with jumps at the Fermi points +-p_i, so its determinant
-asymptotics are governed by a pure jump exponent beta and a constant b.
+asymptotics are governed by a pure jump exponent beta and the symbol's
+constant part.
 Branch convention throughout: log z = log|z| + i arg z with
 arg in (-pi, pi], and z^a = e^{a log z}.
 """
@@ -25,8 +26,6 @@ from .spectral import _critical_momenta, correlation_spectrum
 class FHSymbol:
     lam: complex
     beta: complex
-    beta_j: tuple
-    b: complex
     P: float
     jump_angles: tuple
 
@@ -49,9 +48,9 @@ def symbol_params(roots, lam):
     """Jump parameters of the symbol of lam + 1 - 2 A_L.
 
     beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every jump up
-    to the alternating sign beta_j = (-1)^j beta; P collects the jump
-    positions, and b = (lam+1) [(lam+1)/(lam-1)]^{-P} is the constant
-    part of the symbol.
+    to an alternating sign; P collects the jump positions, so the
+    symbol's constant part (lam+1) [(lam+1)/(lam-1)]^{-P} enters
+    log_dl_asymptotic through lam and P alone.
     """
     ps = _check_roots(roots)
     lam = _check_off_cut(lam)
@@ -59,12 +58,8 @@ def symbol_params(roots, lam):
     beta = log_ratio / (2.0j * math.pi)
     m = len(ps) - 1
     P = sum((-1.0) ** k * p for k, p in enumerate(ps)) / math.pi + (m % 2)
-    b = (lam + 1.0) * cmath.exp(-P * log_ratio)
-    beta_j = tuple(beta if j % 2 == 0 else -beta
-                   for j in range(2 * (m + 1)))
     angles = tuple(sorted([-p for p in ps] + ps))
-    return FHSymbol(lam=lam, beta=beta, beta_j=beta_j, b=b, P=P,
-                    jump_angles=angles)
+    return FHSymbol(lam=lam, beta=beta, P=P, jump_angles=angles)
 
 
 def log_dl_asymptotic(symbol, L):

@@ -1,22 +1,19 @@
 """Special functions used throughout the library.
 
-Riemann zeta (nu > 1), the polylogarithm on the unit circle, the real part
-of the digamma function on the critical line Re z = 1/2, the Barnes-G pair
-product log[G(1+beta)G(1-beta)], the Renyi entropy kernel s_alpha(x) over
-an array x (a scalar is a grid of one) with the one Renyi-order
-validator, and the one fixed-panel Gauss-Legendre rule behind every
-smooth integral (the free energy and c_tilde).
+Riemann zeta (nu > 1), the polylogarithm on the unit circle, the
+Barnes-G pair product log[G(1+beta)G(1-beta)], the Renyi entropy kernel
+s_alpha(x) over an array x (a scalar is a grid of one) with the one
+Renyi-order validator, and the one fixed-panel Gauss-Legendre rule
+behind every smooth integral (the free energy and c_tilde).
 
 One real-line Riemann zeta, _zeta_real, serves the whole library:
 zeta(nu), the coefficients of the polylog series at any order, and (in
 its Hurwitz form) the tail of the Barnes sum; Gamma and k! come from
-math. Only digamma_real_part, which the c_tilde oracle alone calls,
-imports scipy.special, so no command path loads it. All routines are
-pure functions of their arguments. The shared state is four caches of
-read-only constants: zeta values and the per-order polylog constants
-here, the Clausen coefficients in models and the csch series in
-entanglement. Each is a pure function of its arguments, so concurrent
-calls are safe.
+math, so nothing here imports scipy. All routines are pure functions of
+their arguments. The shared state is four caches of read-only
+constants: zeta values and the per-order polylog constants here, the
+Clausen coefficients in models and the csch series in entanglement.
+Each is a pure function of its arguments, so concurrent calls are safe.
 """
 
 import cmath
@@ -264,18 +261,6 @@ def polylog_circle(nu, p):
     if p < 0.0 or p > _TWO_PI:
         p = p % _TWO_PI
     return complex(polylog_circle_grid(nu, [p])[0])
-
-
-# ---------------------------------------------------------------------------
-# Digamma on the critical line
-
-def digamma_real_part(w):
-    """Re psi(1/2 + i w) for finite real w, from scipy.special.psi."""
-    from scipy import special
-    w = float(w)
-    if not math.isfinite(w):
-        raise DomainError("digamma_real_part requires finite w")
-    return float(special.psi(complex(0.5, w)).real)
 
 
 # ---------------------------------------------------------------------------

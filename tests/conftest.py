@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+
+from fermichain.errors import DomainError, QuadratureError
+from fermichain.specfun import _check_alpha
 
 
 def _log_det_char(spectrum, lam):
@@ -13,3 +18,65 @@ def _log_det_char(spectrum, lam):
 @pytest.fixture
 def log_det_char():
     return _log_det_char
+
+
+def _digamma_real_part(w):
+    """Re psi(1/2 + i w) for finite real w, from scipy.special.psi."""
+    from scipy import special
+    w = float(w)
+    if not math.isfinite(w):
+        raise DomainError("digamma_real_part requires finite w")
+    return float(special.psi(complex(0.5, w)).real)
+
+
+@pytest.fixture
+def digamma_real_part():
+    return _digamma_real_part
+
+
+def _s_alpha_exponential(alpha, w):
+    # entropy kernel at x = tanh(pi w) without forming tanh: the
+    # eigenvalue weights become log1p of exponentially small arguments
+    q = 2.0 * math.pi * w
+    e = math.exp(-q)
+    if alpha == math.inf:
+        return math.log1p(e)
+    if alpha == 1.0:
+        return math.log1p(e) + q * e / (1.0 + e)
+    if abs(alpha - 1.0) < 0.5:
+        # log1p(e) + log[(1 + e^{-alpha q})/(1 + e)]/(1 - alpha), the
+        # ratio written as 1 + sigma expm1((1 - alpha) q)
+        sigma = e / (1.0 + e)
+        return (math.log1p(e)
+                - math.log1p(sigma * math.expm1((1.0 - alpha) * q))
+                / (alpha - 1.0))
+    return (math.log1p(math.exp(-alpha * q))
+            - alpha * math.log1p(e)) / (1.0 - alpha)
+
+
+def _c_tilde_oracle(alpha):
+    """c_tilde via the digamma-weighted eigenvalue-density integral."""
+    from scipy.integrate import quad
+    alpha = _check_alpha(alpha)
+    rate = 2.0 * math.pi * min(1.0, alpha)
+    w_hi = 40.0 / rate + 2.0
+
+    def integrand(w):
+        return _s_alpha_exponential(alpha, w) * _digamma_real_part(w)
+
+    # the kernel's knee sits at w ~ 1/(2 pi alpha), which quad alone
+    # misses once alpha is large
+    knees = [k / (2.0 * math.pi * alpha) for k in (1.0, 10.0, 100.0)]
+    val, err = quad(integrand, 0.0, w_hi,
+                    points=[w for w in knees if 0.0 < w < w_hi],
+                    epsabs=1e-12, epsrel=1e-11, limit=300)
+    if err * 4.0 / math.pi > 1e-9:
+        raise QuadratureError(
+            f"digamma-form c_tilde({alpha}) integral did not converge",
+            achieved=err * 4.0 / math.pi, target=1e-9)
+    return -(4.0 / math.pi) * val
+
+
+@pytest.fixture
+def c_tilde_oracle():
+    return _c_tilde_oracle

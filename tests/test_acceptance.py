@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -17,7 +16,6 @@ from fermichain import (
     DispersionProfile,
     InteractionModel,
     c_tilde,
-    c_tilde_oracle,
     correlation_spectrum,
     f_factor,
     fermi_points,
@@ -90,7 +88,7 @@ def test_02_universal_constant_values():
            f"got {-peak.fun:.7f} at {peak.x:.7f}")
 
 
-def test_03_constant_cross_formula_agreement():
+def test_03_constant_cross_formula_agreement(c_tilde_oracle):
     # two unrelated integral representations of the same constant
     worst = 0.0
     for alpha in (0.25, 0.5, 2.0, 3.0, 10.0):

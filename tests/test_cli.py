@@ -334,6 +334,7 @@ def test_library_refusals_exit_one(tmp_path, capsys, argv, message):
 
 
 LAMBDA_NOT_FINITE = "lambda=.* is not finite"
+COEFFS_NOT_FINITE = "finite-range couplings must be finite"
 
 # argv whose last value starts with a dash, and the phase it finds or the
 # library's refusal of it
@@ -351,6 +352,9 @@ NEGATIVE_VALUES = {
                       LAMBDA_NOT_FINITE),
     "lambda-im-nan": (["fh-check", *HS2, "--lambda-im", "-nan"],
                       LAMBDA_NOT_FINITE),
+    **{f"coeffs{token}": (["phase", "--model", "finite-range", "--mu", "1",
+                           "--coeffs", token], COEFFS_NOT_FINITE)
+       for token in ("-inf,0.5", "-nan,0.5")},
 }
 
 
@@ -362,7 +366,7 @@ def test_negative_values_reach_their_converters(tmp_path, capsys, argv,
     # same output, or the same refusal by the library
     out, want = tmp_path / "sep.csv", tmp_path / "eq.csv"
     joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
-    if outcome in (MU_NOT_FINITE, LAMBDA_NOT_FINITE):
+    if outcome in (MU_NOT_FINITE, LAMBDA_NOT_FINITE, COEFFS_NOT_FINITE):
         errors = []
         for args in (argv, joined):
             assert run([*args, "--output", str(out)]) == 1
@@ -624,8 +628,6 @@ for name, runs in json.loads(sys.argv[1]):
     for argv in runs:
         assert cli.run(argv) == 0, argv
     seen[name] = [m for m in SCIPY if m in sys.modules]
-fermichain.c_tilde_oracle(1.0)
-seen["oracle"] = [m for m in SCIPY if m in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -633,8 +635,8 @@ print(json.dumps(seen))
 def test_cold_commands_import_only_the_scipy_they_call(tmp_path):
     # a fresh process: importing fermichain and the phase, dispersion and
     # free-energy commands of every family, and constants, load no scipy
-    # module; fh-check and entropy load linalg (the spectrum), and only
-    # c_tilde_oracle loads special (digamma) and integrate
+    # module; fh-check and entropy load linalg (the spectrum), and no
+    # command loads special or integrate
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -650,5 +652,3 @@ def test_cold_commands_import_only_the_scipy_they_call(tmp_path):
     assert seen["constants"] == []
     assert seen["fh_check"] == ["scipy.linalg"]
     assert seen["entropy"] == ["scipy.linalg"]
-    assert seen["oracle"] == ["scipy.special", "scipy.integrate",
-                              "scipy.linalg"]

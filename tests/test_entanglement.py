@@ -10,7 +10,6 @@ from fermichain.entanglement import (
     EntropyReport,
     _csch_series,
     c_tilde,
-    c_tilde_oracle,
     f_factor,
     i1,
     renyi_asymptotic,
@@ -211,14 +210,14 @@ def test_csch_series_cached_read_only():
             assert abs(coef[j] / ref - 1) < 1e-15, j
 
 
-def test_c_tilde_oracle_frozen_values():
+def test_c_tilde_oracle_frozen_values(c_tilde_oracle):
     assert c_tilde_oracle(1.0) == pytest.approx(CT1, abs=1e-9)
     assert c_tilde_oracle(math.inf) == pytest.approx(CT_INF, abs=1e-9)
     for alpha, want in CT_BY_ALPHA.items():
         assert c_tilde_oracle(alpha) == pytest.approx(want, abs=1e-9)
 
 
-def test_c_tilde_cross_formula():
+def test_c_tilde_cross_formula(c_tilde_oracle):
     # from alpha = 2000 on the oracle needs its breakpoints near
     # w = 1/(2 pi alpha), and near 1 its expm1 form
     for alpha in (0.01, 0.25, 0.5, 0.999, 1.0 - 9.9e-7, 1.0 + 9.9e-7, 1.001,
@@ -258,7 +257,7 @@ def test_c_tilde_finite_or_raises():
             assert k < 0
 
 
-def test_c_tilde_validation():
+def test_c_tilde_validation(c_tilde_oracle):
     for alpha in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             c_tilde(alpha)
@@ -276,8 +275,6 @@ def test_asymptotic_single_sea_formula():
     assert report.c_tilde == pytest.approx(CT1, abs=1e-10)
     want = math.log(2.0 * 64.0) / 3.0 + report.c_tilde
     assert report.s_asymptotic == pytest.approx(want, abs=1e-12)
-    assert report.c_alpha == pytest.approx(
-        math.log(2.0) / 3.0 + report.c_tilde, abs=1e-12)
     assert report.r_L == report.s_asymptotic / report.s_exact - 1.0
     assert report.s_exact > 0.0
 

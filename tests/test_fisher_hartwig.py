@@ -7,7 +7,6 @@ import pytest
 from fermichain.criticality import fermi_points
 from fermichain.errors import DomainError
 from fermichain.fisher_hartwig import (
-    FHSymbol,
     fh_deviation,
     log_dl_asymptotic,
     symbol_params,
@@ -17,7 +16,6 @@ from fermichain.specfun import log_barnes_pair
 from fermichain.spectral import correlation_spectrum
 
 # frozen references (40-digit oracle, m=0, p0=pi/2, lambda=3)
-B_M0 = 2.8284271247461901          # 2 sqrt 2
 LOG_D4_ASYM = 4.2477094434535625
 LOG_D4_EXACT = 4.2476954593651375
 
@@ -66,17 +64,13 @@ def test_symbol_single_pair():
                                    abs=1e-15)
     assert s.beta.imag == pytest.approx(-0.110318, abs=1e-6)
     assert s.P == pytest.approx(0.5, abs=1e-15)
-    assert s.b == pytest.approx(B_M0, abs=1e-14)
     assert s.jump_angles == (-math.pi / 2.0, math.pi / 2.0)
-    assert s.beta_j == (s.beta, -s.beta)
 
 
 def test_symbol_two_pairs():
     s = symbol_params([math.pi / 3.0, 2.0 * math.pi / 3.0], 3.0)
     assert s.P == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert len(s.jump_angles) == 4
-    assert len(s.beta_j) == 4
-    assert all(x + y == 0.0 for x, y in zip(s.beta_j, s.beta_j[1:]))
 
 
 def test_symbol_real_lambda_beta_imaginary():
@@ -105,7 +99,6 @@ def test_symbol_conjugation():
     # still conjugates because beta enters only through beta^2 and the
     # even Barnes pair
     assert sc.beta == pytest.approx(-s.beta.conjugate(), abs=1e-15)
-    assert sc.b == pytest.approx(s.b.conjugate(), abs=1e-13)
     assert sc.P == s.P
 
 

@@ -1,0 +1,53 @@
+"""Static checks on the package and test sources, standard library only."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "fermichain").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# the one scipy module the library may load: the LAPACK eigensolver of
+# the correlation spectrum; any other is test or oracle code
+LIBRARY_SCIPY = "scipy.linalg.lapack"
+
+
+def _imports(tree):
+    """(bound name, full dotted name) of every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], a.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "." * node.level + (node.module or "")
+            for a in node.names:
+                yield a.asname or a.name, f"{base}.{a.name}"
+
+
+def _read_names(tree):
+    """Names loaded anywhere in the module, plus the strings of __all__."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {e.value for e in node.value.elts}
+    return read
+
+
+def test_imports_are_read_and_library_scipy_is_lapack_only():
+    unread, scipy_in_src = [], []
+    for path in SRC + TESTS:
+        tree = ast.parse(path.read_text(), str(path))
+        read = _read_names(tree)
+        name = path.relative_to(ROOT).as_posix()
+        for bound, full in _imports(tree):
+            if bound not in read:
+                unread.append(f"{name}: {bound}")
+            if (path in SRC and full.split(".")[0] == "scipy"
+                    and full != LIBRARY_SCIPY
+                    and not full.startswith(LIBRARY_SCIPY + ".")):
+                scipy_in_src.append(f"{name}: {full}")
+    assert unread == []
+    assert scipy_in_src == []

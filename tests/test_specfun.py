@@ -13,7 +13,6 @@ from fermichain.specfun import (
     zeta,
     polylog_circle,
     polylog_circle_grid,
-    digamma_real_part,
     log_barnes_pair,
     entropy_kernel,
 )
@@ -125,13 +124,13 @@ def test_polylog_reduces_momenta_outside_the_zone():
             assert abs(got - want) <= 1e-13 * abs(want), (nu, shifted)
 
 
-def test_digamma_refuses_nonfinite_w():
+def test_digamma_refuses_nonfinite_w(digamma_real_part):
     for w in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             digamma_real_part(w)
 
 
-def test_digamma_frozen_values():
+def test_digamma_frozen_values(digamma_real_part):
     assert digamma_real_part(1.0) == pytest.approx(PSI_HALF_PLUS_I, abs=1e-13)
     assert digamma_real_part(2.5) == pytest.approx(PSI_HALF_PLUS_2p5I, abs=1e-13)
     # psi(1/2) = -gamma - 2 log 2
@@ -140,7 +139,7 @@ def test_digamma_frozen_values():
     assert digamma_real_part(-1.0) == pytest.approx(PSI_HALF_PLUS_I, abs=1e-13)
 
 
-def test_digamma_stirling_regime():
+def test_digamma_stirling_regime(digamma_real_part):
     # Re psi(1/2 + i w) -> log|1/2 + i w| as w grows
     w = 300.0
     want = 0.5 * math.log(0.25 + w * w)
@@ -328,7 +327,7 @@ def test_polylog_grid_parts_are_the_complex_parts(nu):
     assert polylog_circle_grid(nu, ends, "imag").tolist() == [0.0, 0.0]
 
 
-def test_digamma_matches_mpmath():
+def test_digamma_matches_mpmath(digamma_real_part):
     mpmath = pytest.importorskip("mpmath")
     ws = np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 25)])
     with mpmath.workdps(30):
