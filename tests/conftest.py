@@ -20,6 +20,41 @@ def log_det_char():
     return _log_det_char
 
 
+def _s2_levinson(row):
+    """S_2(L) for every L <= len(row) of the block with this correlation
+    row, with no eigensolver.
+
+    With x = 2 lambda - 1, lambda^2 + (1 - lambda)^2 = (1 + x^2) / 2, so
+    S_2(L) = L log 2 - 2 Re log det(i + 1 - 2 A_L). One Levinson-Durbin
+    pass on the Toeplitz row of i + 1 - 2A (Golub & Van Loan, Alg.
+    4.7.1, which needs symmetry, not Hermiticity) gives the determinant
+    of every leading block as c_0^L times the product of its prediction
+    errors beta. Returns S_2(L) at index L - 1.
+    """
+    c = -2.0 * np.asarray(row, dtype=complex)
+    c[0] += 1.0 + 1.0j
+    r = c[1:] / c[0]
+    n = c.size
+    log_beta = np.zeros(n)    # log|det T_L / det T_{L-1}| at index L - 1
+    y = np.empty(n - 1, dtype=complex)  # y[:k] solves T_k y = -r[:k]
+    beta = 1.0 + 0j
+    for k in range(1, n):
+        head = y[:k - 1]
+        alpha = -(r[k - 1] + (r[:k - 1][::-1] * head).sum()) / beta
+        head += alpha * head[::-1]
+        y[k - 1] = alpha
+        beta *= 1.0 - alpha * alpha
+        log_beta[k] = math.log(abs(beta))
+    L = np.arange(1, n + 1)
+    log_det = L * math.log(abs(c[0])) + np.cumsum(log_beta)
+    return L * math.log(2.0) - 2.0 * log_det
+
+
+@pytest.fixture
+def s2_levinson():
+    return _s2_levinson
+
+
 def _digamma_real_part(w):
     """Re psi(1/2 + i w) for finite real w, from scipy.special.psi."""
     from scipy import special

@@ -16,6 +16,7 @@ from fermichain import (
     DispersionProfile,
     InteractionModel,
     c_tilde,
+    correlation_row,
     correlation_spectrum,
     f_factor,
     fermi_points,
@@ -194,11 +195,15 @@ def test_08_dispersion_identities_and_thresholds():
 
     def threshold(make, lo, hi):
         # bisect the coupling on the monotone/non-monotone classifier edge
-        assert monotonicity_report(DispersionProfile(make(lo))).monotonic
-        assert not monotonicity_report(DispersionProfile(make(hi))).monotonic
+        def monotonic(c):
+            return monotonicity_report(
+                DispersionProfile(make(c))).critical_points == ()
+
+        assert monotonic(lo)
+        assert not monotonic(hi)
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
-            if monotonicity_report(DispersionProfile(make(mid))).monotonic:
+            if monotonic(mid):
                 lo = mid
             else:
                 hi = mid
@@ -241,9 +246,10 @@ def test_09_spectral_sanity_battery(log_det_char):
         analysis = fermi_points(hs_prof, mu)
         L = int(rng.integers(4, 13))
         spec = correlation_spectrum(analysis, L)
+        row = correlation_row(analysis, L)
         eig = spec.eigenvalues
         assert eig.min() >= -1e-10 and eig.max() <= 1.0 + 1e-10, (seed, mu)
-        assert abs(eig.sum() - L * spec.first_row[0]) <= 1e-9, (seed, mu)
+        assert abs(eig.sum() - L * row[0]) <= 1e-9, (seed, mu)
 
         # eigenvalues of the leading principal submatrix interlace
         sub = correlation_spectrum(analysis, L - 1).eigenvalues
@@ -252,7 +258,7 @@ def test_09_spectral_sanity_battery(log_det_char):
 
         lam = complex(rng.uniform(1.5, 4.0), rng.uniform(-1.0, 1.0))
         idx = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
-        dense = (lam + 1.0) * np.eye(L) - 2.0 * spec.first_row[idx]
+        dense = (lam + 1.0) * np.eye(L) - 2.0 * row[idx]
         brute = _plain_determinant(dense)
         got = log_det_char(spec, lam)
         assert abs(brute) > 0.0

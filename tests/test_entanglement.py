@@ -18,7 +18,8 @@ from fermichain.entanglement import (
 from fermichain.errors import DomainError, QuadratureError
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.specfun import zeta
-from fermichain.spectral import (CorrelationSpectrum, correlation_spectrum,
+from fermichain.spectral import (CorrelationSpectrum, correlation_row,
+                                 correlation_spectrum,
                                  correlation_spectrum_finite)
 
 # frozen references (60-digit oracle)
@@ -67,6 +68,21 @@ def spectrum(which, L):
 
 # ---------------------------------------------------------------------------
 # exact entropies
+
+@pytest.mark.parametrize("model, mu", [
+    (InteractionModel.haldane_shastry(), 2.0),
+    (InteractionModel.haldane_shastry(), MU_HALF),
+    (InteractionModel.finite_range((1.0, 0.5)), 4.25),
+], ids=["hs-mu2", "hs-half", "fig8-4.25"])
+def test_renyi_two_matches_levinson_oracle(s2_levinson, model, mu):
+    # S_2 from the dense eigensolver against one Levinson-Durbin pass,
+    # which needs no eigenvalues, on one- and two-arc seas
+    a = fermi_points(DispersionProfile(model), mu)
+    want = s2_levinson(correlation_row(a, 2048))
+    for L in (1, 2, 3, 64, 255, 512, 1023, 2048):
+        got = renyi_exact(correlation_spectrum(a, L), 2.0)
+        assert abs(got - want[L - 1]) <= 1e-10, L
+
 
 def test_exact_single_site():
     s = spectrum("hs", 1)
@@ -290,8 +306,7 @@ def test_asymptotic_requires_critical():
     # a ring's spectrum and a hand-built one carry no Fermi points
     ring = correlation_spectrum_finite(InteractionModel.haldane_shastry(),
                                        2.0, 10, 64)
-    bare = CorrelationSpectrum(L=1, first_row=np.array([0.5]),
-                               eigenvalues=np.array([0.5]))
+    bare = CorrelationSpectrum(L=1, eigenvalues=np.array([0.5]))
     for s in (ring, bare):
         assert s.fermi_momenta is None
         with pytest.raises(DomainError):

@@ -381,13 +381,11 @@ def test_short_range_ring_energies_exact():
 def test_monotonic_families():
     for model in (hs(), fr(1.0, 0.2), InteractionModel.rational_cubic(0.5)):
         rep = monotonicity_report(DispersionProfile(model))
-        assert rep.monotonic
         assert rep.critical_points == ()
 
 
 def test_finite_range_critical_point():
     rep = monotonicity_report(DispersionProfile(fr(1.0, 0.5)))
-    assert not rep.monotonic
     assert len(rep.critical_points) == 1
     assert rep.critical_points[0] == pytest.approx(TWO_PI / 3.0, abs=1e-11)
 
@@ -395,17 +393,17 @@ def test_finite_range_critical_point():
 def test_power_law_monotonic():
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.power_law(1.5)))
-    assert rep.monotonic
+    assert rep.critical_points == ()
 
 
 def test_rational_cubic_threshold():
     # slope loses monotonicity only above J = 1/(2 log 2) ~ 0.7213
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.rational_cubic(0.72)))
-    assert rep.monotonic
+    assert rep.critical_points == ()
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.rational_cubic(0.75)))
-    assert not rep.monotonic
+    assert rep.critical_points != ()
 
 
 def test_near_threshold_root_close_to_zone_center():

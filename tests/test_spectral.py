@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_eigensolver_holds_one_sector():
+    # one padded sector of N rows is 8 N^2 bytes; both sectors at once,
+    # or a 256-row update temporary beside one, pass 2 x 8 N^2
+    a = hs_analysis()
+    eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
+    for L in (1024, 2048):
+        row = correlation_row(a, L)
+        N = spectral._padded(L - L // 2)   # rows of the even sector
+        tracemalloc.start()
+        try:
+            eigenvalues_symmetric(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * N * N, (L, peak)
+
+
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
     # nonzero after its sweep budget
@@ -378,7 +396,8 @@ def test_trace_identity():
     for a in (hs_analysis(), fig8_analysis()):
         for L in (1, 2, 7, 40):
             s = correlation_spectrum(a, L)
-            assert abs(s.eigenvalues.sum() - L * s.first_row[0]) < 1e-9
+            row = correlation_row(a, L)
+            assert abs(s.eigenvalues.sum() - L * row[0]) < 1e-9
 
 
 def test_particle_hole_reflection():
@@ -394,26 +413,29 @@ def test_particle_hole_reflection():
 def test_spectrum_builders():
     s = correlation_spectrum(hs_analysis(), 6)
     assert s.L == 6
-    assert len(s.first_row) == 6 and len(s.eigenvalues) == 6
+    assert len(s.eigenvalues) == 6
     assert np.all(np.diff(s.eigenvalues) >= 0.0)
     assert s.eigenvalues[0] > -1e-10 and s.eigenvalues[-1] < 1.0 + 1e-10
     f = correlation_spectrum_finite(InteractionModel.haldane_shastry(),
                                     3.0, 6, 64)
     assert f.L == 6
-    assert abs(f.eigenvalues.sum() - 6 * f.first_row[0]) < 1e-9
+    row = correlation_row_finite(InteractionModel.haldane_shastry(),
+                                 3.0, 6, 64)
+    assert abs(f.eigenvalues.sum() - 6 * row[0]) < 1e-9
 
 
 def test_spectrum_reports_achieved_gate_errors():
-    for s in (correlation_spectrum(hs_analysis(), 40),
-              correlation_spectrum_finite(InteractionModel.haldane_shastry(),
-                                          3.0, 40, 64)):
+    model = InteractionModel.haldane_shastry()
+    for s, row in ((correlation_spectrum(hs_analysis(), 40),
+                    correlation_row(hs_analysis(), 40)),
+                   (correlation_spectrum_finite(model, 3.0, 40, 64),
+                    correlation_row_finite(model, 3.0, 40, 64))):
         eig = s.eigenvalues
-        assert s.trace_gap == abs(eig.sum() - s.L * s.first_row[0])
+        assert s.trace_gap == abs(eig.sum() - s.L * row[0])
         assert 0.0 <= s.trace_gap <= 1e-9
         assert s.range_dev == max(-eig[0], eig[-1] - 1.0, 0.0)
         assert 0.0 <= s.range_dev <= 1e-10
-    bare = spectral.CorrelationSpectrum(L=1, first_row=np.array([0.5]),
-                                        eigenvalues=np.array([0.5]))
+    bare = spectral.CorrelationSpectrum(L=1, eigenvalues=np.array([0.5]))
     assert bare.trace_gap is None and bare.range_dev is None
 
 
@@ -447,7 +469,7 @@ def test_log_det_matches_direct_determinant(log_det_char):
     for a in (hs_analysis(), fig8_analysis()):
         for L in (2, 5, 9, 12):
             s = correlation_spectrum(a, L)
-            M0 = toeplitz_from_row(s.first_row)
+            M0 = toeplitz_from_row(correlation_row(a, L))
             for lam in (3.0, 1.5, 0.3 + 0.7j, -0.2 - 1.1j):
                 want = ge_det(lam * np.eye(L) + np.eye(L) - 2.0 * M0)
                 got = cmath.exp(log_det_char(s, lam))
@@ -467,8 +489,9 @@ def test_random_sea_battery(log_det_char):
         s = correlation_spectrum(a, 10)
         assert s.eigenvalues[0] > -1e-10
         assert s.eigenvalues[-1] < 1.0 + 1e-10
-        assert abs(s.eigenvalues.sum() - 10 * s.first_row[0]) < 1e-9
-        M = toeplitz_from_row(s.first_row)
+        row = correlation_row(a, 10)
+        assert abs(s.eigenvalues.sum() - 10 * row[0]) < 1e-9
+        M = toeplitz_from_row(row)
         want = ge_det(4.0 * np.eye(10) - 2.0 * M)
         got = cmath.exp(log_det_char(s, 3.0))
         assert abs(got - want) < 1e-8 * abs(want)
