@@ -106,8 +106,7 @@ def _analyze(profile, mu):
     snapped = tangent + ends
     excluded = []
     if snapped:
-        # the quadratic neighborhood of a tangency holds no crossing, so
-        # no bracket inside it is bisected and no root in it is kept. It
+        # the quadratic neighborhood of a tangency holds no crossing. It
         # is at least 1e-10 wide, the merge distance of zeros, so no
         # crossing left needs merging with a tangency.
         curvature = np.abs(profile.E2_grid(snapped))
@@ -117,8 +116,7 @@ def _analyze(profile, mu):
                             np.add(snapped, radius)))
 
     crossing = [r for r in half_period_zeros(
-                    lambda p: profile.E_grid(p) - mu, 1e-13, stationary,
-                    excluded)
+                    lambda p: profile.E_grid(p) - mu, 1e-13, stationary)
                 if not any(a <= r <= b for a, b in excluded)]
     # one E1 call gives the multiplicity check and the slopes; a point
     # has the same E1 bits in any grid

@@ -180,7 +180,6 @@ class DispersionProfile:
     def __init__(self, model):
         self.model = model
         self._series_cache = {}
-        self._monotonicity = None   # monotonicity_report's scan, once made
 
     # -- cosine-series couplings -----------------------------------------
     def _couplings(self, order):
@@ -336,40 +335,32 @@ def half_period_candidates(focus=()):
 def monotonicity_report(profile):
     """Scan E' for sign changes on (0, pi), bisect each to 1e-12.
 
-    The scan does not depend on mu, so a profile keeps its report and
-    scans once. Finite-range couplings past index _SCAN_CELLS/4 are
-    refused: their E' can change sign faster than the scan resolves.
+    Finite-range couplings past index _SCAN_CELLS/4 are refused: their
+    E' can change sign faster than the scan resolves.
     """
-    if profile._monotonicity is not None:
-        return profile._monotonicity
     top = len(profile.model.alphas)
     if top > _SCAN_CELLS // 4:
         raise AccuracyError(
             f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "
             f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
             achieved=top, target=_SCAN_CELLS // 4)
-    profile._monotonicity = MonotonicityReport(
+    return MonotonicityReport(
         critical_points=tuple(half_period_zeros(profile.E1_grid, 1e-12)))
-    return profile._monotonicity
 
 
-def half_period_zeros(f, xtol, focus=(), excluded=()):
+def half_period_zeros(f, xtol, focus=()):
     """Zeros of the grid function f on (0, pi), bisected to xtol, sorted.
 
     A cell of the half_period_candidates(focus) scan brackets a zero
     when f is negative at one end only, so an exact 0 is an ordinary
-    bracket end. A bracket with both ends inside one of the closed
-    intervals (a, b) in excluded is not bisected. Zeros within 1e-12 of
-    0 or pi are dropped, and one within 1e-10 of the last zero kept is
-    merged into it.
+    bracket end. Zeros within 1e-12 of 0 or pi are dropped, and one
+    within 1e-10 of the last zero kept is merged into it.
     """
     cand = half_period_candidates(focus)
     v = f(cand)
     neg = v < 0.0
     zeros = []
     for i in np.flatnonzero(neg[:-1] != neg[1:]):
-        if any(a <= cand[i] and cand[i + 1] <= b for a, b in excluded):
-            continue
         r = _bisect_sign_change(f, cand[i], cand[i + 1], v[i], v[i + 1], xtol)
         if 1e-12 < r < math.pi - 1e-12 and (
                 not zeros or r - zeros[-1] > 1e-10):

@@ -9,20 +9,20 @@ bundles them.
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
 size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). The sectors
-are built one at a time, the even (larger) one first, into one buffer
-padded with zero rows and columns to a multiple of 32, and each goes
-through two stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
+are built one at a time, the even (larger) one first, each padded with
+zero rows and columns to a multiple of 32, and each goes through two
+stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 
 1. dense to bandwidth 32, one panel of 32 columns per step: LAPACK
    dgeqrt factors the rows below the band, and the trailing matrix takes
    the panel's compact-WY reflector as a rank-64 product, 64 rows at a
-   time through one product buffer;
+   time;
 2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
    the eigenvalues.  Its info > 0 raises EigenConvergenceError.
 
 So the working set is one padded sector (N x N, N = ceil(ceil(L/2)/32)
-* 32) plus a 64 x N product buffer and a few N x 64 panel arrays: a
-traced peak of about 3.6 / 11.4 MB per call at L = 1024 / 2048.
+* 32) plus a 64 x N product and a few N x 64 panel arrays: a traced
+peak of about 3.5 / 11.1 MB per call at L = 1024 / 2048.
 
 Every BLAS product of stage 1 has at most 256 rows and a multiple of 32
 columns, and dsbevd calls BLAS only for plane rotations of at most 32
@@ -148,8 +148,6 @@ def _sector_eigenvalues(A, n):
     # W = C V T and Y = W - V (T^T V^T W) / 2.  The reflectors are zero
     # on the zero padding rows, so the padding stays zero.  Panels stop
     # once at most one row of the block lies below the band.
-    step = 2 * _PANEL
-    product = np.empty(step * A.shape[0])   # U Zt, one row block of C
     for k in range(0, n - _PANEL - 1, _PANEL):
         r = k + _PANEL
         qr, T, _ = dgeqrt(_PANEL, A[r:, k:r])
@@ -162,10 +160,8 @@ def _sector_eigenvalues(A, n):
         Y = W - 0.5 * _by_rows(V, T.T @ (V.T @ W), np.empty_like(V))
         U = np.hstack([V, Y])
         Zt = np.hstack([Y, V]).T
-        for i in range(0, C.shape[0], step):
-            block = C[i:i + step]
-            block -= np.matmul(U[i:i + step], Zt,
-                               out=product[:block.size].reshape(block.shape))
+        for i in range(0, C.shape[0], 2 * _PANEL):
+            C[i:i + 2 * _PANEL] -= U[i:i + 2 * _PANEL] @ Zt
     # Stage 2: dsbevd (dsbtrd, then dsterf) on the band in LAPACK's
     # lower storage; a 1-row sector comes back as it is
     kd = min(_PANEL, n - 1)
@@ -188,36 +184,23 @@ def eigenvalues_symmetric(first_row):
         raise DomainError("first row contains non-finite entries")
     if row.size == 1:
         return row.copy()
-    # one buffer holds the even sector, then the odd one, which is never
-    # larger
-    buf = np.empty(_padded(row.size - row.size // 2) ** 2)
     return np.sort(np.concatenate(
-        [_sector_eigenvalues(*_parity_sector(row, odd, buf))
+        [_sector_eigenvalues(*_parity_sector(row, odd))
          for odd in (False, True)]))
 
 
-def _padded(k):
-    # k rounded up to a multiple of _PANEL
-    return -(-k // _PANEL) * _PANEL
-
-
-def _parity_sector(t, odd, buf):
+def _parity_sector(t, odd):
     # The odd or even sector of the symmetric Toeplitz matrix with first
-    # row t, of size floor(n/2) or ceil(n/2), as (matrix, size): the
-    # matrix is padded by zeros to a multiple of _PANEL rows and is a
-    # C-contiguous view of the leading entries of the flat buffer buf,
-    # which it overwrites, so its products take the operands, and give
-    # the bits, of a matrix of its own. With m = n // 2, B the leading
-    # m x m block and H_ij = t[n-1-i-j] its mirrored neighbour, the odd
-    # sector is B - H and the even one B + H; for odd n the even sector
-    # is bordered by the middle column sqrt(2) t[m-i], t[0] in the
-    # corner.
+    # row t, of size floor(n/2) or ceil(n/2), as (matrix, size) with the
+    # matrix padded by zeros to a multiple of _PANEL rows. With m = n // 2,
+    # B the leading m x m block and H_ij = t[n-1-i-j] its mirrored
+    # neighbour, the odd sector is B - H and the even one B + H; for odd
+    # n the even sector is bordered by the middle column sqrt(2) t[m-i],
+    # t[0] in the corner.
     n = t.size
     m = n // 2
     size = m if odd else n - m
-    N = _padded(size)
-    A = buf[:N * N].reshape(N, N)
-    A.fill(0.0)
+    A = np.zeros((-(-size // _PANEL) * _PANEL,) * 2)
     # B and H as strided views of t, so no m x m temporary is made
     window = np.lib.stride_tricks.sliding_window_view
     B = window(np.concatenate([t[m - 1:0:-1], t[:m]]), m)[::-1]

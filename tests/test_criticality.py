@@ -8,12 +8,7 @@ import pytest
 
 from fermichain import criticality, specfun
 from fermichain.entanglement import c_tilde
-from fermichain.models import (
-    DispersionProfile,
-    InteractionModel,
-    half_period_candidates,
-    monotonicity_report,
-)
+from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
     fermi_points,
     free_energy,
@@ -145,37 +140,6 @@ def test_tangency_snap_absorbs_sub_resolution_pair():
     assert a.phase == "non-critical-multiple-root"
     assert len(a.roots) == 1
     assert a.roots[0][1] == 2
-
-
-def test_tangency_neighborhood_is_not_bisected():
-    # at the 4.5 tangency both sign changes of E - mu that the scan finds
-    # lie inside the snapped neighborhood, so neither is bisected: E_grid
-    # sees the band extrema, the scan and the two sea midpoints, nothing
-    # more (the two brackets cost 17 points each before they were skipped)
-    prof = fig8()
-    scan = half_period_candidates(monotonicity_report(prof).critical_points)
-    sizes = []
-    E_grid = prof.E_grid
-    prof.E_grid = lambda p: sizes.append(np.size(p)) or E_grid(p)
-    assert fermi_points(prof, 4.5).phase == "non-critical-multiple-root"
-    assert sizes == [3, scan.size, 2]
-
-
-def test_monotonicity_scanned_once_per_profile():
-    # the E' scan does not depend on mu: a profile makes it once, however
-    # many analyses and free energies it serves
-    prof = fig8()
-    scan = half_period_candidates().size
-    sizes = []
-    E1_grid = prof.E1_grid
-    prof.E1_grid = lambda p: sizes.append(np.size(p)) or E1_grid(p)
-    first = fermi_points(prof, 4.25)
-    assert sizes.count(scan) == 1
-    assert fermi_points(prof, 4.25) == first
-    fermi_points(prof, 3.0)
-    free_energy(prof, 4.25, 0.01)
-    assert sizes.count(scan) == 1
-    assert monotonicity_report(prof) is monotonicity_report(prof)
 
 
 def test_roots_hit_chemical_potential():

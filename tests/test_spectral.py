@@ -326,7 +326,7 @@ def test_eigensolver_holds_one_sector():
     eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
     for L in (1024, 2048):
         row = correlation_row(a, L)
-        N = spectral._padded(L - L // 2)   # rows of the even sector
+        N = -(-(L - L // 2) // 32) * 32   # rows of the padded even sector
         tracemalloc.start()
         try:
             eigenvalues_symmetric(row)
