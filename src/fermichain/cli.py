@@ -126,6 +126,17 @@ def _sizes(spec):
     return tuple(range(lo, hi + 1, step))
 
 
+def _grid_points(spec):
+    try:
+        n = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {spec!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def _temperatures(spec):
     if ":" not in spec:
         return _values(spec)
@@ -158,7 +169,7 @@ def _build_parser():
 
     p = sub.add_parser("dispersion", parents=[model_flags, out_flags],
                        help="tabulate E, E', E'' over one period")
-    p.add_argument("--grid-points", type=int, default=256)
+    p.add_argument("--grid-points", type=_grid_points, default=256)
 
     p = sub.add_parser("phase", parents=[model_flags, out_flags],
                        help="Fermi points and phase at a chemical potential")
@@ -271,8 +282,6 @@ def _profile_at_mu(args):
 def _cmd_dispersion(args):
     prof = DispersionProfile(_resolve_model(args))
     n = args.grid_points
-    if n < 2:
-        raise DomainError(f"--grid-points must be at least 2, got {n}")
     ps = np.linspace(0.0, 2.0 * math.pi, n)
     e = prof.E_grid(ps)
     e1 = prof.E1_grid(ps)

@@ -11,10 +11,11 @@ stationary points, but never a Fermi point; mu on one inside the band
 is refused. The same points place the panels of free_energy, which
 takes specfun's fixed Gauss-Legendre rule, reads the dispersion only
 through E_grid and reports its achieved quadrature error. A grid of
-temperatures takes one pass: the panel edges of every temperature come
-from one halving ladder, one E_grid call evaluates the nodes of the
-distinct panels, and one array expression gives the Fermi factor of
-every temperature at every node.
+temperatures takes one pass, which free_energy and low_temperature_fit
+share: the panel edges of every temperature come from one halving
+ladder, one E_grid call evaluates the nodes of the distinct panels, and
+one array expression gives the Fermi factor of every temperature at
+every node.
 """
 
 import math
@@ -223,11 +224,11 @@ def _panel_edges(analysis, T_grid):
 
 
 def _check_temperatures(T_grid):
-    """Temperatures as a 1-D float array, each positive and finite."""
+    """A non-empty 1-D float array of positive, finite temperatures."""
     T_grid = np.asarray(T_grid, dtype=float)
-    if T_grid.ndim != 1:
-        raise DomainError(
-            f"temperatures must form a 1-D grid, got shape {T_grid.shape}")
+    if T_grid.ndim != 1 or T_grid.size == 0:
+        raise DomainError("temperatures must form a non-empty 1-D grid, "
+                          f"got shape {T_grid.shape}")
     if not np.all((T_grid > 0.0) & np.isfinite(T_grid)):
         raise DomainError(
             f"temperatures must be positive and finite, got {T_grid.tolist()}")
@@ -261,7 +262,7 @@ def _fermi_integrand(e, T_grid):
     return np.subtract(np.minimum(e, 0.0), y, out=y)
 
 
-def free_energy(profile, mu, T, analysis=None):
+def free_energy(profile, mu, T):
     """f(T) = -(T/pi) int_0^pi log[1 + e^{-(E(p)-mu)/T}] dp, plus f0.
 
     f0 = (1/pi) int_0^pi min(E - mu, 0) dp is the exact T -> 0 limit of
@@ -273,19 +274,20 @@ def free_energy(profile, mu, T, analysis=None):
     achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
     the larger of the two.
 
-    T is a temperature or a 1-D grid of them; a scalar is a grid of one
-    and gives a ThermalResult, a grid a tuple of them. The panels of a
-    grid halve toward the same features by the same h 2^-k, deeper at
-    lower T, so they largely coincide, edges bit for bit: one E_grid
-    call on the distinct panels serves every T, and each T's result is
-    that of a call at that T alone, bit for bit.
+    T is a temperature or a non-empty 1-D grid of them; a scalar is a
+    grid of one and gives a ThermalResult, a grid a tuple of them. The
+    panels of a grid halve toward the same features by the same h 2^-k,
+    deeper at lower T, so they largely coincide, edges bit for bit: one
+    E_grid call on the distinct panels serves every T, and each T's
+    result is that of a call at that T alone, bit for bit.
     """
     T_grid = _check_temperatures([T] if np.ndim(T) == 0 else T)
-    if analysis is None:
-        analysis = _analyze(profile, mu)
-    elif float(mu) != analysis.mu:
-        raise DomainError(
-            f"analysis is for mu={analysis.mu}, free energy asked at mu={mu}")
+    results = _thermal_pass(profile, _analyze(profile, mu), T_grid)
+    return results[0] if np.ndim(T) == 0 else results
+
+
+def _thermal_pass(profile, analysis, T_grid):
+    """free_energy's pass: one ThermalResult per T of a checked grid."""
     edges = _panel_edges(analysis, T_grid.tolist())
     # the complex key lo + i hi is exact and sorts by lo, then hi
     panels, which = np.unique(
@@ -318,7 +320,7 @@ def free_energy(profile, mu, T, analysis=None):
                     f"{what} quadrature reached only {err:.3e} (target "
                     f"{target:.0e}) at T={t}", achieved=err, target=target)
         results.append(ThermalResult(T=t, f=f, f0=f0, quad_err=max(errs)))
-    return results[0] if np.ndim(T) == 0 else tuple(results)
+    return tuple(results)
 
 
 def low_temperature_fit(profile, mu, T_grid=None):
@@ -330,9 +332,9 @@ def low_temperature_fit(profile, mu, T_grid=None):
         -(2 b_k/pi)(1 - 2^{-1/nu}) Gamma(1+1/nu) zeta(1+1/nu).
     predicted_coefficient reports the law for the fitted (dominant)
     power; it is None for gapped and boundary phases. T_grid is a 1-D
-    grid with at least 4 distinct temperatures; all of them share one
-    free_energy pass, whose E_grid call covers the distinct panels of
-    every T once.
+    grid with at least 4 distinct temperatures, checked before the Fermi
+    analysis; all of them share free_energy's one thermal pass, whose
+    E_grid call covers the distinct panels of every T once.
     """
     if T_grid is None:
         T_grid = np.geomspace(1e-3, 1e-2, 8)
@@ -341,7 +343,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
         raise DomainError("need at least 4 distinct temperatures to fit")
 
     analysis = _analyze(profile, mu)
-    results = free_energy(profile, mu, T_grid, analysis)
+    results = _thermal_pass(profile, analysis, T_grid)
     gaps = np.array([r.f - r.f0 for r in results])
     if np.any(gaps >= 0.0):
         raise FitRejectedError(

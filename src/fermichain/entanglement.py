@@ -6,10 +6,12 @@ evaluated in one vector pass and summed elementwise.  The asymptotic
 side needs two model-independent numbers, the prefactor
 i1(alpha) = (1+alpha)/(6 alpha) and the constant c_tilde(alpha), plus
 one model-dependent factor built from the Fermi points.  c_tilde is a
-hyperbolic-kernel integral on the library's fixed-panel Gauss-Legendre
-rule, one integrand for every alpha.  Its independent cross-check, a
+hyperbolic-kernel integral, one integrand for every alpha, on the
+fixed-panel Gauss-Legendre rule of specfun._panel_nodes and
+_panel_rules that free_energy uses too.  Its independent cross-check, a
 digamma-weighted integral on adaptive quad, is test code and lives in
-tests/conftest.py.
+tests/conftest.py.  An EntropyReport carries the two entropies and
+their relative gap r_L.
 """
 
 import functools
@@ -19,19 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .specfun import (_check_alpha, _horner, entropy_kernel,
-                      panel_quadrature, zeta)
+from .specfun import (_check_alpha, _horner, _panel_nodes, _panel_rules,
+                      entropy_kernel, zeta)
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    alpha: float
-    L: int
     s_exact: float
     s_asymptotic: float
-    c_tilde: float
-    f_factor: float
-    r_L: float
+    r_L: float        # s_asymptotic / s_exact - 1
 
 
 def renyi_exact(spectrum, alpha):
@@ -132,7 +130,12 @@ def c_tilde(alpha):
         j <= odd, m ** np.maximum(odd - j, 0) * (m / alpha) ** j,
         0.0).sum(axis=1)
 
-    def integrand(t):
+    edges = np.concatenate([[0.0], 40.0 * 2.0 ** -np.arange(
+        math.ceil(math.log2(320.0) - math.log2(m)), -1.0, -1.0)])
+    half, t = _panel_nodes(edges[:-1], edges[1:])
+    # below alpha ~ 1e-154 the integrand, of order 1/(alpha t), overflows;
+    # any inf or nan it leaves in a panel sum fails the gate below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         small = t <= 0.5 * m
         N = np.empty_like(t)
         s = t[small] / m
@@ -146,15 +149,9 @@ def c_tilde(alpha):
             shc = np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
             N[~small] = _xcsch(u) / u * (
                 np.cosh(0.5 * (u + y)) * shc * _xcsch(y) - 1.0)
-        return (_xcsch(t) / t * N
-                - (1.0 + 1.0 / alpha) * np.exp(-2.0 * t) / 6.0) / t
-
-    edges = np.concatenate([[0.0], 40.0 * 2.0 ** -np.arange(
-        math.ceil(math.log2(320.0) - math.log2(m)), -1.0, -1.0)])
-    # below alpha ~ 1e-154 the integrand, of order 1/(alpha t), overflows;
-    # any inf or nan it leaves in a panel sum fails the gate below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val, err = panel_quadrature(integrand, edges)
+        q20, dq = _panel_rules((_xcsch(t) / t * N - (1.0 + 1.0 / alpha)
+                                * np.exp(-2.0 * t) / 6.0) / t, half)
+        val, err = q20.sum(), dq.sum()
     if not err <= 1e-9:
         raise QuadratureError(f"c_tilde({alpha}) integral did not converge",
                               achieved=float(err), target=1e-9)
@@ -178,13 +175,10 @@ def renyi_asymptotic(spectrum, alpha):
         raise DomainError(
             "asymptotic entropy needs the Fermi points of a critical sea; "
             "this spectrum carries none")
-    L = spectrum.L
     nsea = len(roots)
     f = f_factor(roots)
-    ct = c_tilde(alpha)
-    pref = i1(alpha)
-    s_app = nsea * pref * math.log(L * f ** (1.0 / nsea)) + nsea * ct
+    s_app = (nsea * i1(alpha) * math.log(spectrum.L * f ** (1.0 / nsea))
+             + nsea * c_tilde(alpha))
     s_exact = renyi_exact(spectrum, alpha)
-    return EntropyReport(alpha=alpha, L=L, s_exact=s_exact,
-                         s_asymptotic=s_app, c_tilde=ct,
-                         f_factor=f, r_L=s_app / s_exact - 1.0)
+    return EntropyReport(s_exact=s_exact, s_asymptotic=s_app,
+                         r_L=s_app / s_exact - 1.0)

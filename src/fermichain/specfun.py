@@ -4,7 +4,9 @@ Riemann zeta (nu > 1), the polylogarithm on the unit circle, the
 Barnes-G pair product log[G(1+beta)G(1-beta)], the Renyi entropy kernel
 s_alpha(x) over an array x (a scalar is a grid of one) with the one
 Renyi-order validator, and the one fixed-panel Gauss-Legendre rule
-behind every smooth integral (the free energy and c_tilde).
+behind every smooth integral: free_energy and c_tilde each place their
+panels, take the nodes from _panel_nodes, evaluate their integrand
+there and sum _panel_rules.
 
 One real-line Riemann zeta, _zeta_real, serves the whole library:
 zeta(nu), the coefficients of the polylog series at any order, and (in
@@ -199,15 +201,14 @@ def _series_constants(s):
     return pairs, singular
 
 
-def polylog_circle_grid(s, p, part=None):
-    """Li_s(e^{ip}) for real s, over a float array p in [0, 2*pi].
+def polylog_circle_grid(s, p, part):
+    """Re or Im Li_s(e^{ip}) for real s, over a float array p in [0, 2*pi].
 
     Sums the zeta series of _series_constants on q = min(p, 2 pi - p)
     and conjugates for p > pi. Its even (real) and odd (imaginary)
-    parts are two polynomials in q^2, summed by Horner's rule; the
-    result has p's shape. part="real" or "imag" sums only that part's
-    polynomial and returns a float array; part=None sums both and
-    returns them as one complex array.
+    parts are two polynomials in q^2; part="real" or "imag" sums that
+    part's polynomial by Horner's rule and returns a float array of p's
+    shape.
     The series keeps every term that can exceed 1e-18 on 0 <= q <= pi,
     which is 23 to 28 Horner steps for 1 < s <= 4 and at most 32 for
     s >= -2. q = 0 gives zeta(s) for s > 1 and +inf (the divergent sum
@@ -217,11 +218,6 @@ def polylog_circle_grid(s, p, part=None):
     any grid.
     """
     p = np.asarray(p, dtype=float)
-    if part is None:
-        out = np.empty(p.shape, dtype=complex)
-        out.real = polylog_circle_grid(s, p, "real")
-        out.imag = polylog_circle_grid(s, p, "imag")
-        return out
     odd = {"real": 0, "imag": 1}[part]
     fold = p > math.pi
     q = np.where(fold, _TWO_PI - p, p)
@@ -249,8 +245,8 @@ def polylog_circle_grid(s, p, part=None):
 def polylog_circle(nu, p):
     """Li_nu(e^{ip}) for nu > 1 and finite p, as a complex number.
 
-    p is reduced to [0, 2*pi); p = 0 gives zeta(nu) exactly. This is
-    polylog_circle_grid on a grid of one.
+    p is reduced to [0, 2*pi); p = 0 gives zeta(nu) exactly. Its real
+    and imaginary parts are polylog_circle_grid's on a grid of one.
     """
     nu = float(nu)
     if not nu > 1.0:
@@ -260,7 +256,8 @@ def polylog_circle(nu, p):
         raise DomainError(f"polylog_circle requires a finite p, got {p}")
     if p < 0.0 or p > _TWO_PI:
         p = p % _TWO_PI
-    return complex(polylog_circle_grid(nu, [p])[0])
+    return complex(polylog_circle_grid(nu, [p], "real")[0],
+                   polylog_circle_grid(nu, [p], "imag")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +316,15 @@ def _panel_nodes(lo, hi):
 
 
 def _panel_rules(g, half):
-    """Per-panel 20-point integrals and |Q20 - Q10| of node values g."""
+    """Per-panel 20-point integrals and |Q20 - Q10| of node values g.
+
+    g has shape (..., panels, 30), the values at _panel_nodes. Sums are
+    elementwise products and .sum, so no BLAS call decides the
+    rounding; callers sum the panels and gate the error themselves.
+    """
     q20 = (g[..., :20] * _W20).sum(axis=-1) * half
     q10 = (g[..., 20:] * _W10).sum(axis=-1) * half
     return q20, np.abs(q20 - q10)
-
-
-def panel_quadrature(integrand, edges):
-    """One fixed Gauss-Legendre pass over the panels between the edges.
-
-    edges is an increasing float array. integrand is called once, on a
-    (panels, 30) array holding the 20- then the 10-point nodes of each
-    panel, and returns values of shape (..., panels, 30), so one call
-    can carry several integrands. Returns the 20-point integrals and the
-    summed per-panel |Q20 - Q10|, the achieved error, each of shape
-    (...). Sums are elementwise products and .sum, so no BLAS call
-    decides the rounding; callers gate the error themselves.
-    """
-    half, nodes = _panel_nodes(edges[:-1], edges[1:])
-    q20, err = _panel_rules(integrand(nodes), half)
-    return q20.sum(axis=-1), err.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -410,9 +410,11 @@ def test_front_end_refusals_exit_one(tmp_path, capsys, case, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert os.listdir(tmp_path) == []
-    # a malformed token or range is refused by the name of its flag
-    flag = case.split("-")[0]
-    if flag in ("coeffs", "alpha", "T", "L"):
+    # a malformed token, range or grid size is refused by the name of
+    # its flag
+    flag = ("grid-points" if case.startswith("grid-points")
+            else case.split("-")[0])
+    if flag in ("coeffs", "alpha", "T", "L", "grid-points"):
         assert f"argument --{flag}:" in err
 
 
@@ -526,6 +528,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
      ["--lambda-re", "3.0"]),
     (["dispersion", "--model", "haldane-shastry"], {"grid_points": 10.5},
      None),
+    (["dispersion", "--model", "haldane-shastry"], {"grid_points": 1},
+     None),
     (["free-energy", *HS2], {"fit": "no"}, None),
     (["entropy", *HS2, "--L", "8"], {"compare": True}, ["--compare"]),
     (["entropy", *HS2, "--L", "8", "--compare"], {"compare": False}, []),
@@ -533,9 +537,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
      ["--alpha", "0.5,inf", "--L", "8:32:8"]),
     (["free-energy", *HS2], {"T": [0.001, 0.002, 0.004, 0.008]},
      ["--T", "0.001,0.002,0.004,0.008"]),
-], ids=["int-string", "float-string", "fractional-int", "switch-string",
-        "switch-true", "switch-flag-wins", "float-list-and-range",
-        "temperature-list"])
+], ids=["int-string", "float-string", "fractional-int", "grid-points-one",
+        "switch-string", "switch-true", "switch-flag-wins",
+        "float-list-and-range", "temperature-list"])
 def test_config_values_parse_like_flags(tmp_path, capsys, argv, config,
                                         flags):
     cfg = tmp_path / "cfg.json"
@@ -544,7 +548,10 @@ def test_config_values_parse_like_flags(tmp_path, capsys, argv, config,
     code = run([*argv, "--config", str(cfg), "--output", str(out)])
     if flags is None:
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if "grid_points" in config:
+            assert "argument --grid-points:" in err
         assert not out.exists()
     else:
         assert code == 0

@@ -285,11 +285,13 @@ def test_c_tilde_validation(c_tilde_oracle):
 # asymptotic reports
 
 def test_asymptotic_single_sea_formula():
-    report = renyi_asymptotic(spectrum("hs", 64), 1.0)
+    s = spectrum("hs", 64)
+    report = renyi_asymptotic(s, 1.0)
     assert isinstance(report, EntropyReport)
-    assert report.f_factor == pytest.approx(2.0, abs=1e-12)
-    assert report.c_tilde == pytest.approx(CT1, abs=1e-10)
-    want = math.log(2.0 * 64.0) / 3.0 + report.c_tilde
+    # half filling: one Fermi point at pi/2, so f = 2 sin(pi/2) = 2
+    assert f_factor(s.fermi_momenta) == pytest.approx(2.0, abs=1e-12)
+    assert c_tilde(1.0) == pytest.approx(CT1, abs=1e-10)
+    want = math.log(2.0 * 64.0) / 3.0 + c_tilde(1.0)
     assert report.s_asymptotic == pytest.approx(want, abs=1e-12)
     assert report.r_L == report.s_asymptotic / report.s_exact - 1.0
     assert report.s_exact > 0.0
@@ -325,7 +327,6 @@ def test_asymptotic_validation():
     # the spectrum carries its sea's Fermi points and its own L
     s = spectrum("fig8", 12)
     assert s.fermi_momenta == tuple(p for p, _ in fig8_analysis().roots)
-    assert renyi_asymptotic(s, 1.0).L == 12
 
 
 def test_fig8_relative_error_at_100():

@@ -1,6 +1,7 @@
 """Static checks on the package and test sources, standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +52,32 @@ def test_imports_are_read_and_library_scipy_is_lapack_only():
                 scipy_in_src.append(f"{name}: {full}")
     assert unread == []
     assert scipy_in_src == []
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of every @dataclass field in the module."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators):
+            yield from ((node.name, stmt.target.id) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name))
+
+
+def test_dataclass_fields_are_read():
+    # a result field stays only if the library reads it (by attribute
+    # name, anywhere in src/) or the README documents it as .name or
+    # `name`; a field only tests read is a field to delete
+    trees = [ast.parse(path.read_text(), str(path)) for path in SRC]
+    read = {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    readme = (ROOT / "README.md").read_text()
+    unread = [f"{cls}.{name}" for tree in trees
+              for cls, name in _dataclass_fields(tree)
+              if name not in read
+              and not re.search(rf"\.{name}\b|`{name}`", readme)]
+    assert unread == []
