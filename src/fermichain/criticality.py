@@ -84,14 +84,20 @@ def fermi_points(profile, mu):
 def _analyze(profile, mu):
     mu = _check_mu(mu)
     stationary = monotonicity_report(profile).critical_points
-    band_vals = profile.E_grid([0.0, *stationary, math.pi])
+    extrema = [0.0, *stationary, math.pi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        band_vals = profile.E_grid(extrema)
+    if not np.isfinite(band_vals).all():
+        raise DomainError(
+            f"the band overflows: E is {band_vals.tolist()} at its extrema "
+            f"p = {extrema}; the couplings are too large for doubles")
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
     btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
 
     snap_tol = 1e-10 * max(1.0, abs(mu))
     # tangency: mu sits on a band extremum to working precision
-    near = [p for p, e in zip([0.0, *stationary, math.pi], band_vals)
+    near = [p for p, e in zip(extrema, band_vals)
             if abs(e - mu) < snap_tol]
     tangent = [p for p in near if 0.0 < p < math.pi]
     # a zone edge is an extremum where E' vanishes, never a Fermi point
@@ -339,7 +345,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
     if T_grid is None:
         T_grid = np.geomspace(1e-3, 1e-2, 8)
     T_grid = _check_temperatures(T_grid)
-    if np.unique(T_grid).size < 4:
+    if len(set(T_grid.tolist())) < 4:
         raise DomainError("need at least 4 distinct temperatures to fit")
 
     analysis = _analyze(profile, mu)
@@ -349,11 +355,13 @@ def low_temperature_fit(profile, mu, T_grid=None):
         raise FitRejectedError(
             "f(T) - f0 is not strictly negative on the grid; no scaling "
             "regime to fit", residual=math.inf)
+    # the least-squares line in closed form: no LAPACK call for 2 columns
     x = np.log(T_grid)
     y = np.log(-gaps)
-    design = np.column_stack([x, np.ones_like(x)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ [slope, intercept] - y)))
+    dx = x - x.mean()
+    slope = (dx * (y - y.mean())).sum() / (dx * dx).sum()
+    intercept = y.mean() - slope * x.mean()
+    residual = float(np.max(np.abs(slope * x + intercept - y)))
     if residual > 0.2:
         raise FitRejectedError(
             f"log-log fit residual {residual:.3f} exceeds 0.2; the grid "

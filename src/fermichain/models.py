@@ -329,7 +329,10 @@ def half_period_candidates(focus=()):
     for pc in focus:
         cluster = np.concatenate([pc - offsets, pc + offsets])
         pieces.append(cluster[(cluster > 0.0) & (cluster < math.pi)])
-    return np.unique(np.concatenate(pieces))
+    # sorted, each value once: a neighbour dedupe (np.unique would load
+    # numpy.ma)
+    grid = np.sort(np.concatenate(pieces))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def monotonicity_report(profile):

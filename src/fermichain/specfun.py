@@ -299,9 +299,29 @@ def log_barnes_pair(beta):
 # Fixed-panel Gauss-Legendre rule
 
 # 20- and 10-point rules on [-1, 1]; on each panel the difference of the
-# two is the error estimate
-_X20, _W20 = np.polynomial.legendre.leggauss(20)
-_X10, _W10 = np.polynomial.legendre.leggauss(10)
+# two is the error estimate. The positive nodes and their weights are the
+# doubles numpy.polynomial.legendre.leggauss returns; its nodes are odd
+# and its weights even bit for bit, so mirroring gives its arrays without
+# loading numpy.polynomial or calling LAPACK at import.
+def _mirrored(nodes, weights):
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+_X20, _W20 = _mirrored(
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+     0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+     0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+     0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+     0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+     0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+     0.017614007139150893])
+_X10, _W10 = _mirrored(
+    [0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+     0.8650633666889845, 0.9739065285171717],
+    [0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+     0.1494513491505804, 0.06667134430868814])
 _X30 = np.concatenate([_X20, _X10])
 
 

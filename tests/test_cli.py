@@ -319,6 +319,12 @@ REFUSED = {
                             "lambda=(nan+0j) is not finite"),
     "fh-check-lambda-inf": (["fh-check", *HS2, "--lambda-im", "inf"],
                             "lambda=(3+infj) is not finite"),
+    "rational-cubic-overflow": (["phase", "--model", "rational-cubic",
+                                 "--J", "1e308", "--mu", "1"],
+                                "the band overflows"),
+    "power-law-overflow": (["phase", "--model", "power-law", "--nu", "2.5",
+                            "--C", "1e308", "--mu", "1"],
+                           "the band overflows"),
 }
 
 
@@ -611,10 +617,11 @@ def test_main_exits_with_run_code(tmp_path, monkeypatch):
 RC = ["--model", "rational-cubic", "--J", "0.6", "--mu", "1"]
 PL = ["--model", "power-law", "--nu", "2.5", "--mu", "1.5"]
 
-# (name, the runs after which the probe lists the scipy modules loaded),
+# (name, the runs after which the probe lists the _PROBE_MODULES loaded),
 # in the order they run in one process
 _PROBE_STEPS = [
-    ("hs_fr", [["phase", *HS2], ["free-energy", *FIG8, "--fit"]]),
+    ("hs_fr", [["phase", *HS2], ["free-energy", *FIG8, "--fit"]]
+     + [["dispersion", *model[:-2]] for model in (HS2, FIG8)]),
     ("rc_pl", [[command, *model, *tail] for model in (RC, PL)
                for command, tail in (("phase", []),
                                      ("free-energy", ["--fit"]))]
@@ -625,37 +632,55 @@ _PROBE_STEPS = [
                   "--compare"]]),
 ]
 
+# lazily loaded modules a command may pull in as a side effect
+_PROBE_MODULES = ["numpy.ma", "numpy.polynomial", "scipy.special",
+                  "scipy.integrate", "scipy.linalg"]
+
 _IMPORT_PROBE = """
 import json, sys
 import fermichain
 from fermichain import cli
-SCIPY = ("scipy.special", "scipy.integrate", "scipy.linalg")
-seen = {"import": [m for m in SCIPY if m in sys.modules]}
-for name, runs in json.loads(sys.argv[1]):
+MODULES = json.loads(sys.argv[1])
+seen = {"import": [m for m in MODULES if m in sys.modules]}
+for name, runs in json.loads(sys.argv[2]):
     for argv in runs:
         assert cli.run(argv) == 0, argv
-    seen[name] = [m for m in SCIPY if m in sys.modules]
+    seen[name] = [m for m in MODULES if m in sys.modules]
 print(json.dumps(seen))
 """
 
+_LINALG_PROBE = """
+import json, sys
+import numpy
+import scipy.linalg.lapack
+print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
+"""
 
-def test_cold_commands_import_only_the_scipy_they_call(tmp_path):
-    # a fresh process: importing fermichain and the phase, dispersion and
-    # free-energy commands of every family, and constants, load no scipy
-    # module; fh-check and entropy load linalg (the spectrum), and no
-    # command loads special or integrate
+
+def _fresh_probe(tmp_path, code, *args):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                            json.dumps(_PROBE_STEPS)], env=env,
-                           cwd=tmp_path, capture_output=True, text=True,
-                           check=True)
-    seen = json.loads(probe.stdout)
+    probe = subprocess.run([sys.executable, "-c", code,
+                            json.dumps(_PROBE_MODULES),
+                            *map(json.dumps, args)], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, check=True)
+    return json.loads(probe.stdout)
+
+
+def test_cold_commands_load_only_the_modules_they_use(tmp_path):
+    # a fresh process: importing fermichain and the phase, dispersion and
+    # free-energy commands of every family, and constants, load no scipy
+    # module, no numpy.ma and no numpy.polynomial; fh-check and entropy
+    # load what scipy.linalg brings (the spectrum), and no command loads
+    # special or integrate
+    seen = _fresh_probe(tmp_path, _IMPORT_PROBE, _PROBE_STEPS)
     assert seen["import"] == []
     assert seen["hs_fr"] == []
     assert seen["rc_pl"] == []
     assert seen["constants"] == []
-    assert seen["fh_check"] == ["scipy.linalg"]
-    assert seen["entropy"] == ["scipy.linalg"]
+    linalg = _fresh_probe(tmp_path, _LINALG_PROBE)
+    assert "scipy.linalg" in linalg
+    assert seen["fh_check"] == linalg
+    assert seen["entropy"] == linalg

@@ -216,6 +216,22 @@ def test_zone_edge_tangency(prof, mu, sea):
     assert (a.phase, a.roots, a.sea) == ("boundary", (), sea)
 
 
+@pytest.mark.parametrize("model", [InteractionModel.rational_cubic(1e308),
+                                   InteractionModel.power_law(2.5, 1e308)],
+                         ids=["rational-cubic", "power-law"])
+def test_overflowing_band_is_refused(model):
+    # a finite coupling near the double limit overflows E at the band
+    # extrema (inf at one zone end, inf * 0 = nan at the other); the
+    # analysis once went on with a nan band, calling RC critical and PL
+    # unresolved, and the free energy raised OverflowError
+    prof = DispersionProfile(model)
+    for call in (lambda: fermi_points(prof, 1.0),
+                 lambda: free_energy(prof, 1.0, 1e-3),
+                 lambda: low_temperature_fit(prof, 1.0)):
+        with pytest.raises(DomainError, match="the band overflows"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # free energy
 

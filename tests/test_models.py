@@ -517,6 +517,22 @@ def test_half_period_zeros_rule():
     assert len(pair) == 1 and abs(pair[0] - (c + 1e-11)) <= 1e-13
 
 
+def test_half_period_candidates_sorted_once():
+    # clusters around pi/4 and pi/2 reach base-grid midpoints bit for bit
+    # (p +- step/2); every value is kept once, in order, as np.unique
+    # would keep it
+    step = math.pi / 4096
+    focus = (math.pi / 4, math.pi / 2)
+    clusters = [pc + s * step * 2.0 ** -np.arange(31.0)
+                for pc in focus for s in (-1.0, 1.0)]
+    base = half_period_candidates()
+    assert sum(np.isin(cl, base).sum() for cl in clusters) == 4
+    want = np.unique(np.concatenate([base, *clusters]))
+    got = half_period_candidates(focus)
+    assert got.tobytes() == want.tobytes()
+    assert base.tobytes() == np.unique(base).tobytes()
+
+
 def test_grid_bisection_exact_midpoint_and_empty_bracket():
     calls = []
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from fermichain import specfun
 from fermichain.specfun import (
     EULER_GAMMA,
     _zeta_real,
@@ -48,6 +49,14 @@ def test_zeta_domain():
         zeta(1.0)
     with pytest.raises(DomainError):
         zeta(0.5)
+
+
+@pytest.mark.parametrize("n", [20, 10])
+def test_gauss_legendre_tables_are_leggauss_bits(n):
+    # the mirrored literals are the doubles numpy.polynomial returns
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert getattr(specfun, f"_X{n}").tobytes() == x.tobytes()
+    assert getattr(specfun, f"_W{n}").tobytes() == w.tobytes()
 
 
 def test_polylog_dilog_at_i():
