@@ -21,7 +21,6 @@ from .models import (
     FAMILIES,
     InteractionModel,
     DispersionProfile,
-    MonotonicityReport,
     mode_energies,
     monotonicity_report,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "FAMILIES",
     "InteractionModel",
     "DispersionProfile",
-    "MonotonicityReport",
     "mode_energies",
     "monotonicity_report",
     "FermiAnalysis",

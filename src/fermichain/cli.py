@@ -27,7 +27,7 @@ from .criticality import fermi_points, free_energy, low_temperature_fit
 from .entanglement import c_tilde, i1, renyi_asymptotic, renyi_exact
 from .errors import DomainError
 from .fisher_hartwig import fh_deviation
-from .models import DispersionProfile, InteractionModel
+from .models import DispersionProfile, InteractionModel, _finite_band
 from .spectral import correlation_spectrum
 
 
@@ -283,7 +283,7 @@ def _cmd_dispersion(args):
     prof = DispersionProfile(_resolve_model(args))
     n = args.grid_points
     ps = np.linspace(0.0, 2.0 * math.pi, n)
-    e = prof.E_grid(ps)
+    e = _finite_band(prof, ps)
     e1 = prof.E1_grid(ps)
     e2 = prof.E2_grid(ps)
     rows = [[float(p), float(ev), float(dv), float(d2v)]

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
-                     QuadratureError)
-from .models import _check_mu, half_period_zeros, monotonicity_report
+                     QuadratureError, _check_real)
+from .models import _finite_band, half_period_zeros, monotonicity_report
 from .specfun import _panel_nodes, _panel_rules, zeta
 
 _TWO_PI = 2.0 * math.pi
@@ -82,15 +82,10 @@ def fermi_points(profile, mu):
 
 
 def _analyze(profile, mu):
-    mu = _check_mu(mu)
-    stationary = monotonicity_report(profile).critical_points
+    mu = _check_real(mu, "chemical potential")
+    stationary = monotonicity_report(profile)
     extrema = [0.0, *stationary, math.pi]
-    with np.errstate(over="ignore", invalid="ignore"):
-        band_vals = profile.E_grid(extrema)
-    if not np.isfinite(band_vals).all():
-        raise DomainError(
-            f"the band overflows: E is {band_vals.tolist()} at its extrema "
-            f"p = {extrema}; the couplings are too large for doubles")
+    band_vals = _finite_band(profile, extrema)
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
     btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
@@ -167,7 +162,7 @@ def _analyze(profile, mu):
     return FermiAnalysis(mu=mu, roots=roots, velocities=velocities,
                          b_k=b_k, sea=sea, sea_half=sea_half, phase=phase,
                          central_charge=charge, e_min=e_min, e_max=e_max,
-                         stationary_points=tuple(stationary))
+                         stationary_points=stationary)
 
 
 def _half_sea(profile, mu, root_ps):
@@ -354,7 +349,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
     if np.any(gaps >= 0.0):
         raise FitRejectedError(
             "f(T) - f0 is not strictly negative on the grid; no scaling "
-            "regime to fit", residual=math.inf)
+            "regime to fit", achieved=math.inf, target=0.2)
     # the least-squares line in closed form: no LAPACK call for 2 columns
     x = np.log(T_grid)
     y = np.log(-gaps)
@@ -365,7 +360,8 @@ def low_temperature_fit(profile, mu, T_grid=None):
     if residual > 0.2:
         raise FitRejectedError(
             f"log-log fit residual {residual:.3f} exceeds 0.2; the grid "
-            "is outside the leading-order regime", residual=residual)
+            "is outside the leading-order regime", achieved=residual,
+            target=0.2)
 
     predicted = None
     if analysis.phase == "critical":

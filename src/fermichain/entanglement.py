@@ -14,7 +14,6 @@ tests/conftest.py.  An EntropyReport carries the two entropies and
 their relative gap r_L.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,21 +83,15 @@ def i1(alpha):
 # ---------------------------------------------------------------------------
 # the universal constant, hyperbolic-kernel form
 
-# csch x - 1/x = sum_k _csch_series()[k] x^{2k+1}, with coefficients
+# csch x - 1/x = sum_k _CSCH_SERIES[k] x^{2k+1}, with coefficients
 # (-1)^{k+1} (2 - 4^{-k}) zeta(2k+2) / pi^{2k+2} from specfun.zeta (a
 # Bernoulli-number form measured 1.7e-12 off at k = 1); 13 terms reach
-# 1e-18 at x <= 1/2
+# 1e-18 at x <= 1/2. Read-only.
 _K = np.arange(13)
-
-
-@functools.cache
-def _csch_series():
-    # built on first use and shared read-only by every caller
-    coef = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
-            * np.array([zeta(2.0 * k + 2.0) for k in _K])
-            / math.pi ** (2 * _K + 2))
-    coef.flags.writeable = False
-    return coef
+_CSCH_SERIES = ((-1.0) ** (_K + 1) * (2.0 - 4.0 ** -_K)
+                * np.array([zeta(2.0 * k + 2.0) for k in _K])
+                / math.pi ** (2 * _K + 2))
+_CSCH_SERIES.flags.writeable = False
 
 
 def _xcsch(x):
@@ -126,7 +119,7 @@ def c_tilde(alpha):
     # (m/alpha)^j with s = t/m: no factor exceeds 1, so none overflows
     odd = 2 * _K[:, None] + 1
     j = np.arange(26)
-    coef = _csch_series() * np.where(
+    coef = _CSCH_SERIES * np.where(
         j <= odd, m ** np.maximum(odd - j, 0) * (m / alpha) ** j,
         0.0).sum(axis=1)
 

@@ -1,9 +1,18 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its generic validators.
 
 Validation problems (bad parameters, out-of-domain inputs) derive from
-ValueError; numerical failures (quadrature, eigensolver, fits) derive from
-RuntimeError. The CLI maps the former to exit code 1 and the latter to 2.
+ValueError; numerical failures (quadrature, eigensolver, fits) are
+AccuracyErrors, which derive from RuntimeError and carry the achieved
+error and the target it missed. The CLI maps the former to exit code 1
+and the latter to 2. The validators of an integer count and of a finite
+real live here, in the module every layer imports, so each kind of
+argument has one check and one message.
 """
+
+import functools
+import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -17,31 +26,42 @@ class DegenerateGroundStateError(ValueError):
 class AccuracyError(RuntimeError):
     """A numerical routine could not reach its accuracy target."""
 
-    def __init__(self, message, achieved=None, target=None):
+    def __init__(self, message, *, achieved, target):
         super().__init__(message)
         self.achieved = achieved
         self.target = target
+
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args alone, which
+        # hold the message but not the two required keywords
+        return (functools.partial(type(self), achieved=self.achieved,
+                                  target=self.target), self.args)
 
 
 class QuadratureError(AccuracyError):
     """A quadrature missed its accuracy target; carries the achieved bound."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """The tridiagonal eigensolver ran out of sweeps with off-diagonal
-    entries left nonzero."""
-
-    def __init__(self, size, unconverged):
-        super().__init__(
-            f"eigensolver did not converge for a {size}x{size} tridiagonal: "
-            f"{unconverged} off-diagonal entries left nonzero")
-        self.size = size
-        self.unconverged = unconverged
+class EigenConvergenceError(AccuracyError):
+    """The band eigensolver did not converge; achieved is LAPACK's info."""
 
 
-class FitRejectedError(RuntimeError):
+class FitRejectedError(AccuracyError):
     """Scaling fit residual too large: grid outside the asymptotic regime."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+
+def _check_count(n, name, minimum=1):
+    """n as a Python int; numpy integers pass, bools and floats do not."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {n}")
+    return int(n)
+
+
+def _check_real(x, name):
+    """x as a float; NaN and infinities are refused."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _check_roots, f_factor
-from .errors import DomainError
-from .models import _check_count
+from .errors import DomainError, _check_count
 from .specfun import log_barnes_pair
 from .spectral import _critical_momenta, correlation_spectrum
 

@@ -7,36 +7,18 @@ even N); the thermodynamic limit gives E(p) on [0, 2*pi] together with
 its first two derivatives. Models are immutable after construction.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, _check_count, _check_real
 from .specfun import _horner, polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
 
 FAMILIES = ("haldane-shastry", "finite-range", "power-law",
             "rational-cubic", "custom-summable")
-
-
-def _check_count(n, name, minimum=1):
-    """n as a Python int; numpy integers pass, bools and floats do not."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    if n < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {n}")
-    return int(n)
-
-
-def _check_mu(mu):
-    """mu as a float; NaN and infinities are refused."""
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise DomainError(f"chemical potential must be finite, got {mu}")
-    return mu
 
 
 @dataclass(frozen=True)
@@ -64,29 +46,25 @@ class InteractionModel:
             raise DomainError("finite-range model needs at least one coupling")
         if alphas[-1] == 0.0:
             raise DomainError("trailing finite-range coupling must be nonzero")
-        if not all(math.isfinite(a) for a in alphas):
-            raise DomainError("finite-range couplings must be finite")
+        for a in alphas:
+            _check_real(a, "finite-range couplings")
         return cls(family="finite-range", alphas=alphas)
 
     @classmethod
     def power_law(cls, nu, C=1.0):
-        nu = float(nu)
-        C = float(C)
-        if not math.isfinite(nu):
-            raise DomainError(f"power-law exponent must be finite, got {nu}")
+        nu = _check_real(nu, "power-law exponent")
         if not nu > 1.0:
             raise DomainError(
                 f"power-law coupling sum diverges for nu <= 1 (got nu={nu})")
-        if not (math.isfinite(C) and C > 0.0):
+        C = _check_real(C, "power-law amplitude")
+        if not C > 0.0:
             raise DomainError(f"power-law amplitude must be positive, got {C}")
         return cls(family="power-law", nu=nu, C=C)
 
     @classmethod
     def rational_cubic(cls, J):
-        J = float(J)
-        if not math.isfinite(J):
-            raise DomainError("rational-cubic strength must be finite")
-        return cls(family="rational-cubic", J=J)
+        return cls(family="rational-cubic",
+                   J=_check_real(J, "rational-cubic strength"))
 
     @classmethod
     def custom_summable(cls, h, tail_bound):
@@ -139,16 +117,11 @@ def mode_energies(model, N):
 _LOG2 = math.log(2.0)
 
 
-@functools.cache
-def _cl2_coef():
-    # the coefficients of P, built on first use from specfun.zeta and
-    # shared read-only by every caller
-    k = np.arange(1, 25, dtype=float)
-    z = np.array([zeta(2.0 * j) for j in k])
-    coef = np.concatenate([[0.0], z / (k * (2.0 * k + 1.0)
-                                      * _TWO_PI ** (2.0 * k))])
-    coef.flags.writeable = False
-    return coef
+# the coefficients of P from specfun.zeta, read-only
+_K = np.arange(1, 25, dtype=float)
+_CL2_COEF = np.concatenate([[0.0], np.array([zeta(2.0 * k) for k in _K])
+                            / (_K * (2.0 * _K + 1.0) * _TWO_PI ** (2.0 * _K))])
+_CL2_COEF.flags.writeable = False
 
 
 def _clausen2_near_pi_slope(u):
@@ -160,8 +133,7 @@ def _clausen2_near_pi_slope(u):
     # monotonicity threshold; the naive difference of two O(pi-p) terms has
     # absolute noise that flips signs on fine scans.
     u2 = np.square(np.asarray(u, dtype=float))
-    coef = _cl2_coef()
-    return _LOG2 + _horner(coef, u2) - _horner(coef, 4.0 * u2)
+    return _LOG2 + _horner(_CL2_COEF, u2) - _horner(_CL2_COEF, 4.0 * u2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +275,6 @@ def _trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
     return out.reshape(p.shape)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    critical_points: tuple     # interior sign changes of E' on (0, pi)
-
-
 # uniform cells of the sign-change scans on (0, pi)
 _SCAN_CELLS = 4096
 
@@ -336,7 +303,9 @@ def half_period_candidates(focus=()):
 
 
 def monotonicity_report(profile):
-    """Scan E' for sign changes on (0, pi), bisect each to 1e-12.
+    """The interior sign changes of E' on (0, pi), sorted, as a tuple.
+
+    E' is scanned for sign changes and each is bisected to 1e-12.
 
     Finite-range couplings past index _SCAN_CELLS/4 are refused: their
     E' can change sign faster than the scan resolves.
@@ -347,8 +316,23 @@ def monotonicity_report(profile):
             f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "
             f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
             achieved=top, target=_SCAN_CELLS // 4)
-    return MonotonicityReport(
-        critical_points=tuple(half_period_zeros(profile.E1_grid, 1e-12)))
+    return tuple(half_period_zeros(profile.E1_grid, 1e-12))
+
+
+def _finite_band(profile, p):
+    """E at the momenta p; a band that overflows doubles is refused.
+
+    numpy's overflow and invalid-value warnings are silenced, as the
+    refusal reports the first value they would warn about.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = profile.E_grid(p)
+    bad = np.flatnonzero(~np.isfinite(e))
+    if bad.size:
+        raise DomainError(
+            f"the band overflows: E is {e.flat[bad[0]]} at p = "
+            f"{np.ravel(p)[bad[0]]}; the couplings are too large for doubles")
+    return e
 
 
 def half_period_zeros(f, xtol, focus=()):

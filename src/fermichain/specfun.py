@@ -12,10 +12,11 @@ One real-line Riemann zeta, _zeta_real, serves the whole library:
 zeta(nu), the coefficients of the polylog series at any order, and (in
 its Hurwitz form) the tail of the Barnes sum; Gamma and k! come from
 math, so nothing here imports scipy. All routines are pure functions of
-their arguments. The shared state is four caches of read-only
-constants: zeta values and the per-order polylog constants here, the
-Clausen coefficients in models and the csch series in entanglement.
-Each is a pure function of its arguments, so concurrent calls are safe.
+their arguments. The shared state is two caches of read-only
+constants here, zeta values and the per-order polylog constants, each a
+pure function of its arguments, and two read-only tables built at
+import, the Clausen coefficients in models and the csch series in
+entanglement; so concurrent calls are safe.
 """
 
 import cmath
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_real
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -251,9 +252,7 @@ def polylog_circle(nu, p):
     nu = float(nu)
     if not nu > 1.0:
         raise DomainError(f"polylog_circle requires nu > 1, got {nu}")
-    p = float(p)
-    if not math.isfinite(p):
-        raise DomainError(f"polylog_circle requires a finite p, got {p}")
+    p = _check_real(p, "polylog_circle momentum p")
     if p < 0.0 or p > _TWO_PI:
         p = p % _TWO_PI
     return complex(polylog_circle_grid(nu, [p], "real")[0],

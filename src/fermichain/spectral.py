@@ -43,8 +43,10 @@ from .errors import (
     DegenerateGroundStateError,
     DomainError,
     EigenConvergenceError,
+    _check_count,
+    _check_real,
 )
-from .models import _check_count, _check_mu, mode_energies
+from .models import mode_energies
 
 _PANEL = 32        # bandwidth of the band form, and columns per panel
 _ROW_BLOCK = 256   # rows per BLAS product in the reduction
@@ -116,7 +118,7 @@ def correlation_row_finite(model, mu, L, N):
     N = _check_count(N, "ring size")
     if N < L:
         raise DomainError(f"ring size {N} smaller than block length {L}")
-    mu = _check_mu(mu)
+    mu = _check_real(mu, "chemical potential")
     energies = mode_energies(model, N)
     hits = np.nonzero(np.abs(energies - mu) < 1e-12)[0]
     if hits.size:
@@ -170,7 +172,10 @@ def _sector_eigenvalues(A, n):
         ab[i, :n - i] = np.diagonal(A, -i)[:n - i]
     w, _, info = dsbevd(ab, compute_v=0, lower=1)
     if info > 0:
-        raise EigenConvergenceError(size=n, unconverged=info)
+        raise EigenConvergenceError(
+            f"eigensolver did not converge for a {n}x{n} tridiagonal: "
+            f"{info} off-diagonal entries left nonzero",
+            achieved=info, target=0)
     return w
 
 

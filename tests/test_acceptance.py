@@ -197,7 +197,7 @@ def test_08_dispersion_identities_and_thresholds():
         # bisect the coupling on the monotone/non-monotone classifier edge
         def monotonic(c):
             return monotonicity_report(
-                DispersionProfile(make(c))).critical_points == ()
+                DispersionProfile(make(c))) == ()
 
         assert monotonic(lo)
         assert not monotonic(hi)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,12 @@ REFUSED = {
     "power-law-overflow": (["phase", "--model", "power-law", "--nu", "2.5",
                             "--C", "1e308", "--mu", "1"],
                            "the band overflows"),
+    "dispersion-rational-cubic-overflow": (
+        ["dispersion", "--model", "rational-cubic", "--J", "1e308"],
+        "the band overflows"),
+    "dispersion-power-law-overflow": (
+        ["dispersion", "--model", "power-law", "--nu", "2.5", "--C", "1e308"],
+        "the band overflows"),
 }
 
 
@@ -332,9 +339,12 @@ REFUSED = {
                          ids=REFUSED.keys())
 def test_library_refusals_exit_one(tmp_path, capsys, argv, message):
     # a non-finite mu or lambda or a non-positive temperature is refused
-    # by the library, not by a second check in the front end
+    # by the library, not by a second check in the front end, and no
+    # refusal is preceded by a warning
     out = tmp_path / "out.csv"
-    assert run([*argv, "--output", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--output", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert os.listdir(tmp_path) == []
 

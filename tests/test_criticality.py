@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -14,7 +15,8 @@ from fermichain.criticality import (
     free_energy,
     low_temperature_fit,
 )
-from fermichain.errors import DomainError, FitRejectedError, QuadratureError
+from fermichain.errors import (AccuracyError, DomainError, FitRejectedError,
+                               QuadratureError)
 from fermichain.spectral import correlation_row_finite
 
 TWO_PI = 2.0 * math.pi
@@ -83,15 +85,40 @@ def test_single_component_sea():
     assert circle_components(a.sea) == 1
 
 
+# every entry point of errors._check_real: the argument's name in the
+# refusal, a call with one real x, and a finite x to call it with
+REAL_ARGUMENTS = [
+    ("chemical potential", lambda x: fermi_points(hs(), x), 2),
+    ("chemical potential", lambda x: free_energy(hs(), x, 0.01), 2),
+    ("chemical potential", lambda x: correlation_row_finite(
+        InteractionModel.haldane_shastry(), x, 4, 8), 2),
+    ("finite-range couplings",
+     lambda x: InteractionModel.finite_range((1.0, x, 0.5)), 3),
+    ("power-law exponent", lambda x: InteractionModel.power_law(x), 3),
+    ("power-law amplitude", lambda x: InteractionModel.power_law(2.5, x), 2),
+    ("rational-cubic strength",
+     lambda x: InteractionModel.rational_cubic(x), 1),
+    ("polylog_circle momentum p", lambda x: specfun.polylog_circle(2.5, x),
+     1),
+]
+
+
 def test_nonfinite_mu_one_message():
-    # the Fermi analysis and the ring row share one mu validator
-    for mu in (math.nan, math.inf, -math.inf):
-        want = f"chemical potential must be finite, got {mu}"
-        with pytest.raises(DomainError, match=want):
-            fermi_points(hs(), mu)
-        with pytest.raises(DomainError, match=want):
-            correlation_row_finite(InteractionModel.haldane_shastry(), mu,
-                                   4, 8)
+    # every real argument shares one validator: a non-finite value is
+    # refused with one message, and a numpy float or integer gives what
+    # the equal Python number gives
+    for name, call, x in REAL_ARGUMENTS:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError,
+                               match=f"^{name} must be finite, got {bad}$"):
+                call(bad)
+        want = call(float(x))
+        for same in (np.float64(x), np.int64(x), int(x)):
+            got = call(same)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
 
 
 def test_gapped_phases():
@@ -384,8 +411,23 @@ def test_fit_same_bits_under_blas_threads():
 
 
 def test_fit_rejects_gapped_phase():
-    with pytest.raises(FitRejectedError):
+    # a rejected fit is an AccuracyError whose target is the 0.2 residual
+    # gate; a gap f - f0 that is not negative achieves no fit at all
+    with pytest.raises(FitRejectedError) as info:
         low_temperature_fit(hs(), -1.0)
+    assert isinstance(info.value, AccuracyError)
+    assert (info.value.achieved, info.value.target) == (math.inf, 0.2)
+    # a pickled rejection, as a worker process sends it, keeps both
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is FitRejectedError
+    assert (str(back), back.achieved, back.target) == (
+        str(info.value), math.inf, 0.2)
+    # temperatures of order the bandwidth leave the T^2 regime
+    with pytest.raises(FitRejectedError, match="residual 0.422") as info:
+        low_temperature_fit(hs(), 2.0, np.geomspace(0.1, 10.0, 8))
+    assert info.value.achieved == pytest.approx(0.4221326004379899,
+                                                rel=1e-12)
+    assert info.value.target == 0.2
 
 
 def test_fit_validation():

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from fermichain.criticality import fermi_points
 from fermichain.entanglement import (
     EntropyReport,
-    _csch_series,
+    _CSCH_SERIES,
     c_tilde,
     f_factor,
     i1,
@@ -210,8 +210,7 @@ def test_csch_series_cached_read_only():
     want = ((-1.0) ** (k + 1) * (2.0 - 4.0 ** -k)
             * np.array([zeta(2.0 * j + 2.0) for j in k])
             / math.pi ** (2 * k + 2))
-    coef = _csch_series()
-    assert coef is _csch_series()
+    coef = _CSCH_SERIES
     assert np.array_equal(coef, want)
     with pytest.raises(ValueError):
         coef[0] = 0.0

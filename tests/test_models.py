@@ -7,8 +7,8 @@ from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
     DispersionProfile,
     InteractionModel,
+    _CL2_COEF,
     _bisect_sign_change,
-    _cl2_coef,
     half_period_candidates,
     half_period_zeros,
     mode_energies,
@@ -231,8 +231,7 @@ def test_clausen_coefficients_cached_read_only():
     z = np.array([zeta(2.0 * j) for j in k])
     want = np.concatenate([[0.0], z / (
         k * (2.0 * k + 1.0) * TWO_PI ** (2.0 * k))])
-    coef = _cl2_coef()
-    assert coef is _cl2_coef()
+    coef = _CL2_COEF
     assert np.array_equal(coef, want)
     with pytest.raises(ValueError):
         coef[1] = 0.0
@@ -381,29 +380,29 @@ def test_short_range_ring_energies_exact():
 def test_monotonic_families():
     for model in (hs(), fr(1.0, 0.2), InteractionModel.rational_cubic(0.5)):
         rep = monotonicity_report(DispersionProfile(model))
-        assert rep.critical_points == ()
+        assert rep == ()
 
 
 def test_finite_range_critical_point():
     rep = monotonicity_report(DispersionProfile(fr(1.0, 0.5)))
-    assert len(rep.critical_points) == 1
-    assert rep.critical_points[0] == pytest.approx(TWO_PI / 3.0, abs=1e-11)
+    assert len(rep) == 1
+    assert rep[0] == pytest.approx(TWO_PI / 3.0, abs=1e-11)
 
 
 def test_power_law_monotonic():
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.power_law(1.5)))
-    assert rep.critical_points == ()
+    assert rep == ()
 
 
 def test_rational_cubic_threshold():
     # slope loses monotonicity only above J = 1/(2 log 2) ~ 0.7213
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.rational_cubic(0.72)))
-    assert rep.critical_points == ()
+    assert rep == ()
     rep = monotonicity_report(
         DispersionProfile(InteractionModel.rational_cubic(0.75)))
-    assert rep.critical_points != ()
+    assert rep != ()
 
 
 def test_near_threshold_root_close_to_zone_center():
@@ -411,16 +410,16 @@ def test_near_threshold_root_close_to_zone_center():
     J = -0.25 - 1e-11
     rep = monotonicity_report(DispersionProfile(fr(1.0, J)))
     want = math.acos(-1.0 / (4.0 * J))
-    assert len(rep.critical_points) == 1
-    assert rep.critical_points[0] == pytest.approx(want, abs=1e-9)
+    assert len(rep) == 1
+    assert rep[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_near_threshold_root_close_to_zone_edge():
     J = 0.25 + 1e-11
     rep = monotonicity_report(DispersionProfile(fr(1.0, J)))
     want = math.acos(-1.0 / (4.0 * J))
-    assert len(rep.critical_points) == 1
-    assert rep.critical_points[0] == pytest.approx(want, abs=1e-9)
+    assert len(rep) == 1
+    assert rep[0] == pytest.approx(want, abs=1e-9)
 
 
 def test_scan_refuses_harmonics_finer_than_its_cells():
@@ -431,7 +430,7 @@ def test_scan_refuses_harmonics_finer_than_its_cells():
         return fr(1.0, *[0.0] * (j - 2), 4.0 / (3.0 * j))
 
     prof = DispersionProfile(model(64))
-    assert len(monotonicity_report(prof).critical_points) == 63
+    assert len(monotonicity_report(prof)) == 63
     prof = DispersionProfile(model(1025))
     with pytest.raises(AccuracyError, match="1025"):
         monotonicity_report(prof)
@@ -499,7 +498,7 @@ def test_grid_bisection_of_slope_matches_scalar_bisection():
     got = _bisect_sign_change(prof.E1_grid, cand[i], cand[i + 1], d[i],
                               d[i + 1])
     assert got == scalar_bisection(prof.E1, cand[i], cand[i + 1], d[i], 1e-12)
-    assert monotonicity_report(prof).critical_points == (got,)
+    assert monotonicity_report(prof) == (got,)
 
 
 def test_half_period_zeros_rule():

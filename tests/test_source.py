@@ -81,3 +81,18 @@ def test_dataclass_fields_are_read():
               if name not in read
               and not re.search(rf"\.{name}\b|`{name}`", readme)]
     assert unread == []
+
+
+def test_one_validator_per_kind_of_argument():
+    # each _check_* validator is defined in one module, and the refusal
+    # of a non-finite real is worded only by errors._check_real
+    homes = {}
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_check_")):
+                homes.setdefault(node.name, set()).add(path.name)
+    assert {name: sorted(mods) for name, mods in homes.items()
+            if len(mods) > 1} == {}
+    assert [path.name for path in SRC if path.name != "errors.py"
+            and "must be finite" in path.read_text()] == []

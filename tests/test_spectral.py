@@ -341,8 +341,11 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # nonzero after its sweep budget
     monkeypatch.setattr(lapack, "dsbevd",
                         lambda ab, **kw: (ab[0], None, 1))
-    with pytest.raises(EigenConvergenceError):
+    with pytest.raises(EigenConvergenceError, match=(
+            "did not converge for a 2x2 tridiagonal: 1 off-diagonal")) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
+    assert isinstance(e.value, AccuracyError)
+    assert (e.value.achieved, e.value.target) == (1, 0)
     assert run(["entropy", "--model", "haldane-shastry", "--mu", "2",
                 "--L", "8", "--output", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
