@@ -48,19 +48,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_cell(x):
+    # a table cell holds a str, a Python int, a float or None
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return "%.17g" % x
 
 
 def _json_ready(obj):
-    # one pass before json.dumps: numpy scalars become Python numbers,
+    # one pass before json.dumps: numpy floats become Python floats,
     # tuples become lists, and non-finite floats, which JSON has no
     # literal for, become the strings "inf", "-inf" and "nan"
     if isinstance(obj, dict):
@@ -69,8 +68,6 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else "%.17g" % obj
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 
@@ -283,8 +280,8 @@ def _cmd_dispersion(args):
     prof = DispersionProfile(_resolve_model(args))
     n = args.grid_points
     ps = np.linspace(0.0, 2.0 * math.pi, n)
-    e = _finite_band(prof, ps)
-    e1 = prof.E1_grid(ps)
+    e = _finite_band(prof.E_grid, ps, "E")
+    e1 = _finite_band(prof.E1_grid, ps, "E'")
     e2 = prof.E2_grid(ps)
     rows = [[float(p), float(ev), float(dv), float(d2v)]
             for p, ev, dv, d2v in zip(ps, e, e1, e2)]

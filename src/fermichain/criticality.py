@@ -39,17 +39,14 @@ _CUSP_WIDTH = math.pi * 2.0 ** -40
 class FermiAnalysis:
     """Where E(p) = mu on (0, pi) and what that means for the phase.
 
-    roots holds (p_i, multiplicity) pairs sorted by p_i; velocities and
-    b_k line up with it. b_k = (nu! / |E^(nu)(p_k)|)^(1/nu), which for
-    simple roots reduces to the inverse velocity. sea lists disjoint
-    intervals of [0, 2*pi) with E < mu; sea_half is its [0, pi]
-    restriction.
+    roots holds (p_i, multiplicity) pairs sorted by p_i; velocities, the
+    |E'| at each, line up with it. sea lists disjoint intervals of
+    [0, 2*pi) with E < mu; sea_half is its [0, pi] restriction.
     central_charge is None unless the phase is critical.
     """
     mu: float
     roots: tuple
     velocities: tuple
-    b_k: tuple
     sea: tuple
     sea_half: tuple
     phase: str
@@ -85,7 +82,7 @@ def _analyze(profile, mu):
     mu = _check_real(mu, "chemical potential")
     stationary = monotonicity_report(profile)
     extrema = [0.0, *stationary, math.pi]
-    band_vals = _finite_band(profile, extrema)
+    band_vals = _finite_band(profile.E_grid, extrema, "E")
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
     btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
@@ -129,17 +126,7 @@ def _analyze(profile, mu):
     roots = tuple(sorted(
         [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in crossing]
         + [(pc, 2) for pc in tangent]))
-
-    ps = np.array([p for p, _ in roots])
-    slopes = np.array([slope_at[p] for p, _ in roots])
-    velocities = tuple(np.abs(slopes).tolist())
-    d = slopes.copy()
-    multiple = np.array([nu > 1 for _, nu in roots], dtype=bool)
-    if multiple.any():
-        d[multiple] = profile.E2_grid(ps[multiple])
-    b_k = tuple((math.factorial(nu) / abs(dk)) ** (1.0 / nu)
-                if dk != 0.0 else math.inf
-                for dk, (_, nu) in zip(d.tolist(), roots))
+    velocities = tuple(abs(slope_at[p]) for p, _ in roots)
 
     sea_half = _half_sea(profile, mu, [p for p, _ in roots])
     sea = _reflect_sea(sea_half)
@@ -160,7 +147,7 @@ def _analyze(profile, mu):
             achieved=math.nan, target=1e-13)
 
     return FermiAnalysis(mu=mu, roots=roots, velocities=velocities,
-                         b_k=b_k, sea=sea, sea_half=sea_half, phase=phase,
+                         sea=sea, sea_half=sea_half, phase=phase,
                          central_charge=charge, e_min=e_min, e_max=e_max,
                          stationary_points=stationary)
 
@@ -330,7 +317,10 @@ def low_temperature_fit(profile, mu, T_grid=None):
     Critical phases must show f - f0 = -(pi T^2/6) sum 1/v_i; a band
     tangency (multiple root of order nu) instead gives the anomalous
     power 1 + 1/nu with amplitude
-        -(2 b_k/pi)(1 - 2^{-1/nu}) Gamma(1+1/nu) zeta(1+1/nu).
+        -(2 b_k/pi)(1 - 2^{-1/nu}) Gamma(1+1/nu) zeta(1+1/nu),
+    b_k = (nu! / |E^(nu)(p_k)|)^(1/nu), summed over the roots p_k of the
+    top order nu. fermi_points gives roots of order nu <= 2, so every
+    b_k comes from one E2_grid call at those roots.
     predicted_coefficient reports the law for the fitted (dominant)
     power; it is None for gapped and boundary phases. T_grid is a 1-D
     grid with at least 4 distinct temperatures, checked before the Fermi
@@ -368,13 +358,14 @@ def low_temperature_fit(profile, mu, T_grid=None):
         predicted = -(math.pi / 6.0) * sum(1.0 / v
                                            for v in analysis.velocities)
     elif analysis.phase == "non-critical-multiple-root":
-        nu_max = max(nu for _, nu in analysis.roots)
+        nu = max(order for _, order in analysis.roots)
+        top = [p for p, order in analysis.roots if order == nu]
+        inv = 1.0 / nu
         predicted = 0.0
-        for (p, nu), b in zip(analysis.roots, analysis.b_k):
-            if nu == nu_max:
-                inv = 1.0 / nu
-                predicted -= (2.0 * b / math.pi) * (1.0 - 2.0 ** -inv) \
-                    * math.gamma(1.0 + inv) * zeta(1.0 + inv)
+        for d in profile.E2_grid(top).tolist():
+            b = (math.factorial(nu) / abs(d)) ** inv if d != 0.0 else math.inf
+            predicted -= (2.0 * b / math.pi) * (1.0 - 2.0 ** -inv) \
+                * math.gamma(1.0 + inv) * zeta(1.0 + inv)
     return LowTemperatureFit(exponent=float(slope),
                              coefficient=-math.exp(float(intercept)),
                              predicted_coefficient=predicted,

@@ -319,18 +319,23 @@ def monotonicity_report(profile):
     return tuple(half_period_zeros(profile.E1_grid, 1e-12))
 
 
-def _finite_band(profile, p):
-    """E at the momenta p; a band that overflows doubles is refused.
+def _finite_band(grid, p, name):
+    """The evaluator grid (E_grid or E1_grid) at the momenta p; a band
+    that overflows doubles is refused, naming the column (name, "E" or
+    "E'") and its first non-finite value.
 
-    numpy's overflow and invalid-value warnings are silenced, as the
-    refusal reports the first value they would warn about.
+    E and E' are finite at every momentum in exact arithmetic (E'' is
+    not: it is infinite at the power-law cusp), so a value that is not
+    is an overflow. numpy's overflow and invalid-value warnings are
+    silenced, as the refusal reports the first value they would warn
+    about.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        e = profile.E_grid(p)
+        e = grid(p)
     bad = np.flatnonzero(~np.isfinite(e))
     if bad.size:
         raise DomainError(
-            f"the band overflows: E is {e.flat[bad[0]]} at p = "
+            f"the band overflows: {name} is {e.flat[bad[0]]} at p = "
             f"{np.ravel(p)[bad[0]]}; the couplings are too large for doubles")
     return e
 

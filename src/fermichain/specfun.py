@@ -357,14 +357,6 @@ def _check_alpha(alpha):
     return alpha
 
 
-def _xlogx(q):
-    # q log q over an array q >= 0, 0 at q = 0, through libm's log
-    # (math.log): the bits of scipy's xlogy(q, q). numpy's vector
-    # log can round differently in the last place on SIMD hosts.
-    logs = map(math.log, np.where(q > 0.0, q, 1.0).ravel().tolist())
-    return q * np.array(list(logs)).reshape(q.shape)
-
-
 def entropy_kernel(alpha, x):
     """s_alpha(x) for x = 2*lambda - 1 in [-1, 1], over an array x.
 
@@ -391,7 +383,8 @@ def entropy_kernel(alpha, x):
         if math.isinf(alpha):
             s = -np.log(qmax)
         elif u == 0.0:
-            s = -(_xlogx(qmax) + _xlogx(qmin))
+            s = -(qmax * np.log(qmax)
+                  + np.where(qmin > 0.0, qmin * np.log(qmin), 0.0))
         elif abs(u) < 0.5:
             s = np.where(qmin > 0.0, -np.log1p(
                 qmax * np.expm1(u * np.log(qmax))

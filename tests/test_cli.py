@@ -332,6 +332,11 @@ REFUSED = {
     "dispersion-power-law-overflow": (
         ["dispersion", "--model", "power-law", "--nu", "2.5", "--C", "1e308"],
         "the band overflows"),
+    # E is finite everywhere, but E' overflows next to the cusp
+    "dispersion-power-law-slope-overflow": (
+        ["dispersion", "--model", "power-law", "--nu", "1.6", "--C", "1e307",
+         "--grid-points", "100000"],
+        "the band overflows: E' is inf at p = 6.283248139660983e-05;"),
 }
 
 
@@ -526,6 +531,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text('{"bogus": 1}')
     assert run(["phase", "--config", str(cfg), "--mu", "1"]) == 1
     assert "bogus" in capsys.readouterr().err
+
+    # null and a bool spell no value of a valued flag
+    for value in (None, True):
+        cfg.write_text(json.dumps({"mu": value}))
+        assert run(["phase", "--config", str(cfg), "--model",
+                    "haldane-shastry"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key mu has no flag value: {value!r}\n")
 
     cfg.write_text("[1, 2]")
     assert run(["phase", "--config", str(cfg), "--mu", "1"]) == 1

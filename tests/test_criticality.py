@@ -146,7 +146,6 @@ def test_band_tangency_is_double_root():
     p, nu = a.roots[0]
     assert nu == 2
     assert p == pytest.approx(TWO_PI / 3.0, abs=1e-10)
-    assert a.b_k[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-10)
     assert a.sea_half == ((0.0, math.pi),)
     assert a.sea == ((0.0, TWO_PI),)
 

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import special
 
 from fermichain import specfun
 from fermichain.specfun import (
@@ -375,25 +374,31 @@ def test_entropy_kernel_binary_entropy():
     assert entropy_kernel(1.0, -1.0) == 0.0
 
 
-def test_entropy_kernel_alpha_one_same_bits_as_xlogy():
-    # the alpha = 1 kernel takes q log q through libm's log; it must give
-    # the bits of the scipy.special.xlogy form, at 0, at +-1 (q_min = 0)
-    # and inside the clipped band just outside +-1
+def test_entropy_kernel_alpha_one_matches_mpmath():
+    # the alpha = 1 kernel against -(q log q) summed in 40 digits over the
+    # kernel's own q_max and q_min, at 0, at +-1 (q_min = 0) and inside
+    # the clipped band just outside +-1
+    mpmath = pytest.importorskip("mpmath")
     x = np.concatenate([np.linspace(-1.0, 1.0, 4001), [0.0, 1.0, -1.0],
                         1.0 + np.array([1e-16, 1e-12, 5e-10, 1e-9]),
                         -1.0 - np.array([1e-16, 1e-12, 5e-10, 1e-9]),
                         np.nextafter(1.0, 0.0) - np.arange(8) * 2e-16])
     ax = np.minimum(np.abs(x), 1.0)
     qmax, qmin = 0.5 * (1.0 + ax), 0.5 * (1.0 - ax)
-    want = -(special.xlogy(qmax, qmax) + special.xlogy(qmin, qmin))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = entropy_kernel(1.0, x)
         grid = entropy_kernel(1.0, x.reshape(3, -1))
         one = [entropy_kernel(1.0, v) for v in x[-20:]]
-    assert np.array_equal(got, want)
-    assert np.array_equal(grid, want.reshape(3, -1))
-    assert one == want[-20:].tolist()
+    with mpmath.workdps(40):
+        rel = []
+        for g, pair in zip(got.tolist(), zip(qmax.tolist(), qmin.tolist())):
+            w = -mpmath.fsum(mpmath.mpf(q) * mpmath.log(q)
+                             for q in pair if q > 0.0)
+            rel.append(float(abs(g - w) / w) if w else abs(g))
+    assert max(rel) <= 2.3e-16
+    assert np.array_equal(grid, got.reshape(3, -1))
+    assert one == got[-20:].tolist()
 
 
 def test_entropy_kernel_renyi_values():
