@@ -282,7 +282,10 @@ def _cmd_dispersion(args):
     ps = np.linspace(0.0, 2.0 * math.pi, n)
     e = _finite_band(prof.E_grid, ps, "E")
     e1 = _finite_band(prof.E1_grid, ps, "E'")
-    e2 = prof.E2_grid(ps)
+    # E'' may be infinite at the zone-center cusps p = 0 and 2 pi only
+    e2 = np.concatenate([prof.E2_grid(ps[:1]),
+                         _finite_band(prof.E2_grid, ps[1:-1], "E''"),
+                         prof.E2_grid(ps[-1:])])
     rows = [[float(p), float(ev), float(dv), float(d2v)]
             for p, ev, dv, d2v in zip(ps, e, e1, e2)]
     cfg = {**_model_config(args), "grid_points": n}

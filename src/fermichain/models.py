@@ -308,7 +308,8 @@ def monotonicity_report(profile):
     E' is scanned for sign changes and each is bisected to 1e-12.
 
     Finite-range couplings past index _SCAN_CELLS/4 are refused: their
-    E' can change sign faster than the scan resolves.
+    E' can change sign faster than the scan resolves. So is a band whose
+    E' overflows doubles anywhere the scan looks.
     """
     top = len(profile.model.alphas)
     if top > _SCAN_CELLS // 4:
@@ -316,19 +317,21 @@ def monotonicity_report(profile):
             f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "
             f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
             achieved=top, target=_SCAN_CELLS // 4)
-    return tuple(half_period_zeros(profile.E1_grid, 1e-12))
+    return tuple(half_period_zeros(
+        lambda p: _finite_band(profile.E1_grid, p, "E'"), 1e-12))
 
 
 def _finite_band(grid, p, name):
-    """The evaluator grid (E_grid or E1_grid) at the momenta p; a band
-    that overflows doubles is refused, naming the column (name, "E" or
-    "E'") and its first non-finite value.
+    """The evaluator grid (E_grid, E1_grid or E2_grid) at the momenta p;
+    a band that overflows doubles is refused, naming the column (name,
+    "E", "E'" or "E''") and its first non-finite value.
 
-    E and E' are finite at every momentum in exact arithmetic (E'' is
-    not: it is infinite at the power-law cusp), so a value that is not
-    is an overflow. numpy's overflow and invalid-value warnings are
-    silenced, as the refusal reports the first value they would warn
-    about.
+    E and E' are finite at every momentum in exact arithmetic, and E''
+    at every momentum but the zone center p = 0 (2 pi), where the
+    power-law and rational-cubic cusps make it infinite; so a value that
+    is not finite, away from the zone center for E'', is an overflow.
+    numpy's overflow and invalid-value warnings are silenced, as the
+    refusal reports the first value they would warn about.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         e = grid(p)

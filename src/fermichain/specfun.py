@@ -14,9 +14,12 @@ its Hurwitz form) the tail of the Barnes sum; Gamma and k! come from
 math, so nothing here imports scipy. All routines are pure functions of
 their arguments. The shared state is two caches of read-only
 constants here, zeta values and the per-order polylog constants, each a
-pure function of its arguments, and two read-only tables built at
-import, the Clausen coefficients in models and the csch series in
-entanglement; so concurrent calls are safe.
+pure function of its arguments, two read-only tables built at import,
+the Clausen coefficients in models and the csch series in
+entanglement, and the eigensolver's one-entry memo in spectral, a
+(row bytes, eigenvalues) tuple that is replaced whole and whose array
+is never handed out, callers getting copies, so that a racing call can
+at worst solve again. So concurrent calls are safe.
 """
 
 import cmath

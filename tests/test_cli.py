@@ -17,7 +17,7 @@ from fermichain import (
     free_energy,
     renyi_exact,
 )
-from fermichain import cli, criticality
+from fermichain import cli, criticality, spectral
 from fermichain.cli import main, run
 
 FIG8 = ["--model", "finite-range", "--coeffs", "1,0.5", "--mu", "4.25"]
@@ -205,6 +205,26 @@ def test_fh_check_defaults(tmp_path):
     assert devs[0] > devs[1] > devs[2] > 0
 
 
+def test_fh_check_after_entropy_same_bytes(tmp_path, monkeypatch):
+    # fh-check right after entropy on the same block takes the
+    # eigenvalues the solver kept (a hit leaves the entry in place), and
+    # writes the bytes a fresh solve gives
+    outs = []
+    for keep in (True, False):
+        monkeypatch.setattr(spectral, "_last", None)
+        assert run(["entropy", *FIG8, "--L", "96", "--compare",
+                    "--output", str(tmp_path / "s.csv")]) == 0
+        entry = spectral._last
+        if not keep:
+            monkeypatch.setattr(spectral, "_last", None)
+        out = tmp_path / f"fh-{keep}.csv"
+        assert run(["fh-check", *FIG8, "--L", "96",
+                    "--output", str(out)]) == 0
+        assert (spectral._last is entry) == keep
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_dispersion_grid(tmp_path):
     out = str(tmp_path / "disp.csv")
     assert run(["dispersion", "--model", "haldane-shastry",
@@ -337,6 +357,18 @@ REFUSED = {
         ["dispersion", "--model", "power-law", "--nu", "1.6", "--C", "1e307",
          "--grid-points", "100000"],
         "the band overflows: E' is inf at p = 6.283248139660983e-05;"),
+    # E is finite at the band's extrema, but E' overflows in the scan for
+    # them, next to the cusp
+    **{f"{command}-power-law-slope-overflow": (
+        [command, "--model", "power-law", "--nu", "1.6", "--C", "1e307",
+         "--mu", "1"],
+        "the band overflows: E' is inf at p = 1.7857886709804195e-13;")
+       for command in ("phase", "free-energy")},
+    # E and E' are finite, E'' overflows away from the cusp
+    "dispersion-power-law-curvature-overflow": (
+        ["dispersion", "--model", "power-law", "--nu", "1.6", "--C", "1e305",
+         "--grid-points", "100000"],
+        "the band overflows: E'' is -inf at p = 6.283248139660983e-05;"),
 }
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -319,9 +320,11 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_eigensolver_holds_one_sector():
+def test_eigensolver_holds_one_sector(monkeypatch):
     # one padded sector of N rows is 8 N^2 bytes; both sectors at once,
-    # or a 256-row update temporary beside one, pass 2 x 8 N^2
+    # or a 256-row update temporary beside one, pass 2 x 8 N^2. The
+    # memo is emptied so that every measured call solves.
+    monkeypatch.setattr(spectral, "_last", None)
     a = hs_analysis()
     eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
     for L in (1024, 2048):
@@ -338,7 +341,9 @@ def test_eigensolver_holds_one_sector():
 
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
-    # nonzero after its sweep budget
+    # nonzero after its sweep budget. The memo is emptied so that no
+    # spectrum an earlier test left skips the faked dsbevd.
+    monkeypatch.setattr(spectral, "_last", None)
     monkeypatch.setattr(lapack, "dsbevd",
                         lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError, match=(
@@ -350,6 +355,78 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
                 "--L", "8", "--output", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not os.path.exists(tmp_path / "s.csv")
+
+
+def test_eigensolver_reuses_last_spectrum(monkeypatch):
+    # a row with the last solved row's bytes runs no sector solve and
+    # gets its eigenvalues in a fresh array; any other row solves, and a
+    # failed solve leaves the memo as it was
+    monkeypatch.setattr(spectral, "_last", None)
+    solved = []
+    sector = spectral._sector_eigenvalues
+
+    def counted(A, n):
+        solved.append(n)
+        return sector(A, n)
+
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
+    row = correlation_row(hs_analysis(), 64)
+    first = eigenvalues_symmetric(row)
+    want = first.tobytes()
+    assert solved == [32, 32]
+    again = eigenvalues_symmetric(row.copy())
+    assert solved == [32, 32]
+    assert again.tobytes() == want and again is not first
+    first[:] = 0.0
+    again[:] = 0.0
+    assert eigenvalues_symmetric(row).tobytes() == want
+    assert solved == [32, 32]
+    other = row.copy()
+    other[5] = np.nextafter(other[5], 1.0)
+    eigenvalues_symmetric(other)
+    assert len(solved) == 4
+    eigenvalues_symmetric([1.0, 0.0, 0.5])
+    eigenvalues_symmetric([1.0, -0.0, 0.5])   # equal, not the same bytes
+    assert len(solved) == 8
+    # a failed solve is not stored: the last good row still hits
+    real = lapack.dsbevd
+    monkeypatch.setattr(lapack, "dsbevd", lambda ab, **kw: (ab[0], None, 1))
+    with pytest.raises(EigenConvergenceError):
+        eigenvalues_symmetric(row)
+    monkeypatch.setattr(lapack, "dsbevd", real)
+    del solved[:]
+    eigenvalues_symmetric([1.0, -0.0, 0.5])
+    assert solved == []
+    assert eigenvalues_symmetric(row).tobytes() == want
+    assert solved == [32, 32]
+
+
+def test_eigensolver_memo_under_threads(monkeypatch):
+    # threads that interleave rows get each row's own eigenvalues: a
+    # racing call may solve again, but never returns another row's entry
+    monkeypatch.setattr(spectral, "_last", None)
+    rows = [correlation_row(hs_analysis(mu), 16) for mu in (1.0, 2.0)]
+    want = [eigenvalues_symmetric(r).tobytes() for r in rows]
+    wrong = []
+
+    def work(k):
+        # two threads often ask for the same row, and one just solved
+        for j in np.random.default_rng(k).integers(0, len(rows), 300):
+            if eigenvalues_symmetric(rows[j]).tobytes() != want[j]:
+                wrong.append((k, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("shift, gate", [
