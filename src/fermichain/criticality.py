@@ -4,18 +4,20 @@ The chemical potential mu cuts the band E(p); everything here derives
 from where and how the two meet: simple crossings give a critical phase
 whose central charge counts Fermi seas, tangencies give multiple roots
 with anomalous T^{1+1/nu} thermal scaling, and no crossing at all gives
-a gapped phase with activated behavior. Crossings are the zeros of
-E - mu from models.half_period_zeros, the scan monotonicity_report uses
-on E'. A zone edge where E' vanishes is a band extremum like the
-stationary points, but never a Fermi point; mu on one inside the band
-is refused. The same points place the panels of free_energy, which
-takes specfun's fixed Gauss-Legendre rule, reads the dispersion only
-through E_grid and reports its achieved quadrature error. A grid of
-temperatures takes one pass, which free_energy and low_temperature_fit
-share: the panel edges of every temperature come from one halving
-ladder, one E_grid call evaluates the nodes of the distinct panels, and
-one array expression gives the Fermi factor of every temperature at
-every node.
+a gapped phase with activated behavior. E is monotone between
+consecutive band extrema (0, the stationary points of
+monotonicity_report, pi), so a piece between two holds one crossing if
+its ends lie on opposite sides of mu and neither is a tangency, and
+none otherwise; models.half_period_zeros finds it on the piece's grid.
+A zone edge where E' vanishes is a band extremum like the stationary
+points, but never a Fermi point; mu on one inside the band is refused.
+The same points place the panels of free_energy, which takes specfun's
+fixed Gauss-Legendre rule, reads the dispersion only through E_grid and
+reports its achieved quadrature error. A grid of temperatures takes one
+pass, which free_energy and low_temperature_fit share: the panel edges
+of every temperature come from one halving ladder, one E_grid call
+evaluates the nodes of the distinct panels, and one array expression
+gives the Fermi factor of every temperature at every node.
 """
 
 import math
@@ -25,7 +27,8 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError, _check_real)
-from .models import _finite_band, half_period_zeros, monotonicity_report
+from .models import (_finite_band, half_period_candidates, half_period_zeros,
+                     monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
 
 _TWO_PI = 2.0 * math.pi
@@ -103,20 +106,16 @@ def _analyze(profile, mu):
             f"p={'0' if ends[0] == 0.0 else 'pi'} inside the band; "
             "such a tangency is not classified")
     snapped = tangent + ends
-    excluded = []
-    if snapped:
-        # the quadratic neighborhood of a tangency holds no crossing. It
-        # is at least 1e-10 wide, the merge distance of zeros, so no
-        # crossing left needs merging with a tangency.
-        curvature = np.abs(profile.E2_grid(snapped))
-        radius = np.maximum(2.0 * np.sqrt(
-            2.0 * snap_tol / np.maximum(curvature, 1e-6)), 1e-10)
-        excluded = list(zip(np.subtract(snapped, radius),
-                            np.add(snapped, radius)))
-
-    crossing = [r for r in half_period_zeros(
-                    lambda p: profile.E_grid(p) - mu, 1e-13, stationary)
-                if not any(a <= r <= b for a, b in excluded)]
+    # one crossing per piece between extrema whose ends straddle mu;
+    # none where an end is snapped, as the tangency is the crossing
+    cand = half_period_candidates()
+    below = (band_vals < mu).tolist()
+    crossing = []
+    for a, b, lo, hi in zip(extrema, extrema[1:], below, below[1:]):
+        if lo != hi and a not in snapped and b not in snapped:
+            grid = np.concatenate([[a], cand[(cand > a) & (cand < b)], [b]])
+            crossing += half_period_zeros(
+                lambda p: profile.E_grid(p) - mu, 1e-13, grid)
     # one E1 call gives the multiplicity check and the slopes; a point
     # has the same E1 bits in any grid
     points = crossing + tangent
@@ -238,10 +237,12 @@ def _fermi_integrand(e, T_grid):
     Written as min(e, 0) - T log1p(exp(-|e|/T)), so that one vector exp
     and one vector log1p cover every temperature, in place of numpy's
     scalar logaddexp loop; the values left out are below T e^-708 (exp)
-    or exact (log1p). The rows are built in one array, in place.
+    or exact (log1p), and an |e|/T that overflows to inf is one of the
+    former. The rows are built in one array, in place.
     """
     T = T_grid.reshape(-1, *(1,) * e.ndim)
-    y = np.divide(np.abs(e), T, out=np.empty((T_grid.size, *e.shape)))
+    with np.errstate(over="ignore"):
+        y = np.divide(np.abs(e), T, out=np.empty((T_grid.size, *e.shape)))
     live = y < _EXP_CUT
     np.exp(np.negative(y, out=y), out=y, where=live)
     np.maximum(y, 0.0, out=y)   # the left-out -|e|/T become 0

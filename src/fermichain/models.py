@@ -279,27 +279,19 @@ def _trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
 _SCAN_CELLS = 4096
 
 
-def half_period_candidates(focus=()):
-    """Scan grid on (0, pi): midpoints of _SCAN_CELLS cells, geometric
-    ladders toward both endpoints, and optional clusters shrinking onto
-    each focus point.
+def half_period_candidates():
+    """Scan grid on (0, pi): midpoints of _SCAN_CELLS cells and geometric
+    ladders toward both endpoints.
 
     Midpoints keep the exact zeros of E' at the interval ends out of sign
-    scans; the ladders and clusters catch features that near-threshold
-    couplings squeeze below any uniform resolution.
+    scans; the ladders catch features that near-threshold couplings
+    squeeze below any uniform resolution.
     """
     step = math.pi / _SCAN_CELLS
     base = (np.arange(_SCAN_CELLS) + 0.5) * step
-    ladder = math.pi * 2.0 ** -np.arange(13.0, 45.0)
-    pieces = [ladder, base, math.pi - ladder]
-    offsets = step * 2.0 ** -np.arange(0.0, 31.0)
-    for pc in focus:
-        cluster = np.concatenate([pc - offsets, pc + offsets])
-        pieces.append(cluster[(cluster > 0.0) & (cluster < math.pi)])
-    # sorted, each value once: a neighbour dedupe (np.unique would load
-    # numpy.ma)
-    grid = np.sort(np.concatenate(pieces))
-    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
+    # each ladder goes on from the outermost midpoint, half a cell in
+    ladder = 0.5 * step * 2.0 ** -np.arange(1.0, 32.0)
+    return np.sort(np.concatenate([ladder, base, math.pi - ladder]))
 
 
 def monotonicity_report(profile):
@@ -343,15 +335,16 @@ def _finite_band(grid, p, name):
     return e
 
 
-def half_period_zeros(f, xtol, focus=()):
+def half_period_zeros(f, xtol, grid=None):
     """Zeros of the grid function f on (0, pi), bisected to xtol, sorted.
 
-    A cell of the half_period_candidates(focus) scan brackets a zero
-    when f is negative at one end only, so an exact 0 is an ordinary
-    bracket end. Zeros within 1e-12 of 0 or pi are dropped, and one
-    within 1e-10 of the last zero kept is merged into it.
+    A cell of the sorted scan grid (half_period_candidates() unless
+    given) brackets a zero when f is negative at one end only, so an
+    exact 0 is an ordinary bracket end. Zeros within 1e-12 of 0 or pi
+    are dropped, and one within 1e-10 of the last zero kept is merged
+    into it.
     """
-    cand = half_period_candidates(focus)
+    cand = half_period_candidates() if grid is None else grid
     v = f(cand)
     neg = v < 0.0
     zeros = []

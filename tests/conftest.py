@@ -115,3 +115,22 @@ def _c_tilde_oracle(alpha):
 @pytest.fixture
 def c_tilde_oracle():
     return _c_tilde_oracle
+
+
+def _calabrese_essler(alpha, L, p):
+    """d_alpha(L): the leading oscillating correction to the Renyi entropy
+    of a block of L sites in a one-arc sea with Fermi point p, alpha > 1
+    and finite (Calabrese & Essler, J. Stat. Mech. (2010) P08029):
+
+        2 cos(2 p L) / (1 - alpha) (2 L sin p)^(-2/alpha)
+            [Gamma((1 + 1/alpha)/2) / Gamma((1 - 1/alpha)/2)]^2
+    """
+    ratio = (math.gamma((1.0 + 1.0 / alpha) / 2.0)
+             / math.gamma((1.0 - 1.0 / alpha) / 2.0))
+    return (2.0 * math.cos(2.0 * p * L) / (1.0 - alpha)
+            * (2.0 * L * math.sin(p)) ** (-2.0 / alpha) * ratio * ratio)
+
+
+@pytest.fixture
+def calabrese_essler():
+    return _calabrese_essler

@@ -483,6 +483,29 @@ def test_exit_two_on_rejected_fit(tmp_path, capsys):
     assert not os.path.exists(out + ".tmp")
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_exit_two_on_overflowing_thermal_ratio(tmp_path):
+    # E fits in doubles but |E - mu| / T does not: the infinite ratio is
+    # a left-out term of the Fermi integrand, not a numpy warning, and
+    # the run fails only on its quadrature gate
+    out = tmp_path / "fe.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermichain.cli", "free-energy", "--model",
+         "rational-cubic", "--J", "1e306", "--mu", "1", "--output", str(out)],
+        env=_src_env(), cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: ground-energy quadrature reached only "
+                           "3.318e+290 (target 1e-10) at T=0.001\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_csv_runs_are_byte_identical(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -713,14 +736,11 @@ print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
 
 
 def _fresh_probe(tmp_path, code, *args):
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = subprocess.run([sys.executable, "-c", code,
                             json.dumps(_PROBE_MODULES),
-                            *map(json.dumps, args)], env=env, cwd=tmp_path,
-                           capture_output=True, text=True, check=True)
+                            *map(json.dumps, args)], env=_src_env(),
+                           cwd=tmp_path, capture_output=True, text=True,
+                           check=True)
     return json.loads(probe.stdout)
 
 

@@ -84,6 +84,36 @@ def test_renyi_two_matches_levinson_oracle(s2_levinson, model, mu):
         assert abs(got - want[L - 1]) <= 1e-10, L
 
 
+# |S_exact - S_app - d_alpha| at alpha = 1.5, 2, 3 for each L, about
+# ten times the values measured at each point
+ONE_ARC_GAP_BOUNDS = {
+    2.0: {256: (5e-6, 2.2e-5, 1.7e-4), 512: (1.5e-7, 3.5e-6, 6e-5),
+          1024: (5.5e-8, 1.1e-6, 2.9e-5), 2048: (6.8e-8, 4.4e-7, 3.5e-6)},
+    math.pi ** 2 / 4: {256: (3.5e-6, 9.2e-6, 1.3e-4),
+                       512: (9e-7, 2.7e-6, 4.7e-5),
+                       1024: (2.4e-7, 8.7e-7, 1.5e-5),
+                       2048: (6.3e-8, 2.9e-7, 4.7e-8)},
+}
+
+
+@pytest.mark.parametrize("mu", ONE_ARC_GAP_BOUNDS, ids=["mu2", "mu-pi2/4"])
+def test_one_arc_gap_is_the_calabrese_essler_term(calabrese_essler, mu):
+    # on a one-arc sea the exact entropy less the leading asymptotic
+    # form is the oscillating Calabrese-Essler term, to 2-3 orders below
+    # the gap itself; one spectrum serves every alpha at each L
+    a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
+                     mu)
+    (p,) = [r for r, _ in a.roots]
+    assert a.sea_half == ((0.0, p),)
+    for L, bounds in ONE_ARC_GAP_BOUNDS[mu].items():
+        s = correlation_spectrum(a, L)
+        for alpha, bound in zip((1.5, 2.0, 3.0), bounds):
+            rep = renyi_asymptotic(s, alpha)
+            gap = rep.s_exact - rep.s_asymptotic
+            assert abs(gap - calabrese_essler(alpha, L, p)) <= bound, \
+                (L, alpha)
+
+
 def test_exact_single_site():
     s = spectrum("hs", 1)
     for alpha in (0.5, 1.0, 2.0, math.inf):

@@ -511,25 +511,39 @@ def test_half_period_zeros_rule():
     assert half_period_zeros(lambda p: (p - c) ** 2, 1e-13) == []
     assert half_period_zeros(lambda p: p - 5e-13, 1e-13) == []
     assert half_period_zeros(lambda p: (math.pi - 5e-13) - p, 1e-13) == []
+    # two zeros 5e-11 apart, each bracketed by a cell of the given grid
+    grid = np.array([c, c + 3e-11, c + 1e-10])
     pair = half_period_zeros(
-        lambda p: (p - (c + 1e-11)) * (p - (c + 6e-11)), 1e-13, [c])
+        lambda p: (p - (c + 1e-11)) * (p - (c + 6e-11)), 1e-13, grid)
     assert len(pair) == 1 and abs(pair[0] - (c + 1e-11)) <= 1e-13
 
 
 def test_half_period_candidates_sorted_once():
-    # clusters around pi/4 and pi/2 reach base-grid midpoints bit for bit
-    # (p +- step/2); every value is kept once, in order, as np.unique
-    # would keep it
-    step = math.pi / 4096
-    focus = (math.pi / 4, math.pi / 2)
-    clusters = [pc + s * step * 2.0 ** -np.arange(31.0)
-                for pc in focus for s in (-1.0, 1.0)]
-    base = half_period_candidates()
-    assert sum(np.isin(cl, base).sum() for cl in clusters) == 4
-    want = np.unique(np.concatenate([base, *clusters]))
-    got = half_period_candidates(focus)
-    assert got.tobytes() == want.tobytes()
-    assert base.tobytes() == np.unique(base).tobytes()
+    # the ladders toward 0 and pi go on from the outermost cell
+    # midpoints, pi 2^-13 from either end, and repeat neither: every
+    # value is kept once, in order, as np.unique would keep it
+    ladder = math.pi * 2.0 ** -np.arange(13.0, 45.0)
+    pieces = [ladder, (np.arange(4096) + 0.5) * (math.pi / 4096),
+              math.pi - ladder]
+    got = half_period_candidates()
+    assert got.size < sum(piece.size for piece in pieces)
+    assert got.tobytes() == np.unique(np.concatenate(pieces)).tobytes()
+
+
+@pytest.mark.parametrize("mu, phase", [
+    (4.5, "non-critical-multiple-root"), (5.0, "gapped-above"),
+    (0.0, "boundary")])
+def test_fermi_points_scans_no_piece_without_crossing(mu, phase):
+    # a piece between consecutive extrema whose ends lie on one side of
+    # mu, or end at a tangency or at the zone-edge minimum p = 0, holds
+    # no crossing and is not scanned: the analysis evaluates E at the
+    # extrema and the sea's midpoints only, where a scan of all of
+    # (0, pi) takes more than 4000 points
+    prof = DispersionProfile(fr(1.0, 0.5))
+    counted, calls = counting(prof.E_grid)
+    prof.E_grid = counted
+    assert fermi_points(prof, mu).phase == phase
+    assert sum(calls) <= 36
 
 
 def test_grid_bisection_exact_midpoint_and_empty_bracket():
