@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
                      QuadratureError, _check_real)
-from .models import (_finite_band, half_period_candidates, half_period_zeros,
+from .models import (HALF_PERIOD_CANDIDATES, _finite_band, half_period_zeros,
                      monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
 
@@ -108,7 +108,7 @@ def _analyze(profile, mu):
     snapped = tangent + ends
     # one crossing per piece between extrema whose ends straddle mu;
     # none where an end is snapped, as the tangency is the crossing
-    cand = half_period_candidates()
+    cand = HALF_PERIOD_CANDIDATES
     below = (band_vals < mu).tolist()
     crossing = []
     for a, b, lo, hi in zip(extrema, extrema[1:], below, below[1:]):

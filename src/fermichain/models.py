@@ -279,9 +279,9 @@ def _trig_sum(p, j, w, trig, constant=0.0, sign=1.0):
 _SCAN_CELLS = 4096
 
 
-def half_period_candidates():
+def _half_period_grid():
     """Scan grid on (0, pi): midpoints of _SCAN_CELLS cells and geometric
-    ladders toward both endpoints.
+    ladders toward both endpoints, sorted, read-only.
 
     Midpoints keep the exact zeros of E' at the interval ends out of sign
     scans; the ladders catch features that near-threshold couplings
@@ -289,9 +289,17 @@ def half_period_candidates():
     """
     step = math.pi / _SCAN_CELLS
     base = (np.arange(_SCAN_CELLS) + 0.5) * step
-    # each ladder goes on from the outermost midpoint, half a cell in
+    # each ladder goes on from the outermost midpoint, half a cell in;
+    # reversed it rises to the first midpoint, and pi - ladder rises
+    # from the last, so the three pieces are in order as they stand
     ladder = 0.5 * step * 2.0 ** -np.arange(1.0, 32.0)
-    return np.sort(np.concatenate([ladder, base, math.pi - ladder]))
+    grid = np.concatenate([ladder[::-1], base, math.pi - ladder])
+    grid.flags.writeable = False
+    return grid
+
+
+# the scan grid of every sign-change scan, built once
+HALF_PERIOD_CANDIDATES = _half_period_grid()
 
 
 def monotonicity_report(profile):
@@ -338,13 +346,13 @@ def _finite_band(grid, p, name):
 def half_period_zeros(f, xtol, grid=None):
     """Zeros of the grid function f on (0, pi), bisected to xtol, sorted.
 
-    A cell of the sorted scan grid (half_period_candidates() unless
+    A cell of the sorted scan grid (HALF_PERIOD_CANDIDATES unless
     given) brackets a zero when f is negative at one end only, so an
     exact 0 is an ordinary bracket end. Zeros within 1e-12 of 0 or pi
     are dropped, and one within 1e-10 of the last zero kept is merged
     into it.
     """
-    cand = half_period_candidates() if grid is None else grid
+    cand = HALF_PERIOD_CANDIDATES if grid is None else grid
     v = f(cand)
     neg = v < 0.0
     zeros = []

@@ -27,10 +27,19 @@ peak of about 3.5 / 11.1 MB per call at L = 1024 / 2048.
 Every BLAS product of stage 1 has at most 256 rows and a multiple of 32
 columns, and dsbevd calls BLAS only for plane rotations of at most 32
 entries, so up to L = 4096 the output has the same bits under any BLAS
-thread count.  The eigenvalues
-agree with LAPACK's divide and conquer to 1e-10.  A half-filled
-spectrum takes about 3 / 12 / 57 / 295 ms at L = 256 / 512 / 1024 /
-2048 on one BLAS thread of a 2-core Intel Xeon.
+thread count.  The eigenvalues agree with LAPACK's divide and conquer
+to 1e-10.  A spectrum takes about 1.7 / 6.7 / 31 / 173 ms at L = 256 /
+512 / 1024 / 2048 (Haldane-Shastry at mu = 2; half filling is within
+5 %) on one BLAS thread of a 2-core Intel Xeon.
+
+dgeqrt and dsbevd come from scipy's compiled LAPACK extension,
+scipy.linalg._flapack, the module scipy.linalg.lapack re-exports them
+from.  The first solve loads that one file from scipy's package
+directory (_lapack) and imports neither scipy nor scipy.linalg, whose
+package imports would add about 0.1 s and 24 MB to a cold entropy or
+fh-check run.  A later import of scipy.linalg reuses the loaded module,
+so the routines, and the bits, are the same.  A missing file raises an
+ImportError that names the directory searched.
 
 The solver keeps one entry: the bytes of the last first row it solved
 and the eigenvalues it found, 16 L bytes.  A call whose row has exactly
@@ -42,7 +51,12 @@ EigenConvergenceError leaves it as it was and concurrent calls can at
 worst solve again.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +77,11 @@ _ROW_BLOCK = 256   # rows per BLAS product in the reduction
 # (first row bytes, sorted eigenvalues) of the last solve; see
 # eigenvalues_symmetric
 _last = None
+
+# scipy's compiled LAPACK wrappers: the module whose dgeqrt and dsbevd
+# scipy.linalg.lapack re-exports
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -151,11 +170,37 @@ def _by_rows(M, x, out):
     return out
 
 
+def _lapack():
+    # scipy's LAPACK extension module, loaded from its file on the first
+    # call and kept in sys.modules under its own name. find_spec gives
+    # scipy's package directory without running scipy's __init__. The
+    # lock makes concurrent first calls load it once.
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            where = [os.path.join(d, "linalg") for d in
+                     (scipy.submodule_search_locations if scipy else [])]
+            files = [os.path.join(d, "_flapack" + suffix) for d in where
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            files = [f for f in files if os.path.isfile(f)]
+            if not files:
+                raise ImportError(
+                    "scipy's LAPACK extension _flapack is not in "
+                    + (" or ".join(where) or "any directory: no scipy"),
+                    name=_FLAPACK)
+            spec = importlib.util.spec_from_file_location(_FLAPACK, files[0])
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+    return module
+
+
 def _sector_eigenvalues(A, n):
     # Eigenvalues of the leading n x n block of A, a symmetric matrix of
     # a multiple of _PANEL rows that is zero outside that block.  A is
     # overwritten.
-    from scipy.linalg.lapack import dgeqrt, dsbevd
+    lapack = _lapack()
 
     # Stage 1, to bandwidth _PANEL: dgeqrt factors the _PANEL columns
     # below the band as Q R with Q = I - V T V^T, R goes into the band,
@@ -165,7 +210,7 @@ def _sector_eigenvalues(A, n):
     # once at most one row of the block lies below the band.
     for k in range(0, n - _PANEL - 1, _PANEL):
         r = k + _PANEL
-        qr, T, _ = dgeqrt(_PANEL, A[r:, k:r])
+        qr, T, _ = lapack.dgeqrt(_PANEL, A[r:, k:r])
         A[r:r + _PANEL, k:r] = np.triu(qr[:_PANEL])
         V = np.tril(qr, -1)
         np.fill_diagonal(V, 1.0)
@@ -183,7 +228,7 @@ def _sector_eigenvalues(A, n):
     ab = np.zeros((kd + 1, n), order="F")   # ab[i, j] = A[j + i, j]
     for i in range(kd + 1):
         ab[i, :n - i] = np.diagonal(A, -i)[:n - i]
-    w, _, info = dsbevd(ab, compute_v=0, lower=1)
+    w, _, info = lapack.dsbevd(ab, compute_v=0, lower=1)
     if info > 0:
         raise EigenConvergenceError(
             f"eigensolver did not converge for a {n}x{n} tridiagonal: "

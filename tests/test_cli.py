@@ -710,52 +710,44 @@ _PROBE_STEPS = [
                   "--compare"]]),
 ]
 
-# lazily loaded modules a command may pull in as a side effect
-_PROBE_MODULES = ["numpy.ma", "numpy.polynomial", "scipy.special",
-                  "scipy.integrate", "scipy.linalg"]
+# the lazily loaded parts of numpy a command may pull in as a side
+# effect; the probe also lists every scipy module loaded
+_PROBE_MODULES = ["numpy.ma", "numpy.polynomial"]
 
 _IMPORT_PROBE = """
 import json, sys
 import fermichain
 from fermichain import cli
 MODULES = json.loads(sys.argv[1])
-seen = {"import": [m for m in MODULES if m in sys.modules]}
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m in MODULES or m.split(".")[0] == "scipy")
+
+seen = {"import": loaded()}
 for name, runs in json.loads(sys.argv[2]):
     for argv in runs:
         assert cli.run(argv) == 0, argv
-    seen[name] = [m for m in MODULES if m in sys.modules]
+    seen[name] = loaded()
 print(json.dumps(seen))
 """
-
-_LINALG_PROBE = """
-import json, sys
-import numpy
-import scipy.linalg.lapack
-print(json.dumps([m for m in json.loads(sys.argv[1]) if m in sys.modules]))
-"""
-
-
-def _fresh_probe(tmp_path, code, *args):
-    probe = subprocess.run([sys.executable, "-c", code,
-                            json.dumps(_PROBE_MODULES),
-                            *map(json.dumps, args)], env=_src_env(),
-                           cwd=tmp_path, capture_output=True, text=True,
-                           check=True)
-    return json.loads(probe.stdout)
 
 
 def test_cold_commands_load_only_the_modules_they_use(tmp_path):
     # a fresh process: importing fermichain and the phase, dispersion and
     # free-energy commands of every family, and constants, load no scipy
     # module, no numpy.ma and no numpy.polynomial; fh-check and entropy
-    # load what scipy.linalg brings (the spectrum), and no command loads
-    # special or integrate
-    seen = _fresh_probe(tmp_path, _IMPORT_PROBE, _PROBE_STEPS)
+    # load scipy's LAPACK extension (the spectrum) and nothing else of
+    # scipy: no scipy.linalg, and still no numpy.ma or numpy.polynomial
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                            json.dumps(_PROBE_MODULES),
+                            json.dumps(_PROBE_STEPS)], env=_src_env(),
+                           cwd=tmp_path, capture_output=True, text=True,
+                           check=True)
+    seen = json.loads(probe.stdout)
     assert seen["import"] == []
     assert seen["hs_fr"] == []
     assert seen["rc_pl"] == []
     assert seen["constants"] == []
-    linalg = _fresh_probe(tmp_path, _LINALG_PROBE)
-    assert "scipy.linalg" in linalg
-    assert seen["fh_check"] == linalg
-    assert seen["entropy"] == linalg
+    assert seen["fh_check"] == ["scipy.linalg._flapack"]
+    assert seen["entropy"] == ["scipy.linalg._flapack"]

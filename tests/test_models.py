@@ -6,10 +6,10 @@ import pytest
 from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
     DispersionProfile,
+    HALF_PERIOD_CANDIDATES,
     InteractionModel,
     _CL2_COEF,
     _bisect_sign_change,
-    half_period_candidates,
     half_period_zeros,
     mode_energies,
     monotonicity_report,
@@ -477,7 +477,7 @@ def sign_change_cells(g):
     (InteractionModel.rational_cubic(0.9), 1.25)])
 def test_grid_bisection_matches_scalar_bisection(model, mu):
     prof = DispersionProfile(model)
-    cand = half_period_candidates()
+    cand = HALF_PERIOD_CANDIDATES
     g = prof.E_grid(cand) - mu
     cells = sign_change_cells(g)
     assert cells.size
@@ -492,7 +492,7 @@ def test_grid_bisection_matches_scalar_bisection(model, mu):
 
 def test_grid_bisection_of_slope_matches_scalar_bisection():
     prof = DispersionProfile(fr(1.0, 0.5))
-    cand = half_period_candidates()
+    cand = HALF_PERIOD_CANDIDATES
     d = prof.E1_grid(cand)
     (i,) = sign_change_cells(d)
     got = _bisect_sign_change(prof.E1_grid, cand[i], cand[i + 1], d[i],
@@ -505,7 +505,7 @@ def test_half_period_zeros_rule():
     # an exact 0 on the scan grid is an ordinary bracket end; a zero
     # that touches 0 without a sign change is none; zeros within 1e-12
     # of 0 or pi drop, and zeros closer than 1e-10 merge
-    c = float(half_period_candidates()[1000])
+    c = float(HALF_PERIOD_CANDIDATES[1000])
     (z,) = half_period_zeros(lambda p: p - c, 1e-13)
     assert abs(z - c) <= 1e-13
     assert half_period_zeros(lambda p: (p - c) ** 2, 1e-13) == []
@@ -521,13 +521,23 @@ def test_half_period_zeros_rule():
 def test_half_period_candidates_sorted_once():
     # the ladders toward 0 and pi go on from the outermost cell
     # midpoints, pi 2^-13 from either end, and repeat neither: every
-    # value is kept once, in order, as np.unique would keep it
+    # value is kept once, in order, as np.unique would keep it; the grid
+    # is built once, read-only, with the bits the sorted concatenation
+    # of the cell midpoints and both ladders has
     ladder = math.pi * 2.0 ** -np.arange(13.0, 45.0)
     pieces = [ladder, (np.arange(4096) + 0.5) * (math.pi / 4096),
               math.pi - ladder]
-    got = half_period_candidates()
+    got = HALF_PERIOD_CANDIDATES
     assert got.size < sum(piece.size for piece in pieces)
     assert got.tobytes() == np.unique(np.concatenate(pieces)).tobytes()
+    step = math.pi / 4096
+    half_cell = 0.5 * step * 2.0 ** -np.arange(1.0, 32.0)
+    sorted_grid = np.sort(np.concatenate(
+        [half_cell, (np.arange(4096) + 0.5) * step, math.pi - half_cell]))
+    assert got.tobytes() == sorted_grid.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] = 0.0
 
 
 @pytest.mark.parametrize("mu, phase", [
@@ -604,7 +614,7 @@ def test_grid_bisection_typical_root_takes_few_calls():
                       (InteractionModel.rational_cubic(0.6), 1.0),
                       (InteractionModel.rational_cubic(0.9), 1.25)]:
         prof = DispersionProfile(model)
-        cand = half_period_candidates()
+        cand = HALF_PERIOD_CANDIDATES
         g = prof.E_grid(cand) - mu
         brackets += [(lambda p, prof=prof, mu=mu: prof.E_grid(p) - mu,
                       cand[i], cand[i + 1], g[i], g[i + 1], 1e-13)

@@ -8,9 +8,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fermichain").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# the one scipy module the library may load: the LAPACK eigensolver of
-# the correlation spectrum; any other is test or oracle code
-LIBRARY_SCIPY = "scipy.linalg.lapack"
+# the library imports no scipy module; spectral alone loads scipy's
+# compiled LAPACK extension, by file, for the correlation spectrum
+LAPACK_LOADER = ROOT / "src" / "fermichain" / "spectral.py"
 
 
 def _imports(tree):
@@ -38,20 +38,23 @@ def _read_names(tree):
 
 
 def test_imports_are_read_and_library_scipy_is_lapack_only():
-    unread, scipy_in_src = [], []
+    unread, scipy_in_src, flapack_in_src = [], [], []
     for path in SRC + TESTS:
-        tree = ast.parse(path.read_text(), str(path))
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
         read = _read_names(tree)
         name = path.relative_to(ROOT).as_posix()
         for bound, full in _imports(tree):
             if bound not in read:
                 unread.append(f"{name}: {bound}")
-            if (path in SRC and full.split(".")[0] == "scipy"
-                    and full != LIBRARY_SCIPY
-                    and not full.startswith(LIBRARY_SCIPY + ".")):
+            if path in SRC and full.split(".")[0] == "scipy":
                 scipy_in_src.append(f"{name}: {full}")
+        if path in SRC and path != LAPACK_LOADER and "_flapack" in text:
+            flapack_in_src.append(name)
     assert unread == []
     assert scipy_in_src == []
+    assert flapack_in_src == []
+    assert "_flapack" in LAPACK_LOADER.read_text()
 
 
 def _dataclass_fields(tree):

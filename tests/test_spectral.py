@@ -1,15 +1,18 @@
 import cmath
+import importlib.machinery
+import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import lapack
 
 from fermichain.cli import run
 from fermichain.criticality import fermi_points
@@ -248,7 +251,17 @@ a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
                  3.0 * math.pi ** 2 / 8.0)
 for L in (1024, 2047, 2048, 4096):
     sys.stdout.write(correlation_spectrum(a, L).eigenvalues.tobytes().hex())
+# LAPACK came from its extension file alone
+assert "scipy.linalg" not in sys.modules
 """
+
+
+def _src_env(**env):
+    # the environment of a fresh process that imports fermichain from src
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_spectrum_same_bits_under_blas_threads():
@@ -256,14 +269,10 @@ def test_spectrum_same_bits_under_blas_threads():
     # products of a multiple of 32 columns; L = 4096 has 2048-row
     # sectors, whose rows are longer than those OpenBLAS always runs on
     # one thread
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     out = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                             env=_src_env(OPENBLAS_NUM_THREADS=threads),
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
     assert len(out[0]) == 2 * 8 * (1024 + 2047 + 2048 + 4096)
@@ -278,6 +287,15 @@ def _sector_eigenvalues(M):
     A = np.zeros((N, N))
     A[:n, :n] = M
     return spectral._sector_eigenvalues(A, n)
+
+
+def _patch_lapack(monkeypatch, **routines):
+    # the spectral seam hands out scipy's LAPACK routines with these in
+    # place of the real ones
+    real = spectral._lapack()
+    fake = types.SimpleNamespace(dgeqrt=real.dgeqrt, dsbevd=real.dsbevd)
+    vars(fake).update(routines)
+    monkeypatch.setattr(spectral, "_lapack", lambda: fake)
 
 
 def test_blocked_reduction_panel_edges():
@@ -306,14 +324,14 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
     taus = []
-    lapack_dgeqrt = lapack.dgeqrt
+    lapack_dgeqrt = spectral._lapack().dgeqrt
 
     def dgeqrt(nb, a):
         qr, T, info = lapack_dgeqrt(nb, a)
         taus.append(np.diag(T).copy())
         return qr, T, info
 
-    monkeypatch.setattr(lapack, "dgeqrt", dgeqrt)
+    _patch_lapack(monkeypatch, dgeqrt=dgeqrt)
     got = _sector_eigenvalues(A)
     assert np.all(taus[0][:10] == 0.0) and taus[0][10] != 0.0
     want = np.linalg.eigh(A)[0]
@@ -344,8 +362,7 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # nonzero after its sweep budget. The memo is emptied so that no
     # spectrum an earlier test left skips the faked dsbevd.
     monkeypatch.setattr(spectral, "_last", None)
-    monkeypatch.setattr(lapack, "dsbevd",
-                        lambda ab, **kw: (ab[0], None, 1))
+    _patch_lapack(monkeypatch, dsbevd=lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError, match=(
             "did not converge for a 2x2 tridiagonal: 1 off-diagonal")) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
@@ -389,11 +406,11 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     eigenvalues_symmetric([1.0, -0.0, 0.5])   # equal, not the same bytes
     assert len(solved) == 8
     # a failed solve is not stored: the last good row still hits
-    real = lapack.dsbevd
-    monkeypatch.setattr(lapack, "dsbevd", lambda ab, **kw: (ab[0], None, 1))
+    real = spectral._lapack
+    _patch_lapack(monkeypatch, dsbevd=lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric(row)
-    monkeypatch.setattr(lapack, "dsbevd", real)
+    monkeypatch.setattr(spectral, "_lapack", real)
     del solved[:]
     eigenvalues_symmetric([1.0, -0.0, 0.5])
     assert solved == []
@@ -427,6 +444,76 @@ def test_eigensolver_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+_LOAD_PROBE = """
+import importlib.util, json, sys, threading, time
+import numpy as np
+import fermichain.spectral as spectral
+loads = []
+from_file = importlib.util.spec_from_file_location
+
+def counted(name, *args, **kw):
+    # held open, so that a thread the loader let through would load too
+    loads.append(name)
+    time.sleep(0.05)
+    return from_file(name, *args, **kw)
+
+importlib.util.spec_from_file_location = counted
+rows = [np.random.default_rng(k).normal(size=200 + 37 * k) for k in range(4)]
+got = [None] * 4
+start = threading.Barrier(4)
+
+def work(k):
+    start.wait()
+    got[k] = spectral.eigenvalues_symmetric(rows[k]).tobytes()
+
+assert spectral._FLAPACK not in sys.modules
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+same = []
+for k in range(4):
+    spectral._last = None
+    same.append(spectral.eigenvalues_symmetric(rows[k]).tobytes() == got[k])
+print(json.dumps({"same": same, "loads": loads, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_lapack_loads_once_under_threads():
+    # a fresh process: four threads solve different rows before LAPACK
+    # is loaded; it is loaded once, alone of scipy, and every thread gets
+    # the bits of a solve made after the others
+    run = subprocess.run([sys.executable, "-c", _LOAD_PROBE],
+                         env=_src_env(), capture_output=True, text=True,
+                         check=True, timeout=120)
+    seen = json.loads(run.stdout)
+    assert seen["same"] == [True] * 4
+    assert seen["loads"] == ["scipy.linalg._flapack"]
+    assert seen["scipy"] == ["scipy.linalg._flapack"]
+
+
+def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
+    # scipy's package directory without the extension: the first solve
+    # raises one ImportError naming where it looked, and loads nothing
+    monkeypatch.delitem(sys.modules, spectral._FLAPACK, raising=False)
+    monkeypatch.setattr(spectral, "_last", None)
+    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy.submodule_search_locations = [str(tmp_path)]
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: (
+        scipy if name == "scipy" else find_spec(name, *a)))
+    with pytest.raises(ImportError) as e:
+        eigenvalues_symmetric([1.0, 0.5, 0.2])
+    assert str(e.value) == ("scipy's LAPACK extension _flapack is not in "
+                            + str(tmp_path / "linalg"))
+    assert e.value.name == spectral._FLAPACK
+    assert spectral._FLAPACK not in sys.modules
 
 
 @pytest.mark.parametrize("shift, gate", [
