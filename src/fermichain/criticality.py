@@ -34,6 +34,10 @@ from .specfun import _panel_nodes, _panel_rules, zeta
 _TWO_PI = 2.0 * math.pi
 
 
+# the highest fitted T as a fraction of the extremum gap: the Sommerfeld
+# corrections go as (T/gap)^2 and exp(-gap/T), 1e-2 and 5e-5 at a tenth
+_CROSSOVER = 0.1
+
 # narrowest panel at the zone-center cusps 0 and pi
 _CUSP_WIDTH = math.pi * 2.0 ** -40
 
@@ -45,7 +49,10 @@ class FermiAnalysis:
     roots holds (p_i, multiplicity) pairs sorted by p_i; velocities, the
     |E'| at each, line up with it. sea lists disjoint intervals of
     [0, 2*pi) with E < mu; sea_half is its [0, pi] restriction.
-    central_charge is None unless the phase is critical.
+    central_charge is None unless the phase is critical. extremum_gap
+    is the distance from mu to the nearest band value at an extremum (0,
+    a stationary point, pi), a tangency or touched zone edge left out:
+    the scale at which the low-temperature law crosses over.
     """
     mu: float
     roots: tuple
@@ -57,6 +64,7 @@ class FermiAnalysis:
     e_min: float
     e_max: float
     stationary_points: tuple
+    extremum_gap: float
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,9 @@ def _analyze(profile, mu):
             f"p={'0' if ends[0] == 0.0 else 'pi'} inside the band; "
             "such a tangency is not classified")
     snapped = tangent + ends
+    extremum_gap = min((abs(e - mu) for p, e in
+                        zip(extrema, band_vals.tolist()) if p not in snapped),
+                       default=math.inf)
     # one crossing per piece between extrema whose ends straddle mu;
     # none where an end is snapped, as the tangency is the crossing
     cand = HALF_PERIOD_CANDIDATES
@@ -148,7 +159,8 @@ def _analyze(profile, mu):
     return FermiAnalysis(mu=mu, roots=roots, velocities=velocities,
                          sea=sea, sea_half=sea_half, phase=phase,
                          central_charge=charge, e_min=e_min, e_max=e_max,
-                         stationary_points=stationary)
+                         stationary_points=stationary,
+                         extremum_gap=extremum_gap)
 
 
 def _half_sea(profile, mu, root_ps):
@@ -326,7 +338,10 @@ def low_temperature_fit(profile, mu, T_grid=None):
     power; it is None for gapped and boundary phases. T_grid is a 1-D
     grid with at least 4 distinct temperatures, checked before the Fermi
     analysis; all of them share free_energy's one thermal pass, whose
-    E_grid call covers the distinct panels of every T once.
+    E_grid call covers the distinct panels of every T once. A critical
+    or tangent sea whose extremum gap is under 10 max T is refused even
+    when the line passes the residual gate: near a band extremum the law
+    bends while the log-log line still looks straight.
     """
     if T_grid is None:
         T_grid = np.geomspace(1e-3, 1e-2, 8)
@@ -353,6 +368,15 @@ def low_temperature_fit(profile, mu, T_grid=None):
             f"log-log fit residual {residual:.3f} exceeds 0.2; the grid "
             "is outside the leading-order regime", achieved=residual,
             target=0.2)
+    t_max = float(T_grid.max())
+    gap = analysis.extremum_gap
+    if (analysis.phase in ("critical", "non-critical-multiple-root")
+            and t_max > _CROSSOVER * gap):
+        raise FitRejectedError(
+            f"mu={analysis.mu} lies {gap:.3g} from a band extremum, so the "
+            f"low-temperature law holds only up to T={_CROSSOVER * gap:.3g}; "
+            f"the grid reaches T={t_max:.3g}", achieved=t_max / gap,
+            target=_CROSSOVER)
 
     predicted = None
     if analysis.phase == "critical":

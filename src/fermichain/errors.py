@@ -47,7 +47,7 @@ class EigenConvergenceError(AccuracyError):
 
 
 class FitRejectedError(AccuracyError):
-    """Scaling fit residual too large: grid outside the asymptotic regime."""
+    """Scaling fit refused: the grid lies outside the asymptotic regime."""
 
 
 def _check_count(n, name, minimum=1):

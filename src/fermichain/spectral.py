@@ -13,24 +13,30 @@ are built one at a time, the even (larger) one first, each padded with
 zero rows and columns to a multiple of 32, and each goes through two
 stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 
-1. dense to bandwidth 32, one panel of 32 columns per step: LAPACK
-   dgeqrt factors the rows below the band, and the trailing matrix takes
-   the panel's compact-WY reflector as a rank-64 product, 64 rows at a
-   time;
+1. dense to bandwidth 16, one panel of 16 columns per step: LAPACK
+   dgeqrt factors the rows below the band, and the panel's compact-WY
+   reflector updates the trailing matrix.  Panels come in pairs, and the
+   trailing matrix takes a pair's two reflectors as one rank-64
+   product, 64 rows at a time, on and below the diagonal only; each
+   block above the diagonal is then copied from its mirror below;
 2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
    the eigenvalues.  Its info > 0 raises EigenConvergenceError.
 
 So the working set is one padded sector (N x N, N = ceil(ceil(L/2)/32)
 * 32) plus a 64 x N product and a few N x 64 panel arrays: a traced
-peak of about 3.5 / 11.1 MB per call at L = 1024 / 2048.
+peak of about 3.5 / 11.3 MB per call at L = 1024 / 2048.
 
-Every BLAS product of stage 1 has at most 256 rows and a multiple of 32
-columns, and dsbevd calls BLAS only for plane rotations of at most 32
-entries, so up to L = 4096 the output has the same bits under any BLAS
-thread count.  The eigenvalues agree with LAPACK's divide and conquer
-to 1e-10.  A spectrum takes about 1.7 / 6.7 / 31 / 173 ms at L = 256 /
-512 / 1024 / 2048 (Haldane-Shastry at mu = 2; half filling is within
-5 %) on one BLAS thread of a 2-core Intel Xeon.
+Every BLAS product of stage 1 has at most 256 rows, and each of its
+dimensions that runs over the sector is a multiple of 32: a panel whose
+trailing matrix starts at an odd multiple of 16 is applied from the
+multiple of 32 before it, its reflector zero on the 16 rows in between.
+dsbevd calls BLAS only for plane rotations of at most 16 entries.  So up
+to L = 4096 the output has the same bits under any BLAS thread count;
+without that alignment the bits differ between 1 and 2 threads at
+every L tried from 1000 on.  The eigenvalues agree with LAPACK's divide
+and conquer to 1e-10.  A spectrum takes about 1.5 / 5.8 / 25 / 148 / 920
+ms at L = 256 / 512 / 1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) on
+one BLAS thread of a 2-core Intel Xeon.
 
 dgeqrt and dsbevd come from scipy's compiled LAPACK extension,
 scipy.linalg._flapack, the module scipy.linalg.lapack re-exports them
@@ -71,8 +77,14 @@ from .errors import (
 )
 from .models import mode_energies
 
-_PANEL = 32        # bandwidth of the band form, and columns per panel
+_PANEL = 16        # bandwidth of the band form, and columns per panel
+_ALIGN = 32        # sector rows, and BLAS dimensions that run over them,
+                   # are multiples of it; a pair of panels spans it
 _ROW_BLOCK = 256   # rows per BLAS product in the reduction
+# the upper triangle of a panel's first _PANEL rows, which holds R in
+# dgeqrt's output, and the identity's entries there in V
+_UPPER = np.triu(np.ones((_PANEL, _PANEL), dtype=bool))
+_UNIT = np.eye(_PANEL)
 
 # (first row bytes, sorted eigenvalues) of the last solve; see
 # eigenvalues_symmetric
@@ -164,7 +176,8 @@ def correlation_row_finite(model, mu, L, N):
 def _by_rows(M, x, out):
     # out = M @ x, one block of at most _ROW_BLOCK rows per BLAS call.
     # OpenBLAS runs products that small with the same rounding under any
-    # thread count when x spans a multiple of _PANEL columns.
+    # thread count when M has a multiple of _ALIGN rows and, if they run
+    # over the sector, columns.
     for r in range(0, M.shape[0], _ROW_BLOCK):
         np.matmul(M[r:r + _ROW_BLOCK], x, out=out[r:r + _ROW_BLOCK])
     return out
@@ -198,30 +211,65 @@ def _lapack():
 
 def _sector_eigenvalues(A, n):
     # Eigenvalues of the leading n x n block of A, a symmetric matrix of
-    # a multiple of _PANEL rows that is zero outside that block.  A is
+    # a multiple of _ALIGN rows that is zero outside that block.  A is
     # overwritten.
     lapack = _lapack()
+    N = A.shape[0]
+    P = _PANEL
+    stop = n - P - 1    # the panels end where one row or none lies below
+    prod = np.empty((2 * _ALIGN, N))
 
     # Stage 1, to bandwidth _PANEL: dgeqrt factors the _PANEL columns
     # below the band as Q R with Q = I - V T V^T, R goes into the band,
     # and the trailing block C becomes Q^T C Q = C - V Y^T - Y V^T with
-    # W = C V T and Y = W - V (T^T V^T W) / 2.  The reflectors are zero
-    # on the zero padding rows, so the padding stays zero.  Panels stop
-    # once at most one row of the block lies below the band.
-    for k in range(0, n - _PANEL - 1, _PANEL):
-        r = k + _PANEL
-        qr, T, _ = lapack.dgeqrt(_PANEL, A[r:, k:r])
-        A[r:r + _PANEL, k:r] = np.triu(qr[:_PANEL])
-        V = np.tril(qr, -1)
-        np.fill_diagonal(V, 1.0)
-        C = A[r:, r:]
-        W = _by_rows(C, _by_rows(V, T, np.empty_like(V)), np.empty_like(V))
-        # V^T W has _PANEL rows, so it is one row block already
-        Y = W - 0.5 * _by_rows(V, T.T @ (V.T @ W), np.empty_like(V))
-        U = np.hstack([V, Y])
-        Zt = np.hstack([Y, V]).T
-        for i in range(0, C.shape[0], 2 * _PANEL):
-            C[i:i + 2 * _PANEL] -= U[i:i + 2 * _PANEL] @ Zt
+    # W = C V T and Y = W - V (T^T V^T W) / 2.  Panels go in pairs from
+    # each multiple g of _ALIGN: the second panel's columns first take
+    # the first one's update, its W takes that update of C as a
+    # correction, and C takes both after the pair as one product.  A
+    # panel whose C starts at an odd multiple of _PANEL works on C from
+    # the multiple of _ALIGN before it, with V and Y zero on the rows in
+    # between.  The reflectors are zero on the zero padding rows, so the
+    # padding stays zero.
+    for g in range(0, stop, _ALIGN):
+        m = N - g
+        # the pair's [V Y V' Y'] and [Y V Y' V']^T on rows g and on
+        U = np.zeros((m, 2 * _ALIGN))
+        Zt = np.zeros((2 * _ALIGN, m))
+        work = np.empty((m, P))
+        used = 0    # columns of U the pair's panels fill so far
+        for k in range(g, min(g + _ALIGN, stop), P):
+            r = k + P
+            s = r - r % _ALIGN - g      # C is A[g + s:, g + s:]
+            pad = r - g - s
+            if used:    # the second panel takes the first one's update
+                A[g:, k:r] -= _by_rows(U[:, :used], Zt[:used, k - g:r - g],
+                                       work)
+            qr, T, _ = lapack.dgeqrt(P, A[r:, k:r])
+            A[r:r + P, k:r] = qr[:P]    # R; nothing reads below its diagonal
+            V = U[s:, used:used + P]
+            Y = U[s:, used + P:used + 2 * P]
+            V[pad:] = qr
+            np.copyto(V[pad:pad + P], _UNIT, where=_UPPER)
+            VT = _by_rows(V, T, work[s:])
+            _by_rows(A[g + s:, g + s:], VT, Y)
+            if used:
+                Y -= _by_rows(U[s:, :used], Zt[:used, s:] @ VT,
+                              np.empty_like(VT))
+            # V^T W has _PANEL rows, so it is one row block already
+            Y -= _by_rows(V, T.T @ (V.T @ Y) * 0.5, VT)
+            Y[:pad] = 0.0
+            Zt[used:used + P, s:] = Y.T
+            Zt[used + P:used + 2 * P, s:] = V.T
+            used += 2 * P
+        # C from the pair's last panel on takes the update on and below
+        # the diagonal, 2 _ALIGN rows at a time; the blocks above the
+        # diagonal are copied from their mirror images below it
+        C = A[g + s:, g + s:]
+        for i in range(0, m - s, 2 * _ALIGN):
+            e = min(i + 2 * _ALIGN, m - s)
+            C[i:e, :e] -= np.matmul(U[s + i:s + e, :used], Zt[:used, s:s + e],
+                                    out=prod[:e - i, :e])
+            C[:i, i:e] = C[i:e, :i].T
     # Stage 2: dsbevd (dsbtrd, then dsterf) on the band in LAPACK's
     # lower storage; a 1-row sector comes back as it is
     kd = min(_PANEL, n - 1)
@@ -274,7 +322,7 @@ def _parity_sector(t, odd):
     n = t.size
     m = n // 2
     size = m if odd else n - m
-    A = np.zeros((-(-size // _PANEL) * _PANEL,) * 2)
+    A = np.zeros((-(-size // _ALIGN) * _ALIGN,) * 2)
     # B and H as strided views of t, so no m x m temporary is made
     window = np.lib.stride_tricks.sliding_window_view
     B = window(np.concatenate([t[m - 1:0:-1], t[:m]]), m)[::-1]

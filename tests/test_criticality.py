@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fermichain import criticality, specfun
+from fermichain.cli import run
 from fermichain.entanglement import c_tilde
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
@@ -427,6 +428,75 @@ def test_fit_rejects_gapped_phase():
     assert info.value.achieved == pytest.approx(0.4221326004379899,
                                                 rel=1e-12)
     assert info.value.target == 0.2
+
+
+def test_fit_refused_near_a_band_extremum(tmp_path, capsys):
+    # the band top of this chain is 12.619: mu = 12.6 lies 0.019 below
+    # it, and the default grid's fit (exponent 2.03, residual 0.021) put
+    # the coefficient 25 % off the predicted one, with exit 0
+    prof = DispersionProfile(InteractionModel.finite_range(
+        (-0.968, 1.927, 1.879)))
+    a = fermi_points(prof, 12.6)
+    assert a.phase == "critical"
+    assert a.extremum_gap == pytest.approx(a.e_max - 12.6, abs=1e-12)
+    assert a.extremum_gap == pytest.approx(0.019, abs=5e-4)
+    with pytest.raises(FitRejectedError, match=(
+            r"lies 0.019 from a band extremum, so the low-temperature law "
+            r"holds only up to T=0.0019; the grid reaches T=0.01")) as info:
+        low_temperature_fit(prof, 12.6)
+    assert info.value.achieved == pytest.approx(1e-2 / a.extremum_gap,
+                                                rel=1e-12)
+    assert info.value.target == 0.1
+    # a grid below a tenth of the gap is fitted
+    fit = low_temperature_fit(prof, 12.6, np.geomspace(1e-4, 1e-3, 8))
+    assert fit.coefficient == pytest.approx(fit.predicted_coefficient,
+                                            rel=0.01)
+    out = tmp_path / "f.json"
+    assert run(["free-energy", "--model", "finite-range",
+                "--coeffs=-0.968,1.927,1.879", "--mu", "12.6", "--fit",
+                "--output", str(out)]) == 2
+    assert "the grid reaches T=0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# relative error of the default-grid coefficient, worst case per band of
+# the extremum gap over 599 random critical finite-range chains
+_GAP_BANDS = [(0.1, 0.2, 0.024), (0.2, 0.5, 0.0086), (0.5, 1.0, 9.2e-4),
+              (1.0, math.inf, 4.4e-3)]
+
+
+def test_fit_error_follows_the_extremum_gap():
+    # random critical chains of 2-5 couplings N(0, 1) rounded to 1e-3,
+    # mu uniform on the band, drawn in order from a fixed seed until
+    # each band holds three: a gap under 0.1 (ten times the default
+    # grid's top T) is refused, by the residual gate or by the gap, and a
+    # fitted chain is within its band's worst error
+    rng = np.random.default_rng(0)
+    bands = [(0.0, 0.05, None), (0.05, 0.1, None), *_GAP_BANDS]
+    seen = {band: 0 for band in bands}
+    for _ in range(200):
+        coeffs = tuple(np.round(rng.normal(size=rng.integers(2, 6)),
+                                3).tolist())
+        prof = DispersionProfile(InteractionModel.finite_range(coeffs))
+        band_of = fermi_points(prof, 1e6)
+        mu = float(rng.uniform(band_of.e_min, band_of.e_max))
+        a = fermi_points(prof, mu)
+        if a.phase != "critical":
+            continue
+        band = next(b for b in bands if b[0] <= a.extremum_gap < b[1])
+        if seen[band] == 3:
+            continue
+        seen[band] += 1
+        if band[2] is None:
+            with pytest.raises(FitRejectedError):
+                low_temperature_fit(prof, mu)
+        else:
+            fit = low_temperature_fit(prof, mu)
+            err = abs(fit.coefficient / fit.predicted_coefficient - 1.0)
+            assert err <= band[2], (coeffs, mu, a.extremum_gap, err)
+        if min(seen.values()) == 3:
+            break
+    assert seen == {band: 3 for band in bands}
 
 
 def test_fit_validation():

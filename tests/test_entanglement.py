@@ -85,27 +85,40 @@ def test_renyi_two_matches_levinson_oracle(s2_levinson, model, mu):
 
 
 # |S_exact - S_app - d_alpha| at alpha = 1.5, 2, 3 for each L, about
-# ten times the values measured at each point
+# ten times the values measured at each point: Haldane-Shastry seas
+# (0, p), and finite-range (-1) seas (p, pi), centred on pi, whose
+# particle-hole mirrors mu = -1.2 and -2.8 measure the same
+_PI_SEA_BOUNDS = {256: (3.1e-6, 4.3e-6, 7.8e-5), 512: (9e-7, 2.2e-6, 3.1e-5),
+                  1024: (2.3e-7, 6.7e-7, 2.4e-6),
+                  2048: (5.9e-8, 1.9e-7, 3.9e-6)}
 ONE_ARC_GAP_BOUNDS = {
-    2.0: {256: (5e-6, 2.2e-5, 1.7e-4), 512: (1.5e-7, 3.5e-6, 6e-5),
-          1024: (5.5e-8, 1.1e-6, 2.9e-5), 2048: (6.8e-8, 4.4e-7, 3.5e-6)},
-    math.pi ** 2 / 4: {256: (3.5e-6, 9.2e-6, 1.3e-4),
-                       512: (9e-7, 2.7e-6, 4.7e-5),
-                       1024: (2.4e-7, 8.7e-7, 1.5e-5),
-                       2048: (6.3e-8, 2.9e-7, 4.7e-8)},
+    (None, 2.0): {256: (5e-6, 2.2e-5, 1.7e-4), 512: (1.5e-7, 3.5e-6, 6e-5),
+                  1024: (5.5e-8, 1.1e-6, 2.9e-5),
+                  2048: (6.8e-8, 4.4e-7, 3.5e-6)},
+    (None, math.pi ** 2 / 4): {256: (3.5e-6, 9.2e-6, 1.3e-4),
+                               512: (9e-7, 2.7e-6, 4.7e-5),
+                               1024: (2.4e-7, 8.7e-7, 1.5e-5),
+                               2048: (6.3e-8, 2.9e-7, 4.7e-8)},
+    ((-1.0,), -1.2): _PI_SEA_BOUNDS,
+    ((-1.0,), -2.8): _PI_SEA_BOUNDS,
 }
 
 
-@pytest.mark.parametrize("mu", ONE_ARC_GAP_BOUNDS, ids=["mu2", "mu-pi2/4"])
-def test_one_arc_gap_is_the_calabrese_essler_term(calabrese_essler, mu):
+@pytest.mark.parametrize("alphas, mu", ONE_ARC_GAP_BOUNDS, ids=[
+    "mu2", "mu-pi2/4", "pi-sea-mu-1.2", "pi-sea-mu-2.8"])
+def test_one_arc_gap_is_the_calabrese_essler_term(calabrese_essler, alphas,
+                                                  mu):
     # on a one-arc sea the exact entropy less the leading asymptotic
-    # form is the oscillating Calabrese-Essler term, to 2-3 orders below
-    # the gap itself; one spectrum serves every alpha at each L
-    a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
-                     mu)
+    # form is the oscillating Calabrese-Essler term in its Fermi point,
+    # to 2-3 orders below the gap itself; one spectrum serves every
+    # alpha at each L
+    model = (InteractionModel.haldane_shastry() if alphas is None
+             else InteractionModel.finite_range(alphas))
+    a = fermi_points(DispersionProfile(model), mu)
     (p,) = [r for r, _ in a.roots]
-    assert a.sea_half == ((0.0, p),)
-    for L, bounds in ONE_ARC_GAP_BOUNDS[mu].items():
+    assert a.sea_half == (((0.0, p),) if alphas is None
+                          else ((p, math.pi),))
+    for L, bounds in ONE_ARC_GAP_BOUNDS[alphas, mu].items():
         s = correlation_spectrum(a, L)
         for alpha, bound in zip((1.5, 2.0, 3.0), bounds):
             rep = renyi_asymptotic(s, alpha)

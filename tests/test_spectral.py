@@ -244,13 +244,23 @@ def test_eigensolver_former_ql_stalls(alphas, mu, L):
 
 _THREAD_PROBE = """
 import math, sys
+import numpy as np
+from fermichain import spectral
 from fermichain.criticality import fermi_points
 from fermichain.models import DispersionProfile, InteractionModel
-from fermichain.spectral import correlation_spectrum
 a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
                  3.0 * math.pi ** 2 / 8.0)
-for L in (1024, 2047, 2048, 4096):
-    sys.stdout.write(correlation_spectrum(a, L).eigenvalues.tobytes().hex())
+for L in (1024, 1056, 2047, 2048, 4096):
+    sys.stdout.write(spectral.correlation_spectrum(a, L).eigenvalues
+                     .tobytes().hex())
+# random symmetric sectors, zero-padded as the parity sectors are
+rng = np.random.default_rng(3)
+for n in (1000, 1100, 1537):
+    N = -(-n // spectral._ALIGN) * spectral._ALIGN
+    A = np.zeros((N, N))
+    A[:n, :n] = rng.normal(size=(n, n))
+    A += A.T
+    sys.stdout.write(spectral._sector_eigenvalues(A, n).tobytes().hex())
 # LAPACK came from its extension file alone
 assert "scipy.linalg" not in sys.modules
 """
@@ -266,24 +276,27 @@ def _src_env(**env):
 
 def test_spectrum_same_bits_under_blas_threads():
     # L = 2047 has a 1023-row sector, which only its zero padding gives
-    # products of a multiple of 32 columns; L = 4096 has 2048-row
-    # sectors, whose rows are longer than those OpenBLAS always runs on
-    # one thread
+    # products of a multiple of 32 rows; L = 4096 has 2048-row sectors,
+    # whose rows are longer than those OpenBLAS always runs on one
+    # thread. The last panel of a 528-row sector (L = 1056) starts at an
+    # odd multiple of 16, that of a 512-row one (L = 1024) at an even
+    # one; the random sectors end on either kind.
     out = []
     for threads in ("1", "2"):
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
                              env=_src_env(OPENBLAS_NUM_THREADS=threads),
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 8 * (1024 + 2047 + 2048 + 4096)
+    assert len(out[0]) == 2 * 8 * (1024 + 1056 + 2047 + 2048 + 4096
+                                   + 1000 + 1100 + 1537)
     assert out[0] == out[1]
 
 
 def _sector_eigenvalues(M):
-    # M embedded in a zero matrix of a multiple of _PANEL rows, as the
+    # M embedded in a zero matrix of a multiple of _ALIGN rows, as the
     # parity sectors are
     n = M.shape[0]
-    N = -(-n // spectral._PANEL) * spectral._PANEL
+    N = -(-n // spectral._ALIGN) * spectral._ALIGN
     A = np.zeros((N, N))
     A[:n, :n] = M
     return spectral._sector_eigenvalues(A, n)
@@ -299,10 +312,13 @@ def _patch_lapack(monkeypatch, **routines):
 
 
 def test_blocked_reduction_panel_edges():
-    # sizes around the panel width, the band edge and the row block
-    assert spectral._PANEL == 32 and spectral._ROW_BLOCK == 256
+    # sizes around the panel width, the alignment, the pair of panels,
+    # the band edge and the row block
+    assert spectral._PANEL == 16 and spectral._ALIGN == 32
+    assert spectral._ROW_BLOCK == 256
     rng = np.random.default_rng(11)
-    for n in (2, 3, 31, 32, 33, 34, 35, 64, 65, 66, 257):
+    for n in (2, 3, 15, 16, 17, 31, 32, 33, 34, 35, 47, 48, 49,
+              63, 64, 65, 66, 257):
         M = rng.normal(size=(n, n))
         M += M.T
         want = np.linalg.eigh(M)[0]
