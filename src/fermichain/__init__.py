@@ -1,4 +1,13 @@
-"""Free-fermion chains: dispersion, criticality, entanglement, Toeplitz asymptotics."""
+"""Free-fermion chains: dispersion, criticality, entanglement, Toeplitz asymptotics.
+
+Concurrent calls are safe. The library's shared state is read-only
+tables built at import, functools.lru_cache caches of pure functions
+(zeta values and polylog constants in specfun, the last spectrum in
+spectral, whose eigenvalues callers get as copies), the coupling tables
+a DispersionProfile fills once per order, and LAPACK's loading in
+spectral, done once under a lock. A racing call can at worst compute a
+cached value again.
+"""
 
 __version__ = "0.1.0"
 
@@ -38,7 +47,6 @@ from .spectral import (
     correlation_row_finite,
     correlation_spectrum,
     correlation_spectrum_finite,
-    eigenvalues_symmetric,
 )
 from .entanglement import (
     EntropyReport,
@@ -84,7 +92,6 @@ __all__ = [
     "correlation_row_finite",
     "correlation_spectrum",
     "correlation_spectrum_finite",
-    "eigenvalues_symmetric",
     "EntropyReport",
     "renyi_exact",
     "f_factor",

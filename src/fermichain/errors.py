@@ -4,9 +4,9 @@ Validation problems (bad parameters, out-of-domain inputs) derive from
 ValueError; numerical failures (quadrature, eigensolver, fits) are
 AccuracyErrors, which derive from RuntimeError and carry the achieved
 error and the target it missed. The CLI maps the former to exit code 1
-and the latter to 2. The validators of an integer count and of a finite
-real live here, in the module every layer imports, so each kind of
-argument has one check and one message.
+and the latter to 2. The validators of an integer count, of a number
+and of a finite real live here, in the module every layer imports, so
+each kind of argument has one check and one message.
 """
 
 import functools
@@ -59,9 +59,17 @@ def _check_count(n, name, minimum=1):
     return int(n)
 
 
+def _check_number(x, name):
+    """x as it is, unless it is text or a bool: float() and complex()
+    would parse str and bytes and read True as 1. numpy numbers pass."""
+    if isinstance(x, (str, bytes, bytearray, bool, np.bool_)):
+        raise DomainError(f"{name} must be a number, got {x!r}")
+    return x
+
+
 def _check_real(x, name):
-    """x as a float; NaN and infinities are refused."""
-    x = float(x)
+    """x as a float; text, bools, NaN and infinities are refused."""
+    x = float(_check_number(x, name))
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x

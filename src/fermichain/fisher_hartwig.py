@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import _check_roots, f_factor
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_number
 from .specfun import log_barnes_pair
 from .spectral import _critical_momenta, correlation_spectrum
 
@@ -30,7 +30,7 @@ class FHSymbol:
 
 
 def _check_off_cut(lam):
-    lam = complex(lam)
+    lam = complex(_check_number(lam, "lambda"))
     if not cmath.isfinite(lam):
         raise DomainError(f"lambda={lam} is not finite")
     if -1.0 <= lam.real <= 1.0:

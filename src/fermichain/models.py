@@ -41,13 +41,12 @@ class InteractionModel:
 
     @classmethod
     def finite_range(cls, alphas):
-        alphas = tuple(float(a) for a in alphas)
+        alphas = tuple(_check_real(a, "finite-range couplings")
+                       for a in alphas)
         if len(alphas) < 1:
             raise DomainError("finite-range model needs at least one coupling")
         if alphas[-1] == 0.0:
             raise DomainError("trailing finite-range coupling must be nonzero")
-        for a in alphas:
-            _check_real(a, "finite-range couplings")
         return cls(family="finite-range", alphas=alphas)
 
     @classmethod

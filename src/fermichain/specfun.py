@@ -12,14 +12,9 @@ One real-line Riemann zeta, _zeta_real, serves the whole library:
 zeta(nu), the coefficients of the polylog series at any order, and (in
 its Hurwitz form) the tail of the Barnes sum; Gamma and k! come from
 math, so nothing here imports scipy. All routines are pure functions of
-their arguments. The shared state is two caches of read-only
-constants here, zeta values and the per-order polylog constants, each a
-pure function of its arguments, two read-only tables built at import,
-the Clausen coefficients in models and the csch series in
-entanglement, and the eigensolver's one-entry memo in spectral, a
-(row bytes, eigenvalues) tuple that is replaced whole and whose array
-is never handed out, callers getting copies, so that a racing call can
-at worst solve again. So concurrent calls are safe.
+their arguments. Their only state is two functools.lru_cache caches of
+pure functions, zeta values and the per-order polylog constants, whose
+arrays are read-only.
 """
 
 import cmath
@@ -28,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _check_real
+from .errors import DomainError, _check_number, _check_real
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -118,7 +113,7 @@ _zeta_cached = functools.lru_cache(maxsize=64)(_zeta_real)
 
 def zeta(nu):
     """zeta(nu) for real nu > 1."""
-    nu = float(nu)
+    nu = float(_check_number(nu, "zeta order nu"))
     if not nu > 1.0:
         raise DomainError(f"zeta requires nu > 1, got {nu}")
     return _zeta_cached(nu)
@@ -171,13 +166,19 @@ def _series_constants(s):
     log Gamma(1-d) = gamma_E d + sum_{k>=2} zeta(k) d^k/k. At d = 0 the
     bracket is H_m - log(-iq). For 1 < s <= 25 both forms measure within
     1e-13 of mpmath at 30 digits on either side of the switch.
+
+    The series keeps 100 terms. From m = round(s) - 1 = 100 on, the
+    singular term and zeta(s-m) q^m/m! are each below pi^100/100!, about
+    1e-108, on 0 <= q <= pi, so both are dropped (c = 0).
     """
     k = np.arange(100.0)
     coef = (np.array([_zeta_real(s - j) for j in range(100)])
             / np.array([math.factorial(j) for j in range(100)], dtype=float))
     n = round(s)
     d = s - n
-    if n >= 1 and abs(d) <= _NEAR_INTEGER:
+    if n > k.size:
+        singular = (None, 0.0, None, 0.0)
+    elif n >= 1 and abs(d) <= _NEAR_INTEGER:
         m = n - 1
         coef[m] = sum((-d) ** j * g / math.factorial(j)
                       for j, g in enumerate(_STIELTJES)) / math.factorial(m)
@@ -252,7 +253,7 @@ def polylog_circle(nu, p):
     p is reduced to [0, 2*pi); p = 0 gives zeta(nu) exactly. Its real
     and imaginary parts are polylog_circle_grid's on a grid of one.
     """
-    nu = float(nu)
+    nu = float(_check_number(nu, "polylog_circle order nu"))
     if not nu > 1.0:
         raise DomainError(f"polylog_circle requires nu > 1, got {nu}")
     p = _check_real(p, "polylog_circle momentum p")
@@ -277,7 +278,7 @@ def log_barnes_pair(beta):
     residual below 1e-13 on the whole strip. The tail's Hurwitz sums
     sum_{n>N} n^{-s} are the Euler-Maclaurin tail of _zeta_real.
     """
-    b = complex(beta)
+    b = complex(_check_number(beta, "log_barnes_pair argument beta"))
     if not cmath.isfinite(b):
         raise DomainError(f"log_barnes_pair requires a finite beta, got {b}")
     if abs(b.real) >= 0.5:
@@ -354,7 +355,7 @@ def _panel_rules(g, half):
 
 def _check_alpha(alpha):
     """A Renyi order as a float: alpha > 0, inf included, NaN refused."""
-    alpha = float(alpha)
+    alpha = float(_check_number(alpha, "Renyi order"))
     if math.isnan(alpha) or alpha <= 0.0:
         raise DomainError(f"Renyi order must be positive, got {alpha}")
     return alpha

@@ -26,17 +26,17 @@ So the working set is one padded sector (N x N, N = ceil(ceil(L/2)/32)
 * 32) plus a 64 x N product and a few N x 64 panel arrays: a traced
 peak of about 3.5 / 11.3 MB per call at L = 1024 / 2048.
 
-Every BLAS product of stage 1 has at most 256 rows, and each of its
-dimensions that runs over the sector is a multiple of 32: a panel whose
-trailing matrix starts at an odd multiple of 16 is applied from the
-multiple of 32 before it, its reflector zero on the 16 rows in between.
-dsbevd calls BLAS only for plane rotations of at most 16 entries.  So up
-to L = 4096 the output has the same bits under any BLAS thread count;
-without that alignment the bits differ between 1 and 2 threads at
-every L tried from 1000 on.  The eigenvalues agree with LAPACK's divide
-and conquer to 1e-10.  A spectrum takes about 1.5 / 5.8 / 25 / 148 / 920
-ms at L = 256 / 512 / 1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) on
-one BLAS thread of a 2-core Intel Xeon.
+Each dimension of a stage-1 BLAS product that runs over the sector is
+a multiple of 32: a panel whose trailing matrix starts at an odd
+multiple of 16 is applied from the multiple of 32 before it, its
+reflector zero on the 16 rows in between.  dsbevd calls BLAS only for
+plane rotations of at most 16 entries.  So up to L = 8192 the output
+has the same bits under 1 to 4 BLAS threads; without that alignment
+the bits differ between 1 and 2 threads at every L tried from 1000 on.
+The eigenvalues agree with LAPACK's divide and conquer to 1e-10.  A
+spectrum takes about 1.5 / 5.8 / 25 / 148 / 920 ms at L = 256 / 512 /
+1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) on one BLAS thread of a
+2-core Intel Xeon.
 
 dgeqrt and dsbevd come from scipy's compiled LAPACK extension,
 scipy.linalg._flapack, the module scipy.linalg.lapack re-exports them
@@ -47,16 +47,12 @@ fh-check run.  A later import of scipy.linalg reuses the loaded module,
 so the routines, and the bits, are the same.  A missing file raises an
 ImportError that names the directory searched.
 
-The solver keeps one entry: the bytes of the last first row it solved
-and the eigenvalues it found, 16 L bytes.  A call whose row has exactly
-those bytes (entropy and then fh-check on one block ask for the same
-spectrum) returns a fresh copy of them, the bits a new solve gives,
-and runs no LAPACK; a -0.0 / 0.0 difference is a miss.  The entry is
-replaced whole, and only after a solve succeeds, so an
-EigenConvergenceError leaves it as it was and concurrent calls can at
-worst solve again.
+The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
+row's bytes: the same row again (entropy and then fh-check on one
+block) gets a copy of its eigenvalues and runs no LAPACK.
 """
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -80,15 +76,10 @@ from .models import mode_energies
 _PANEL = 16        # bandwidth of the band form, and columns per panel
 _ALIGN = 32        # sector rows, and BLAS dimensions that run over them,
                    # are multiples of it; a pair of panels spans it
-_ROW_BLOCK = 256   # rows per BLAS product in the reduction
 # the upper triangle of a panel's first _PANEL rows, which holds R in
 # dgeqrt's output, and the identity's entries there in V
 _UPPER = np.triu(np.ones((_PANEL, _PANEL), dtype=bool))
 _UNIT = np.eye(_PANEL)
-
-# (first row bytes, sorted eigenvalues) of the last solve; see
-# eigenvalues_symmetric
-_last = None
 
 # scipy's compiled LAPACK wrappers: the module whose dgeqrt and dsbevd
 # scipy.linalg.lapack re-exports
@@ -173,16 +164,6 @@ def correlation_row_finite(model, mu, L, N):
     return np.fft.irfft(filled, n=N)[:L]
 
 
-def _by_rows(M, x, out):
-    # out = M @ x, one block of at most _ROW_BLOCK rows per BLAS call.
-    # OpenBLAS runs products that small with the same rounding under any
-    # thread count when M has a multiple of _ALIGN rows and, if they run
-    # over the sector, columns.
-    for r in range(0, M.shape[0], _ROW_BLOCK):
-        np.matmul(M[r:r + _ROW_BLOCK], x, out=out[r:r + _ROW_BLOCK])
-    return out
-
-
 def _lapack():
     # scipy's LAPACK extension module, loaded from its file on the first
     # call and kept in sys.modules under its own name. find_spec gives
@@ -242,21 +223,19 @@ def _sector_eigenvalues(A, n):
             s = r - r % _ALIGN - g      # C is A[g + s:, g + s:]
             pad = r - g - s
             if used:    # the second panel takes the first one's update
-                A[g:, k:r] -= _by_rows(U[:, :used], Zt[:used, k - g:r - g],
-                                       work)
+                A[g:, k:r] -= np.matmul(U[:, :used], Zt[:used, k - g:r - g],
+                                        out=work)
             qr, T, _ = lapack.dgeqrt(P, A[r:, k:r])
             A[r:r + P, k:r] = qr[:P]    # R; nothing reads below its diagonal
             V = U[s:, used:used + P]
             Y = U[s:, used + P:used + 2 * P]
             V[pad:] = qr
             np.copyto(V[pad:pad + P], _UNIT, where=_UPPER)
-            VT = _by_rows(V, T, work[s:])
-            _by_rows(A[g + s:, g + s:], VT, Y)
+            VT = np.matmul(V, T, out=work[s:])
+            np.matmul(A[g + s:, g + s:], VT, out=Y)
             if used:
-                Y -= _by_rows(U[s:, :used], Zt[:used, s:] @ VT,
-                              np.empty_like(VT))
-            # V^T W has _PANEL rows, so it is one row block already
-            Y -= _by_rows(V, T.T @ (V.T @ Y) * 0.5, VT)
+                Y -= U[s:, :used] @ (Zt[:used, s:] @ VT)
+            Y -= np.matmul(V, T.T @ (V.T @ Y) * 0.5, out=VT)
             Y[:pad] = 0.0
             Zt[used:used + P, s:] = Y.T
             Zt[used + P:used + 2 * P, s:] = V.T
@@ -292,7 +271,6 @@ def eigenvalues_symmetric(first_row):
     A row with the bytes of the last one solved gets a copy of its
     eigenvalues back without a new solve.
     """
-    global _last
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise DomainError("first row must be a non-empty 1-d array")
@@ -300,21 +278,23 @@ def eigenvalues_symmetric(first_row):
         raise DomainError("first row contains non-finite entries")
     if row.size == 1:
         return row.copy()
-    key = row.tobytes()
-    last = _last
-    if last is not None and last[0] == key:
-        return last[1].copy()
-    eig = np.sort(np.concatenate(
+    return _solve(row.tobytes()).copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _solve(key):
+    # sorted eigenvalues of the Toeplitz matrix whose first row has these
+    # bytes; the cache's array is never handed out, callers get copies
+    row = np.frombuffer(key)
+    return np.sort(np.concatenate(
         [_sector_eigenvalues(*_parity_sector(row, odd))
          for odd in (False, True)]))
-    _last = (key, eig)
-    return eig.copy()
 
 
 def _parity_sector(t, odd):
     # The odd or even sector of the symmetric Toeplitz matrix with first
     # row t, of size floor(n/2) or ceil(n/2), as (matrix, size) with the
-    # matrix padded by zeros to a multiple of _PANEL rows. With m = n // 2,
+    # matrix padded by zeros to a multiple of _ALIGN rows. With m = n // 2,
     # B the leading m x m block and H_ij = t[n-1-i-j] its mirrored
     # neighbour, the odd sector is B - H and the even one B + H; for odd
     # n the even sector is bordered by the middle column sqrt(2) t[m-i],
@@ -356,9 +336,8 @@ def _checked_spectrum(row, fermi_momenta=None):
 def correlation_spectrum(analysis, L):
     """Build and cross-check the L x L spectrum from a critical sea; it
     carries the sea's Fermi points."""
-    row = correlation_row(analysis, L)
-    return _checked_spectrum(row, tuple(
-        _critical_momenta(analysis, "correlation row needs")))
+    row = correlation_row(analysis, L)   # refuses a non-critical sea
+    return _checked_spectrum(row, tuple(p for p, _ in analysis.roots))
 
 
 def correlation_spectrum_finite(model, mu, L, N):

@@ -205,22 +205,22 @@ def test_fh_check_defaults(tmp_path):
     assert devs[0] > devs[1] > devs[2] > 0
 
 
-def test_fh_check_after_entropy_same_bytes(tmp_path, monkeypatch):
+def test_fh_check_after_entropy_same_bytes(tmp_path):
     # fh-check right after entropy on the same block takes the
-    # eigenvalues the solver kept (a hit leaves the entry in place), and
-    # writes the bytes a fresh solve gives
+    # eigenvalues the solver kept (no new solve), and writes the bytes a
+    # fresh solve gives
     outs = []
     for keep in (True, False):
-        monkeypatch.setattr(spectral, "_last", None)
+        spectral._solve.cache_clear()
         assert run(["entropy", *FIG8, "--L", "96", "--compare",
                     "--output", str(tmp_path / "s.csv")]) == 0
-        entry = spectral._last
         if not keep:
-            monkeypatch.setattr(spectral, "_last", None)
+            spectral._solve.cache_clear()
+        misses = spectral._solve.cache_info().misses
         out = tmp_path / f"fh-{keep}.csv"
         assert run(["fh-check", *FIG8, "--L", "96",
                     "--output", str(out)]) == 0
-        assert (spectral._last is entry) == keep
+        assert (spectral._solve.cache_info().misses == misses) == keep
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -504,6 +504,20 @@ def test_exit_two_on_overflowing_thermal_ratio(tmp_path):
     assert proc.stderr == ("error: ground-energy quadrature reached only "
                            "3.318e+290 (target 1e-10) at T=0.001\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_power_law_large_orders_run(tmp_path):
+    # orders past the polylog series' kept terms once raised IndexError
+    # or OverflowError, or never returned
+    for argv in (["phase", "--model", "power-law", "--nu", "101", "--mu", "1"],
+                 ["dispersion", "--model", "power-law", "--nu", "400"],
+                 ["phase", "--model", "power-law", "--nu", "1e308",
+                  "--mu", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermichain.cli", *argv, "--output",
+             str(tmp_path / "out.csv")], env=_src_env(), cwd=tmp_path,
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 def test_csv_runs_are_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import pickle
 import subprocess
 import sys
@@ -9,7 +10,9 @@ import pytest
 
 from fermichain import criticality, specfun
 from fermichain.cli import run
-from fermichain.entanglement import c_tilde
+from fermichain.entanglement import c_tilde, i1
+from fermichain.fisher_hartwig import symbol_params
+from fermichain.specfun import entropy_kernel
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
     fermi_points,
@@ -120,6 +123,37 @@ def test_nonfinite_mu_one_message():
                 assert got.tobytes() == want.tobytes()
             else:
                 assert got == want
+
+
+# every other scalar entry point: the same refusal of text and bools
+NUMBER_ARGUMENTS = REAL_ARGUMENTS + [
+    ("Renyi order", c_tilde, 2),
+    ("Renyi order", i1, 2),
+    ("Renyi order", lambda x: entropy_kernel(x, 0.5), 2),
+    ("zeta order nu", specfun.zeta, 3),
+    ("polylog_circle order nu", lambda x: specfun.polylog_circle(x, 1.0), 3),
+    ("log_barnes_pair argument beta", specfun.log_barnes_pair, 0.25),
+    ("lambda", lambda x: symbol_params([math.pi / 2], x), 3),
+]
+
+
+@pytest.mark.parametrize("name, call, x", NUMBER_ARGUMENTS,
+                         ids=[f"{n}-{k}" for k, (n, _, _)
+                              in enumerate(NUMBER_ARGUMENTS)])
+def test_text_and_bools_refused_as_numbers(name, call, x):
+    # float() and complex() would parse the text and read True as 1;
+    # every scalar argument refuses them with one message, as counts do,
+    # and a numpy float still gives what the Python float gives
+    for bad in (str(x), str(x).encode(), True, np.True_):
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(name)} must be a number, "
+                                 f"got {re.escape(repr(bad))}$"):
+            call(bad)
+    got, want = call(np.float64(x)), call(float(x))
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
 
 
 def test_gapped_phases():

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from fermichain import specfun
 from fermichain.criticality import fermi_points, low_temperature_fit
 from fermichain.models import (
     DispersionProfile,
@@ -263,6 +265,28 @@ def test_power_law_matches_mpmath(nu):
              2.0 * C * oracle_polylog(mpmath, nu - 2.0, x).real] for x in p]
     got = np.column_stack([prof.E_grid(p), prof.E1_grid(p), prof.E2_grid(p)])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [101.0, 101.02, 172.0, 180.0, 1e15, 1e308])
+def test_power_law_large_orders_match_direct_sum(nu):
+    # orders whose series term at the Gamma pole lies past the kept
+    # terms: E, E' and E'' agree with the coupling sums to 1e-14, each
+    # evaluator, constants included, in well under a second
+    specfun._series_constants.cache_clear()
+    C = 0.7
+    prof = DispersionProfile(InteractionModel.power_law(nu, C=C))
+    p = np.linspace(0.0, TWO_PI, 97)
+    j = np.arange(1.0, 51.0)[:, None]
+    w = 2.0 * C * j ** -nu
+    want = [(w * (1.0 - np.cos(j * p))).sum(axis=0),
+            (w * j * np.sin(j * p)).sum(axis=0),
+            (w * j * j * np.cos(j * p)).sum(axis=0)]
+    for evaluator, ref in zip((prof.E_grid, prof.E1_grid, prof.E2_grid),
+                              want):
+        start = time.perf_counter()
+        got = evaluator(p)
+        assert time.perf_counter() - start < 1.0
+        assert np.max(np.abs(got - ref)) < 1e-14
 
 
 def test_power_law_zone_center_conventions():

@@ -99,3 +99,12 @@ def test_one_validator_per_kind_of_argument():
             if len(mods) > 1} == {}
     assert [path.name for path in SRC if path.name != "errors.py"
             and "must be finite" in path.read_text()] == []
+
+
+def test_no_global_statement_in_src():
+    # module state changes only inside the objects that hold it (a
+    # cache, a lock, sys.modules), never by rebinding a module name
+    found = [f"{path.name}:{node.lineno}" for path in SRC
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -277,10 +277,10 @@ def _src_env(**env):
 def test_spectrum_same_bits_under_blas_threads():
     # L = 2047 has a 1023-row sector, which only its zero padding gives
     # products of a multiple of 32 rows; L = 4096 has 2048-row sectors,
-    # whose rows are longer than those OpenBLAS always runs on one
-    # thread. The last panel of a 528-row sector (L = 1056) starts at an
-    # odd multiple of 16, that of a 512-row one (L = 1024) at an even
-    # one; the random sectors end on either kind.
+    # whose large stage-1 products, one BLAS call each, OpenBLAS splits
+    # over both threads. The last panel of a 528-row sector (L = 1056)
+    # starts at an odd multiple of 16, that of a 512-row one (L = 1024)
+    # at an even one; the random sectors end on either kind.
     out = []
     for threads in ("1", "2"):
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
@@ -313,9 +313,8 @@ def _patch_lapack(monkeypatch, **routines):
 
 def test_blocked_reduction_panel_edges():
     # sizes around the panel width, the alignment, the pair of panels,
-    # the band edge and the row block
+    # the band edge and the 64-row trailing update
     assert spectral._PANEL == 16 and spectral._ALIGN == 32
-    assert spectral._ROW_BLOCK == 256
     rng = np.random.default_rng(11)
     for n in (2, 3, 15, 16, 17, 31, 32, 33, 34, 35, 47, 48, 49,
               63, 64, 65, 66, 257):
@@ -354,11 +353,11 @@ def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_eigensolver_holds_one_sector(monkeypatch):
+def test_eigensolver_holds_one_sector():
     # one padded sector of N rows is 8 N^2 bytes; both sectors at once,
-    # or a 256-row update temporary beside one, pass 2 x 8 N^2. The
+    # or an N x N update temporary beside one, pass 2 x 8 N^2. The
     # memo is emptied so that every measured call solves.
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     a = hs_analysis()
     eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
     for L in (1024, 2048):
@@ -377,7 +376,7 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
     # nonzero after its sweep budget. The memo is emptied so that no
     # spectrum an earlier test left skips the faked dsbevd.
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     _patch_lapack(monkeypatch, dsbevd=lambda ab, **kw: (ab[0], None, 1))
     with pytest.raises(EigenConvergenceError, match=(
             "did not converge for a 2x2 tridiagonal: 1 off-diagonal")) as e:
@@ -394,7 +393,7 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     # a row with the last solved row's bytes runs no sector solve and
     # gets its eigenvalues in a fresh array; any other row solves, and a
     # failed solve leaves the memo as it was
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     solved = []
     sector = spectral._sector_eigenvalues
 
@@ -434,10 +433,10 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     assert solved == [32, 32]
 
 
-def test_eigensolver_memo_under_threads(monkeypatch):
+def test_eigensolver_memo_under_threads():
     # threads that interleave rows get each row's own eigenvalues: a
     # racing call may solve again, but never returns another row's entry
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     rows = [correlation_row(hs_analysis(mu), 16) for mu in (1.0, 2.0)]
     want = [eigenvalues_symmetric(r).tobytes() for r in rows]
     wrong = []
@@ -494,7 +493,7 @@ for t in threads:
 assert not any(t.is_alive() for t in threads)
 same = []
 for k in range(4):
-    spectral._last = None
+    spectral._solve.cache_clear()
     same.append(spectral.eigenvalues_symmetric(rows[k]).tobytes() == got[k])
 print(json.dumps({"same": same, "loads": loads, "scipy": sorted(
     m for m in sys.modules if m.split(".")[0] == "scipy")}))
@@ -518,7 +517,7 @@ def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
     # scipy's package directory without the extension: the first solve
     # raises one ImportError naming where it looked, and loads nothing
     monkeypatch.delitem(sys.modules, spectral._FLAPACK, raising=False)
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     scipy.submodule_search_locations = [str(tmp_path)]
     find_spec = importlib.util.find_spec
