@@ -6,7 +6,9 @@ tables built at import, functools.lru_cache caches of pure functions
 spectral, whose eigenvalues callers get as copies), the coupling tables
 a DispersionProfile fills once per order, and LAPACK's loading in
 spectral, done once under a lock. A racing call can at worst compute a
-cached value again.
+cached value again. Each spectrum solve starts one worker thread for
+one parity sector's band stage, LAPACK dsbevd called without the GIL,
+and joins it before it returns or raises.
 """
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ bundles them.
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
 size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). The sectors
-are built one at a time, the even (larger) one first, each padded with
-zero rows and columns to a multiple of 32, and each goes through two
-stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
+are built one at a time, the odd one first, each padded with zero rows
+and columns to a multiple of 32, and each goes through two stages
+(Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 
 1. dense to bandwidth 16, one panel of 16 columns per step: LAPACK
    dgeqrt factors the rows below the band, and the panel's compact-WY
@@ -22,9 +22,15 @@ stages (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
    the eigenvalues.  Its info > 0 raises EigenConvergenceError.
 
-So the working set is one padded sector (N x N, N = ceil(ceil(L/2)/32)
-* 32) plus a 64 x N product and a few N x 64 panel arrays: a traced
-peak of about 3.5 / 11.3 MB per call at L = 1024 / 2048.
+The odd sector's matrix is freed once its band is made, and a worker
+thread runs that band's stage 2 while the calling thread builds and
+reduces the even sector and then runs its stage 2; the caller joins the
+worker, also when its own sector fails, and raises the worker's error.
+dsbevd is called through ctypes, which releases the GIL, so the two
+stages run on two cores.  The working set stays one padded sector (N x
+N, N = ceil(ceil(L/2)/32) * 32) plus a 64 x N product, a few N x 64
+panel arrays and the two 17 x N bands: a traced peak of about 3.6 /
+11.4 MB per call at L = 1024 / 2048.
 
 Each dimension of a stage-1 BLAS product that runs over the sector is
 a multiple of 32: a panel whose trailing matrix starts at an odd
@@ -34,13 +40,16 @@ plane rotations of at most 16 entries.  So up to L = 8192 the output
 has the same bits under 1 to 4 BLAS threads; without that alignment
 the bits differ between 1 and 2 threads at every L tried from 1000 on.
 The eigenvalues agree with LAPACK's divide and conquer to 1e-10.  A
-spectrum takes about 1.5 / 5.8 / 25 / 148 / 920 ms at L = 256 / 512 /
-1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) on one BLAS thread of a
-2-core Intel Xeon.
+spectrum takes about 1.4 / 4.8 / 20 / 121 / 780 ms at L = 256 / 512 /
+1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) with one BLAS thread on
+a 2-core Intel Xeon, against 1.5 / 5.6 / 25 / 144 / 885 ms with both
+sectors on one thread.  With no core free for the worker (the process
+pinned to one CPU) it takes 1.7 / 5.9 / 25 / 145 / 885 ms.
 
 dgeqrt and dsbevd come from scipy's compiled LAPACK extension,
 scipy.linalg._flapack, the module scipy.linalg.lapack re-exports them
-from.  The first solve loads that one file from scipy's package
+from; dsbevd is called as the Fortran routine that its f2py wrapper
+points to.  The first solve loads that one file from scipy's package
 directory (_lapack) and imports neither scipy nor scipy.linalg, whose
 package imports would add about 0.1 s and 24 MB to a cold entropy or
 fh-check run.  A later import of scipy.linalg reuses the loaded module,
@@ -52,6 +61,7 @@ row's bytes: the same row again (entropy and then fh-check on one
 block) gets a copy of its eigenvalues and runs no LAPACK.
 """
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -59,6 +69,7 @@ import math
 import os
 import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +96,7 @@ _UNIT = np.eye(_PANEL)
 # scipy.linalg.lapack re-exports
 _FLAPACK = "scipy.linalg._flapack"
 _flapack_lock = threading.Lock()
+_routines = {}     # the loaded module -> what _lapack hands out
 
 
 @dataclass(frozen=True)
@@ -165,10 +177,11 @@ def correlation_row_finite(model, mu, L, N):
 
 
 def _lapack():
-    # scipy's LAPACK extension module, loaded from its file on the first
-    # call and kept in sys.modules under its own name. find_spec gives
-    # scipy's package directory without running scipy's __init__. The
-    # lock makes concurrent first calls load it once.
+    # dgeqrt and dsbevd of scipy's LAPACK extension module, which is
+    # loaded from its file on the first call and kept in sys.modules under
+    # its own name. find_spec gives scipy's package directory without
+    # running scipy's __init__. The lock makes concurrent first calls load
+    # it, and build the ctypes dsbevd, once.
     with _flapack_lock:
         module = sys.modules.get(_FLAPACK)
         if module is None:
@@ -187,13 +200,26 @@ def _lapack():
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules[_FLAPACK] = module
-    return module
+        if module not in _routines:
+            # the Fortran routine that f2py's dsbevd wraps: every argument
+            # by reference, C int integers, and the lengths of JOBZ and
+            # UPLO last
+            pointer = ctypes.PYFUNCTYPE(
+                ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+                ("PyCapsule_GetPointer", ctypes.pythonapi))
+            fortran = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14,
+                                       ctypes.c_size_t, ctypes.c_size_t)
+            _routines[module] = types.SimpleNamespace(
+                dgeqrt=module.dgeqrt,
+                dsbevd=fortran(pointer(module.dsbevd._cpointer, None)))
+        return _routines[module]
 
 
-def _sector_eigenvalues(A, n):
-    # Eigenvalues of the leading n x n block of A, a symmetric matrix of
-    # a multiple of _ALIGN rows that is zero outside that block.  A is
-    # overwritten.
+def _band(A, n):
+    # Stage 1: the leading n x n block of A, a symmetric matrix of a
+    # multiple of _ALIGN rows that is zero outside that block, reduced to
+    # bandwidth min(_PANEL, n - 1) with the same eigenvalues, as a band in
+    # LAPACK's lower storage.  A is overwritten.
     lapack = _lapack()
     N = A.shape[0]
     P = _PANEL
@@ -249,19 +275,31 @@ def _sector_eigenvalues(A, n):
             C[i:e, :e] -= np.matmul(U[s + i:s + e, :used], Zt[:used, s:s + e],
                                     out=prod[:e - i, :e])
             C[:i, i:e] = C[i:e, :i].T
-    # Stage 2: dsbevd (dsbtrd, then dsterf) on the band in LAPACK's
-    # lower storage; a 1-row sector comes back as it is
     kd = min(_PANEL, n - 1)
     ab = np.zeros((kd + 1, n), order="F")   # ab[i, j] = A[j + i, j]
     for i in range(kd + 1):
         ab[i, :n - i] = np.diagonal(A, -i)[:n - i]
-    w, _, info = lapack.dsbevd(ab, compute_v=0, lower=1)
-    if info > 0:
-        raise EigenConvergenceError(
-            f"eigensolver did not converge for a {n}x{n} tridiagonal: "
-            f"{info} off-diagonal entries left nonzero",
-            achieved=info, target=0)
-    return w
+    return ab
+
+
+def _band_eigenvalues(ab):
+    # Stage 2: dsbevd (dsbtrd, then dsterf) on the band ab in LAPACK's
+    # lower storage, which it overwrites, as (eigenvalues, info); a 1-row
+    # band comes back as it is.  The call goes through ctypes, which
+    # releases the GIL while LAPACK runs.
+    size = ctypes.c_int
+    kd1, n = ab.shape
+    w = np.empty(n)
+    work = np.empty(2 * n)
+    iwork, info = size(), size()
+    one = ctypes.byref(size(1))
+    _lapack().dsbevd(
+        b"N", b"L", ctypes.byref(size(n)), ctypes.byref(size(kd1 - 1)),
+        ab.ctypes.data, ctypes.byref(size(kd1)), w.ctypes.data,
+        w.ctypes.data, one,     # Z and LDZ, not referenced for JOBZ = N
+        work.ctypes.data, ctypes.byref(size(2 * n)), ctypes.byref(iwork),
+        one, ctypes.byref(info), 1, 1)
+    return w, info.value
 
 
 def eigenvalues_symmetric(first_row):
@@ -284,11 +322,35 @@ def eigenvalues_symmetric(first_row):
 @functools.lru_cache(maxsize=1)
 def _solve(key):
     # sorted eigenvalues of the Toeplitz matrix whose first row has these
-    # bytes; the cache's array is never handed out, callers get copies
+    # bytes; the cache's array is never handed out, callers get copies.
+    # The worker calls only private functions: a tracer that wraps the
+    # public ones keeps one span stack, which a second thread would break.
     row = np.frombuffer(key)
-    return np.sort(np.concatenate(
-        [_sector_eigenvalues(*_parity_sector(row, odd))
-         for odd in (False, True)]))
+    band = _band(*_parity_sector(row, True))
+    found = []
+
+    def work():
+        try:
+            found.append(_band_eigenvalues(band))
+        except BaseException as error:
+            found.append(error)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        even = _band_eigenvalues(_band(*_parity_sector(row, False)))
+    finally:
+        worker.join()
+    odd = found[0]
+    if isinstance(odd, BaseException):
+        raise odd
+    for w, info in (even, odd):
+        if info > 0:
+            raise EigenConvergenceError(
+                f"eigensolver did not converge for a {w.size}x{w.size} "
+                f"tridiagonal: {info} off-diagonal entries left nonzero",
+                achieved=info, target=0)
+    return np.sort(np.concatenate([even[0], odd[0]]))
 
 
 def _parity_sector(t, odd):

@@ -9,7 +9,8 @@ SRC = sorted((ROOT / "src" / "fermichain").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # the library imports no scipy module; spectral alone loads scipy's
-# compiled LAPACK extension, by file, for the correlation spectrum
+# compiled LAPACK extension, by file, for the correlation spectrum, and
+# alone calls into it through ctypes
 LAPACK_LOADER = ROOT / "src" / "fermichain" / "spectral.py"
 
 
@@ -38,7 +39,7 @@ def _read_names(tree):
 
 
 def test_imports_are_read_and_library_scipy_is_lapack_only():
-    unread, scipy_in_src, flapack_in_src = [], [], []
+    unread, scipy_in_src, flapack_in_src, ctypes_in_src = [], [], [], []
     for path in SRC + TESTS:
         text = path.read_text()
         tree = ast.parse(text, str(path))
@@ -49,12 +50,15 @@ def test_imports_are_read_and_library_scipy_is_lapack_only():
                 unread.append(f"{name}: {bound}")
             if path in SRC and full.split(".")[0] == "scipy":
                 scipy_in_src.append(f"{name}: {full}")
+            if path in SRC and full.split(".")[0] == "ctypes":
+                ctypes_in_src.append(name)
         if path in SRC and path != LAPACK_LOADER and "_flapack" in text:
             flapack_in_src.append(name)
     assert unread == []
     assert scipy_in_src == []
     assert flapack_in_src == []
     assert "_flapack" in LAPACK_LOADER.read_text()
+    assert ctypes_in_src == [LAPACK_LOADER.relative_to(ROOT).as_posix()]
 
 
 def _dataclass_fields(tree):

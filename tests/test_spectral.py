@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -243,7 +244,9 @@ def test_eigensolver_former_ql_stalls(alphas, mu, L):
 
 
 _THREAD_PROBE = """
-import math, sys
+import math, os, sys
+if sys.argv[1:] == ["pin"]:     # this process and its threads on one CPU
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from fermichain import spectral
 from fermichain.criticality import fermi_points
@@ -260,7 +263,8 @@ for n in (1000, 1100, 1537):
     A = np.zeros((N, N))
     A[:n, :n] = rng.normal(size=(n, n))
     A += A.T
-    sys.stdout.write(spectral._sector_eigenvalues(A, n).tobytes().hex())
+    w, _ = spectral._band_eigenvalues(spectral._band(A, n))
+    sys.stdout.write(w.tobytes().hex())
 # LAPACK came from its extension file alone
 assert "scipy.linalg" not in sys.modules
 """
@@ -280,16 +284,18 @@ def test_spectrum_same_bits_under_blas_threads():
     # whose large stage-1 products, one BLAS call each, OpenBLAS splits
     # over both threads. The last panel of a 528-row sector (L = 1056)
     # starts at an odd multiple of 16, that of a 512-row one (L = 1024)
-    # at an even one; the random sectors end on either kind.
+    # at an even one; the random sectors end on either kind. The last
+    # run pins the process to one CPU, so that the band-stage worker and
+    # the reducing caller take turns on it.
     out = []
-    for threads in ("1", "2"):
-        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+    for threads, pin in (("1", []), ("2", []), ("1", ["pin"])):
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *pin],
                              env=_src_env(OPENBLAS_NUM_THREADS=threads),
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
     assert len(out[0]) == 2 * 8 * (1024 + 1056 + 2047 + 2048 + 4096
                                    + 1000 + 1100 + 1537)
-    assert out[0] == out[1]
+    assert out[0] == out[1] == out[2]
 
 
 def _sector_eigenvalues(M):
@@ -299,7 +305,9 @@ def _sector_eigenvalues(M):
     N = -(-n // spectral._ALIGN) * spectral._ALIGN
     A = np.zeros((N, N))
     A[:n, :n] = M
-    return spectral._sector_eigenvalues(A, n)
+    w, info = spectral._band_eigenvalues(spectral._band(A, n))
+    assert info == 0
+    return w
 
 
 def _patch_lapack(monkeypatch, **routines):
@@ -375,9 +383,9 @@ def test_eigensolver_holds_one_sector():
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
     # nonzero after its sweep budget. The memo is emptied so that no
-    # spectrum an earlier test left skips the faked dsbevd.
+    # spectrum an earlier test left skips the faked band stage.
     spectral._solve.cache_clear()
-    _patch_lapack(monkeypatch, dsbevd=lambda ab, **kw: (ab[0], None, 1))
+    monkeypatch.setattr(spectral, "_band_eigenvalues", lambda ab: (ab[0], 1))
     with pytest.raises(EigenConvergenceError, match=(
             "did not converge for a 2x2 tridiagonal: 1 off-diagonal")) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
@@ -395,13 +403,13 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     # failed solve leaves the memo as it was
     spectral._solve.cache_clear()
     solved = []
-    sector = spectral._sector_eigenvalues
+    band = spectral._band
 
     def counted(A, n):
         solved.append(n)
-        return sector(A, n)
+        return band(A, n)
 
-    monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
+    monkeypatch.setattr(spectral, "_band", counted)
     row = correlation_row(hs_analysis(), 64)
     first = eigenvalues_symmetric(row)
     want = first.tobytes()
@@ -421,16 +429,113 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     eigenvalues_symmetric([1.0, -0.0, 0.5])   # equal, not the same bytes
     assert len(solved) == 8
     # a failed solve is not stored: the last good row still hits
-    real = spectral._lapack
-    _patch_lapack(monkeypatch, dsbevd=lambda ab, **kw: (ab[0], None, 1))
+    real = spectral._band_eigenvalues
+    monkeypatch.setattr(spectral, "_band_eigenvalues", lambda ab: (ab[0], 1))
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric(row)
-    monkeypatch.setattr(spectral, "_lapack", real)
+    monkeypatch.setattr(spectral, "_band_eigenvalues", real)
     del solved[:]
     eigenvalues_symmetric([1.0, -0.0, 0.5])
     assert solved == []
     assert eigenvalues_symmetric(row).tobytes() == want
     assert solved == [32, 32]
+
+
+def test_band_stage_matches_the_f2py_dsbevd():
+    # the ctypes call of dsbevd returns the bytes of scipy's own wrapper of
+    # the same routine: a wrong integer width, a missing string length or
+    # upper storage in place of lower would change them. Each call gets
+    # its own copy of the band, which both overwrite.
+    spectral._lapack()      # loads scipy's extension module
+    f2py = sys.modules[spectral._FLAPACK]
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 16, 17, 33, 257, 1000):
+        kd = min(16, n - 1)
+        ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
+        want, _, info = f2py.dsbevd(ab.copy(order="F"), compute_v=0, lower=1)
+        got, got_info = spectral._band_eigenvalues(ab.copy(order="F"))
+        assert (info, got_info) == (0, 0)
+        assert got.tobytes() == want.tobytes(), n
+
+
+def _fail_one_thread(monkeypatch, failing, fake):
+    # the band stage runs `fake` on the thread named by `failing` ("worker"
+    # or "caller") and the real stage on the other; the worker's real
+    # stage is held back, so that a caller that did not wait would finish
+    # first
+    real = spectral._band_eigenvalues
+    caller = threading.get_ident()
+    done = []
+
+    def stage(ab):
+        here = "caller" if threading.get_ident() == caller else "worker"
+        if here == "worker" and failing == "caller":
+            time.sleep(0.2)
+        out = fake(ab) if here == failing else real(ab)
+        done.append(here)
+        return out
+
+    monkeypatch.setattr(spectral, "_band_eigenvalues", stage)
+    return done
+
+
+class _BandFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", ["info", "raise"])
+def test_eigensolver_worker_failure_reaches_the_caller(monkeypatch, fault):
+    # the odd sector's band is solved on the worker thread: its info > 0
+    # raises the caller's EigenConvergenceError for that sector, and any
+    # error it raises is raised again, the same object, by the caller.
+    # The memo keeps the last good row, and the worker is gone.
+    spectral._solve.cache_clear()
+    good = correlation_row(hs_analysis(), 64)
+    want = eigenvalues_symmetric(good).tobytes()
+    before = spectral._solve.cache_info()
+    threads = threading.active_count()
+    error = _BandFault("band stage failed")
+
+    def fake(ab):
+        if fault == "info":
+            return ab[0], 3
+        raise error
+
+    _fail_one_thread(monkeypatch, "worker", fake)
+    row = correlation_row(hs_analysis(), 65)   # sectors of 33 and 32 rows
+    with pytest.raises((EigenConvergenceError, _BandFault)) as e:
+        eigenvalues_symmetric(row)
+    if fault == "info":
+        assert str(e.value) == ("eigensolver did not converge for a 32x32 "
+                                "tridiagonal: 3 off-diagonal entries left "
+                                "nonzero")
+        assert (e.value.achieved, e.value.target) == (3, 0)
+    else:
+        assert e.value is error
+    assert threading.active_count() == threads
+    after = spectral._solve.cache_info()
+    assert after.currsize == before.currsize == 1
+    monkeypatch.undo()
+    assert eigenvalues_symmetric(good).tobytes() == want
+    assert spectral._solve.cache_info().misses == after.misses
+
+
+def test_eigensolver_caller_failure_joins_the_worker(monkeypatch):
+    # the even sector fails on the calling thread while the worker still
+    # runs the odd one: the error leaves only after the worker finished
+    spectral._solve.cache_clear()
+    threads = threading.active_count()
+    error = _BandFault("band stage failed")
+
+    def fake(ab):
+        raise error
+
+    done = _fail_one_thread(monkeypatch, "caller", fake)
+    with pytest.raises(_BandFault) as e:
+        eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
+    assert e.value is error
+    assert done == ["worker"]
+    assert threading.active_count() == threads
 
 
 def test_eigensolver_memo_under_threads():
