@@ -13,48 +13,43 @@ are built one at a time, the odd one first, each padded with zero rows
 and columns to a multiple of 32, and each goes through two stages
 (Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
 
-1. dense to bandwidth 16, one panel of 16 columns per step: LAPACK
-   dgeqrt factors the rows below the band, and the panel's compact-WY
-   reflector updates the trailing matrix.  Panels come in pairs, and the
-   trailing matrix takes a pair's two reflectors as one rank-64
-   product, 64 rows at a time, on and below the diagonal only; each
-   block above the diagonal is then copied from its mirror below;
+1. LAPACK dsytrd_sy2sb (Haidar, Ltaief & Dongarra, SC'11) from the
+   padded sector to bandwidth 32: a QR factorisation of the 32 columns
+   below the band at a time, each applied to the trailing matrix as
+   BLAS-3 products;
 2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
    the eigenvalues.  Its info > 0 raises EigenConvergenceError.
 
-The odd sector's matrix is freed once its band is made, and a worker
-thread runs that band's stage 2 while the calling thread builds and
-reduces the even sector and then runs its stage 2; the caller joins the
-worker, also when its own sector fails, and raises the worker's error.
-dsbevd is called through ctypes, which releases the GIL, so the two
-stages run on two cores.  The working set stays one padded sector (N x
-N, N = ceil(ceil(L/2)/32) * 32) plus a 64 x N product, a few N x 64
-panel arrays and the two 17 x N bands: a traced peak of about 3.6 /
-11.4 MB per call at L = 1024 / 2048.
+Both routines are called through ctypes, which releases the GIL.  The
+odd sector's matrix is freed once its band is made, and a worker thread
+runs that band's stage 2 while the calling thread builds and reduces
+the even sector and then runs its stage 2; the caller joins the worker,
+also when its own sector fails, and raises the worker's error.  So the
+two stages run on two cores.  The working set stays one padded sector
+(N x N, N = ceil(ceil(L/2)/32) * 32), stage 1's 64 x N workspace and
+the two 33 x N bands: a traced peak of about 2.7 / 9.5 MB per call at
+L = 1024 / 2048.
 
-Each dimension of a stage-1 BLAS product that runs over the sector is
-a multiple of 32: a panel whose trailing matrix starts at an odd
-multiple of 16 is applied from the multiple of 32 before it, its
-reflector zero on the 16 rows in between.  dsbevd calls BLAS only for
-plane rotations of at most 16 entries.  So up to L = 8192 the output
-has the same bits under 1 to 4 BLAS threads; without that alignment
-the bits differ between 1 and 2 threads at every L tried from 1000 on.
-The eigenvalues agree with LAPACK's divide and conquer to 1e-10.  A
-spectrum takes about 1.4 / 4.8 / 20 / 121 / 780 ms at L = 256 / 512 /
-1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) with one BLAS thread on
-a 2-core Intel Xeon, against 1.5 / 5.6 / 25 / 144 / 885 ms with both
-sectors on one thread.  With no core free for the worker (the process
-pinned to one CPU) it takes 1.7 / 5.9 / 25 / 145 / 885 ms.
+Up to L = 8192 the output has the same bits under 1, 2 and 4 BLAS
+threads; at bandwidth 16 dsytrd_sy2sb's bits differ between 1 and 2
+threads from L = 1024 on.  The eigenvalues agree with LAPACK's divide
+and conquer to 1e-10.  A spectrum takes about 0.95 / 3.5 / 16 / 89 / 533 ms at
+L = 256 / 512 / 1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) with one
+BLAS thread on a 2-core Intel Xeon, and 1.4 / 5.2 / 24 / 124 / 687 ms with the process
+pinned to one CPU, no core free for the worker.
 
-dgeqrt and dsbevd come from scipy's compiled LAPACK extension,
-scipy.linalg._flapack, the module scipy.linalg.lapack re-exports them
-from; dsbevd is called as the Fortran routine that its f2py wrapper
-points to.  The first solve loads that one file from scipy's package
+dsytrd_sy2sb and dsbevd come from scipy's compiled LAPACK extension,
+scipy.linalg._flapack, the module scipy.linalg.lapack re-exports dsbevd
+from.  dsbevd is called as the Fortran routine that its f2py wrapper
+points to; dsytrd_sy2sb, which has no wrapper, is looked up by name in
+that file with ctypes.CDLL, whose lookup also searches the LAPACK the
+file links.  The first solve loads that one file from scipy's package
 directory (_lapack) and imports neither scipy nor scipy.linalg, whose
 package imports would add about 0.1 s and 24 MB to a cold entropy or
 fh-check run.  A later import of scipy.linalg reuses the loaded module,
 so the routines, and the bits, are the same.  A missing file raises an
-ImportError that names the directory searched.
+ImportError that names the directory searched, and a file without
+dsytrd_sy2sb one that names the routine and the file.
 
 The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
 row's bytes: the same row again (entropy and then fh-check on one
@@ -84,15 +79,13 @@ from .errors import (
 )
 from .models import mode_energies
 
-_PANEL = 16        # bandwidth of the band form, and columns per panel
-_ALIGN = 32        # sector rows, and BLAS dimensions that run over them,
-                   # are multiples of it; a pair of panels spans it
-# the upper triangle of a panel's first _PANEL rows, which holds R in
-# dgeqrt's output, and the identity's entries there in V
-_UPPER = np.triu(np.ones((_PANEL, _PANEL), dtype=bool))
-_UNIT = np.eye(_PANEL)
+_BAND = 32         # bandwidth of the band form
+_ALIGN = 32        # sector rows are padded to a multiple of it
+# dsytrd_sy2sb's name in scipy's wheels, whose LAPACK symbols carry a
+# prefix, and its plain Fortran name
+_SY2SB = ("scipy_dsytrd_sy2sb_", "dsytrd_sy2sb_")
 
-# scipy's compiled LAPACK wrappers: the module whose dgeqrt and dsbevd
+# scipy's compiled LAPACK wrappers: the module whose dsbevd
 # scipy.linalg.lapack re-exports
 _FLAPACK = "scipy.linalg._flapack"
 _flapack_lock = threading.Lock()
@@ -177,11 +170,11 @@ def correlation_row_finite(model, mu, L, N):
 
 
 def _lapack():
-    # dgeqrt and dsbevd of scipy's LAPACK extension module, which is
+    # dsytrd_sy2sb and dsbevd of scipy's LAPACK extension module, which is
     # loaded from its file on the first call and kept in sys.modules under
     # its own name. find_spec gives scipy's package directory without
     # running scipy's __init__. The lock makes concurrent first calls load
-    # it, and build the ctypes dsbevd, once.
+    # it, and build the two ctypes routines, once.
     with _flapack_lock:
         module = sys.modules.get(_FLAPACK)
         if module is None:
@@ -201,85 +194,54 @@ def _lapack():
             spec.loader.exec_module(module)
             sys.modules[_FLAPACK] = module
         if module not in _routines:
-            # the Fortran routine that f2py's dsbevd wraps: every argument
-            # by reference, C int integers, and the lengths of JOBZ and
-            # UPLO last
+            # Fortran routines: every argument by reference, C int
+            # integers, and the lengths of the strings last
+            library = ctypes.CDLL(module.__file__)
+            sy2sb = next((getattr(library, name) for name in _SY2SB
+                          if hasattr(library, name)), None)
+            if sy2sb is None:
+                raise ImportError(
+                    f"LAPACK dsytrd_sy2sb is not in {module.__file__} "
+                    "or the LAPACK it links", name=_FLAPACK,
+                    path=module.__file__)
+            sy2sb.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * 10,
+                              ctypes.c_size_t]
+            sy2sb.restype = None
+            # dsbevd is the routine that f2py's wrapper points to
             pointer = ctypes.PYFUNCTYPE(
                 ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
                 ("PyCapsule_GetPointer", ctypes.pythonapi))
             fortran = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14,
                                        ctypes.c_size_t, ctypes.c_size_t)
             _routines[module] = types.SimpleNamespace(
-                dgeqrt=module.dgeqrt,
+                dsytrd_sy2sb=sy2sb,
                 dsbevd=fortran(pointer(module.dsbevd._cpointer, None)))
         return _routines[module]
 
 
 def _band(A, n):
     # Stage 1: the leading n x n block of A, a symmetric matrix of a
-    # multiple of _ALIGN rows that is zero outside that block, reduced to
-    # bandwidth min(_PANEL, n - 1) with the same eigenvalues, as a band in
-    # LAPACK's lower storage.  A is overwritten.
-    lapack = _lapack()
+    # multiple of _ALIGN rows that is zero outside that block, reduced by
+    # dsytrd_sy2sb to bandwidth min(_BAND, n - 1) with the same
+    # eigenvalues, as a band in LAPACK's lower storage.  A is overwritten.
+    # Its reflectors are zero on the zero padding rows, so the padding
+    # stays zero and the band of A is that of the block.
+    size = ctypes.c_int
     N = A.shape[0]
-    P = _PANEL
-    stop = n - P - 1    # the panels end where one row or none lies below
-    prod = np.empty((2 * _ALIGN, N))
-
-    # Stage 1, to bandwidth _PANEL: dgeqrt factors the _PANEL columns
-    # below the band as Q R with Q = I - V T V^T, R goes into the band,
-    # and the trailing block C becomes Q^T C Q = C - V Y^T - Y V^T with
-    # W = C V T and Y = W - V (T^T V^T W) / 2.  Panels go in pairs from
-    # each multiple g of _ALIGN: the second panel's columns first take
-    # the first one's update, its W takes that update of C as a
-    # correction, and C takes both after the pair as one product.  A
-    # panel whose C starts at an odd multiple of _PANEL works on C from
-    # the multiple of _ALIGN before it, with V and Y zero on the rows in
-    # between.  The reflectors are zero on the zero padding rows, so the
-    # padding stays zero.
-    for g in range(0, stop, _ALIGN):
-        m = N - g
-        # the pair's [V Y V' Y'] and [Y V Y' V']^T on rows g and on
-        U = np.zeros((m, 2 * _ALIGN))
-        Zt = np.zeros((2 * _ALIGN, m))
-        work = np.empty((m, P))
-        used = 0    # columns of U the pair's panels fill so far
-        for k in range(g, min(g + _ALIGN, stop), P):
-            r = k + P
-            s = r - r % _ALIGN - g      # C is A[g + s:, g + s:]
-            pad = r - g - s
-            if used:    # the second panel takes the first one's update
-                A[g:, k:r] -= np.matmul(U[:, :used], Zt[:used, k - g:r - g],
-                                        out=work)
-            qr, T, _ = lapack.dgeqrt(P, A[r:, k:r])
-            A[r:r + P, k:r] = qr[:P]    # R; nothing reads below its diagonal
-            V = U[s:, used:used + P]
-            Y = U[s:, used + P:used + 2 * P]
-            V[pad:] = qr
-            np.copyto(V[pad:pad + P], _UNIT, where=_UPPER)
-            VT = np.matmul(V, T, out=work[s:])
-            np.matmul(A[g + s:, g + s:], VT, out=Y)
-            if used:
-                Y -= U[s:, :used] @ (Zt[:used, s:] @ VT)
-            Y -= np.matmul(V, T.T @ (V.T @ Y) * 0.5, out=VT)
-            Y[:pad] = 0.0
-            Zt[used:used + P, s:] = Y.T
-            Zt[used + P:used + 2 * P, s:] = V.T
-            used += 2 * P
-        # C from the pair's last panel on takes the update on and below
-        # the diagonal, 2 _ALIGN rows at a time; the blocks above the
-        # diagonal are copied from their mirror images below it
-        C = A[g + s:, g + s:]
-        for i in range(0, m - s, 2 * _ALIGN):
-            e = min(i + 2 * _ALIGN, m - s)
-            C[i:e, :e] -= np.matmul(U[s + i:s + e, :used], Zt[:used, s:s + e],
-                                    out=prod[:e - i, :e])
-            C[:i, i:e] = C[i:e, :i].T
-    kd = min(_PANEL, n - 1)
-    ab = np.zeros((kd + 1, n), order="F")   # ab[i, j] = A[j + i, j]
-    for i in range(kd + 1):
-        ab[i, :n - i] = np.diagonal(A, -i)[:n - i]
-    return ab
+    ab = np.zeros((N, _BAND + 1))   # the Fortran (_BAND + 1) x N band
+    tau = np.empty(N)
+    # the documented LWORK, with NB = 32 the block size of LAPACK's dgeqrf
+    lwork = N * _BAND + N * max(_BAND, 32) + 2 * _BAND * _BAND
+    work = np.empty(lwork)
+    info = size()
+    _lapack().dsytrd_sy2sb(
+        b"L", ctypes.byref(size(N)), ctypes.byref(size(_BAND)),
+        A.ctypes.data, ctypes.byref(size(N)),   # symmetric: C order is F
+        ab.ctypes.data, ctypes.byref(size(_BAND + 1)), tau.ctypes.data,
+        work.ctypes.data, ctypes.byref(size(lwork)), ctypes.byref(info), 1)
+    if info.value:
+        raise RuntimeError(f"LAPACK dsytrd_sy2sb returned info {info.value}")
+    return np.asfortranarray(ab.T[:min(_BAND, n - 1) + 1, :n])
 
 
 def _band_eigenvalues(ab):

@@ -1,4 +1,5 @@
 import cmath
+import ctypes
 import importlib.machinery
 import importlib.util
 import json
@@ -282,11 +283,11 @@ def test_spectrum_same_bits_under_blas_threads():
     # L = 2047 has a 1023-row sector, which only its zero padding gives
     # products of a multiple of 32 rows; L = 4096 has 2048-row sectors,
     # whose large stage-1 products, one BLAS call each, OpenBLAS splits
-    # over both threads. The last panel of a 528-row sector (L = 1056)
-    # starts at an odd multiple of 16, that of a 512-row one (L = 1024)
-    # at an even one; the random sectors end on either kind. The last
-    # run pins the process to one CPU, so that the band-stage worker and
-    # the reducing caller take turns on it.
+    # over both threads. A 528-row sector (L = 1056) ends 16 rows into
+    # its last 32-column panel, a 512-row one (L = 1024) on a panel
+    # edge; the random sectors end inside a panel. The last run pins the
+    # process to one CPU, so that the band-stage worker and the reducing
+    # caller take turns on it.
     out = []
     for threads, pin in (("1", []), ("2", []), ("1", ["pin"])):
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *pin],
@@ -314,18 +315,19 @@ def _patch_lapack(monkeypatch, **routines):
     # the spectral seam hands out scipy's LAPACK routines with these in
     # place of the real ones
     real = spectral._lapack()
-    fake = types.SimpleNamespace(dgeqrt=real.dgeqrt, dsbevd=real.dsbevd)
+    fake = types.SimpleNamespace(dsytrd_sy2sb=real.dsytrd_sy2sb,
+                                 dsbevd=real.dsbevd)
     vars(fake).update(routines)
     monkeypatch.setattr(spectral, "_lapack", lambda: fake)
 
 
 def test_blocked_reduction_panel_edges():
-    # sizes around the panel width, the alignment, the pair of panels,
-    # the band edge and the 64-row trailing update
-    assert spectral._PANEL == 16 and spectral._ALIGN == 32
+    # sizes around the bandwidth, the padding and the 32-column panels
+    # of the band reduction, and the band edge
+    assert spectral._BAND == 32 and spectral._ALIGN == 32
     rng = np.random.default_rng(11)
     for n in (2, 3, 15, 16, 17, 31, 32, 33, 34, 35, 47, 48, 49,
-              63, 64, 65, 66, 257):
+              63, 64, 65, 66, 95, 96, 97, 127, 128, 129, 257):
         M = rng.normal(size=(n, n))
         M += M.T
         want = np.linalg.eigh(M)[0]
@@ -337,28 +339,75 @@ def test_blocked_reduction_panel_edges():
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_blocked_reduction_zero_column_inside_panel(monkeypatch):
+def test_blocked_reduction_zero_column_inside_panel():
     # direct sum of a 10 x 10 and a 50 x 50 block: below the band, the
-    # first ten columns of the first panel are exactly zero, so dgeqrt
-    # takes them with tau = 0 ahead of reflectors that are not trivial
+    # first ten columns of the first panel are exactly zero, so their
+    # reflectors are trivial ahead of reflectors that are not
     rng = np.random.default_rng(12)
     A = np.zeros((60, 60))
     for lo, hi in ((0, 10), (10, 60)):
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
-    taus = []
-    lapack_dgeqrt = spectral._lapack().dgeqrt
-
-    def dgeqrt(nb, a):
-        qr, T, info = lapack_dgeqrt(nb, a)
-        taus.append(np.diag(T).copy())
-        return qr, T, info
-
-    _patch_lapack(monkeypatch, dgeqrt=dgeqrt)
     got = _sector_eigenvalues(A)
-    assert np.all(taus[0][:10] == 0.0) and taus[0][10] != 0.0
     want = np.linalg.eigh(A)[0]
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_band_reduction_keeps_the_padding_out():
+    # a random sector, zero-padded to a multiple of _ALIGN rows, comes
+    # back as a band of its own n columns whose entries on the padding
+    # rows are exactly zero, and with the eigenvalues of the sector
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 31, 32, 33, 257, 1000):
+        M = rng.normal(size=(n, n))
+        M += M.T
+        N = -(-n // spectral._ALIGN) * spectral._ALIGN
+        A = np.zeros((N, N))
+        A[:n, :n] = M
+        ab = spectral._band(A, n)
+        kd = min(spectral._BAND, n - 1)
+        assert ab.shape == (kd + 1, n) and ab.flags.f_contiguous
+        # ab[i, j] is the entry on row j + i, a padding row from n on
+        padding = np.add.outer(np.arange(kd + 1), np.arange(n)) >= n
+        assert np.all(ab[padding] == 0.0), n
+        w, info = spectral._band_eigenvalues(ab)
+        want = np.linalg.eigh(M)[0]
+        assert info == 0
+        assert np.max(np.abs(np.sort(w) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_band_reduction_workspace_and_info(monkeypatch):
+    # the workspace _band gives dsytrd_sy2sb is at least what the
+    # routine's own workspace query (LWORK = -1) asks for, and an info
+    # other than 0 raises
+    sy2sb = spectral._lapack().dsytrd_sy2sb
+    size = ctypes.c_int
+    for N in (32, 64, 96, 512, 2048, 4096):
+        asked, info = np.zeros(1), size()
+        sy2sb(b"L", ctypes.byref(size(N)), ctypes.byref(size(spectral._BAND)),
+              None, ctypes.byref(size(N)), None,
+              ctypes.byref(size(spectral._BAND + 1)), None, asked.ctypes.data,
+              ctypes.byref(size(-1)), ctypes.byref(info), 1)
+        assert info.value == 0
+        given = []
+
+        def record(*args):
+            given.append(args[9]._obj.value)    # LWORK
+
+        _patch_lapack(monkeypatch, dsytrd_sy2sb=record)
+        spectral._band(np.zeros((N, N)), N)
+        monkeypatch.undo()
+        assert 1 <= asked[0] <= given[0], N
+
+    def refused(*args):
+        args[10]._obj.value = -4    # INFO: the fourth argument is illegal
+
+    _patch_lapack(monkeypatch, dsytrd_sy2sb=refused)
+    with pytest.raises(RuntimeError, match="dsytrd_sy2sb returned info -4"):
+        spectral._band(np.eye(64), 64)
+    spectral._solve.cache_clear()
+    with pytest.raises(RuntimeError, match="dsytrd_sy2sb"):
+        eigenvalues_symmetric([1.0, 0.5, 0.2])
 
 
 def test_eigensolver_holds_one_sector():
@@ -634,6 +683,23 @@ def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
                             + str(tmp_path / "linalg"))
     assert e.value.name == spectral._FLAPACK
     assert spectral._FLAPACK not in sys.modules
+
+
+def test_lapack_without_the_band_reduction_names_it(monkeypatch):
+    # an extension file in which neither name of dsytrd_sy2sb resolves:
+    # the first solve raises one ImportError naming the routine and the
+    # file, and builds no routines
+    spectral._lapack()
+    path = sys.modules[spectral._FLAPACK].__file__
+    monkeypatch.setattr(spectral, "_SY2SB", ("no_such_routine_",))
+    monkeypatch.setattr(spectral, "_routines", {})
+    spectral._solve.cache_clear()
+    with pytest.raises(ImportError) as e:
+        eigenvalues_symmetric([1.0, 0.5, 0.2])
+    assert str(e.value) == (f"LAPACK dsytrd_sy2sb is not in {path} or the "
+                            "LAPACK it links")
+    assert (e.value.name, e.value.path) == (spectral._FLAPACK, path)
+    assert spectral._routines == {}
 
 
 @pytest.mark.parametrize("shift, gate", [
