@@ -4,8 +4,9 @@ Concurrent calls are safe. The library's shared state is read-only
 tables built at import, functools.lru_cache caches of pure functions
 (zeta values and polylog constants in specfun, the last spectrum in
 spectral, whose eigenvalues callers get as copies), the coupling tables
-a DispersionProfile fills once per order, and LAPACK's loading in
-spectral, done once under a lock. A racing call can at worst compute a
+a DispersionProfile fills once per order, and the two LAPACK routines
+spectral binds from scipy's extension file, opened once under a lock
+with ctypes. A racing call can at worst compute a
 cached value again. Each spectrum solve starts one worker thread for
 one parity sector's band stage, LAPACK dsbevd called without the GIL,
 and joins it before it returns or raises.

@@ -32,24 +32,26 @@ L = 1024 / 2048.
 
 Up to L = 8192 the output has the same bits under 1, 2 and 4 BLAS
 threads; at bandwidth 16 dsytrd_sy2sb's bits differ between 1 and 2
-threads from L = 1024 on.  The eigenvalues agree with LAPACK's divide
-and conquer to 1e-10.  A spectrum takes about 0.95 / 3.5 / 16 / 89 / 533 ms at
+threads from L = 1024 on.  The padding to a multiple of 32 is what keeps
+them: on the bare sector, Haldane-Shastry spectra at mu = 2 differ
+between 1 and 2 threads at L = 511, 1023, 1056, 2047 and 3001.  The
+eigenvalues agree with LAPACK's divide and conquer to 1e-10.  A
+spectrum takes about 0.95 / 3.5 / 16 / 89 / 533 ms at
 L = 256 / 512 / 1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) with one
 BLAS thread on a 2-core Intel Xeon, and 1.4 / 5.2 / 24 / 124 / 687 ms with the process
 pinned to one CPU, no core free for the worker.
 
 dsytrd_sy2sb and dsbevd come from scipy's compiled LAPACK extension,
-scipy.linalg._flapack, the module scipy.linalg.lapack re-exports dsbevd
-from.  dsbevd is called as the Fortran routine that its f2py wrapper
-points to; dsytrd_sy2sb, which has no wrapper, is looked up by name in
-that file with ctypes.CDLL, whose lookup also searches the LAPACK the
-file links.  The first solve loads that one file from scipy's package
-directory (_lapack) and imports neither scipy nor scipy.linalg, whose
-package imports would add about 0.1 s and 24 MB to a cold entropy or
-fh-check run.  A later import of scipy.linalg reuses the loaded module,
-so the routines, and the bits, are the same.  A missing file raises an
-ImportError that names the directory searched, and a file without
-dsytrd_sy2sb one that names the routine and the file.
+scipy.linalg._flapack.  The first solve finds that file in scipy's
+package directory and opens it with ctypes.CDLL (_lapack); it never
+imports it, nor scipy or scipy.linalg, whose package imports would add
+about 0.1 s and 24 MB to a cold entropy or fh-check run.  Both routines
+are looked up by the same rule, scipy_<name>_ and then <name>_, in the
+file and the LAPACK it links; dsbevd is the routine scipy's f2py wrapper
+calls, so a later import of scipy.linalg finds the same routines, and
+the bits are the same.  A missing file raises an ImportError that names
+the directory searched, and a file without one of the routines one that
+names the routine and the file.
 
 The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
 row's bytes: the same row again (entropy and then fh-check on one
@@ -62,7 +64,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 import threading
 import types
 from dataclasses import dataclass
@@ -81,15 +82,16 @@ from .models import mode_energies
 
 _BAND = 32         # bandwidth of the band form
 _ALIGN = 32        # sector rows are padded to a multiple of it
-# dsytrd_sy2sb's name in scipy's wheels, whose LAPACK symbols carry a
-# prefix, and its plain Fortran name
-_SY2SB = ("scipy_dsytrd_sy2sb_", "dsytrd_sy2sb_")
+# the Fortran routines _lapack binds, each with its number of string
+# arguments and of other arguments: every argument goes by reference,
+# integers are C ints, and the lengths of the strings come last. In
+# scipy's wheels the LAPACK symbols carry a scipy_ prefix.
+_ROUTINES = {"dsytrd_sy2sb": (1, 10), "dsbevd": (2, 12)}
 
-# scipy's compiled LAPACK wrappers: the module whose dsbevd
-# scipy.linalg.lapack re-exports
+# scipy's compiled LAPACK extension, whose file _lapack opens
 _FLAPACK = "scipy.linalg._flapack"
 _flapack_lock = threading.Lock()
-_routines = {}     # the loaded module -> what _lapack hands out
+_routines = []     # once bound: the routines _lapack hands out
 
 
 @dataclass(frozen=True)
@@ -170,14 +172,14 @@ def correlation_row_finite(model, mu, L, N):
 
 
 def _lapack():
-    # dsytrd_sy2sb and dsbevd of scipy's LAPACK extension module, which is
-    # loaded from its file on the first call and kept in sys.modules under
-    # its own name. find_spec gives scipy's package directory without
-    # running scipy's __init__. The lock makes concurrent first calls load
-    # it, and build the two ctypes routines, once.
+    # dsytrd_sy2sb and dsbevd, looked up by name in scipy's LAPACK
+    # extension file, which ctypes.CDLL opens on the first call; the
+    # lookup also searches the LAPACK that file links. find_spec gives
+    # scipy's package directory without running scipy's __init__. The
+    # lock makes concurrent first calls open the file, and build the
+    # routines, once.
     with _flapack_lock:
-        module = sys.modules.get(_FLAPACK)
-        if module is None:
+        if not _routines:
             scipy = importlib.util.find_spec("scipy")
             where = [os.path.join(d, "linalg") for d in
                      (scipy.submodule_search_locations if scipy else [])]
@@ -189,34 +191,23 @@ def _lapack():
                     "scipy's LAPACK extension _flapack is not in "
                     + (" or ".join(where) or "any directory: no scipy"),
                     name=_FLAPACK)
-            spec = importlib.util.spec_from_file_location(_FLAPACK, files[0])
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
-        if module not in _routines:
-            # Fortran routines: every argument by reference, C int
-            # integers, and the lengths of the strings last
-            library = ctypes.CDLL(module.__file__)
-            sy2sb = next((getattr(library, name) for name in _SY2SB
-                          if hasattr(library, name)), None)
-            if sy2sb is None:
-                raise ImportError(
-                    f"LAPACK dsytrd_sy2sb is not in {module.__file__} "
-                    "or the LAPACK it links", name=_FLAPACK,
-                    path=module.__file__)
-            sy2sb.argtypes = [ctypes.c_char_p, *[ctypes.c_void_p] * 10,
-                              ctypes.c_size_t]
-            sy2sb.restype = None
-            # dsbevd is the routine that f2py's wrapper points to
-            pointer = ctypes.PYFUNCTYPE(
-                ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-                ("PyCapsule_GetPointer", ctypes.pythonapi))
-            fortran = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14,
-                                       ctypes.c_size_t, ctypes.c_size_t)
-            _routines[module] = types.SimpleNamespace(
-                dsytrd_sy2sb=sy2sb,
-                dsbevd=fortran(pointer(module.dsbevd._cpointer, None)))
-        return _routines[module]
+            library = ctypes.CDLL(files[0])
+            found = {}
+            for routine, (strings, pointers) in _ROUTINES.items():
+                function = next((getattr(library, name) for name in
+                                 (f"scipy_{routine}_", f"{routine}_")
+                                 if hasattr(library, name)), None)
+                if function is None:
+                    raise ImportError(
+                        f"LAPACK {routine} is not in {files[0]} or the "
+                        "LAPACK it links", name=_FLAPACK, path=files[0])
+                function.argtypes = [*[ctypes.c_char_p] * strings,
+                                     *[ctypes.c_void_p] * pointers,
+                                     *[ctypes.c_size_t] * strings]
+                function.restype = None
+                found[routine] = function
+            _routines.append(types.SimpleNamespace(**found))
+        return _routines[0]
 
 
 def _band(A, n):
@@ -318,7 +309,9 @@ def _solve(key):
 def _parity_sector(t, odd):
     # The odd or even sector of the symmetric Toeplitz matrix with first
     # row t, of size floor(n/2) or ceil(n/2), as (matrix, size) with the
-    # matrix padded by zeros to a multiple of _ALIGN rows. With m = n // 2,
+    # matrix padded by zeros to a multiple of _ALIGN rows, which keeps the
+    # bits of the band reduction the same under any BLAS thread count (on
+    # the bare sector they differ at L = 511, for one). With m = n // 2,
     # B the leading m x m block and H_ij = t[n-1-i-j] its mirrored
     # neighbour, the odd sector is B - H and the even one B + H; for odd
     # n the even sector is bordered by the middle column sqrt(2) t[m-i],

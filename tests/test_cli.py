@@ -750,9 +750,9 @@ print(json.dumps(seen))
 def test_cold_commands_load_only_the_modules_they_use(tmp_path):
     # a fresh process: importing fermichain and the phase, dispersion and
     # free-energy commands of every family, and constants, load no scipy
-    # module, no numpy.ma and no numpy.polynomial; fh-check and entropy
-    # load scipy's LAPACK extension (the spectrum) and nothing else of
-    # scipy: no scipy.linalg, and still no numpy.ma or numpy.polynomial
+    # module, no numpy.ma and no numpy.polynomial; nor do fh-check and
+    # entropy, whose spectrum opens scipy's LAPACK extension file with
+    # ctypes and imports no module of it
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                             json.dumps(_PROBE_MODULES),
                             json.dumps(_PROBE_STEPS)], env=_src_env(),
@@ -763,5 +763,5 @@ def test_cold_commands_load_only_the_modules_they_use(tmp_path):
     assert seen["hs_fr"] == []
     assert seen["rc_pl"] == []
     assert seen["constants"] == []
-    assert seen["fh_check"] == ["scipy.linalg._flapack"]
-    assert seen["entropy"] == ["scipy.linalg._flapack"]
+    assert seen["fh_check"] == []
+    assert seen["entropy"] == []

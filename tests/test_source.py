@@ -8,9 +8,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fermichain").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# the library imports no scipy module; spectral alone loads scipy's
-# compiled LAPACK extension, by file, for the correlation spectrum, and
-# alone calls into it through ctypes
+# the library imports no scipy module; spectral alone opens scipy's
+# compiled LAPACK extension file with ctypes, for the correlation
+# spectrum, and never imports it
 LAPACK_LOADER = ROOT / "src" / "fermichain" / "spectral.py"
 
 
@@ -107,7 +107,7 @@ def test_one_validator_per_kind_of_argument():
 
 def test_no_global_statement_in_src():
     # module state changes only inside the objects that hold it (a
-    # cache, a lock, sys.modules), never by rebinding a module name
+    # cache, a lock, a list), never by rebinding a module name
     found = [f"{path.name}:{node.lineno}" for path in SRC
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Global)]

@@ -495,13 +495,12 @@ def test_band_stage_matches_the_f2py_dsbevd():
     # the same routine: a wrong integer width, a missing string length or
     # upper storage in place of lower would change them. Each call gets
     # its own copy of the band, which both overwrite.
-    spectral._lapack()      # loads scipy's extension module
-    f2py = sys.modules[spectral._FLAPACK]
+    from scipy.linalg.lapack import dsbevd
     rng = np.random.default_rng(13)
     for n in (1, 2, 3, 16, 17, 33, 257, 1000):
         kd = min(16, n - 1)
         ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
-        want, _, info = f2py.dsbevd(ab.copy(order="F"), compute_v=0, lower=1)
+        want, _, info = dsbevd(ab.copy(order="F"), compute_v=0, lower=1)
         got, got_info = spectral._band_eigenvalues(ab.copy(order="F"))
         assert (info, got_info) == (0, 0)
         assert got.tobytes() == want.tobytes(), n
@@ -616,19 +615,19 @@ def test_eigensolver_memo_under_threads():
 
 
 _LOAD_PROBE = """
-import importlib.util, json, sys, threading, time
+import ctypes, json, sys, threading, time
 import numpy as np
 import fermichain.spectral as spectral
-loads = []
-from_file = importlib.util.spec_from_file_location
+opens = []
 
-def counted(name, *args, **kw):
-    # held open, so that a thread the loader let through would load too
-    loads.append(name)
-    time.sleep(0.05)
-    return from_file(name, *args, **kw)
+class Counted(ctypes.CDLL):
+    def __init__(self, name, *args, **kw):
+        # held open, so that a thread the loader let through would open too
+        opens.append(name)
+        time.sleep(0.05)
+        super().__init__(name, *args, **kw)
 
-importlib.util.spec_from_file_location = counted
+ctypes.CDLL = Counted
 rows = [np.random.default_rng(k).normal(size=200 + 37 * k) for k in range(4)]
 got = [None] * 4
 start = threading.Barrier(4)
@@ -637,7 +636,7 @@ def work(k):
     start.wait()
     got[k] = spectral.eigenvalues_symmetric(rows[k]).tobytes()
 
-assert spectral._FLAPACK not in sys.modules
+assert spectral._routines == []
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
 for t in threads:
@@ -649,29 +648,78 @@ same = []
 for k in range(4):
     spectral._solve.cache_clear()
     same.append(spectral.eigenvalues_symmetric(rows[k]).tobytes() == got[k])
-print(json.dumps({"same": same, "loads": loads, "scipy": sorted(
+print(json.dumps({"same": same, "opens": opens, "scipy": sorted(
     m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
+def _extension_file(path):
+    # where scipy's LAPACK extension file sits, without its suffix
+    directory, name = os.path.split(path)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if name.endswith(suffix):
+            name = name[:-len(suffix)]
+    return os.path.basename(directory) + "/" + name
+
+
 def test_lapack_loads_once_under_threads():
     # a fresh process: four threads solve different rows before LAPACK
-    # is loaded; it is loaded once, alone of scipy, and every thread gets
-    # the bits of a solve made after the others
+    # is bound; scipy's extension file is opened once, no scipy module
+    # is imported, and every thread gets the bits of a solve made after
+    # the others
     run = subprocess.run([sys.executable, "-c", _LOAD_PROBE],
                          env=_src_env(), capture_output=True, text=True,
                          check=True, timeout=120)
     seen = json.loads(run.stdout)
     assert seen["same"] == [True] * 4
-    assert seen["loads"] == ["scipy.linalg._flapack"]
-    assert seen["scipy"] == ["scipy.linalg._flapack"]
+    assert [_extension_file(f) for f in seen["opens"]] == ["linalg/_flapack"]
+    assert seen["scipy"] == []
+
+
+_LATER_SCIPY_PROBE = """
+import sys
+import numpy as np
+import fermichain.spectral as spectral
+row = np.random.default_rng(5).normal(size=301)
+first = spectral.eigenvalues_symmetric(row).tobytes()
+import scipy.linalg
+assert isinstance(scipy.linalg._flapack, type(sys))
+ab = np.asfortranarray(np.random.default_rng(6).normal(size=(17, 40)))
+w, _, info = scipy.linalg.lapack.dsbevd(ab, compute_v=0, lower=1)
+assert info == 0 and w.shape == (40,)
+spectral._solve.cache_clear()
+assert spectral.eigenvalues_symmetric(row).tobytes() == first
+"""
+
+
+def test_scipy_linalg_imported_after_a_spectrum_is_whole():
+    # a fresh process: a spectrum, then import scipy.linalg. The package
+    # binds its LAPACK extension, whose dsbevd runs, and a new solve gives
+    # the same bits as the first
+    subprocess.run([sys.executable, "-c", _LATER_SCIPY_PROBE],
+                   env=_src_env(), capture_output=True, text=True,
+                   check=True, timeout=120)
+
+
+def _count_opens(monkeypatch):
+    # the routines unbound, and ctypes.CDLL recording the files it opens
+    monkeypatch.setattr(spectral, "_routines", [])
+    spectral._solve.cache_clear()
+    opens = []
+
+    class Counted(ctypes.CDLL):
+        def __init__(self, name, *args, **kw):
+            opens.append(name)
+            super().__init__(name, *args, **kw)
+
+    monkeypatch.setattr(ctypes, "CDLL", Counted)
+    return opens
 
 
 def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
     # scipy's package directory without the extension: the first solve
-    # raises one ImportError naming where it looked, and loads nothing
-    monkeypatch.delitem(sys.modules, spectral._FLAPACK, raising=False)
-    spectral._solve.cache_clear()
+    # raises one ImportError naming where it looked, and opens nothing
+    opens = _count_opens(monkeypatch)
     scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
     scipy.submodule_search_locations = [str(tmp_path)]
     find_spec = importlib.util.find_spec
@@ -682,24 +730,32 @@ def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
     assert str(e.value) == ("scipy's LAPACK extension _flapack is not in "
                             + str(tmp_path / "linalg"))
     assert e.value.name == spectral._FLAPACK
-    assert spectral._FLAPACK not in sys.modules
+    assert opens == []
+    assert spectral._routines == []
 
 
-def test_lapack_without_the_band_reduction_names_it(monkeypatch):
-    # an extension file in which neither name of dsytrd_sy2sb resolves:
+@pytest.mark.parametrize("routine", ["dsytrd_sy2sb", "dsbevd"])
+def test_lapack_without_a_routine_names_it(monkeypatch, routine):
+    # an extension file in which neither name of the routine resolves:
     # the first solve raises one ImportError naming the routine and the
-    # file, and builds no routines
-    spectral._lapack()
-    path = sys.modules[spectral._FLAPACK].__file__
-    monkeypatch.setattr(spectral, "_SY2SB", ("no_such_routine_",))
-    monkeypatch.setattr(spectral, "_routines", {})
-    spectral._solve.cache_clear()
+    # file, and binds no routines
+    opens = _count_opens(monkeypatch)
+    lookup = ctypes.CDLL.__getattr__
+
+    def without(library, name):
+        if name in (f"scipy_{routine}_", f"{routine}_"):
+            raise AttributeError(name)
+        return lookup(library, name)
+
+    monkeypatch.setattr(ctypes.CDLL, "__getattr__", without)
     with pytest.raises(ImportError) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
-    assert str(e.value) == (f"LAPACK dsytrd_sy2sb is not in {path} or the "
+    assert len(opens) == 1
+    assert _extension_file(opens[0]) == "linalg/_flapack"
+    assert str(e.value) == (f"LAPACK {routine} is not in {opens[0]} or the "
                             "LAPACK it links")
-    assert (e.value.name, e.value.path) == (spectral._FLAPACK, path)
-    assert spectral._routines == {}
+    assert (e.value.name, e.value.path) == (spectral._FLAPACK, opens[0])
+    assert spectral._routines == []
 
 
 @pytest.mark.parametrize("shift, gate", [
