@@ -8,12 +8,15 @@ i1(alpha) = (1+alpha)/(6 alpha) and the constant c_tilde(alpha), plus
 one model-dependent factor built from the Fermi points.  c_tilde is a
 hyperbolic-kernel integral, one integrand for every alpha, on the
 fixed-panel Gauss-Legendre rule of specfun._panel_nodes and
-_panel_rules that free_energy uses too.  Its independent cross-check, a
-digamma-weighted integral on adaptive quad, is test code and lives in
-tests/conftest.py.  An EntropyReport carries the two entropies and
-their relative gap r_L.
+_panel_rules that free_energy uses too.  It does not depend on L or on
+the sea, so it is computed once per order per process: an lru_cache of
+at most 64 orders, keyed by the validated float.  Its independent
+cross-check, a digamma-weighted integral on adaptive quad, is test code
+and lives in tests/conftest.py.  An EntropyReport carries the two
+entropies and their relative gap r_L.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +115,18 @@ def c_tilde(alpha):
     y = t/alpha and shc x = sinh(x)/x, which has no cancellation at 1.
     Panels halve from t = 40 toward 0 down to min(1, alpha)/8; the summed
     per-panel |Q20 - Q10| is gated at 1e-9.
+
+    Every call validates alpha; the integral runs once per order per
+    process, in _c_tilde_integral.
     """
-    alpha = _check_alpha(alpha)
+    return _c_tilde_integral(_check_alpha(alpha))
+
+
+# keyed by the validated float, so 2, np.int64(2) and 2.0 share an entry;
+# bounded, as the orders a run uses are few. A failed integral raises and
+# is not stored.
+@functools.lru_cache(maxsize=64)
+def _c_tilde_integral(alpha):
     m = min(1.0, alpha)
     # sum_{j <= 2k+1} alpha^{-j} t^{2k+1} = s^{2k+1} sum_j m^{2k+1-j}
     # (m/alpha)^j with s = t/m: no factor exceeds 1, so none overflows

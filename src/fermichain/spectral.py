@@ -35,11 +35,9 @@ threads; at bandwidth 16 dsytrd_sy2sb's bits differ between 1 and 2
 threads from L = 1024 on.  The padding to a multiple of 32 is what keeps
 them: on the bare sector, Haldane-Shastry spectra at mu = 2 differ
 between 1 and 2 threads at L = 511, 1023, 1056, 2047 and 3001.  The
-eigenvalues agree with LAPACK's divide and conquer to 1e-10.  A
-spectrum takes about 0.95 / 3.5 / 16 / 89 / 533 ms at
-L = 256 / 512 / 1024 / 2048 / 4096 (Haldane-Shastry at mu = 2) with one
-BLAS thread on a 2-core Intel Xeon, and 1.4 / 5.2 / 24 / 124 / 687 ms with the process
-pinned to one CPU, no core free for the worker.
+eigenvalues agree with LAPACK's divide and conquer to 1e-10.  Timings
+per L, thread count and CPU pinning are in the README's "Eigensolver
+speed" table.
 
 dsytrd_sy2sb and dsbevd come from scipy's compiled LAPACK extension,
 scipy.linalg._flapack.  The first solve finds that file in scipy's

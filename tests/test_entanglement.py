@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from fermichain import entanglement
+from fermichain.cli import run
 from fermichain.criticality import fermi_points
 from fermichain.entanglement import (
     EntropyReport,
@@ -321,6 +324,88 @@ def test_c_tilde_validation(c_tilde_oracle):
             c_tilde(alpha)
         with pytest.raises(DomainError):
             c_tilde_oracle(alpha)
+
+
+# ---------------------------------------------------------------------------
+# the c_tilde memo: one integral per order per process
+
+MEMO_ALPHAS = (0.25, 0.5, 1.0, 2.0, 3.0, 10.0, math.inf)
+_memo = entanglement._c_tilde_integral
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_c_tilde_memo_keeps_the_cold_bits():
+    _memo.cache_clear()
+    cold = [c_tilde(a) for a in MEMO_ALPHAS]
+    assert _memo.cache_info().misses == len(MEMO_ALPHAS)
+    warm = [c_tilde(a) for a in MEMO_ALPHAS]
+    assert _memo.cache_info().hits == len(MEMO_ALPHAS)
+    # and against a computation that bypasses the memo altogether
+    fresh = [_memo.__wrapped__(a) for a in MEMO_ALPHAS]
+    assert list(map(_bits, cold)) == list(map(_bits, warm)) \
+        == list(map(_bits, fresh))
+
+
+def test_c_tilde_memo_keyed_by_validated_float():
+    _memo.cache_clear()
+    values = [c_tilde(a) for a in (np.int64(2), 2, 2.0)]
+    info = _memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert len(set(map(_bits, values))) == 1
+    # a float32 order is its own exact double, not the decimal it prints as
+    narrow = c_tilde(np.float32(0.1))
+    assert _memo.cache_info().currsize == 2
+    assert _bits(narrow) == _bits(c_tilde(float(np.float32(0.1))))
+    assert _memo.cache_info().currsize == 2
+    assert narrow != c_tilde(0.1)
+    assert _memo.cache_info().currsize == 3
+    # validation runs on every call: True hashes as 1.0, which is now kept
+    c_tilde(1.0)
+    for bad in (True, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            c_tilde(bad)
+
+
+def test_c_tilde_memo_does_not_keep_failures():
+    c_tilde(1.0)
+    before = _memo.cache_info()
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            c_tilde(1e-6)
+    after = _memo.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 2
+
+
+def test_c_tilde_memo_under_threads():
+    _memo.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        start.wait()
+        results[i] = [_bits(c_tilde(a)) for a in MEMO_ALPHAS]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    want = [_bits(_memo.__wrapped__(a)) for a in MEMO_ALPHAS]
+    assert results == [want] * 4
+
+
+def test_c_tilde_memo_serves_an_entropy_sweep(tmp_path):
+    # the README's entropy example: nine sizes at one order, one integral
+    _memo.cache_clear()
+    assert run(["entropy", "--model", "finite-range", "--coeffs", "1,0.5",
+                "--mu", "4.25", "--alpha", "1", "--L", "100:500:50",
+                "--compare", "--output", str(tmp_path / "entropy.csv")]) == 0
+    info = _memo.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
 
 
 # ---------------------------------------------------------------------------
