@@ -8,8 +8,9 @@ callers get as copies), the coupling tables a DispersionProfile fills
 once per order, and the two LAPACK routines spectral binds from scipy's
 extension file, opened once under a lock with ctypes. A racing call can
 at worst compute a cached value again. Each spectrum solve starts one
-worker thread for one parity sector's band stage, LAPACK dsbevd called
-without the GIL, and joins it before it returns or raises.
+worker thread (a bare _thread, without waiting for it to run) for one
+parity sector's band stage, LAPACK dsbevd called without the GIL, and
+waits for it to finish before it returns or raises.
 """
 
 __version__ = "0.1.0"

@@ -23,7 +23,10 @@ and columns to a multiple of 32, and each goes through two stages
 Both routines are called through ctypes, which releases the GIL.  The
 odd sector's matrix is freed once its band is made, and a worker thread
 runs that band's stage 2 while the calling thread builds and reduces
-the even sector and then runs its stage 2; the caller joins the worker,
+the even sector and then runs its stage 2.  The worker is started with
+_thread.start_new_thread, which, unlike threading.Thread.start, does not
+wait for the new thread to run, so the caller goes on at once.  The
+worker releases a lock the caller holds; the caller waits on that lock,
 also when its own sector fails, and raises the worker's error.  So the
 two stages run on two cores.  The working set stays one padded sector
 (N x N, N = ceil(ceil(L/2)/32) * 32), stage 1's 64 x N workspace and
@@ -56,13 +59,13 @@ row's bytes: the same row again (entropy and then fh-check on one
 block) gets a copy of its eigenvalues and runs no LAPACK.
 """
 
+import _thread
 import ctypes
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
-import threading
 import types
 from dataclasses import dataclass
 
@@ -88,7 +91,7 @@ _ROUTINES = {"dsytrd_sy2sb": (1, 10), "dsbevd": (2, 12)}
 
 # scipy's compiled LAPACK extension, whose file _lapack opens
 _FLAPACK = "scipy.linalg._flapack"
-_flapack_lock = threading.Lock()
+_flapack_lock = _thread.allocate_lock()
 _routines = []     # once bound: the routines _lapack hands out
 
 
@@ -276,22 +279,29 @@ def _solve(key):
     # bytes; the cache's array is never handed out, callers get copies.
     # The worker calls only private functions: a tracer that wraps the
     # public ones keeps one span stack, which a second thread would break.
+    # The worker is a bare _thread, whose start does not wait for it to
+    # run, as threading.Thread.start does. It releases `done`, held from
+    # the start, once its band is solved or has failed, and the caller
+    # acquires `done` before it returns or raises.
     row = np.frombuffer(key)
     band = _band(*_parity_sector(row, True))
     found = []
+    done = _thread.allocate_lock()
+    done.acquire()
 
     def work():
         try:
             found.append(_band_eigenvalues(band))
         except BaseException as error:
             found.append(error)
+        finally:
+            done.release()
 
-    worker = threading.Thread(target=work)
-    worker.start()
+    _thread.start_new_thread(work, ())
     try:
         even = _band_eigenvalues(_band(*_parity_sector(row, False)))
     finally:
-        worker.join()
+        done.acquire()
     odd = found[0]
     if isinstance(odd, BaseException):
         raise odd

@@ -1,3 +1,4 @@
+import _thread
 import cmath
 import ctypes
 import importlib.machinery
@@ -506,6 +507,13 @@ def test_band_stage_matches_the_f2py_dsbevd():
         assert got.tobytes() == want.tobytes(), n
 
 
+# how long the worker's real band stage is held back when the caller
+# fails, and how long a finished solve may leave its worker running: a
+# worker that outlived its solve by the hold would still be counted
+_HOLD = 0.5
+_GONE = 0.25
+
+
 def _fail_one_thread(monkeypatch, failing, fake):
     # the band stage runs `fake` on the thread named by `failing` ("worker"
     # or "caller") and the real stage on the other; the worker's real
@@ -518,13 +526,26 @@ def _fail_one_thread(monkeypatch, failing, fake):
     def stage(ab):
         here = "caller" if threading.get_ident() == caller else "worker"
         if here == "worker" and failing == "caller":
-            time.sleep(0.2)
+            time.sleep(_HOLD)
         out = fake(ab) if here == failing else real(ab)
         done.append(here)
         return out
 
     monkeypatch.setattr(spectral, "_band_eigenvalues", stage)
     return done
+
+
+def _no_bare_threads():
+    # whether, within _GONE seconds, every running thread is one that
+    # threading started. The worker is a bare _thread, which
+    # threading.active_count() does not see; _thread._count() counts it
+    # (and every other thread but the main one) until its function has
+    # returned, a moment after it released the caller.
+    end = time.monotonic() + _GONE
+    while (_thread._count() != threading.active_count() - 1
+           and time.monotonic() < end):
+        time.sleep(0.001)
+    return _thread._count() == threading.active_count() - 1
 
 
 class _BandFault(Exception):
@@ -541,7 +562,6 @@ def test_eigensolver_worker_failure_reaches_the_caller(monkeypatch, fault):
     good = correlation_row(hs_analysis(), 64)
     want = eigenvalues_symmetric(good).tobytes()
     before = spectral._solve.cache_info()
-    threads = threading.active_count()
     error = _BandFault("band stage failed")
 
     def fake(ab):
@@ -560,7 +580,7 @@ def test_eigensolver_worker_failure_reaches_the_caller(monkeypatch, fault):
         assert (e.value.achieved, e.value.target) == (3, 0)
     else:
         assert e.value is error
-    assert threading.active_count() == threads
+    assert _no_bare_threads()
     after = spectral._solve.cache_info()
     assert after.currsize == before.currsize == 1
     monkeypatch.undo()
@@ -572,7 +592,6 @@ def test_eigensolver_caller_failure_joins_the_worker(monkeypatch):
     # the even sector fails on the calling thread while the worker still
     # runs the odd one: the error leaves only after the worker finished
     spectral._solve.cache_clear()
-    threads = threading.active_count()
     error = _BandFault("band stage failed")
 
     def fake(ab):
@@ -583,7 +602,48 @@ def test_eigensolver_caller_failure_joins_the_worker(monkeypatch):
         eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
     assert e.value is error
     assert done == ["worker"]
-    assert threading.active_count() == threads
+    assert _no_bare_threads()
+
+
+def test_eigensolver_worker_that_cannot_start(monkeypatch):
+    # the worker thread cannot be started: its RuntimeError reaches the
+    # caller of eigenvalues_symmetric, which does not wait for a worker
+    # that never ran, nothing is cached, and the next solve works. The
+    # call runs on a threading.Thread (whose start does not go through
+    # _thread.start_new_thread) so that a hang fails the test.
+    spectral._solve.cache_clear()
+    good = correlation_row(hs_analysis(), 64)
+    row = correlation_row(hs_analysis(), 65)
+    want = eigenvalues_symmetric(row).tobytes()
+    eigenvalues_symmetric(good)
+    before = spectral._solve.cache_info()
+
+    def refuse(function, args, kwargs=None):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(_thread, "start_new_thread", refuse)
+    raised = []
+
+    def call():
+        try:
+            eigenvalues_symmetric(row)
+        except BaseException as error:
+            raised.append(error)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [type(e) for e in raised] == [RuntimeError]
+    assert str(raised[0]) == "can't start new thread"
+    assert _no_bare_threads()
+    after = spectral._solve.cache_info()
+    assert after.currsize == 1 and after.misses == before.misses + 1
+    monkeypatch.undo()
+    eigenvalues_symmetric(good)
+    assert spectral._solve.cache_info().hits == after.hits + 1
+    assert eigenvalues_symmetric(row).tobytes() == want
+    assert spectral._solve.cache_info().misses == after.misses + 1
 
 
 def test_eigensolver_memo_under_threads():
