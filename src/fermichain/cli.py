@@ -258,28 +258,21 @@ def _resolve_model(args):
     return InteractionModel.rational_cubic(args.J)
 
 
-def _model_config(args):
-    # run() drops the flags left unset (None) from the JSON config
-    return {"family": args.model, "coeffs": args.coeffs, "nu": args.nu,
-            "C": args.C, "J": args.J}
-
-
 def _profile_at_mu(args):
-    # the dispersion profile and the config of a command at --mu
+    # the dispersion profile of a command at --mu
     model = _resolve_model(args)
     if args.mu is None:
         raise DomainError("--mu is required")
-    return DispersionProfile(model), {**_model_config(args), "mu": args.mu}
+    return DispersionProfile(model)
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (config, header, rows, json_results, plot_cols);
-# json_results None stands for the table itself
+# subcommands: each returns (header, rows, json_results); json_results
+# None stands for the table itself
 
 def _cmd_dispersion(args):
     prof = DispersionProfile(_resolve_model(args))
-    n = args.grid_points
-    ps = np.linspace(0.0, 2.0 * math.pi, n)
+    ps = np.linspace(0.0, 2.0 * math.pi, args.grid_points)
     e = _finite_band(prof.E_grid, ps, "E")
     e1 = _finite_band(prof.E1_grid, ps, "E'")
     # E'' may be infinite at the zone-center cusps p = 0 and 2 pi only
@@ -288,13 +281,11 @@ def _cmd_dispersion(args):
                          prof.E2_grid(ps[-1:])])
     rows = [[float(p), float(ev), float(dv), float(d2v)]
             for p, ev, dv, d2v in zip(ps, e, e1, e2)]
-    cfg = {**_model_config(args), "grid_points": n}
-    return cfg, ["p", "E", "dE", "d2E"], rows, None, (1, 2)
+    return ["p", "E", "dE", "d2E"], rows, None
 
 
 def _cmd_phase(args):
-    prof, cfg = _profile_at_mu(args)
-    a = fermi_points(prof, args.mu)
+    a = fermi_points(_profile_at_mu(args), args.mu)
     header = ["phase", "central_charge", "e_min", "e_max",
               "root_index", "p", "nu", "velocity"]
     base = [a.phase, a.central_charge, a.e_min, a.e_max]
@@ -312,11 +303,11 @@ def _cmd_phase(args):
                   for k, (p, n) in enumerate(a.roots)],
         "sea": [list(iv) for iv in a.sea],
     }
-    return cfg, header, rows, results, None
+    return header, rows, results
 
 
 def _cmd_free_energy(args):
-    prof, cfg = _profile_at_mu(args)
+    prof = _profile_at_mu(args)
     if args.fit:
         fit = low_temperature_fit(prof, args.mu, T_grid=args.T)
         thermal = fit.thermal
@@ -328,7 +319,6 @@ def _cmd_free_energy(args):
     tail = ([fit.exponent, fit.coefficient, fit.predicted_coefficient]
             if fit is not None else [None, None, None])
     rows = [[r.T, r.f, r.f0] + tail for r in thermal]
-    cfg.update({"T_values": args.T, "fit": args.fit})
     results = {
         "table": {"columns": header[:3],
                   "rows": [[r.T, r.f, r.f0] for r in thermal]},
@@ -339,11 +329,11 @@ def _cmd_free_energy(args):
             "residual": fit.residual,
         },
     }
-    return cfg, header, rows, results, (1, 2)
+    return header, rows, results
 
 
 def _cmd_entropy(args):
-    prof, cfg = _profile_at_mu(args)
+    prof = _profile_at_mu(args)
     if args.L is None:
         raise DomainError("--L is required (min:max:step or comma list)")
     analysis = fermi_points(prof, args.mu)
@@ -358,35 +348,32 @@ def _cmd_entropy(args):
             else:
                 rows.append([L, alpha, renyi_exact(spectrum, alpha),
                              None, None])
-    cfg.update({"alpha": args.alpha, "L_values": args.L,
-                "compare": args.compare})
-    header = ["L", "alpha", "s_exact", "s_asymptotic", "r_L"]
-    return cfg, header, rows, None, (1, 3)
+    return ["L", "alpha", "s_exact", "s_asymptotic", "r_L"], rows, None
 
 
 def _cmd_fh_check(args):
-    prof, cfg = _profile_at_mu(args)
-    devs = fh_deviation(fermi_points(prof, args.mu),
+    devs = fh_deviation(fermi_points(_profile_at_mu(args), args.mu),
                         complex(args.lambda_re, args.lambda_im), args.L)
-    cfg.update({"L_values": args.L, "lambda_re": args.lambda_re,
-                "lambda_im": args.lambda_im})
-    return cfg, ["L", "deviation"], [[L, d] for L, d in devs], None, (1, 2)
+    return ["L", "deviation"], [[L, d] for L, d in devs], None
 
 
 def _cmd_constants(args):
     rows = [[alpha, i1(alpha), c_tilde(alpha)] for alpha in args.alpha]
-    return ({"alpha": args.alpha}, ["alpha", "i1", "c_tilde"], rows, None,
-            (1, 3))
+    return ["alpha", "i1", "c_tilde"], rows, None
 
 
+# command -> (function, the 1-based gnuplot columns of its default plot)
 _COMMANDS = {
-    "dispersion": _cmd_dispersion,
-    "phase": _cmd_phase,
-    "free-energy": _cmd_free_energy,
-    "entropy": _cmd_entropy,
-    "fh-check": _cmd_fh_check,
-    "constants": _cmd_constants,
+    "dispersion": (_cmd_dispersion, (1, 2)),
+    "phase": (_cmd_phase, None),
+    "free-energy": (_cmd_free_energy, (1, 2)),
+    "entropy": (_cmd_entropy, (1, 3)),
+    "fh-check": (_cmd_fh_check, (1, 2)),
+    "constants": (_cmd_constants, (1, 3)),
 }
+
+# JSON config keys that are not the flag's own name
+_CONFIG_KEYS = {"model": "family", "T": "T_values", "L": "L_values"}
 
 
 def _render_csv(header, rows):
@@ -425,18 +412,19 @@ def run(argv):
         stub = args.gnuplot_stub
         if stub and fmt != "csv":
             raise DomainError("--gnuplot-stub needs --format csv")
-        cfg, header, rows, results, plot_cols = _COMMANDS[args.command](args)
-        if results is None:
-            results = {"columns": header, "rows": rows}
+        command, plot_cols = _COMMANDS[args.command]
         if stub and plot_cols is None:
             raise DomainError(
                 f"{args.command} has no default plot; drop --gnuplot-stub")
+        header, rows, results = command(args)
+        if results is None:
+            results = {"columns": header, "rows": rows}
         if fmt == "csv":
             text = _render_csv(header, rows)
         else:
-            cfg.update(command=args.command, format=fmt, output=output,
-                       gnuplot_stub=stub)
-            doc = {"config": {k: v for k, v in cfg.items() if v is not None},
+            cfg = {_CONFIG_KEYS.get(k, k): v for k, v in vars(args).items()
+                   if k != "config" and v is not None}
+            doc = {"config": {**cfg, "output": output},
                    "results": results,
                    "meta": {"version": __version__,
                             "runtime_s": time.perf_counter() - started}}

@@ -108,7 +108,8 @@ def _analyze(profile, mu):
     if ends:
         ends = [p for p, d in zip(ends, profile.E1_grid(ends))
                 if abs(d) < 1e-8]
-    if ends and e_min + btol < mu < e_max - btol:
+    # at a band edge it is the boundary, though mu may lie just inside
+    if ends and e_min < band_vals[extrema.index(ends[0])] < e_max:
         raise DomainError(
             f"mu={mu} touches the band at the zone edge "
             f"p={'0' if ends[0] == 0.0 else 'pi'} inside the band; "
@@ -151,6 +152,8 @@ def _analyze(profile, mu):
         phase, charge = "gapped-above", None
     elif roots:
         phase, charge = "critical", len(roots)
+    elif ends:
+        phase, charge = "boundary", None
     else:
         raise AccuracyError(
             f"mu={mu} lies inside the band but no crossing was resolved",

@@ -32,8 +32,38 @@ class InteractionModel:
     tail_bound: object = None  # declared bound B(J) >= sum_{j>J} |h(j)|
 
     def __post_init__(self):
+        # direct construction and the factories below pass the same checks
         if self.family not in FAMILIES:
             raise DomainError(f"unknown interaction family {self.family!r}")
+        if self.family == "finite-range":
+            alphas = tuple(_check_real(a, "finite-range couplings")
+                           for a in self.alphas)
+            if len(alphas) < 1:
+                raise DomainError(
+                    "finite-range model needs at least one coupling")
+            if alphas[-1] == 0.0:
+                raise DomainError(
+                    "trailing finite-range coupling must be nonzero")
+            object.__setattr__(self, "alphas", alphas)
+        elif self.family == "power-law":
+            nu = _check_real(self.nu, "power-law exponent")
+            if not nu > 1.0:
+                raise DomainError("power-law coupling sum diverges for "
+                                  f"nu <= 1 (got nu={nu})")
+            C = _check_real(self.C, "power-law amplitude")
+            if not C > 0.0:
+                raise DomainError(
+                    f"power-law amplitude must be positive, got {C}")
+            object.__setattr__(self, "nu", nu)
+            object.__setattr__(self, "C", C)
+        elif self.family == "rational-cubic":
+            object.__setattr__(
+                self, "J", _check_real(self.J, "rational-cubic strength"))
+        elif self.family == "custom-summable":
+            if not callable(self.h) or not callable(self.tail_bound):
+                raise DomainError(
+                    "custom-summable model needs h(j) and a tail bound B(J), "
+                    "both callable")
 
     @classmethod
     def haldane_shastry(cls):
@@ -41,36 +71,18 @@ class InteractionModel:
 
     @classmethod
     def finite_range(cls, alphas):
-        alphas = tuple(_check_real(a, "finite-range couplings")
-                       for a in alphas)
-        if len(alphas) < 1:
-            raise DomainError("finite-range model needs at least one coupling")
-        if alphas[-1] == 0.0:
-            raise DomainError("trailing finite-range coupling must be nonzero")
         return cls(family="finite-range", alphas=alphas)
 
     @classmethod
     def power_law(cls, nu, C=1.0):
-        nu = _check_real(nu, "power-law exponent")
-        if not nu > 1.0:
-            raise DomainError(
-                f"power-law coupling sum diverges for nu <= 1 (got nu={nu})")
-        C = _check_real(C, "power-law amplitude")
-        if not C > 0.0:
-            raise DomainError(f"power-law amplitude must be positive, got {C}")
         return cls(family="power-law", nu=nu, C=C)
 
     @classmethod
     def rational_cubic(cls, J):
-        return cls(family="rational-cubic",
-                   J=_check_real(J, "rational-cubic strength"))
+        return cls(family="rational-cubic", J=J)
 
     @classmethod
     def custom_summable(cls, h, tail_bound):
-        if not callable(h) or not callable(tail_bound):
-            raise DomainError(
-                "custom-summable model needs h(j) and a tail bound B(J), "
-                "both callable")
         return cls(family="custom-summable", h=h, tail_bound=tail_bound)
 
     def coupling(self, j, N):

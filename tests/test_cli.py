@@ -685,6 +685,63 @@ def test_gnuplot_stub_unwritable_leaves_no_file(tmp_path, capsys):
     assert os.listdir(tmp_path / "x.csv.gp") == []
 
 
+def test_stub_refused_before_the_command_runs(tmp_path, capsys,
+                                              monkeypatch):
+    # both --gnuplot-stub refusals come before any computation: phase,
+    # which has no default plot, never starts its Fermi analysis
+    def analyze(*args):
+        raise AssertionError("the Fermi analysis ran")
+
+    monkeypatch.setattr(criticality, "_analyze", analyze)
+    out = str(tmp_path / "p.csv")
+    assert run(["phase", *HS2, "--gnuplot-stub", "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: phase has no default plot; drop --gnuplot-stub\n")
+    assert run(["phase", *HS2, "--gnuplot-stub", "--format", "json",
+                "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: --gnuplot-stub needs --format csv\n")
+    assert os.listdir(tmp_path) == []
+
+
+# per command, flags and the JSON config keys they give besides command,
+# format, output and gnuplot_stub: every flag that is set, --model as
+# family, --T as T_values and --L as L_values
+CONFIG_ECHO = {
+    "dispersion": (["--model", "power-law", "--nu", "2.5", "--C", "2",
+                    "--grid-points", "5"],
+                   {"family", "nu", "C", "grid_points"}),
+    "phase": (FIG8, {"family", "coeffs", "mu"}),
+    "free-energy": ([*HS2, "--T", "0.01,0.02"],
+                    {"family", "mu", "T_values", "fit"}),
+    "entropy": ([*HS2, "--L", "8"],
+                {"family", "mu", "alpha", "L_values", "compare"}),
+    "fh-check": (["--model", "rational-cubic", "--J", "0.6", "--mu", "1",
+                  "--L", "8"],
+                 {"family", "J", "mu", "L_values", "lambda_re", "lambda_im"}),
+    "constants": (["--alpha", "2"], {"alpha"}),
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_ECHO)
+def test_json_config_echoes_the_flags(tmp_path, monkeypatch, command):
+    flags, keys = CONFIG_ECHO[command]
+    monkeypatch.chdir(tmp_path)
+    default = command.replace("-", "_") + ".json"
+    assert run([command, *flags, "--format", "json"]) == 0
+    config = read_json(default)["config"]
+    assert config.keys() == keys | {"command", "format", "output",
+                                    "gnuplot_stub"}
+    assert (config["command"], config["output"]) == (command, default)
+    # the same flags from a config file: the same echo, and no --config
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        dict(zip([f[2:] for f in flags[::2]], flags[1::2]))))
+    assert run([command, "--config", "cfg.json", "--format", "json",
+                "--output", "from_file.json"]) == 0
+    assert read_json("from_file.json")["config"] == {
+        **config, "output": "from_file.json"}
+
+
 def test_lambda_flags(tmp_path):
     out = str(tmp_path / "fh.csv")
     assert run(["fh-check", "--model", "haldane-shastry", "--mu", "2",

@@ -171,6 +171,10 @@ def test_gapped_phases():
 def test_boundary_phases():
     assert fermi_points(hs(), 0.0).phase == "boundary"
     assert fermi_points(hs(), math.pi ** 2 / 2.0).phase == "boundary"
+    # within the zone-edge snap but outside the band: still gapped
+    assert fermi_points(hs(), -1e-11).phase == "gapped-below"
+    assert fermi_points(hs(), math.pi ** 2 / 2.0 + 1e-11).phase == \
+        "gapped-above"
 
 
 def test_band_tangency_is_double_root():
@@ -239,14 +243,16 @@ def test_negative_band_minimum():
     assert circle_components(a.sea) == 1
 
 
-def top_of_band(model):
+def top_of_band(model, below=0.0):
     prof = DispersionProfile(model)
-    return prof, prof.E(math.pi)
+    return prof, prof.E(math.pi) - below
 
 
 # mu on a zone-edge extremum, where E - mu rounds to 0 on a run of scan
 # points: at the top or bottom of the band a boundary phase with no
-# Fermi point; inside the band a refusal
+# Fermi point, also for mu within the 1e-10 snap but past the 1e-12 band
+# tolerance inside the band; a zone-edge extremum inside the band is
+# refused
 ZONE_EDGE = {
     "hs-top": (hs(), math.pi ** 2 / 2.0, ((0.0, TWO_PI),)),
     "fr-0.1-top": (DispersionProfile(InteractionModel.finite_range(
@@ -259,6 +265,21 @@ ZONE_EDGE = {
         (1.0, 0.1))), 0.0, ()),
     "pl-2.5-bottom": (DispersionProfile(InteractionModel.power_law(2.5)),
                       0.0, ()),
+    "hs-top-inside": (hs(), 4.93480220053, ((0.0, TWO_PI),)),
+    "rc-0.6-top-inside-1e-11": (
+        *top_of_band(InteractionModel.rational_cubic(0.6), 1e-11),
+        ((0.0, TWO_PI),)),
+    "rc-0.6-top-inside-1e-10": (
+        *top_of_band(InteractionModel.rational_cubic(0.6), 1e-10),
+        ((0.0, TWO_PI),)),
+    "pl-2.5-top-inside-1e-11": (
+        *top_of_band(InteractionModel.power_law(2.5), 1e-11),
+        ((0.0, TWO_PI),)),
+    "pl-2.5-top-inside-1e-10": (
+        *top_of_band(InteractionModel.power_law(2.5), 1e-10),
+        ((0.0, TWO_PI),)),
+    "fr-0.5-bottom-inside-5e-12": (fig8(), 5e-12, ()),
+    "fr-0.5-bottom-inside-1e-11": (fig8(), 1e-11, ()),
     "fr-0.5-inside": (fig8(), 4.0, None),
     "fr-0.5-inside-off": (fig8(), 4.0 + 1e-13, None),
     "fr-neg-0.5-inside": (DispersionProfile(InteractionModel.finite_range(

@@ -712,6 +712,27 @@ def test_custom_tail_bound_too_weak():
 # ---------------------------------------------------------------------------
 # construction validation
 
+# InteractionModel(...) refuses what its factories refuse, in the same
+# words; these once built a flat band, an inverted band, or a model that
+# raised TypeError on first use
+DIRECT_REFUSALS = [
+    ({"family": "finite-range"}, "at least one coupling"),
+    ({"family": "finite-range", "alphas": (1.0, 0.0)}, "trailing"),
+    ({"family": "finite-range", "alphas": (1.0, math.nan)},
+     "finite-range couplings must be finite"),
+    ({"family": "power-law"}, "diverges"),
+    ({"family": "power-law", "nu": 1.0}, "diverges"),
+    ({"family": "power-law", "nu": math.inf}, "exponent must be finite"),
+    ({"family": "power-law", "nu": math.nan}, "exponent must be finite"),
+    ({"family": "power-law", "nu": 2.5, "C": -1.0}, "must be positive"),
+    ({"family": "power-law", "nu": 2.5, "C": math.inf},
+     "amplitude must be finite"),
+    ({"family": "rational-cubic", "J": math.inf}, "must be finite"),
+    ({"family": "custom-summable"}, "both callable"),
+    ({"family": "custom-summable", "h": lambda j: 0.0}, "both callable"),
+]
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         InteractionModel.finite_range(())
@@ -730,3 +751,19 @@ def test_constructor_validation():
         InteractionModel.custom_summable(lambda j: 0.0, None)
     with pytest.raises(DomainError):
         InteractionModel(family="bogus")
+    for kwargs, message in DIRECT_REFUSALS:
+        with pytest.raises(DomainError, match=message):
+            InteractionModel(**kwargs)
+
+
+def test_direct_construction_stores_checked_values():
+    m = InteractionModel(family="finite-range", alphas=np.array([1, 0.5]))
+    assert m.alphas == (1.0, 0.5)
+    assert all(type(a) is float for a in m.alphas)
+    assert m == InteractionModel.finite_range((1.0, 0.5))
+    assert hash(m) == hash(InteractionModel.finite_range([1, 0.5]))
+    m = InteractionModel(family="power-law", nu=np.int64(3), C=np.float64(2))
+    assert (type(m.nu), type(m.C)) == (float, float)
+    assert m == InteractionModel.power_law(3.0, C=2.0)
+    m = InteractionModel(family="rational-cubic", J=np.int64(1))
+    assert type(m.J) is float and m == InteractionModel.rational_cubic(1.0)
