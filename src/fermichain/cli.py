@@ -237,33 +237,10 @@ def _config_flags(parser, command, path):
     return tokens
 
 
-def _resolve_model(args):
-    family = args.model
-    if family is None:
-        raise DomainError("a --model family is required")
-    if family == "haldane-shastry":
-        return InteractionModel.haldane_shastry()
-    if family == "finite-range":
-        if args.coeffs is None:
-            raise DomainError("finite-range needs --coeffs a1,a2,...")
-        return InteractionModel.finite_range(args.coeffs)
-    if family == "power-law":
-        if args.nu is None:
-            raise DomainError("power-law needs --nu")
-        # without --C the library's own amplitude default applies
-        amplitude = {} if args.C is None else {"C": args.C}
-        return InteractionModel.power_law(args.nu, **amplitude)
-    if args.J is None:                     # rational-cubic, by the choices
-        raise DomainError("rational-cubic needs --J")
-    return InteractionModel.rational_cubic(args.J)
-
-
-def _profile_at_mu(args):
-    # the dispersion profile of a command at --mu
-    model = _resolve_model(args)
-    if args.mu is None:
-        raise DomainError("--mu is required")
-    return DispersionProfile(model)
+def _profile(args):
+    # the model refuses a flag that the --model family does not take
+    return DispersionProfile(InteractionModel(
+        family=args.model, alphas=args.coeffs, nu=args.nu, C=args.C, J=args.J))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +248,7 @@ def _profile_at_mu(args):
 # None stands for the table itself
 
 def _cmd_dispersion(args):
-    prof = DispersionProfile(_resolve_model(args))
+    prof = _profile(args)
     ps = np.linspace(0.0, 2.0 * math.pi, args.grid_points)
     e = _finite_band(prof.E_grid, ps, "E")
     e1 = _finite_band(prof.E1_grid, ps, "E'")
@@ -285,7 +262,7 @@ def _cmd_dispersion(args):
 
 
 def _cmd_phase(args):
-    a = fermi_points(_profile_at_mu(args), args.mu)
+    a = fermi_points(_profile(args), args.mu)
     header = ["phase", "central_charge", "e_min", "e_max",
               "root_index", "p", "nu", "velocity"]
     base = [a.phase, a.central_charge, a.e_min, a.e_max]
@@ -307,7 +284,7 @@ def _cmd_phase(args):
 
 
 def _cmd_free_energy(args):
-    prof = _profile_at_mu(args)
+    prof = _profile(args)
     if args.fit:
         fit = low_temperature_fit(prof, args.mu, T_grid=args.T)
         thermal = fit.thermal
@@ -333,10 +310,7 @@ def _cmd_free_energy(args):
 
 
 def _cmd_entropy(args):
-    prof = _profile_at_mu(args)
-    if args.L is None:
-        raise DomainError("--L is required (min:max:step or comma list)")
-    analysis = fermi_points(prof, args.mu)
+    analysis = fermi_points(_profile(args), args.mu)
     rows = []
     for L in args.L:
         spectrum = correlation_spectrum(analysis, L)
@@ -352,7 +326,7 @@ def _cmd_entropy(args):
 
 
 def _cmd_fh_check(args):
-    devs = fh_deviation(fermi_points(_profile_at_mu(args), args.mu),
+    devs = fh_deviation(fermi_points(_profile(args), args.mu),
                         complex(args.lambda_re, args.lambda_im), args.L)
     return ["L", "deviation"], [[L, d] for L, d in devs], None
 
@@ -362,14 +336,14 @@ def _cmd_constants(args):
     return ["alpha", "i1", "c_tilde"], rows, None
 
 
-# command -> (function, the 1-based gnuplot columns of its default plot)
+# command -> (function, its required flags, its default plot's columns)
 _COMMANDS = {
-    "dispersion": (_cmd_dispersion, (1, 2)),
-    "phase": (_cmd_phase, None),
-    "free-energy": (_cmd_free_energy, (1, 2)),
-    "entropy": (_cmd_entropy, (1, 3)),
-    "fh-check": (_cmd_fh_check, (1, 2)),
-    "constants": (_cmd_constants, (1, 3)),
+    "dispersion": (_cmd_dispersion, ("model",), (1, 2)),
+    "phase": (_cmd_phase, ("model", "mu"), None),
+    "free-energy": (_cmd_free_energy, ("model", "mu"), (1, 2)),
+    "entropy": (_cmd_entropy, ("model", "mu", "L"), (1, 3)),
+    "fh-check": (_cmd_fh_check, ("model", "mu"), (1, 2)),
+    "constants": (_cmd_constants, (), (1, 3)),
 }
 
 # JSON config keys that are not the flag's own name
@@ -412,10 +386,13 @@ def run(argv):
         stub = args.gnuplot_stub
         if stub and fmt != "csv":
             raise DomainError("--gnuplot-stub needs --format csv")
-        command, plot_cols = _COMMANDS[args.command]
+        command, required, plot_cols = _COMMANDS[args.command]
         if stub and plot_cols is None:
             raise DomainError(
                 f"{args.command} has no default plot; drop --gnuplot-stub")
+        for flag in required:
+            if getattr(args, flag) is None:
+                raise DomainError(f"--{flag} is required")
         header, rows, results = command(args)
         if results is None:
             results = {"columns": header, "rows": rows}

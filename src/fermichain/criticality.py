@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
-                     QuadratureError, _check_real)
+                     QuadratureError, _check_number, _check_real)
 from .models import (HALF_PERIOD_CANDIDATES, _finite_band, half_period_zeros,
                      monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
@@ -285,7 +285,8 @@ def free_energy(profile, mu, T):
     E_grid call on the distinct panels serves every T, and each T's
     result is that of a call at that T alone, bit for bit.
     """
-    T_grid = _check_temperatures([T] if np.ndim(T) == 0 else T)
+    T_grid = _check_temperatures(
+        [_check_number(T, "temperature")] if np.ndim(T) == 0 else T)
     results = _thermal_pass(profile, _analyze(profile, mu), T_grid)
     return results[0] if np.ndim(T) == 0 else results
 

@@ -59,17 +59,21 @@ def _check_count(n, name, minimum=1):
     return int(n)
 
 
-def _check_number(x, name):
-    """x as it is, unless it is text or a bool: float() and complex()
-    would parse str and bytes and read True as 1. numpy numbers pass."""
-    if isinstance(x, (str, bytes, bytearray, bool, np.bool_)):
-        raise DomainError(f"{name} must be a number, got {x!r}")
-    return x
+def _check_number(x, name, kind=float):
+    """kind(x), float or complex; numpy numbers pass. Text and bools are
+    refused, as kind() would parse str and bytes and read True as 1, and
+    so is what kind() cannot convert, such as None."""
+    if not isinstance(x, (str, bytes, bytearray, bool, np.bool_)):
+        try:
+            return kind(x)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be a number, got {x!r}")
 
 
 def _check_real(x, name):
     """x as a float; text, bools, NaN and infinities are refused."""
-    x = float(_check_number(x, name))
+    x = _check_number(x, name)
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x

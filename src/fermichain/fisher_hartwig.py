@@ -30,7 +30,7 @@ class FHSymbol:
 
 
 def _check_off_cut(lam):
-    lam = complex(_check_number(lam, "lambda"))
+    lam = _check_number(lam, "lambda", complex)
     if not cmath.isfinite(lam):
         raise DomainError(f"lambda={lam} is not finite")
     if -1.0 <= lam.real <= 1.0:

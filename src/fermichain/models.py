@@ -12,22 +12,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, _check_count, _check_real
+from .errors import (AccuracyError, DomainError, _check_count, _check_number,
+                     _check_real)
 from .specfun import _horner, polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
 
-FAMILIES = ("haldane-shastry", "finite-range", "power-law",
-            "rational-cubic", "custom-summable")
+# the parameter fields each family takes; every other field stays None
+_PARAMETERS = {
+    "haldane-shastry": (),
+    "finite-range": ("alphas",),
+    "power-law": ("nu", "C"),
+    "rational-cubic": ("J",),
+    "custom-summable": ("h", "tail_bound"),
+}
+
+FAMILIES = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class InteractionModel:
     family: str
-    alphas: tuple = ()     # finite-range couplings alpha_1..alpha_r
-    nu: float = 0.0        # power-law exponent
-    C: float = 1.0         # power-law amplitude
-    J: float = 0.0         # rational-cubic strength, h(x) = 1/x^2 - J/x^3
+    alphas: tuple = None   # finite-range couplings alpha_1..alpha_r
+    nu: float = None       # power-law exponent
+    C: float = None        # power-law amplitude, 1 when unset
+    J: float = None        # rational-cubic strength, h(x) = 1/x^2 - J/x^3
     h: object = None       # custom coupling callback h(j)
     tail_bound: object = None  # declared bound B(J) >= sum_{j>J} |h(j)|
 
@@ -35,9 +44,17 @@ class InteractionModel:
         # direct construction and the factories below pass the same checks
         if self.family not in FAMILIES:
             raise DomainError(f"unknown interaction family {self.family!r}")
+        takes = ("family", *_PARAMETERS[self.family])
+        for name, value in vars(self).items():
+            if value is not None and name not in takes:
+                raise DomainError(f"{self.family} model takes no {name}")
         if self.family == "finite-range":
-            alphas = tuple(_check_real(a, "finite-range couplings")
-                           for a in self.alphas)
+            try:
+                alphas = tuple(_check_real(a, "finite-range couplings") for a
+                               in (() if self.alphas is None else self.alphas))
+            except TypeError:
+                raise DomainError("finite-range couplings must be a sequence, "
+                                  f"got {self.alphas!r}") from None
             if len(alphas) < 1:
                 raise DomainError(
                     "finite-range model needs at least one coupling")
@@ -50,7 +67,8 @@ class InteractionModel:
             if not nu > 1.0:
                 raise DomainError("power-law coupling sum diverges for "
                                   f"nu <= 1 (got nu={nu})")
-            C = _check_real(self.C, "power-law amplitude")
+            C = _check_real(1.0 if self.C is None else self.C,
+                            "power-law amplitude")
             if not C > 0.0:
                 raise DomainError(
                     f"power-law amplitude must be positive, got {C}")
@@ -195,13 +213,13 @@ class DispersionProfile:
 
     # -- evaluators: one branch per family, scalars are grids of one --------
     def E(self, p):
-        return float(self.E_grid(float(p))[0])
+        return float(self.E_grid(_check_number(p, "momentum p"))[0])
 
     def E1(self, p):
-        return float(self.E1_grid(float(p))[0])
+        return float(self.E1_grid(_check_number(p, "momentum p"))[0])
 
     def E2(self, p):
-        return float(self.E2_grid(float(p))[0])
+        return float(self.E2_grid(_check_number(p, "momentum p"))[0])
 
     def E_grid(self, p):
         p = _check_momentum(p)
@@ -322,7 +340,7 @@ def monotonicity_report(profile):
     E' can change sign faster than the scan resolves. So is a band whose
     E' overflows doubles anywhere the scan looks.
     """
-    top = len(profile.model.alphas)
+    top = len(profile.model.alphas or ())
     if top > _SCAN_CELLS // 4:
         raise AccuracyError(
             f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "

@@ -113,7 +113,7 @@ _zeta_cached = functools.lru_cache(maxsize=64)(_zeta_real)
 
 def zeta(nu):
     """zeta(nu) for real nu > 1."""
-    nu = float(_check_number(nu, "zeta order nu"))
+    nu = _check_number(nu, "zeta order nu")
     if not nu > 1.0:
         raise DomainError(f"zeta requires nu > 1, got {nu}")
     return _zeta_cached(nu)
@@ -253,7 +253,7 @@ def polylog_circle(nu, p):
     p is reduced to [0, 2*pi); p = 0 gives zeta(nu) exactly. Its real
     and imaginary parts are polylog_circle_grid's on a grid of one.
     """
-    nu = float(_check_number(nu, "polylog_circle order nu"))
+    nu = _check_number(nu, "polylog_circle order nu")
     if not nu > 1.0:
         raise DomainError(f"polylog_circle requires nu > 1, got {nu}")
     p = _check_real(p, "polylog_circle momentum p")
@@ -278,7 +278,7 @@ def log_barnes_pair(beta):
     residual below 1e-13 on the whole strip. The tail's Hurwitz sums
     sum_{n>N} n^{-s} are the Euler-Maclaurin tail of _zeta_real.
     """
-    b = complex(_check_number(beta, "log_barnes_pair argument beta"))
+    b = _check_number(beta, "log_barnes_pair argument beta", complex)
     if not cmath.isfinite(b):
         raise DomainError(f"log_barnes_pair requires a finite beta, got {b}")
     if abs(b.real) >= 0.5:
@@ -355,7 +355,7 @@ def _panel_rules(g, half):
 
 def _check_alpha(alpha):
     """A Renyi order as a float: alpha > 0, inf included, NaN refused."""
-    alpha = float(_check_number(alpha, "Renyi order"))
+    alpha = _check_number(alpha, "Renyi order")
     if math.isnan(alpha) or alpha <= 0.0:
         raise DomainError(f"Renyi order must be positive, got {alpha}")
     return alpha

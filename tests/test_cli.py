@@ -471,6 +471,68 @@ def test_front_end_refusals_exit_one(tmp_path, capsys, case, argv):
         assert f"argument --{flag}:" in err
 
 
+# each CLI family's own model flags, and a value of every model flag
+MODEL_FLAGS = {
+    "haldane-shastry": [],
+    "finite-range": ["coeffs"],
+    "power-law": ["nu", "C"],
+    "rational-cubic": ["J"],
+}
+FLAG_VALUES = {"coeffs": "1,0.5", "nu": "2.5", "C": "2", "J": "0.6"}
+FOREIGN_FLAGS = [(family, flag) for family, own in MODEL_FLAGS.items()
+                 for flag in FLAG_VALUES if flag not in own]
+
+
+@pytest.mark.parametrize("family, flag", FOREIGN_FLAGS,
+                         ids=[f"{fam}-{flag}" for fam, flag in FOREIGN_FLAGS])
+def test_model_flag_of_another_family_refused(tmp_path, capsys, family,
+                                              flag):
+    # a model flag the family does not take was ignored yet echoed in
+    # the JSON config; as a flag or a config key it is refused by the
+    # name of its model field
+    own = [t for f in MODEL_FLAGS[family] for t in (f"--{f}", FLAG_VALUES[f])]
+    argv = ["phase", "--model", family, *own, "--mu", "1", "--format",
+            "json", "--output", str(tmp_path / "p.json")]
+    field = "alphas" if flag == "coeffs" else flag
+    want = f"error: {family} model takes no {field}\n"
+    assert run([*argv, f"--{flag}", FLAG_VALUES[flag]]) == 1
+    assert capsys.readouterr().err == want
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: FLAG_VALUES[flag]}))
+    assert run([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == want
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# per command, its required flags in full; each is left out in turn
+REQUIRED_FLAGS = {
+    "dispersion": ["--model", "haldane-shastry"],
+    "phase": HS2,
+    "free-energy": HS2,
+    "entropy": [*HS2, "--L", "8"],
+    "fh-check": HS2,
+}
+MISSING_FLAG = [(command, k) for command, flags in REQUIRED_FLAGS.items()
+                for k in range(0, len(flags), 2)]
+
+
+@pytest.mark.parametrize(
+    "command, k", MISSING_FLAG,
+    ids=[f"{c}{REQUIRED_FLAGS[c][k]}" for c, k in MISSING_FLAG])
+def test_required_flag_refused_before_the_command_runs(
+        tmp_path, capsys, monkeypatch, command, k):
+    def analyze(*args):
+        raise AssertionError("the Fermi analysis ran")
+
+    monkeypatch.setattr(criticality, "_analyze", analyze)
+    flags = REQUIRED_FLAGS[command]
+    argv = [command, *flags[:k], *flags[k + 2:], "--output",
+            str(tmp_path / "out.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {flags[k]} is required\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_exit_two_on_rejected_fit(tmp_path, capsys):
     out = str(tmp_path / "fe.csv")
     code = run(["free-energy", "--model", "haldane-shastry", "--mu", "-0.5",

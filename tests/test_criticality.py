@@ -117,7 +117,8 @@ def test_nonfinite_mu_one_message():
                                match=f"^{name} must be finite, got {bad}$"):
                 call(bad)
         want = call(float(x))
-        for same in (np.float64(x), np.int64(x), int(x)):
+        for same in (np.float64(x), np.int64(x), int(x), np.float32(x),
+                     np.array(float(x))):
             got = call(same)
             if isinstance(want, np.ndarray):
                 assert got.tobytes() == want.tobytes()
@@ -154,6 +155,42 @@ def test_text_and_bools_refused_as_numbers(name, call, x):
         assert got.tobytes() == want.tobytes()
     else:
         assert got == want
+
+
+# a value that no float() or complex() takes, and the refusal of it;
+# each once escaped as TypeError, and the temperature as ValueError
+NOT_A_NUMBER = [
+    ("chemical potential must be a number, got None",
+     lambda: fermi_points(hs(), None)),
+    ("chemical potential must be a number, got 1j",
+     lambda: fermi_points(hs(), 1j)),
+    ("zeta order nu must be a number, got None", lambda: specfun.zeta(None)),
+    ("Renyi order must be a number, got 1j", lambda: c_tilde(1j)),
+    ("polylog_circle momentum p must be a number, got None",
+     lambda: specfun.polylog_circle(2.0, None)),
+    ("log_barnes_pair argument beta must be a number, got None",
+     lambda: specfun.log_barnes_pair(None)),
+    ("lambda must be a number, got None",
+     lambda: symbol_params([1.0], None)),
+    ("power-law exponent must be a number, got None",
+     lambda: InteractionModel.power_law(None)),
+    ("rational-cubic strength must be a number, got [1.0]",
+     lambda: InteractionModel.rational_cubic([1.0])),
+    ("finite-range couplings must be a sequence, got 1.0",
+     lambda: InteractionModel.finite_range(1.0)),
+    ("momentum p must be a number, got None",
+     lambda: hs().E1(None)),
+    ("temperature must be a number, got 'abc'",
+     lambda: free_energy(hs(), 2.0, "abc")),
+]
+
+
+@pytest.mark.parametrize("message, call", NOT_A_NUMBER,
+                         ids=[m.split(" must")[0] + f"-{k}" for k, (m, _)
+                              in enumerate(NOT_A_NUMBER)])
+def test_value_that_is_not_a_number_is_a_domain_error(message, call):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gapped_phases():

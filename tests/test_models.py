@@ -720,7 +720,8 @@ DIRECT_REFUSALS = [
     ({"family": "finite-range", "alphas": (1.0, 0.0)}, "trailing"),
     ({"family": "finite-range", "alphas": (1.0, math.nan)},
      "finite-range couplings must be finite"),
-    ({"family": "power-law"}, "diverges"),
+    ({"family": "power-law"},
+     "power-law exponent must be a number, got None"),
     ({"family": "power-law", "nu": 1.0}, "diverges"),
     ({"family": "power-law", "nu": math.inf}, "exponent must be finite"),
     ({"family": "power-law", "nu": math.nan}, "exponent must be finite"),
@@ -728,8 +729,26 @@ DIRECT_REFUSALS = [
     ({"family": "power-law", "nu": 2.5, "C": math.inf},
      "amplitude must be finite"),
     ({"family": "rational-cubic", "J": math.inf}, "must be finite"),
+    ({"family": "rational-cubic"},
+     "rational-cubic strength must be a number, got None"),
     ({"family": "custom-summable"}, "both callable"),
     ({"family": "custom-summable", "h": lambda j: 0.0}, "both callable"),
+    # a field of another family, which was kept and never read
+    ({"family": "haldane-shastry", "alphas": (1, 2), "nu": 2.5, "C": -3,
+      "J": 7}, "^haldane-shastry model takes no alphas$"),
+    ({"family": "haldane-shastry", "C": 1.0},
+     "^haldane-shastry model takes no C$"),
+    ({"family": "finite-range", "alphas": (1.0,), "J": 0.0},
+     "^finite-range model takes no J$"),
+    ({"family": "power-law", "nu": 2.5, "alphas": (1.0,)},
+     "^power-law model takes no alphas$"),
+    ({"family": "rational-cubic", "J": 0.6, "nu": 3.0},
+     "^rational-cubic model takes no nu$"),
+    ({"family": "custom-summable", "h": lambda j: 0.0,
+      "tail_bound": lambda J: 0.0, "C": 1.0},
+     "^custom-summable model takes no C$"),
+    ({"family": "finite-range", "alphas": 1.0},
+     "^finite-range couplings must be a sequence, got 1.0$"),
 ]
 
 
@@ -765,5 +784,8 @@ def test_direct_construction_stores_checked_values():
     m = InteractionModel(family="power-law", nu=np.int64(3), C=np.float64(2))
     assert (type(m.nu), type(m.C)) == (float, float)
     assert m == InteractionModel.power_law(3.0, C=2.0)
+    # an unset amplitude is 1
+    m = InteractionModel(family="power-law", nu=3)
+    assert m.C == 1.0 and m == InteractionModel.power_law(3.0)
     m = InteractionModel(family="rational-cubic", J=np.int64(1))
     assert type(m.J) is float and m == InteractionModel.rational_cubic(1.0)

@@ -112,3 +112,21 @@ def test_no_global_statement_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def test_cli_names_no_family_outside_the_model_choices():
+    # which parameters a family takes is decided by the model alone: the
+    # front end names a family only in the --model choices, so it
+    # compares no value with one and branches on none
+    path = ROOT / "src" / "fermichain" / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    choices = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.keyword) and node.arg == "choices"
+               and "haldane-shastry" in ast.literal_eval(node.value)]
+    assert len(choices) == 1
+    listed = {id(e) for e in ast.walk(choices[0])}
+    families = ast.literal_eval(choices[0])
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in families
+             and id(node) not in listed]
+    assert named == []
