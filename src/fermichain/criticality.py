@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
-                     QuadratureError, _check_number, _check_real)
+                     QuadratureError, _check_real, _check_reals)
 from .models import (HALF_PERIOD_CANDIDATES, _finite_band, half_period_zeros,
                      monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
@@ -227,11 +227,11 @@ def _panel_edges(analysis, T_grid):
 
 def _check_temperatures(T_grid):
     """A non-empty 1-D float array of positive, finite temperatures."""
-    T_grid = np.asarray(T_grid, dtype=float)
+    T_grid = _check_reals(T_grid, "temperature")
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise DomainError("temperatures must form a non-empty 1-D grid, "
                           f"got shape {T_grid.shape}")
-    if not np.all((T_grid > 0.0) & np.isfinite(T_grid)):
+    if not np.all(T_grid > 0.0):
         raise DomainError(
             f"temperatures must be positive and finite, got {T_grid.tolist()}")
     return T_grid
@@ -278,15 +278,15 @@ def free_energy(profile, mu, T):
     achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
     the larger of the two.
 
-    T is a temperature or a non-empty 1-D grid of them; a scalar is a
-    grid of one and gives a ThermalResult, a grid a tuple of them. The
-    panels of a grid halve toward the same features by the same h 2^-k,
-    deeper at lower T, so they largely coincide, edges bit for bit: one
-    E_grid call on the distinct panels serves every T, and each T's
-    result is that of a call at that T alone, bit for bit.
+    T is a temperature or a non-empty 1-D grid of them, each read as a
+    real by errors._check_reals; a scalar is a grid of one and gives a
+    ThermalResult, a grid a tuple of them. The panels of a grid halve
+    toward the same features by the same h 2^-k, deeper at lower T, so
+    they largely coincide, edges bit for bit: one E_grid call on the
+    distinct panels serves every T, and each T's result is that of a
+    call at that T alone, bit for bit.
     """
-    T_grid = _check_temperatures(
-        [_check_number(T, "temperature")] if np.ndim(T) == 0 else T)
+    T_grid = _check_temperatures(T)
     results = _thermal_pass(profile, _analyze(profile, mu), T_grid)
     return results[0] if np.ndim(T) == 0 else results
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _check_reals
 from .specfun import (_check_alpha, _horner, _panel_nodes, _panel_rules,
                       entropy_kernel, zeta)
 
@@ -42,7 +42,7 @@ def renyi_exact(spectrum, alpha):
 
 def _check_roots(roots):
     """Fermi points as floats, strictly increasing inside (0, pi)."""
-    ps = [float(p) for p in roots]
+    ps = _check_reals(roots, "Fermi point").tolist()
     if not ps:
         raise DomainError("need at least one Fermi point")
     for p in ps:
@@ -59,7 +59,7 @@ def _check_roots(roots):
 def f_factor(roots):
     """Model-dependent scale in the asymptotic entropy.
 
-    For Fermi points 0 < p_0 < ... < p_m < pi:
+    For Fermi points 0 < p_0 < ... < p_m < pi (one may be a number):
     prod_i 2 sin p_i * prod_{j<i} [sin^2((p_i+p_j)/2) /
     sin^2((p_i-p_j)/2)]^{(-1)^{i+j}}.
     """

@@ -4,8 +4,8 @@ Validation problems (bad parameters, out-of-domain inputs) derive from
 ValueError; numerical failures (quadrature, eigensolver, fits) are
 AccuracyErrors, which derive from RuntimeError and carry the achieved
 error and the target it missed. The CLI maps the former to exit code 1
-and the latter to 2. The validators of an integer count, of a number
-and of a finite real live here, in the module every layer imports, so
+and the latter to 2. The validators of a count, a number, a real and
+an array of reals live here, in the module every layer imports, so
 each kind of argument has one check and one message.
 """
 
@@ -60,10 +60,11 @@ def _check_count(n, name, minimum=1):
 
 
 def _check_number(x, name, kind=float):
-    """kind(x), float or complex; numpy numbers pass. Text and bools are
-    refused, as kind() would parse str and bytes and read True as 1, and
-    so is what kind() cannot convert, such as None."""
-    if not isinstance(x, (str, bytes, bytearray, bool, np.bool_)):
+    """kind(x), float or complex; numpy numbers pass. Refused: text and
+    bools, which kind() would parse and read as 1, a numpy complex for a
+    float, whose imaginary part float() drops, and what kind() refuses."""
+    if not isinstance(x, (str, bytes, bytearray, bool, np.bool_)) and not (
+            kind is float and isinstance(x, np.complexfloating)):
         try:
             return kind(x)
         except TypeError:
@@ -77,3 +78,14 @@ def _check_real(x, name):
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
+
+
+def _check_reals(x, name):
+    """x as a new float array in its shape, a scalar as a grid of one:
+    _check_real on each element. An all-finite integer or float ndarray
+    skips the loop, a list never: np.asarray reads [1, True] as floats."""
+    if (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"
+            and np.count_nonzero(np.isfinite(x)) == x.size):
+        return np.array(x, dtype=float, ndmin=1)
+    a = np.array(x, dtype=object, ndmin=1)
+    return np.array([_check_real(v, name) for v in a.flat]).reshape(a.shape)

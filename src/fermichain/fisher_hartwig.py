@@ -49,7 +49,7 @@ def symbol_params(roots, lam):
     beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every jump up
     to an alternating sign; P collects the jump positions, so the
     symbol's constant part (lam+1) [(lam+1)/(lam-1)]^{-P} enters
-    log_dl_asymptotic through lam and P alone.
+    log_dl_asymptotic through lam and P alone. roots as in f_factor.
     """
     ps = _check_roots(roots)
     lam = _check_off_cut(lam)
@@ -87,6 +87,9 @@ def fh_deviation(analysis, lam, L_list):
     # the phase gate runs first: a gapped sea has no Fermi points at all
     symbol = symbol_params(
         _critical_momenta(analysis, "determinant asymptotics need"), lam)
+    if np.ndim(L_list) != 1 or not np.size(L_list):
+        raise DomainError("block lengths must form a non-empty 1-D sequence, "
+                          f"got {L_list!r}")
     sizes = [_check_count(L, "block length", minimum=2) for L in L_list]
     out = []
     for L in sizes:

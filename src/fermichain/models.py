@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, _check_count, _check_number,
-                     _check_real)
+                     _check_real, _check_reals)
 from .specfun import _horner, polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
@@ -49,19 +49,18 @@ class InteractionModel:
             if value is not None and name not in takes:
                 raise DomainError(f"{self.family} model takes no {name}")
         if self.family == "finite-range":
-            try:
-                alphas = tuple(_check_real(a, "finite-range couplings") for a
-                               in (() if self.alphas is None else self.alphas))
-            except TypeError:
+            given = () if self.alphas is None else self.alphas
+            alphas = _check_reals(given, "finite-range couplings").tolist()
+            if np.ndim(given) != 1:
                 raise DomainError("finite-range couplings must be a sequence, "
-                                  f"got {self.alphas!r}") from None
+                                  f"got {given!r}")
             if len(alphas) < 1:
                 raise DomainError(
                     "finite-range model needs at least one coupling")
             if alphas[-1] == 0.0:
                 raise DomainError(
                     "trailing finite-range coupling must be nonzero")
-            object.__setattr__(self, "alphas", alphas)
+            object.__setattr__(self, "alphas", tuple(alphas))
         elif self.family == "power-law":
             nu = _check_real(self.nu, "power-law exponent")
             if not nu > 1.0:
@@ -279,11 +278,10 @@ class DispersionProfile:
 
 
 def _check_momentum(p):
-    """Momenta as a float array on [0, 2*pi]; a scalar is a grid of one.
-
-    Values within 1e-12 outside the zone are rounding and get clipped.
-    """
-    p = np.array(p, dtype=float, ndmin=1)
+    """Momenta as errors._check_reals reads them, so a scalar is a grid
+    of one, on [0, 2*pi]; values within 1e-12 outside the zone are
+    rounding and get clipped."""
+    p = _check_reals(p, "momentum p")
     if p.size and not (-1e-12 <= p.min() and p.max() <= _TWO_PI + 1e-12):
         raise DomainError(
             f"momenta span [{p.min()}, {p.max()}], outside [0, 2*pi]")

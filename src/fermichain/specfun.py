@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, _check_number, _check_real
+from .errors import DomainError, _check_number, _check_real, _check_reals
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -368,12 +368,12 @@ def entropy_kernel(alpha, x):
     with the Shannon limit -sum q log q at alpha = 1 (convention
     0 log 0 = 0) and -log max(q) at alpha = inf. For 0 < |u| < 1/2,
     u = alpha - 1, it is -log1p(sum_q q expm1(u log q))/u, which uses
-    sum q = 1 and so loses nothing to the 1/u. Points within 1e-9
-    outside [-1, 1] are rounding and are clipped; any other point, NaN
-    included, raises. A scalar x is a grid of one and gives a float.
+    sum q = 1 and so loses nothing to the 1/u. x is read as reals, a
+    scalar as a grid of one that gives a float; points within 1e-9
+    outside [-1, 1] are rounding and are clipped, any other raises.
     """
     alpha = _check_alpha(alpha)
-    grid = np.atleast_1d(np.asarray(x, dtype=float))
+    grid = _check_reals(x, "entropy_kernel argument")
     ax = np.abs(grid)
     inside = ax <= 1.0 + 1e-9
     if not inside.all():

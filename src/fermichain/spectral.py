@@ -78,6 +78,7 @@ from .errors import (
     EigenConvergenceError,
     _check_count,
     _check_real,
+    _check_reals,
 )
 from .models import mode_energies
 
@@ -263,13 +264,11 @@ def eigenvalues_symmetric(first_row):
     A row with the bytes of the last one solved gets a copy of its
     eigenvalues back without a new solve.
     """
-    row = np.asarray(first_row, dtype=float)
-    if row.ndim != 1 or row.size < 1:
+    row = _check_reals(first_row, "first row")
+    if np.ndim(first_row) != 1 or row.size < 1:
         raise DomainError("first row must be a non-empty 1-d array")
-    if not np.all(np.isfinite(row)):
-        raise DomainError("first row contains non-finite entries")
     if row.size == 1:
-        return row.copy()
+        return row
     return _solve(row.tobytes()).copy()
 
 

@@ -21,7 +21,7 @@ from fermichain.criticality import (
 )
 from fermichain.errors import (AccuracyError, DomainError, FitRejectedError,
                                QuadratureError)
-from fermichain.spectral import correlation_row_finite
+from fermichain.spectral import correlation_row_finite, eigenvalues_symmetric
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,6 +126,62 @@ def test_nonfinite_mu_one_message():
                 assert got == want
 
 
+def wide():
+    # a band 4e4 wide, so that temperatures 1 to 4 are low at mu = 2e4
+    return DispersionProfile(InteractionModel.finite_range((1e4,)))
+
+
+# every real-array argument, read by errors._check_reals: the name in
+# its refusals, a call, and integer values it takes, as a list or, for a
+# scalar argument, alone
+ARRAY_ARGUMENTS = [
+    ("momentum p", lambda p: hs().E_grid(p), [0, 1, 6]),
+    ("momentum p", lambda p: fig8().E1_grid(p), [0, 1, 6]),
+    ("momentum p", lambda p: fig8().E2_grid(p), [0, 1, 6]),
+    ("temperature", lambda T: free_energy(hs(), 2.0, T), [1, 2]),
+    ("temperature", lambda T: free_energy(hs(), 2.0, T), 1),
+    ("temperature", lambda T: low_temperature_fit(wide(), 2e4, T_grid=T),
+     [1, 2, 3, 4]),
+    ("Fermi point", entanglement.f_factor, [1, 2]),
+    ("Fermi point", lambda r: symbol_params(r, 3.0), [1, 2]),
+    ("first row", eigenvalues_symmetric, [2, 1, 0]),
+    ("entropy_kernel argument", lambda x: entropy_kernel(2.0, x), [-1, 0, 1]),
+    ("finite-range couplings", InteractionModel.finite_range, [1, 2]),
+]
+
+
+def _bits(out):
+    # an array by its bytes, anything else by its repr, which tells
+    # every float apart and a numpy float from a Python one
+    return out.tobytes() if isinstance(out, np.ndarray) else repr(out)
+
+
+@pytest.mark.parametrize("name, call, good", ARRAY_ARGUMENTS,
+                         ids=[f"{n}-{k}" for k, (n, _, _)
+                              in enumerate(ARRAY_ARGUMENTS)])
+def test_array_arguments_read_as_scalars_are(name, call, good):
+    # an array is refused element by element, in the scalar rule's
+    # words; np.asarray once parsed the text and read True as 1, and
+    # took a NaN momentum, root or kernel argument for out of range
+    scalar = np.ndim(good) == 0
+    refused = [("abc", "abc")] + [(v if scalar else [v], v) for v in
+                                  ("1.0", True, np.complex128(1 + 1j), None)]
+    for arg, element in refused:
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(name)} must be a number, "
+                                 f"got {re.escape(repr(element))}$"):
+            call(arg)
+    for v in (math.nan, math.inf):
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(name)} must be finite, "
+                                 f"got {v}$"):
+            call(v if scalar else [v])
+    want = _bits(call(np.array(good, dtype=float)))
+    for same in (np.array(good, dtype=np.int64),
+                 np.array(good, dtype=np.float32), good):
+        assert _bits(call(same)) == want
+
+
 # every other scalar entry point: the same refusal of text and bools
 NUMBER_ARGUMENTS = REAL_ARGUMENTS + [
     ("Renyi order", c_tilde, 2),
@@ -142,10 +198,14 @@ NUMBER_ARGUMENTS = REAL_ARGUMENTS + [
                          ids=[f"{n}-{k}" for k, (n, _, _)
                               in enumerate(NUMBER_ARGUMENTS)])
 def test_text_and_bools_refused_as_numbers(name, call, x):
-    # float() and complex() would parse the text and read True as 1;
+    # float() and complex() would parse the text and read True as 1, and
+    # float() drops a numpy complex's imaginary part with a warning;
     # every scalar argument refuses them with one message, as counts do,
     # and a numpy float still gives what the Python float gives
-    for bad in (str(x), str(x).encode(), True, np.True_):
+    bads = [str(x), str(x).encode(), True, np.True_]
+    if name not in ("log_barnes_pair argument beta", "lambda"):
+        bads.append(np.complex128(x + 1j))
+    for bad in bads:
         with pytest.raises(DomainError,
                            match=f"^{re.escape(name)} must be a number, "
                                  f"got {re.escape(repr(bad))}$"):

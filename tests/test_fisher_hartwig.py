@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,5 +251,13 @@ def test_deviation_validation():
         fh_deviation(hs_analysis(), 3.0, [8, 1])
     with pytest.raises(DomainError):
         fh_deviation(hs_analysis(), 3.0, [np.int64(1)])
+    # one refusal for what is not a non-empty sequence of block lengths;
+    # a bare count raised TypeError, text was read character by
+    # character and an empty list gave []
+    for sizes in (512, "16", [], np.array([16, 32]).reshape(1, 2)):
+        message = ("block lengths must form a non-empty 1-D sequence, "
+                   f"got {sizes!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            fh_deviation(hs_analysis(), 3.0, sizes)
     assert fh_deviation(hs_analysis(), 3.0, [np.int64(8)]) == \
         fh_deviation(hs_analysis(), 3.0, [8])

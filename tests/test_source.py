@@ -91,8 +91,9 @@ def test_dataclass_fields_are_read():
 
 
 def test_one_validator_per_kind_of_argument():
-    # each _check_* validator is defined in one module, and the refusal
-    # of a non-finite real is worded only by errors._check_real
+    # each _check_* validator is defined in one module, and the refusals
+    # of what is not a number and of a non-finite real are worded only
+    # by errors._check_number and errors._check_real
     homes = {}
     for path in SRC:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -101,8 +102,9 @@ def test_one_validator_per_kind_of_argument():
                 homes.setdefault(node.name, set()).add(path.name)
     assert {name: sorted(mods) for name, mods in homes.items()
             if len(mods) > 1} == {}
-    assert [path.name for path in SRC if path.name != "errors.py"
-            and "must be finite" in path.read_text()] == []
+    for wording in ("must be a number", "must be finite"):
+        assert [path.name for path in SRC if path.name != "errors.py"
+                and wording in path.read_text()] == []
 
 
 def test_no_global_statement_in_src():
