@@ -5,12 +5,12 @@ tables built at import, functools.lru_cache caches of pure functions
 (zeta values and polylog constants in specfun, c_tilde per Renyi order
 in entanglement, the last spectrum in spectral, whose eigenvalues
 callers get as copies), the coupling tables a DispersionProfile fills
-once per order, and the two LAPACK routines spectral binds from scipy's
-extension file, opened once under a lock with ctypes. A racing call can
-at worst compute a cached value again. Each spectrum solve starts one
-worker thread (a bare _thread, without waiting for it to run) for one
-parity sector's band stage, LAPACK dsbevd called without the GIL, and
-waits for it to finish before it returns or raises.
+once per order, and the routines spectral binds from numpy's OpenBLAS
+with ctypes, once, under a lock. A racing call can at worst compute a
+cached value again. Spectrum solves take turns, each with OpenBLAS at
+one thread, and each starts one worker thread (a bare _thread, started
+without waiting) for one parity sector's band stage, LAPACK dsbevd
+without the GIL, and waits for it before it returns or raises.
 """
 
 __version__ = "0.1.0"

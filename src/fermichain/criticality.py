@@ -93,7 +93,7 @@ def _analyze(profile, mu):
     mu = _check_real(mu, "chemical potential")
     stationary = monotonicity_report(profile)
     extrema = [0.0, *stationary, math.pi]
-    band_vals = _finite_band(profile.E_grid, extrema, "E")
+    band_vals = _finite_band(profile._E_grid, np.array(extrema), "E")
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
     btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
@@ -106,7 +106,7 @@ def _analyze(profile, mu):
     # a zone edge is an extremum where E' vanishes, never a Fermi point
     ends = [p for p in near if p in (0.0, math.pi)]
     if ends:
-        ends = [p for p, d in zip(ends, profile.E1_grid(ends))
+        ends = [p for p, d in zip(ends, profile._E1_grid(np.array(ends)))
                 if abs(d) < 1e-8]
     # at a band edge it is the boundary, though mu may lie just inside
     if ends and e_min < band_vals[extrema.index(ends[0])] < e_max:
@@ -127,13 +127,12 @@ def _analyze(profile, mu):
         if lo != hi and a not in snapped and b not in snapped:
             grid = np.concatenate([[a], cand[(cand > a) & (cand < b)], [b]])
             crossing += half_period_zeros(
-                lambda p: profile.E_grid(p) - mu, 1e-13, grid)
+                lambda p: profile._E_grid(p) - mu, 1e-13, grid)
     # one E1 call gives the multiplicity check and the slopes; a point
     # has the same E1 bits in any grid
     points = crossing + tangent
-    slope_at = {}
-    if points:
-        slope_at = dict(zip(points, profile.E1_grid(points).tolist()))
+    slopes = profile._E1_grid(np.array(points, dtype=float)).tolist()
+    slope_at = dict(zip(points, slopes))
     roots = tuple(sorted(
         [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in crossing]
         + [(pc, 2) for pc in tangent]))
@@ -170,7 +169,7 @@ def _half_sea(profile, mu, root_ps):
     nodes = [0.0] + list(root_ps) + [math.pi]
     mids = 0.5 * (np.array(nodes[:-1]) + np.array(nodes[1:]))
     runs = []
-    for a, b, e in zip(nodes[:-1], nodes[1:], profile.E_grid(mids)):
+    for a, b, e in zip(nodes[:-1], nodes[1:], profile._E_grid(mids)):
         if e < mu:
             if runs and runs[-1][1] == a:
                 runs[-1][1] = b  # tangency point interior to the sea
@@ -299,7 +298,7 @@ def _thermal_pass(profile, analysis, T_grid):
         np.concatenate([edge[:-1] + 1j * edge[1:] for edge in edges]),
         return_inverse=True)
     half, nodes = _panel_nodes(panels.real, panels.imag)
-    e = profile.E_grid(nodes) - analysis.mu
+    e = profile._E_grid(nodes) - analysis.mu
     # per-panel rules on every distinct panel: f0's once, f's with one
     # row per T, its integrand taking a block of temperatures at a time
     q0, dq0 = _panel_rules(np.minimum(e, 0.0) / math.pi, half)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, _check_reals
-from .specfun import (_check_alpha, _horner, _panel_nodes, _panel_rules,
-                      entropy_kernel, zeta)
+from .specfun import (_check_alpha, _entropy_kernel, _horner, _panel_nodes,
+                      _panel_rules, zeta)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class EntropyReport:
 def renyi_exact(spectrum, alpha):
     """S_alpha of the block: the entropy kernel over 2 lambda - 1, in one
     vector pass and one elementwise sum."""
-    return float(entropy_kernel(alpha, 2.0 * spectrum.eigenvalues - 1.0).sum())
+    x = 2.0 * spectrum.eigenvalues - 1.0
+    return float(_entropy_kernel(_check_alpha(alpha), x).sum())
 
 
 def _check_roots(roots):
@@ -63,7 +64,11 @@ def f_factor(roots):
     prod_i 2 sin p_i * prod_{j<i} [sin^2((p_i+p_j)/2) /
     sin^2((p_i-p_j)/2)]^{(-1)^{i+j}}.
     """
-    ps = _check_roots(roots)
+    return _f_factor(_check_roots(roots))
+
+
+def _f_factor(ps):
+    # f_factor's core, on Fermi points that _check_roots would pass
     val = 1.0
     for p in ps:
         val *= 2.0 * math.sin(p)
@@ -182,7 +187,7 @@ def renyi_asymptotic(spectrum, alpha):
             "asymptotic entropy needs the Fermi points of a critical sea; "
             "this spectrum carries none")
     nsea = len(roots)
-    f = f_factor(roots)
+    f = _f_factor(roots)
     s_app = (nsea * i1(alpha) * math.log(spectrum.L * f ** (1.0 / nsea))
              + nsea * c_tilde(alpha))
     s_exact = renyi_exact(spectrum, alpha)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import _check_roots, f_factor
+from .entanglement import _check_roots, _f_factor
 from .errors import DomainError, _check_count, _check_number
 from .specfun import log_barnes_pair
 from .spectral import _critical_momenta, correlation_spectrum
@@ -73,7 +73,8 @@ def log_dl_asymptotic(symbol, L):
     lam = symbol.lam
     beta = symbol.beta
     log_ratio = cmath.log((lam + 1.0) / (lam - 1.0))
-    out = -2.0 * beta * beta * (nsea * math.log(L) + math.log(f_factor(roots)))
+    out = -2.0 * beta * beta * (nsea * math.log(L)
+                                + math.log(_f_factor(roots)))
     out += L * cmath.log(lam + 1.0)
     out -= L * symbol.P * log_ratio
     out += 2.0 * nsea * log_barnes_pair(beta)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, _check_count, _check_number,
                      _check_real, _check_reals)
-from .specfun import _horner, polylog_circle_grid, zeta
+from .specfun import _horner, _polylog_circle_grid, zeta
 
 _TWO_PI = 2.0 * math.pi
 
@@ -171,7 +171,7 @@ class DispersionProfile:
 
     The *_grid methods evaluate each family in one place, over momentum
     arrays, by closed form or series: power-law and rational-cubic share
-    the zeta series of specfun.polylog_circle_grid. E, E1 and E2 are
+    the zeta series of specfun._polylog_circle_grid. E, E1 and E2 are
     grids of one. At the zone center the haldane-shastry and power-law
     (nu <= 2) dispersions have a cusp; derivative values there are
     one-sided limits where defined.
@@ -221,30 +221,35 @@ class DispersionProfile:
         return float(self.E2_grid(_check_number(p, "momentum p"))[0])
 
     def E_grid(self, p):
-        p = _check_momentum(p)
+        return self._E_grid(_check_momentum(p))
+
+    def E1_grid(self, p):
+        return self._E1_grid(_check_momentum(p))
+
+    # -- their cores, on checked float arrays of momenta in [0, 2*pi] --
+    def _E_grid(self, p):
         m = self.model
         if m.family == "haldane-shastry":
             return 0.5 * p * (_TWO_PI - p)
         if m.family == "power-law":
-            li = polylog_circle_grid(m.nu, p, "real")
+            li = _polylog_circle_grid(m.nu, p, "real")
             return 2.0 * m.C * (zeta(m.nu) - li)
         if m.family == "rational-cubic":
-            li = polylog_circle_grid(3.0, p, "real")
+            li = _polylog_circle_grid(3.0, p, "real")
             return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * (zeta(3.0) - li)
         # finite-range and custom-summable: the explicit cosine series
         j, hj = self._couplings(0)
         return _trig_sum(p, j, hj, np.cos, constant=2.0 * hj.sum(), sign=-2.0)
 
-    def E1_grid(self, p):
-        p = _check_momentum(p)
+    def _E1_grid(self, p):
         m = self.model
         if m.family == "haldane-shastry":
             return math.pi - p
         if m.family == "power-law":
             # zone center: Im Li is odd there, so E' = 0 at the cusp
-            return 2.0 * m.C * polylog_circle_grid(m.nu - 1.0, p, "imag")
+            return 2.0 * m.C * _polylog_circle_grid(m.nu - 1.0, p, "imag")
         if m.family == "rational-cubic":
-            li = polylog_circle_grid(2.0, p, "imag")
+            li = _polylog_circle_grid(2.0, p, "imag")
             out = (math.pi - p) - 2.0 * m.J * li
             h = math.pi - p
             near = np.abs(h) < 0.5 * math.pi
@@ -264,7 +269,7 @@ class DispersionProfile:
         if m.family == "power-law":
             # the zone center gives +inf for nu <= 3, where sum j^{2-nu}
             # diverges, and 2 C zeta(nu - 2) otherwise
-            return 2.0 * m.C * polylog_circle_grid(m.nu - 2.0, p, "real")
+            return 2.0 * m.C * _polylog_circle_grid(m.nu - 2.0, p, "real")
         if m.family == "rational-cubic":
             if m.J == 0.0:
                 return np.full(p.shape, -1.0)
@@ -345,7 +350,7 @@ def monotonicity_report(profile):
             f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
             achieved=top, target=_SCAN_CELLS // 4)
     return tuple(half_period_zeros(
-        lambda p: _finite_band(profile.E1_grid, p, "E'"), 1e-12))
+        lambda p: _finite_band(profile._E1_grid, p, "E'"), 1e-12))
 
 
 def _finite_band(grid, p, name):

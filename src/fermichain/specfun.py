@@ -206,7 +206,7 @@ def _series_constants(s):
     return pairs, singular
 
 
-def polylog_circle_grid(s, p, part):
+def _polylog_circle_grid(s, p, part):
     """Re or Im Li_s(e^{ip}) for real s, over a float array p in [0, 2*pi].
 
     Sums the zeta series of _series_constants on q = min(p, 2 pi - p)
@@ -217,10 +217,8 @@ def polylog_circle_grid(s, p, part):
     The series keeps every term that can exceed 1e-18 on 0 <= q <= pi,
     which is 23 to 28 Horner steps for 1 < s <= 4 and at most 32 for
     s >= -2. q = 0 gives zeta(s) for s > 1 and +inf (the divergent sum
-    of j^{-s}) otherwise. The momenta are not checked here:
-    polylog_circle and DispersionProfile validate their input first.
-    Every operation is elementwise, so a point gets the same value in
-    any grid.
+    of j^{-s}) otherwise. Its callers check the momenta. Every operation
+    is elementwise, so a point gets the same value in any grid.
     """
     p = np.asarray(p, dtype=float)
     odd = {"real": 0, "imag": 1}[part]
@@ -251,7 +249,7 @@ def polylog_circle(nu, p):
     """Li_nu(e^{ip}) for nu > 1 and finite p, as a complex number.
 
     p is reduced to [0, 2*pi); p = 0 gives zeta(nu) exactly. Its real
-    and imaginary parts are polylog_circle_grid's on a grid of one.
+    and imaginary parts are _polylog_circle_grid's on a grid of one.
     """
     nu = _check_number(nu, "polylog_circle order nu")
     if not nu > 1.0:
@@ -259,8 +257,8 @@ def polylog_circle(nu, p):
     p = _check_real(p, "polylog_circle momentum p")
     if p < 0.0 or p > _TWO_PI:
         p = p % _TWO_PI
-    return complex(polylog_circle_grid(nu, [p], "real")[0],
-                   polylog_circle_grid(nu, [p], "imag")[0])
+    return complex(_polylog_circle_grid(nu, [p], "real")[0],
+                   _polylog_circle_grid(nu, [p], "imag")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +370,18 @@ def entropy_kernel(alpha, x):
     scalar as a grid of one that gives a float; points within 1e-9
     outside [-1, 1] are rounding and are clipped, any other raises.
     """
-    alpha = _check_alpha(alpha)
-    grid = _check_reals(x, "entropy_kernel argument")
-    ax = np.abs(grid)
+    s = _entropy_kernel(_check_alpha(alpha),
+                        _check_reals(x, "entropy_kernel argument"))
+    return float(s[0]) if np.ndim(x) == 0 else s
+
+
+def _entropy_kernel(alpha, x):
+    # entropy_kernel's core, on a checked order and a float array x
+    ax = np.abs(x)
     inside = ax <= 1.0 + 1e-9
     if not inside.all():
         raise DomainError(
-            f"entropy_kernel argument {grid[~inside][0]} outside [-1, 1]")
+            f"entropy_kernel argument {x[~inside][0]} outside [-1, 1]")
     ax = np.minimum(ax, 1.0)
     qmax = 0.5 * (1.0 + ax)
     qmin = 0.5 * (1.0 - ax)
@@ -397,4 +400,4 @@ def entropy_kernel(alpha, x):
             ratio = alpha * (np.log(qmin) - np.log(qmax))
             s = np.where(qmin > 0.0, (alpha * np.log(qmax) + np.log1p(
                 np.exp(ratio))) / (1.0 - alpha), 0.0)
-    return float(s[0]) if np.ndim(x) == 0 else s
+    return s

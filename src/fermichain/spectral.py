@@ -42,17 +42,15 @@ eigenvalues agree with LAPACK's divide and conquer to 1e-10.  Timings
 per L, thread count and CPU pinning are in the README's "Eigensolver
 speed" table.
 
-dsytrd_sy2sb and dsbevd come from scipy's compiled LAPACK extension,
-scipy.linalg._flapack.  The first solve finds that file in scipy's
-package directory and opens it with ctypes.CDLL (_lapack); it never
-imports it, nor scipy or scipy.linalg, whose package imports would add
-about 0.1 s and 24 MB to a cold entropy or fh-check run.  Both routines
-are looked up by the same rule, scipy_<name>_ and then <name>_, in the
-file and the LAPACK it links; dsbevd is the routine scipy's f2py wrapper
-calls, so a later import of scipy.linalg finds the same routines, and
-the bits are the same.  A missing file raises an ImportError that names
-the directory searched, and a file without one of the routines one that
-names the routine and the file.
+dsytrd_sy2sb and dsbevd come from the OpenBLAS bundled with numpy's
+wheel. The first solve opens numpy.linalg._umath_linalg's file with
+ctypes.CDLL (_lapack) and looks up scipy_dsytrd_sy2sb_64_,
+scipy_dsbevd_64_ and openblas_set_num_threads_local in it and the
+libraries it links; the routines take ILP64 integers (_INT). A build
+without one of them raises an ImportError naming the symbol and file.
+Solves take turns, each with OpenBLAS at one thread; that count is the
+process's, so other BLAS calls get one thread meanwhile, and the old
+count is set back after, also on error.
 
 The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
 row's bytes: the same row again (entropy and then fh-check on one
@@ -62,14 +60,12 @@ block) gets a copy of its eigenvalues and runs no LAPACK.
 import _thread
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 import types
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AccuracyError,
@@ -84,16 +80,20 @@ from .models import mode_energies
 
 _BAND = 32         # bandwidth of the band form
 _ALIGN = 32        # sector rows are padded to a multiple of it
-# the Fortran routines _lapack binds, each with its number of string
-# arguments and of other arguments: every argument goes by reference,
-# integers are C ints, and the lengths of the strings come last. In
-# scipy's wheels the LAPACK symbols carry a scipy_ prefix.
-_ROUTINES = {"dsytrd_sy2sb": (1, 10), "dsbevd": (2, 12)}
-
-# scipy's compiled LAPACK extension, whose file _lapack opens
-_FLAPACK = "scipy.linalg._flapack"
-_flapack_lock = _thread.allocate_lock()
+_INT = ctypes.c_int64   # LAPACK's integer in numpy's ILP64 OpenBLAS
+# what _lapack binds: symbol, argument and result types. The Fortran
+# routines take all by reference, string lengths last; OpenBLAS's
+# thread-count setter takes an int and returns the count it replaced.
+_SYMBOLS = {
+    "dsytrd_sy2sb": ("scipy_dsytrd_sy2sb_64_", [ctypes.c_char_p]
+                     + [ctypes.c_void_p] * 10 + [ctypes.c_size_t], None),
+    "dsbevd": ("scipy_dsbevd_64_", [ctypes.c_char_p] * 2
+               + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2, None),
+    "set_num_threads": ("openblas_set_num_threads_local", None, ctypes.c_int),
+}
+_lapack_lock = _thread.allocate_lock()
 _routines = []     # once bound: the routines _lapack hands out
+_solve_lock = _thread.allocate_lock()   # held by the running solve
 
 
 @dataclass(frozen=True)
@@ -174,40 +174,23 @@ def correlation_row_finite(model, mu, L, N):
 
 
 def _lapack():
-    # dsytrd_sy2sb and dsbevd, looked up by name in scipy's LAPACK
-    # extension file, which ctypes.CDLL opens on the first call; the
-    # lookup also searches the LAPACK that file links. find_spec gives
-    # scipy's package directory without running scipy's __init__. The
-    # lock makes concurrent first calls open the file, and build the
-    # routines, once.
-    with _flapack_lock:
+    # binds _SYMBOLS on the first call, from the file of numpy's
+    # _umath_linalg extension, which ctypes.CDLL opens, and the OpenBLAS
+    # it links; the lock makes concurrent first calls bind them once
+    with _lapack_lock:
         if not _routines:
-            scipy = importlib.util.find_spec("scipy")
-            where = [os.path.join(d, "linalg") for d in
-                     (scipy.submodule_search_locations if scipy else [])]
-            files = [os.path.join(d, "_flapack" + suffix) for d in where
-                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-            files = [f for f in files if os.path.isfile(f)]
-            if not files:
-                raise ImportError(
-                    "scipy's LAPACK extension _flapack is not in "
-                    + (" or ".join(where) or "any directory: no scipy"),
-                    name=_FLAPACK)
-            library = ctypes.CDLL(files[0])
+            path = _umath_linalg.__file__
+            library = ctypes.CDLL(path)
             found = {}
-            for routine, (strings, pointers) in _ROUTINES.items():
-                function = next((getattr(library, name) for name in
-                                 (f"scipy_{routine}_", f"{routine}_")
-                                 if hasattr(library, name)), None)
+            for name, (symbol, argtypes, restype) in _SYMBOLS.items():
+                function = getattr(library, symbol, None)
                 if function is None:
                     raise ImportError(
-                        f"LAPACK {routine} is not in {files[0]} or the "
-                        "LAPACK it links", name=_FLAPACK, path=files[0])
-                function.argtypes = [*[ctypes.c_char_p] * strings,
-                                     *[ctypes.c_void_p] * pointers,
-                                     *[ctypes.c_size_t] * strings]
-                function.restype = None
-                found[routine] = function
+                        f"{symbol} is not in {path} or the libraries it "
+                        "links", name=_umath_linalg.__name__, path=path)
+                function.argtypes = argtypes
+                function.restype = restype
+                found[name] = function
             _routines.append(types.SimpleNamespace(**found))
         return _routines[0]
 
@@ -219,19 +202,18 @@ def _band(A, n):
     # eigenvalues, as a band in LAPACK's lower storage.  A is overwritten.
     # Its reflectors are zero on the zero padding rows, so the padding
     # stays zero and the band of A is that of the block.
-    size = ctypes.c_int
     N = A.shape[0]
     ab = np.zeros((N, _BAND + 1))   # the Fortran (_BAND + 1) x N band
     tau = np.empty(N)
     # the documented LWORK, with NB = 32 the block size of LAPACK's dgeqrf
     lwork = N * _BAND + N * max(_BAND, 32) + 2 * _BAND * _BAND
     work = np.empty(lwork)
-    info = size()
+    info = _INT()
     _lapack().dsytrd_sy2sb(
-        b"L", ctypes.byref(size(N)), ctypes.byref(size(_BAND)),
-        A.ctypes.data, ctypes.byref(size(N)),   # symmetric: C order is F
-        ab.ctypes.data, ctypes.byref(size(_BAND + 1)), tau.ctypes.data,
-        work.ctypes.data, ctypes.byref(size(lwork)), ctypes.byref(info), 1)
+        b"L", ctypes.byref(_INT(N)), ctypes.byref(_INT(_BAND)),
+        A.ctypes.data, ctypes.byref(_INT(N)),   # symmetric: C order is F
+        ab.ctypes.data, ctypes.byref(_INT(_BAND + 1)), tau.ctypes.data,
+        work.ctypes.data, ctypes.byref(_INT(lwork)), ctypes.byref(info), 1)
     if info.value:
         raise RuntimeError(f"LAPACK dsytrd_sy2sb returned info {info.value}")
     return np.asfortranarray(ab.T[:min(_BAND, n - 1) + 1, :n])
@@ -242,17 +224,16 @@ def _band_eigenvalues(ab):
     # lower storage, which it overwrites, as (eigenvalues, info); a 1-row
     # band comes back as it is.  The call goes through ctypes, which
     # releases the GIL while LAPACK runs.
-    size = ctypes.c_int
     kd1, n = ab.shape
     w = np.empty(n)
     work = np.empty(2 * n)
-    iwork, info = size(), size()
-    one = ctypes.byref(size(1))
+    iwork, info = _INT(), _INT()
+    one = ctypes.byref(_INT(1))
     _lapack().dsbevd(
-        b"N", b"L", ctypes.byref(size(n)), ctypes.byref(size(kd1 - 1)),
-        ab.ctypes.data, ctypes.byref(size(kd1)), w.ctypes.data,
+        b"N", b"L", ctypes.byref(_INT(n)), ctypes.byref(_INT(kd1 - 1)),
+        ab.ctypes.data, ctypes.byref(_INT(kd1)), w.ctypes.data,
         w.ctypes.data, one,     # Z and LDZ, not referenced for JOBZ = N
-        work.ctypes.data, ctypes.byref(size(2 * n)), ctypes.byref(iwork),
+        work.ctypes.data, ctypes.byref(_INT(2 * n)), ctypes.byref(iwork),
         one, ctypes.byref(info), 1, 1)
     return w, info.value
 
@@ -281,26 +262,32 @@ def _solve(key):
     # The worker is a bare _thread, whose start does not wait for it to
     # run, as threading.Thread.start does. It releases `done`, held from
     # the start, once its band is solved or has failed, and the caller
-    # acquires `done` before it returns or raises.
+    # acquires `done` before it returns or raises. Solves take turns.
     row = np.frombuffer(key)
-    band = _band(*_parity_sector(row, True))
-    found = []
-    done = _thread.allocate_lock()
-    done.acquire()
-
-    def work():
+    lapack = _lapack()
+    with _solve_lock:
+        count = lapack.set_num_threads(1)
         try:
-            found.append(_band_eigenvalues(band))
-        except BaseException as error:
-            found.append(error)
-        finally:
-            done.release()
+            band = _band(*_parity_sector(row, True))
+            found = []
+            done = _thread.allocate_lock()
+            done.acquire()
 
-    _thread.start_new_thread(work, ())
-    try:
-        even = _band_eigenvalues(_band(*_parity_sector(row, False)))
-    finally:
-        done.acquire()
+            def work():
+                try:
+                    found.append(_band_eigenvalues(band))
+                except BaseException as error:
+                    found.append(error)
+                finally:
+                    done.release()
+
+            _thread.start_new_thread(work, ())
+            try:
+                even = _band_eigenvalues(_band(*_parity_sector(row, False)))
+            finally:
+                done.acquire()
+        finally:
+            lapack.set_num_threads(count)
     odd = found[0]
     if isinstance(odd, BaseException):
         raise odd

@@ -173,10 +173,11 @@ def test_free_energy_csv_without_fit(tmp_path):
 
 
 def test_free_energy_table_takes_one_thermal_pass(tmp_path, monkeypatch):
-    # without --fit the table is still one E_grid call after the analysis
+    # without --fit the table is still one E_grid call after the analysis,
+    # made on the core
     shapes = []
     analyze = criticality._analyze
-    E_grid = DispersionProfile.E_grid
+    E_grid = DispersionProfile._E_grid
 
     def counted(self, p):
         shapes.append(np.shape(p))
@@ -184,7 +185,7 @@ def test_free_energy_table_takes_one_thermal_pass(tmp_path, monkeypatch):
 
     def analyze_then_count(profile, mu):
         analysis = analyze(profile, mu)
-        monkeypatch.setattr(DispersionProfile, "E_grid", counted)
+        monkeypatch.setattr(DispersionProfile, "_E_grid", counted)
         return analysis
 
     monkeypatch.setattr(criticality, "_analyze", analyze_then_count)
@@ -844,7 +845,8 @@ _PROBE_STEPS = [
 ]
 
 # the lazily loaded parts of numpy a command may pull in as a side
-# effect; the probe also lists every scipy module loaded
+# effect; the probe also lists every scipy module loaded, and every
+# file of scipy's package or of its bundled libraries that is mapped
 _PROBE_MODULES = ["numpy.ma", "numpy.polynomial"]
 
 _IMPORT_PROBE = """
@@ -854,8 +856,11 @@ from fermichain import cli
 MODULES = json.loads(sys.argv[1])
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m in MODULES or m.split(".")[0] == "scipy")
+    with open("/proc/self/maps") as maps:
+        files = {line.split()[-1] for line in maps
+                 if "/scipy/" in line or "/scipy.libs/" in line}
+    return sorted(files) + sorted(
+        m for m in sys.modules if m in MODULES or m.split(".")[0] == "scipy")
 
 seen = {"import": loaded()}
 for name, runs in json.loads(sys.argv[2]):
@@ -869,9 +874,8 @@ print(json.dumps(seen))
 def test_cold_commands_load_only_the_modules_they_use(tmp_path):
     # a fresh process: importing fermichain and the phase, dispersion and
     # free-energy commands of every family, and constants, load no scipy
-    # module, no numpy.ma and no numpy.polynomial; nor do fh-check and
-    # entropy, whose spectrum opens scipy's LAPACK extension file with
-    # ctypes and imports no module of it
+    # module or file, no numpy.ma and no numpy.polynomial; nor do
+    # fh-check and entropy, whose spectrum binds numpy's own OpenBLAS
     probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                             json.dumps(_PROBE_MODULES),
                             json.dumps(_PROBE_STEPS)], env=_src_env(),

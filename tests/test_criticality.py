@@ -738,20 +738,21 @@ def _distinct_panels(prof, mu, T_grid):
 
 
 def count_thermal_E_grid(monkeypatch):
-    """Shapes passed to E_grid after the Fermi analysis, reset per analysis."""
+    """Shapes passed to the E_grid core after the Fermi analysis, reset
+    per analysis."""
     shapes = []
     analyze = criticality._analyze
-    E_grid = DispersionProfile.E_grid
+    E_grid = DispersionProfile._E_grid
 
     def counted(self, p):
         shapes.append(np.shape(p))
         return E_grid(self, p)
 
     def analyze_then_count(profile, mu):
-        monkeypatch.setattr(DispersionProfile, "E_grid", E_grid)
+        monkeypatch.setattr(DispersionProfile, "_E_grid", E_grid)
         analysis = analyze(profile, mu)
         shapes.clear()
-        monkeypatch.setattr(DispersionProfile, "E_grid", counted)
+        monkeypatch.setattr(DispersionProfile, "_E_grid", counted)
         return analysis
 
     monkeypatch.setattr(criticality, "_analyze", analyze_then_count)

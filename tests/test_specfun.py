@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 from fermichain import specfun
 from fermichain.specfun import (
     EULER_GAMMA,
+    _polylog_circle_grid,
     _zeta_real,
     _zeta_tail,
     zeta,
     polylog_circle,
-    polylog_circle_grid,
     log_barnes_pair,
     entropy_kernel,
 )
@@ -310,9 +310,9 @@ def test_polylog_grid_matches_scalar_bitwise(nu):
     p = np.concatenate([circle_ladder(), [0.0, math.pi, 3.5, 5.0, TWO_PI]])
     scalar = np.array([polylog_circle(nu, x) for x in p])
     for part in ("real", "imag"):
-        grid = polylog_circle_grid(nu, p, part)
+        grid = _polylog_circle_grid(nu, p, part)
         assert grid.tobytes() == getattr(scalar, part).tobytes(), part
-        assert polylog_circle_grid(nu, p.reshape(2, -1), part).tobytes() \
+        assert _polylog_circle_grid(nu, p.reshape(2, -1), part).tobytes() \
             == grid.tobytes(), part
     assert scalar[-5] == scalar[-1] == complex(zeta(nu), 0.0)
 
@@ -326,13 +326,13 @@ def test_polylog_grid_parts_are_the_complex_parts(nu):
     want = np.array([oracle_polylog(mpmath, nu, x) for x in p])
     scale = np.maximum(1.0, np.abs(want))
     for part, exact in (("real", want.real), ("imag", want.imag)):
-        got = polylog_circle_grid(nu, p.reshape(2, -1), part)
+        got = _polylog_circle_grid(nu, p.reshape(2, -1), part)
         assert got.dtype == np.float64 and got.shape == (2, p.size // 2)
         assert np.all(np.abs(got.ravel() - exact) <= 1e-12 * scale), part
     ends = [0.0, TWO_PI]
-    assert polylog_circle_grid(nu, ends, "real").tolist() == \
+    assert _polylog_circle_grid(nu, ends, "real").tolist() == \
         [zeta(nu) if nu > 1.0 else math.inf] * 2
-    assert polylog_circle_grid(nu, ends, "imag").tolist() == [0.0, 0.0]
+    assert _polylog_circle_grid(nu, ends, "imag").tolist() == [0.0, 0.0]
 
 
 def test_digamma_matches_mpmath(digamma_real_part):

@@ -2,7 +2,6 @@ import _thread
 import cmath
 import ctypes
 import importlib.machinery
-import importlib.util
 import json
 import math
 import os
@@ -16,6 +15,9 @@ import types
 import numpy as np
 import pytest
 from scipy.integrate import quad
+# the LAPACK reference: scipy's own OpenBLAS build, a separate one from
+# the numpy OpenBLAS the library's eigensolver calls
+from scipy.linalg import eigvalsh
 
 from fermichain.cli import run
 from fermichain.criticality import fermi_points
@@ -210,7 +212,7 @@ def test_eigensolver_matches_reference_library():
     rng = np.random.default_rng(42)
     for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
         row = rng.normal(size=n)
-        want = np.linalg.eigh(toeplitz_from_row(row))[0]
+        want = eigvalsh(toeplitz_from_row(row))
         got = eigenvalues_symmetric(row)
         tol = 1e-10 * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) < tol
@@ -221,7 +223,7 @@ def test_eigensolver_large_block():
     for L in (512, 1023, 1024, 2047, 2048):
         row = correlation_row(hs_analysis(), L)
         got = eigenvalues_symmetric(row)
-        want = np.linalg.eigh(toeplitz_from_row(row))[0]
+        want = eigvalsh(toeplitz_from_row(row))
         assert np.max(np.abs(got - want)) < 1e-10
         assert got[0] > -1e-10 and got[-1] < 1.0 + 1e-10
 
@@ -241,7 +243,7 @@ def test_eigensolver_former_ql_stalls(alphas, mu, L):
              else InteractionModel.finite_range(alphas))
     row = correlation_row(fermi_points(DispersionProfile(model), mu), L)
     got = eigenvalues_symmetric(row)
-    want = np.linalg.eigh(toeplitz_from_row(row))[0]
+    want = eigvalsh(toeplitz_from_row(row))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -313,11 +315,9 @@ def _sector_eigenvalues(M):
 
 
 def _patch_lapack(monkeypatch, **routines):
-    # the spectral seam hands out scipy's LAPACK routines with these in
-    # place of the real ones
-    real = spectral._lapack()
-    fake = types.SimpleNamespace(dsytrd_sy2sb=real.dsytrd_sy2sb,
-                                 dsbevd=real.dsbevd)
+    # the spectral seam hands out the bound routines with these in place
+    # of the real ones
+    fake = types.SimpleNamespace(**vars(spectral._lapack()))
     vars(fake).update(routines)
     monkeypatch.setattr(spectral, "_lapack", lambda: fake)
 
@@ -331,11 +331,11 @@ def test_blocked_reduction_panel_edges():
               63, 64, 65, 66, 95, 96, 97, 127, 128, 129, 257):
         M = rng.normal(size=(n, n))
         M += M.T
-        want = np.linalg.eigh(M)[0]
+        want = eigvalsh(M)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(_sector_eigenvalues(M) - want)) < 1e-12 * scale
         row = rng.normal(size=2 * n + 1)   # sectors of n + 1 and n rows
-        want = np.linalg.eigh(toeplitz_from_row(row))[0]
+        want = eigvalsh(toeplitz_from_row(row))
         got = eigenvalues_symmetric(row)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -350,7 +350,7 @@ def test_blocked_reduction_zero_column_inside_panel():
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
     got = _sector_eigenvalues(A)
-    want = np.linalg.eigh(A)[0]
+    want = eigvalsh(A)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -372,7 +372,7 @@ def test_band_reduction_keeps_the_padding_out():
         padding = np.add.outer(np.arange(kd + 1), np.arange(n)) >= n
         assert np.all(ab[padding] == 0.0), n
         w, info = spectral._band_eigenvalues(ab)
-        want = np.linalg.eigh(M)[0]
+        want = eigvalsh(M)
         assert info == 0
         assert np.max(np.abs(np.sort(w) - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -380,9 +380,10 @@ def test_band_reduction_keeps_the_padding_out():
 def test_band_reduction_workspace_and_info(monkeypatch):
     # the workspace _band gives dsytrd_sy2sb is at least what the
     # routine's own workspace query (LWORK = -1) asks for, and an info
-    # other than 0 raises
+    # other than 0 raises. Its integers have the module's width: 32-bit
+    # ones would let the ILP64 routine read past them
     sy2sb = spectral._lapack().dsytrd_sy2sb
-    size = ctypes.c_int
+    size = spectral._INT
     for N in (32, 64, 96, 512, 2048, 4096):
         asked, info = np.zeros(1), size()
         sy2sb(b"L", ctypes.byref(size(N)), ctypes.byref(size(spectral._BAND)),
@@ -493,8 +494,9 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
 
 def test_band_stage_matches_the_f2py_dsbevd():
     # the ctypes call of dsbevd returns the bytes of scipy's own wrapper of
-    # the same routine: a wrong integer width, a missing string length or
-    # upper storage in place of lower would change them. Each call gets
+    # the same routine, from scipy's own OpenBLAS build: a wrong integer
+    # width, a missing string length or upper storage in place of lower
+    # would change them. Each call gets
     # its own copy of the band, which both overwrite.
     from scipy.linalg.lapack import dsbevd
     rng = np.random.default_rng(13)
@@ -714,7 +716,7 @@ print(json.dumps({"same": same, "opens": opens, "scipy": sorted(
 
 
 def _extension_file(path):
-    # where scipy's LAPACK extension file sits, without its suffix
+    # where an extension file sits, without its suffix
     directory, name = os.path.split(path)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if name.endswith(suffix):
@@ -724,15 +726,16 @@ def _extension_file(path):
 
 def test_lapack_loads_once_under_threads():
     # a fresh process: four threads solve different rows before LAPACK
-    # is bound; scipy's extension file is opened once, no scipy module
-    # is imported, and every thread gets the bits of a solve made after
-    # the others
+    # is bound; numpy's _umath_linalg file is opened once, no scipy
+    # module is imported, and every thread gets the bits of a solve made
+    # after the others
     run = subprocess.run([sys.executable, "-c", _LOAD_PROBE],
                          env=_src_env(), capture_output=True, text=True,
                          check=True, timeout=120)
     seen = json.loads(run.stdout)
     assert seen["same"] == [True] * 4
-    assert [_extension_file(f) for f in seen["opens"]] == ["linalg/_flapack"]
+    assert [_extension_file(f) for f in seen["opens"]] == [
+        "linalg/_umath_linalg"]
     assert seen["scipy"] == []
 
 
@@ -777,33 +780,33 @@ def _count_opens(monkeypatch):
 
 
 def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
-    # scipy's package directory without the extension: the first solve
-    # raises one ImportError naming where it looked, and opens nothing
+    # numpy's extension file is not where its module says: the first
+    # solve raises ctypes' OSError, which names the file with its
+    # directory, and binds no routines
     opens = _count_opens(monkeypatch)
-    scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    scipy.submodule_search_locations = [str(tmp_path)]
-    find_spec = importlib.util.find_spec
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: (
-        scipy if name == "scipy" else find_spec(name, *a)))
-    with pytest.raises(ImportError) as e:
+    missing = str(tmp_path / "_umath_linalg.so")
+    monkeypatch.setattr(spectral, "_umath_linalg", types.SimpleNamespace(
+        __file__=missing, __name__="numpy.linalg._umath_linalg"))
+    with pytest.raises(OSError) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
-    assert str(e.value) == ("scipy's LAPACK extension _flapack is not in "
-                            + str(tmp_path / "linalg"))
-    assert e.value.name == spectral._FLAPACK
-    assert opens == []
+    assert missing in str(e.value)
+    assert opens == [missing]
     assert spectral._routines == []
 
 
-@pytest.mark.parametrize("routine", ["dsytrd_sy2sb", "dsbevd"])
+@pytest.mark.parametrize("routine", ["dsytrd_sy2sb", "dsbevd",
+                                     "set_num_threads"])
 def test_lapack_without_a_routine_names_it(monkeypatch, routine):
-    # an extension file in which neither name of the routine resolves:
-    # the first solve raises one ImportError naming the routine and the
-    # file, and binds no routines
+    # a numpy build whose _umath_linalg file and the libraries it links
+    # lack one of the symbols (an MKL or a conda numpy): the first solve
+    # raises one ImportError naming the symbol and the file, and binds no
+    # routines
     opens = _count_opens(monkeypatch)
+    symbol = spectral._SYMBOLS[routine][0]
     lookup = ctypes.CDLL.__getattr__
 
     def without(library, name):
-        if name in (f"scipy_{routine}_", f"{routine}_"):
+        if name == symbol:
             raise AttributeError(name)
         return lookup(library, name)
 
@@ -811,11 +814,81 @@ def test_lapack_without_a_routine_names_it(monkeypatch, routine):
     with pytest.raises(ImportError) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
     assert len(opens) == 1
-    assert _extension_file(opens[0]) == "linalg/_flapack"
-    assert str(e.value) == (f"LAPACK {routine} is not in {opens[0]} or the "
-                            "LAPACK it links")
-    assert (e.value.name, e.value.path) == (spectral._FLAPACK, opens[0])
+    assert _extension_file(opens[0]) == "linalg/_umath_linalg"
+    assert str(e.value) == (f"{symbol} is not in {opens[0]} or the "
+                            "libraries it links")
+    assert (e.value.name, e.value.path) == ("numpy.linalg._umath_linalg",
+                                            opens[0])
     assert spectral._routines == []
+
+
+def _blas_threads():
+    # OpenBLAS's thread count, read by setting it and setting it back
+    set_num_threads = spectral._lapack().set_num_threads
+    count = set_num_threads(1)
+    set_num_threads(count)
+    return count
+
+
+def test_solve_restores_the_blas_thread_count(monkeypatch):
+    # a solve runs its LAPACK with one OpenBLAS thread, and afterwards
+    # the count is what it was before: after a solve, after one that
+    # raised, and after solves that overlapped on four threads. Two
+    # threads at most, so the test starts at most one OpenBLAS thread.
+    set_num_threads = spectral._lapack().set_num_threads
+    before = set_num_threads(2)
+    try:
+        spectral._solve.cache_clear()
+        seen = []
+        band = spectral._band
+
+        def counted(A, n):
+            seen.append(_blas_threads())
+            return band(A, n)
+
+        monkeypatch.setattr(spectral, "_band", counted)
+        eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
+        assert seen == [1, 1]
+        assert _blas_threads() == 2
+        _fail_one_thread(monkeypatch, "caller", lambda ab: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            eigenvalues_symmetric(correlation_row(hs_analysis(), 65))
+        assert _blas_threads() == 2
+        monkeypatch.undo()
+        rows = [np.random.default_rng(k).normal(size=100 + k)
+                for k in range(8)]
+
+        def work(k):
+            for j in np.random.default_rng(k).integers(0, len(rows), 30):
+                eigenvalues_symmetric(rows[j])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert _blas_threads() == 2
+    finally:
+        set_num_threads(before)
+
+
+_ENVIRON_PROBE = """
+import ctypes, json, os
+from numpy.linalg import _umath_linalg
+threads = ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_
+before = dict(os.environ), threads()
+import fermichain
+print(json.dumps((dict(os.environ), threads()) == before))
+"""
+
+
+def test_import_changes_no_environment_variable():
+    # nor OpenBLAS's thread count, read from numpy's OpenBLAS directly
+    run = subprocess.run([sys.executable, "-c", _ENVIRON_PROBE],
+                         env=_src_env(), capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert json.loads(run.stdout) is True
 
 
 @pytest.mark.parametrize("shift, gate", [
