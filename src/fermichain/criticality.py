@@ -336,7 +336,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
         -(2 b_k/pi)(1 - 2^{-1/nu}) Gamma(1+1/nu) zeta(1+1/nu),
     b_k = (nu! / |E^(nu)(p_k)|)^(1/nu), summed over the roots p_k of the
     top order nu. fermi_points gives roots of order nu <= 2, so every
-    b_k comes from one E2_grid call at those roots.
+    b_k comes from one grid of E'' at those roots.
     predicted_coefficient reports the law for the fitted (dominant)
     power; it is None for gapped and boundary phases. T_grid is a 1-D
     grid with at least 4 distinct temperatures, checked before the Fermi
@@ -390,7 +390,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
         top = [p for p, order in analysis.roots if order == nu]
         inv = 1.0 / nu
         predicted = 0.0
-        for d in profile.E2_grid(top).tolist():
+        for d in profile._E2_grid(np.array(top)).tolist():
             b = (math.factorial(nu) / abs(d)) ** inv if d != 0.0 else math.inf
             predicted -= (2.0 * b / math.pi) * (1.0 - 2.0 ** -inv) \
                 * math.gamma(1.0 + inv) * zeta(1.0 + inv)

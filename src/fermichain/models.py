@@ -226,6 +226,9 @@ class DispersionProfile:
     def E1_grid(self, p):
         return self._E1_grid(_check_momentum(p))
 
+    def E2_grid(self, p):
+        return self._E2_grid(_check_momentum(p))
+
     # -- their cores, on checked float arrays of momenta in [0, 2*pi] --
     def _E_grid(self, p):
         m = self.model
@@ -261,8 +264,7 @@ class DispersionProfile:
         j, hj = self._couplings(1)
         return _trig_sum(p, j, j * hj, np.sin, sign=2.0)
 
-    def E2_grid(self, p):
-        p = _check_momentum(p)
+    def _E2_grid(self, p):
         m = self.model
         if m.family == "haldane-shastry":
             return np.full(p.shape, -1.0)

@@ -9,14 +9,14 @@ bundles them.
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
 size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). The sectors
-are built one at a time, the odd one first, each padded with zero rows
-and columns to a multiple of 32, and each goes through two stages
-(Bischof, Lang & Sun, ACM TOMS 26 (2000) 581):
+are built one at a time, the odd one first, each at its own size, and
+each goes through two stages (Bischof, Lang & Sun, ACM TOMS 26 (2000)
+581):
 
 1. LAPACK dsytrd_sy2sb (Haidar, Ltaief & Dongarra, SC'11) from the
-   padded sector to bandwidth 32: a QR factorisation of the 32 columns
-   below the band at a time, each applied to the trailing matrix as
-   BLAS-3 products;
+   sector to bandwidth 32: a QR factorisation of the 32 columns below
+   the band at a time, each applied to the trailing matrix as BLAS-3
+   products;
 2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
    the eigenvalues.  Its info > 0 raises EigenConvergenceError.
 
@@ -28,29 +28,28 @@ _thread.start_new_thread, which, unlike threading.Thread.start, does not
 wait for the new thread to run, so the caller goes on at once.  The
 worker releases a lock the caller holds; the caller waits on that lock,
 also when its own sector fails, and raises the worker's error.  So the
-two stages run on two cores.  The working set stays one padded sector
-(N x N, N = ceil(ceil(L/2)/32) * 32), stage 1's 64 x N workspace and
-the two 33 x N bands: a traced peak of about 2.7 / 9.5 MB per call at
-L = 1024 / 2048.
-
-Up to L = 8192 the output has the same bits under 1, 2 and 4 BLAS
-threads; at bandwidth 16 dsytrd_sy2sb's bits differ between 1 and 2
-threads from L = 1024 on.  The padding to a multiple of 32 is what keeps
-them: on the bare sector, Haldane-Shastry spectra at mu = 2 differ
-between 1 and 2 threads at L = 511, 1023, 1056, 2047 and 3001.  The
+two stages run on two cores.  The working set stays one sector (N x N,
+N = ceil(L/2)), stage 1's 64 x N workspace and the two 33 x N bands: a
+traced peak of about 2.7 / 9.5 MB per call at L = 1024 / 2048.  The
 eigenvalues agree with LAPACK's divide and conquer to 1e-10.  Timings
 per L, thread count and CPU pinning are in the README's "Eigensolver
 speed" table.
 
 dsytrd_sy2sb and dsbevd come from the OpenBLAS bundled with numpy's
 wheel. The first solve opens numpy.linalg._umath_linalg's file with
-ctypes.CDLL (_lapack) and looks up scipy_dsytrd_sy2sb_64_,
-scipy_dsbevd_64_ and openblas_set_num_threads_local in it and the
-libraries it links; the routines take ILP64 integers (_INT). A build
-without one of them raises an ImportError naming the symbol and file.
-Solves take turns, each with OpenBLAS at one thread; that count is the
-process's, so other BLAS calls get one thread meanwhile, and the old
-count is set back after, also on error.
+ctypes.CDLL (_lapack, bound once and cached) and looks up
+scipy_dsytrd_sy2sb_64_, scipy_dsbevd_64_ and
+openblas_set_num_threads_local in it and the libraries it links; the
+routines take ILP64 integers (_INT). A build without one of them raises
+an ImportError naming the symbol and file.  Solves take turns under one
+lock, each with OpenBLAS at one thread, and that is what gives the
+output the same bits whatever OPENBLAS_NUM_THREADS says: with more
+threads the band reduction's bits change with the thread count (at
+L = 511, 1023, 1056, 2047 and 3001 for Haldane-Shastry at mu = 2).  The
+count is the process's, so other BLAS calls get one thread meanwhile,
+and the old count is set back after, also on error.  Code outside the
+library that sets the process's count while a solve runs would undo
+that guarantee for the rest of the solve.
 
 The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
 row's bytes: the same row again (entropy and then fh-check on one
@@ -79,7 +78,6 @@ from .errors import (
 from .models import mode_energies
 
 _BAND = 32         # bandwidth of the band form
-_ALIGN = 32        # sector rows are padded to a multiple of it
 _INT = ctypes.c_int64   # LAPACK's integer in numpy's ILP64 OpenBLAS
 # what _lapack binds: symbol, argument and result types. The Fortran
 # routines take all by reference, string lengths last; OpenBLAS's
@@ -91,8 +89,6 @@ _SYMBOLS = {
                + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2, None),
     "set_num_threads": ("openblas_set_num_threads_local", None, ctypes.c_int),
 }
-_lapack_lock = _thread.allocate_lock()
-_routines = []     # once bound: the routines _lapack hands out
 _solve_lock = _thread.allocate_lock()   # held by the running solve
 
 
@@ -173,35 +169,31 @@ def correlation_row_finite(model, mu, L, N):
     return np.fft.irfft(filled, n=N)[:L]
 
 
+@functools.cache
 def _lapack():
-    # binds _SYMBOLS on the first call, from the file of numpy's
-    # _umath_linalg extension, which ctypes.CDLL opens, and the OpenBLAS
-    # it links; the lock makes concurrent first calls bind them once
-    with _lapack_lock:
-        if not _routines:
-            path = _umath_linalg.__file__
-            library = ctypes.CDLL(path)
-            found = {}
-            for name, (symbol, argtypes, restype) in _SYMBOLS.items():
-                function = getattr(library, symbol, None)
-                if function is None:
-                    raise ImportError(
-                        f"{symbol} is not in {path} or the libraries it "
-                        "links", name=_umath_linalg.__name__, path=path)
-                function.argtypes = argtypes
-                function.restype = restype
-                found[name] = function
-            _routines.append(types.SimpleNamespace(**found))
-        return _routines[0]
+    # binds _SYMBOLS from the file of numpy's _umath_linalg extension,
+    # which ctypes.CDLL opens, and the OpenBLAS it links. _solve calls it
+    # first under _solve_lock, so concurrent first solves bind them once;
+    # a failed bind raises and is not cached.
+    path = _umath_linalg.__file__
+    library = ctypes.CDLL(path)
+    found = {}
+    for name, (symbol, argtypes, restype) in _SYMBOLS.items():
+        function = getattr(library, symbol, None)
+        if function is None:
+            raise ImportError(
+                f"{symbol} is not in {path} or the libraries it links",
+                name=_umath_linalg.__name__, path=path)
+        function.argtypes = argtypes
+        function.restype = restype
+        found[name] = function
+    return types.SimpleNamespace(**found)
 
 
-def _band(A, n):
-    # Stage 1: the leading n x n block of A, a symmetric matrix of a
-    # multiple of _ALIGN rows that is zero outside that block, reduced by
-    # dsytrd_sy2sb to bandwidth min(_BAND, n - 1) with the same
-    # eigenvalues, as a band in LAPACK's lower storage.  A is overwritten.
-    # Its reflectors are zero on the zero padding rows, so the padding
-    # stays zero and the band of A is that of the block.
+def _band(A):
+    # Stage 1: the symmetric N x N matrix A reduced by dsytrd_sy2sb to
+    # bandwidth min(_BAND, N - 1) with the same eigenvalues, as a band in
+    # LAPACK's lower storage.  A is overwritten.
     N = A.shape[0]
     ab = np.zeros((N, _BAND + 1))   # the Fortran (_BAND + 1) x N band
     tau = np.empty(N)
@@ -216,7 +208,7 @@ def _band(A, n):
         work.ctypes.data, ctypes.byref(_INT(lwork)), ctypes.byref(info), 1)
     if info.value:
         raise RuntimeError(f"LAPACK dsytrd_sy2sb returned info {info.value}")
-    return np.asfortranarray(ab.T[:min(_BAND, n - 1) + 1, :n])
+    return np.asfortranarray(ab.T[:min(_BAND, N - 1) + 1])
 
 
 def _band_eigenvalues(ab):
@@ -264,11 +256,11 @@ def _solve(key):
     # the start, once its band is solved or has failed, and the caller
     # acquires `done` before it returns or raises. Solves take turns.
     row = np.frombuffer(key)
-    lapack = _lapack()
     with _solve_lock:
+        lapack = _lapack()
         count = lapack.set_num_threads(1)
         try:
-            band = _band(*_parity_sector(row, True))
+            band = _band(_parity_sector(row, True))
             found = []
             done = _thread.allocate_lock()
             done.acquire()
@@ -283,7 +275,7 @@ def _solve(key):
 
             _thread.start_new_thread(work, ())
             try:
-                even = _band_eigenvalues(_band(*_parity_sector(row, False)))
+                even = _band_eigenvalues(_band(_parity_sector(row, False)))
             finally:
                 done.acquire()
         finally:
@@ -302,10 +294,7 @@ def _solve(key):
 
 def _parity_sector(t, odd):
     # The odd or even sector of the symmetric Toeplitz matrix with first
-    # row t, of size floor(n/2) or ceil(n/2), as (matrix, size) with the
-    # matrix padded by zeros to a multiple of _ALIGN rows, which keeps the
-    # bits of the band reduction the same under any BLAS thread count (on
-    # the bare sector they differ at L = 511, for one). With m = n // 2,
+    # row t, of size floor(n/2) or ceil(n/2). With m = n // 2,
     # B the leading m x m block and H_ij = t[n-1-i-j] its mirrored
     # neighbour, the odd sector is B - H and the even one B + H; for odd
     # n the even sector is bordered by the middle column sqrt(2) t[m-i],
@@ -313,7 +302,7 @@ def _parity_sector(t, odd):
     n = t.size
     m = n // 2
     size = m if odd else n - m
-    A = np.zeros((-(-size // _ALIGN) * _ALIGN,) * 2)
+    A = np.zeros((size, size))
     # B and H as strided views of t, so no m x m temporary is made
     window = np.lib.stride_tricks.sliding_window_view
     B = window(np.concatenate([t[m - 1:0:-1], t[:m]]), m)[::-1]
@@ -322,7 +311,7 @@ def _parity_sector(t, odd):
     if size > m:
         A[:m, m] = A[m, :m] = math.sqrt(2.0) * t[m:0:-1]
         A[m, m] = t[0]
-    return A, size
+    return A
 
 
 def _checked_spectrum(row, fermi_momenta=None):

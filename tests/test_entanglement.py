@@ -451,9 +451,33 @@ def test_asymptotic_validation():
         renyi_asymptotic(correlation_spectrum(hs_analysis(), 16), 1.0)
     with pytest.raises(DomainError):
         renyi_asymptotic(spectrum("hs", 10), -1.0)
-    # the spectrum carries its sea's Fermi points and its own L
+    # the spectrum carries its sea's Fermi points and its own L; the same
+    # by hand, in numpy types, give the same report
     s = spectrum("fig8", 12)
     assert s.fermi_momenta == tuple(p for p, _ in fig8_analysis().roots)
+    by_hand = CorrelationSpectrum(L=np.int64(12), eigenvalues=s.eigenvalues,
+                                  fermi_momenta=np.array(s.fermi_momenta))
+    assert renyi_asymptotic(by_hand, 2.0) == renyi_asymptotic(s, 2.0)
+
+
+@pytest.mark.parametrize("L, roots", [
+    (16, (2.0, 1.0)), (16, (1.0, 1.0)), (16, (True,)), (16, (math.nan,)),
+    (16, (4.0,)), (2.5, (1.0,)), (True, (1.0,))],
+    ids=["reversed", "coincident", "bool", "nan", "outside", "float-L",
+         "bool-L"])
+def test_asymptotic_checks_a_hand_built_spectrum(L, roots):
+    # a hand-built spectrum's Fermi points and L get the DomainError that
+    # f_factor and correlation_row give them
+    s = CorrelationSpectrum(L=L, eigenvalues=spectrum("hs", 16).eigenvalues,
+                            fermi_momenta=roots)
+    with pytest.raises(DomainError) as want:
+        if L == 16:
+            f_factor(roots)
+        else:
+            correlation_row(hs_analysis(), L)
+    with pytest.raises(DomainError) as got:
+        renyi_asymptotic(s, 1.0)
+    assert str(got.value) == str(want.value)
 
 
 def test_fig8_relative_error_at_100():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from fermichain.criticality import fermi_points
+from fermichain.entanglement import renyi_asymptotic
 from fermichain.errors import DomainError
 from fermichain.fisher_hartwig import (
     fh_deviation,
@@ -261,3 +263,19 @@ def test_deviation_validation():
             fh_deviation(hs_analysis(), 3.0, sizes)
     assert fh_deviation(hs_analysis(), 3.0, [np.int64(8)]) == \
         fh_deviation(hs_analysis(), 3.0, [8])
+
+
+@pytest.mark.parametrize("roots, match", [
+    (lambda a: a.roots[::-1], "strictly increasing"),
+    (lambda a: ((math.nan, 1),) + a.roots[1:], "must be finite")],
+    ids=["reversed", "nan"])
+def test_hand_built_analysis_roots_refused(roots, match):
+    # a FermiAnalysis built by hand: its roots are checked where the
+    # determinant asymptotics read them and where the entropy asymptotics
+    # read them from the spectrum
+    a = fig8_analysis()
+    bad = dataclasses.replace(a, roots=roots(a))
+    with pytest.raises(DomainError, match=match):
+        fh_deviation(bad, 3.0, [8])
+    with pytest.raises(DomainError, match=match):
+        renyi_asymptotic(correlation_spectrum(bad, 8), 1.0)

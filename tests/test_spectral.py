@@ -260,15 +260,6 @@ a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
 for L in (1024, 1056, 2047, 2048, 4096):
     sys.stdout.write(spectral.correlation_spectrum(a, L).eigenvalues
                      .tobytes().hex())
-# random symmetric sectors, zero-padded as the parity sectors are
-rng = np.random.default_rng(3)
-for n in (1000, 1100, 1537):
-    N = -(-n // spectral._ALIGN) * spectral._ALIGN
-    A = np.zeros((N, N))
-    A[:n, :n] = rng.normal(size=(n, n))
-    A += A.T
-    w, _ = spectral._band_eigenvalues(spectral._band(A, n))
-    sys.stdout.write(w.tobytes().hex())
 # LAPACK came from its extension file alone
 assert "scipy.linalg" not in sys.modules
 """
@@ -283,33 +274,28 @@ def _src_env(**env):
 
 
 def test_spectrum_same_bits_under_blas_threads():
-    # L = 2047 has a 1023-row sector, which only its zero padding gives
-    # products of a multiple of 32 rows; L = 4096 has 2048-row sectors,
-    # whose large stage-1 products, one BLAS call each, OpenBLAS splits
-    # over both threads. A 528-row sector (L = 1056) ends 16 rows into
-    # its last 32-column panel, a 512-row one (L = 1024) on a panel
-    # edge; the random sectors end inside a panel. The last run pins the
-    # process to one CPU, so that the band-stage worker and the reducing
-    # caller take turns on it.
+    # every solve runs its LAPACK at one OpenBLAS thread, whatever
+    # OPENBLAS_NUM_THREADS says; at more threads the bits of a sector's
+    # band reduction change with the count. L = 2047 has a 1023-row
+    # sector, L = 4096 2048-row sectors, whose large stage-1 products,
+    # one BLAS call each, OpenBLAS would split over both threads. A
+    # 528-row sector (L = 1056) ends 16 rows into its last 32-column
+    # panel, a 512-row one (L = 1024) on a panel edge. The last run pins
+    # the process to one CPU, so that the band-stage worker and the
+    # reducing caller take turns on it.
     out = []
     for threads, pin in (("1", []), ("2", []), ("1", ["pin"])):
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *pin],
                              env=_src_env(OPENBLAS_NUM_THREADS=threads),
                              capture_output=True, text=True, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 8 * (1024 + 1056 + 2047 + 2048 + 4096
-                                   + 1000 + 1100 + 1537)
+    assert len(out[0]) == 2 * 8 * (1024 + 1056 + 2047 + 2048 + 4096)
     assert out[0] == out[1] == out[2]
 
 
 def _sector_eigenvalues(M):
-    # M embedded in a zero matrix of a multiple of _ALIGN rows, as the
-    # parity sectors are
-    n = M.shape[0]
-    N = -(-n // spectral._ALIGN) * spectral._ALIGN
-    A = np.zeros((N, N))
-    A[:n, :n] = M
-    w, info = spectral._band_eigenvalues(spectral._band(A, n))
+    # the two stages on a copy of the symmetric matrix M
+    w, info = spectral._band_eigenvalues(spectral._band(M.copy()))
     assert info == 0
     return w
 
@@ -323,9 +309,9 @@ def _patch_lapack(monkeypatch, **routines):
 
 
 def test_blocked_reduction_panel_edges():
-    # sizes around the bandwidth, the padding and the 32-column panels
-    # of the band reduction, and the band edge
-    assert spectral._BAND == 32 and spectral._ALIGN == 32
+    # sizes around the bandwidth and the 32-column panels of the band
+    # reduction, and the band edge
+    assert spectral._BAND == 32
     rng = np.random.default_rng(11)
     for n in (2, 3, 15, 16, 17, 31, 32, 33, 34, 35, 47, 48, 49,
               63, 64, 65, 66, 95, 96, 97, 127, 128, 129, 257):
@@ -354,23 +340,16 @@ def test_blocked_reduction_zero_column_inside_panel():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_band_reduction_keeps_the_padding_out():
-    # a random sector, zero-padded to a multiple of _ALIGN rows, comes
-    # back as a band of its own n columns whose entries on the padding
-    # rows are exactly zero, and with the eigenvalues of the sector
+def test_band_reduction_keeps_the_sector_shape():
+    # a random sector of n rows comes back as a Fortran-ordered band of
+    # n columns, with the eigenvalues of the sector
     rng = np.random.default_rng(14)
     for n in (1, 2, 3, 31, 32, 33, 257, 1000):
         M = rng.normal(size=(n, n))
         M += M.T
-        N = -(-n // spectral._ALIGN) * spectral._ALIGN
-        A = np.zeros((N, N))
-        A[:n, :n] = M
-        ab = spectral._band(A, n)
+        ab = spectral._band(M.copy())
         kd = min(spectral._BAND, n - 1)
         assert ab.shape == (kd + 1, n) and ab.flags.f_contiguous
-        # ab[i, j] is the entry on row j + i, a padding row from n on
-        padding = np.add.outer(np.arange(kd + 1), np.arange(n)) >= n
-        assert np.all(ab[padding] == 0.0), n
         w, info = spectral._band_eigenvalues(ab)
         want = eigvalsh(M)
         assert info == 0
@@ -384,7 +363,7 @@ def test_band_reduction_workspace_and_info(monkeypatch):
     # ones would let the ILP64 routine read past them
     sy2sb = spectral._lapack().dsytrd_sy2sb
     size = spectral._INT
-    for N in (32, 64, 96, 512, 2048, 4096):
+    for N in (1, 33, 64, 96, 512, 1023, 2048, 4096):
         asked, info = np.zeros(1), size()
         sy2sb(b"L", ctypes.byref(size(N)), ctypes.byref(size(spectral._BAND)),
               None, ctypes.byref(size(N)), None,
@@ -397,7 +376,7 @@ def test_band_reduction_workspace_and_info(monkeypatch):
             given.append(args[9]._obj.value)    # LWORK
 
         _patch_lapack(monkeypatch, dsytrd_sy2sb=record)
-        spectral._band(np.zeros((N, N)), N)
+        spectral._band(np.zeros((N, N)))
         monkeypatch.undo()
         assert 1 <= asked[0] <= given[0], N
 
@@ -406,14 +385,14 @@ def test_band_reduction_workspace_and_info(monkeypatch):
 
     _patch_lapack(monkeypatch, dsytrd_sy2sb=refused)
     with pytest.raises(RuntimeError, match="dsytrd_sy2sb returned info -4"):
-        spectral._band(np.eye(64), 64)
+        spectral._band(np.eye(64))
     spectral._solve.cache_clear()
     with pytest.raises(RuntimeError, match="dsytrd_sy2sb"):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
 
 
 def test_eigensolver_holds_one_sector():
-    # one padded sector of N rows is 8 N^2 bytes; both sectors at once,
+    # one sector of N rows is 8 N^2 bytes; both sectors at once,
     # or an N x N update temporary beside one, pass 2 x 8 N^2. The
     # memo is emptied so that every measured call solves.
     spectral._solve.cache_clear()
@@ -421,7 +400,7 @@ def test_eigensolver_holds_one_sector():
     eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
     for L in (1024, 2048):
         row = correlation_row(a, L)
-        N = -(-(L - L // 2) // 32) * 32   # rows of the padded even sector
+        N = L - L // 2   # rows of the even sector
         tracemalloc.start()
         try:
             eigenvalues_symmetric(row)
@@ -456,9 +435,9 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     solved = []
     band = spectral._band
 
-    def counted(A, n):
-        solved.append(n)
-        return band(A, n)
+    def counted(A):
+        solved.append(A.shape[0])
+        return band(A)
 
     monkeypatch.setattr(spectral, "_band", counted)
     row = correlation_row(hs_analysis(), 64)
@@ -698,7 +677,7 @@ def work(k):
     start.wait()
     got[k] = spectral.eigenvalues_symmetric(rows[k]).tobytes()
 
-assert spectral._routines == []
+assert spectral._lapack.cache_info().currsize == 0
 sys.setswitchinterval(1e-6)
 threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
 for t in threads:
@@ -765,8 +744,9 @@ def test_scipy_linalg_imported_after_a_spectrum_is_whole():
 
 
 def _count_opens(monkeypatch):
-    # the routines unbound, and ctypes.CDLL recording the files it opens
-    monkeypatch.setattr(spectral, "_routines", [])
+    # the routines unbound, and ctypes.CDLL recording the files it opens;
+    # a failed bind is not cached, so the next solve binds them again
+    spectral._lapack.cache_clear()
     spectral._solve.cache_clear()
     opens = []
 
@@ -791,7 +771,7 @@ def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
     assert missing in str(e.value)
     assert opens == [missing]
-    assert spectral._routines == []
+    assert spectral._lapack.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("routine", ["dsytrd_sy2sb", "dsbevd",
@@ -819,7 +799,7 @@ def test_lapack_without_a_routine_names_it(monkeypatch, routine):
                             "libraries it links")
     assert (e.value.name, e.value.path) == ("numpy.linalg._umath_linalg",
                                             opens[0])
-    assert spectral._routines == []
+    assert spectral._lapack.cache_info().currsize == 0
 
 
 def _blas_threads():
@@ -842,9 +822,9 @@ def test_solve_restores_the_blas_thread_count(monkeypatch):
         seen = []
         band = spectral._band
 
-        def counted(A, n):
+        def counted(A):
             seen.append(_blas_threads())
-            return band(A, n)
+            return band(A)
 
         monkeypatch.setattr(spectral, "_band", counted)
         eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
