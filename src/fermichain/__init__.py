@@ -9,8 +9,8 @@ once per order, and the routines spectral binds from numpy's OpenBLAS
 with ctypes, once, under a lock. A racing call can at worst compute a
 cached value again. Spectrum solves take turns, each with OpenBLAS at
 one thread, and each starts one worker thread (a bare _thread, started
-without waiting) for one parity sector's band stage, LAPACK dsbevd
-without the GIL, and waits for it before it returns or raises.
+without waiting) for one parity sector's LAPACK dsytrd and dsterf,
+run without the GIL, and waits for it before it returns or raises.
 """
 
 __version__ = "0.1.0"

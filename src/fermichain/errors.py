@@ -43,7 +43,7 @@ class QuadratureError(AccuracyError):
 
 
 class EigenConvergenceError(AccuracyError):
-    """The band eigensolver did not converge; achieved is LAPACK's info."""
+    """The eigensolver did not converge; achieved is LAPACK's info."""
 
 
 class FitRejectedError(AccuracyError):

@@ -66,9 +66,12 @@ def log_dl_asymptotic(symbol, L):
 
     -2 beta^2 log(L^{m+1} f) + L log(lam+1)
     - L P log[(lam+1)/(lam-1)] + 2(m+1) log[G(1+beta) G(1-beta)].
+
+    The positive jump angles are the Fermi points, checked as f_factor
+    checks them, since an FHSymbol may be built or replaced by hand.
     """
     L = _check_count(L, "block length", minimum=2)
-    roots = [p for p in symbol.jump_angles if p > 0.0]
+    roots = _check_roots([p for p in symbol.jump_angles if p > 0.0])
     nsea = len(roots)
     lam = symbol.lam
     beta = symbol.beta

@@ -8,48 +8,43 @@ bundles them.
 
 A symmetric Toeplitz matrix is centrosymmetric, so its spectrum is the
 union of the spectra of an even and an odd parity sector of half the
-size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). The sectors
-are built one at a time, the odd one first, each at its own size, and
-each goes through two stages (Bischof, Lang & Sun, ACM TOMS 26 (2000)
-581):
+size (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275). Both
+sectors are built into one C-ordered (N + 1) x (N + 1) buffer,
+N = ceil(L/2): the even sector's upper triangle strictly above its
+diagonal, the odd sector's lower triangle strictly below it. Each
+triangle goes through one LAPACK stage, dsytrd to tridiagonal form
+(blocked, 32 columns a panel) and then dsterf, whose info > 0 raises
+EigenConvergenceError.
 
-1. LAPACK dsytrd_sy2sb (Haidar, Ltaief & Dongarra, SC'11) from the
-   sector to bandwidth 32: a QR factorisation of the 32 columns below
-   the band at a time, each applied to the trailing matrix as BLAS-3
-   products;
-2. LAPACK dsbevd (dsbtrd to tridiagonal, then dsterf) from the band to
-   the eigenvalues.  Its info > 0 raises EigenConvergenceError.
-
-Both routines are called through ctypes, which releases the GIL.  The
-odd sector's matrix is freed once its band is made, and a worker thread
-runs that band's stage 2 while the calling thread builds and reduces
-the even sector and then runs its stage 2.  The worker is started with
-_thread.start_new_thread, which, unlike threading.Thread.start, does not
-wait for the new thread to run, so the caller goes on at once.  The
+Both routines are called through ctypes, which releases the GIL. A
+worker thread reduces the odd triangle while the calling thread
+reduces the even one; each reads and writes its own triangle alone, so
+the two run on two cores in one buffer. The worker is started with
+_thread.start_new_thread, which, unlike threading.Thread.start, does
+not wait for the new thread to run, so the caller goes on at once. The
 worker releases a lock the caller holds; the caller waits on that lock,
-also when its own sector fails, and raises the worker's error.  So the
-two stages run on two cores.  The working set stays one sector (N x N,
-N = ceil(L/2)), stage 1's 64 x N workspace and the two 33 x N bands: a
-traced peak of about 2.7 / 9.5 MB per call at L = 1024 / 2048.  The
-eigenvalues agree with LAPACK's divide and conquer to 1e-10.  Timings
-per L, thread count and CPU pinning are in the README's "Eigensolver
-speed" table.
+also when its own sector fails, and raises the worker's error. The
+working set is the buffer and dsytrd's two 32 x N workspaces: a traced
+peak of about 2.4 / 9.0 MB per call at L = 1024 / 2048. The eigenvalues
+agree with LAPACK's divide and conquer to 1e-10. Timings per L, thread
+count and CPU pinning are in the README's "Eigensolver speed" table.
 
-dsytrd_sy2sb and dsbevd come from the OpenBLAS bundled with numpy's
-wheel. The first solve opens numpy.linalg._umath_linalg's file with
+dsytrd and dsterf come from the OpenBLAS bundled with numpy's wheel.
+The first solve opens numpy.linalg._umath_linalg's file with
 ctypes.CDLL (_lapack, bound once and cached) and looks up
-scipy_dsytrd_sy2sb_64_, scipy_dsbevd_64_ and
-openblas_set_num_threads_local in it and the libraries it links; the
-routines take ILP64 integers (_INT). A build without one of them raises
-an ImportError naming the symbol and file.  Solves take turns under one
-lock, each with OpenBLAS at one thread, and that is what gives the
-output the same bits whatever OPENBLAS_NUM_THREADS says: with more
-threads the band reduction's bits change with the thread count (at
-L = 511, 1023, 1056, 2047 and 3001 for Haldane-Shastry at mu = 2).  The
-count is the process's, so other BLAS calls get one thread meanwhile,
-and the old count is set back after, also on error.  Code outside the
-library that sets the process's count while a solve runs would undo
-that guarantee for the rest of the solve.
+scipy_dsytrd_64_, scipy_dsterf_64_ and openblas_set_num_threads_local
+in it and the libraries it links; the routines take ILP64 integers
+(_INT). A build without one of them raises an ImportError naming the
+symbol and file.  Solves take turns under one lock, which they take
+before the buffer is built, so concurrent callers hold one buffer at a
+time. Each solve runs OpenBLAS at one thread, and that is what gives
+the output the same bits whatever OPENBLAS_NUM_THREADS says: with two
+threads dsytrd's bits change (for Haldane-Shastry at mu = 2, at
+L = 511, 512, 1023, 1024, 1056, 2047, 2048, 3001 and 4096, though not
+at 256).  The count is the process's, so other BLAS calls get one
+thread meanwhile, and the old count is set back after, also on error.
+Code outside the library that sets the process's count while a solve
+runs would undo that guarantee for the rest of the solve.
 
 The last solve is kept by functools.lru_cache(maxsize=1), keyed by the
 row's bytes: the same row again (entropy and then fh-check on one
@@ -77,16 +72,15 @@ from .errors import (
 )
 from .models import mode_energies
 
-_BAND = 32         # bandwidth of the band form
+_NB = 32           # dsytrd's block size, so N * _NB is its optimal LWORK
 _INT = ctypes.c_int64   # LAPACK's integer in numpy's ILP64 OpenBLAS
 # what _lapack binds: symbol, argument and result types. The Fortran
 # routines take all by reference, string lengths last; OpenBLAS's
 # thread-count setter takes an int and returns the count it replaced.
 _SYMBOLS = {
-    "dsytrd_sy2sb": ("scipy_dsytrd_sy2sb_64_", [ctypes.c_char_p]
-                     + [ctypes.c_void_p] * 10 + [ctypes.c_size_t], None),
-    "dsbevd": ("scipy_dsbevd_64_", [ctypes.c_char_p] * 2
-               + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2, None),
+    "dsytrd": ("scipy_dsytrd_64_", [ctypes.c_char_p]
+               + [ctypes.c_void_p] * 9 + [ctypes.c_size_t], None),
+    "dsterf": ("scipy_dsterf_64_", [ctypes.c_void_p] * 4, None),
     "set_num_threads": ("openblas_set_num_threads_local", None, ctypes.c_int),
 }
 _solve_lock = _thread.allocate_lock()   # held by the running solve
@@ -190,44 +184,32 @@ def _lapack():
     return types.SimpleNamespace(**found)
 
 
-def _band(A):
-    # Stage 1: the symmetric N x N matrix A reduced by dsytrd_sy2sb to
-    # bandwidth min(_BAND, N - 1) with the same eigenvalues, as a band in
-    # LAPACK's lower storage.  A is overwritten.
-    N = A.shape[0]
-    ab = np.zeros((N, _BAND + 1))   # the Fortran (_BAND + 1) x N band
-    tau = np.empty(N)
-    # the documented LWORK, with NB = 32 the block size of LAPACK's dgeqrf
-    lwork = N * _BAND + N * max(_BAND, 32) + 2 * _BAND * _BAND
-    work = np.empty(lwork)
+def _sector_eigenvalues(X, n, odd):
+    # dsytrd, then dsterf, on the n-row odd or even sector of the buffer
+    # X from _parity_sectors, as (eigenvalues ascending, dsterf's info).
+    # Fortran reads the C-ordered X transposed: the even sector's upper
+    # triangle in X[:, 1:] is the lower triangle ('L') of the matrix at
+    # X + 8, the odd sector's lower triangle in X[1:] the upper one ('U')
+    # of the matrix at X + 8 lda. The reduction overwrites that triangle
+    # alone. Both calls go through ctypes, which releases the GIL.
+    lda = X.shape[0]
+    uplo, offset = (b"U", X.strides[0]) if odd else (b"L", X.strides[1])
+    d = np.empty(n)
+    e = np.empty(n)     # e and tau need n - 1 entries, and one when n = 1
+    tau = np.empty(n)
+    work = np.empty(n * _NB)
     info = _INT()
-    _lapack().dsytrd_sy2sb(
-        b"L", ctypes.byref(_INT(N)), ctypes.byref(_INT(_BAND)),
-        A.ctypes.data, ctypes.byref(_INT(N)),   # symmetric: C order is F
-        ab.ctypes.data, ctypes.byref(_INT(_BAND + 1)), tau.ctypes.data,
-        work.ctypes.data, ctypes.byref(_INT(lwork)), ctypes.byref(info), 1)
+    lapack = _lapack()
+    lapack.dsytrd(
+        uplo, ctypes.byref(_INT(n)), X.ctypes.data + offset,
+        ctypes.byref(_INT(lda)), d.ctypes.data, e.ctypes.data,
+        tau.ctypes.data, work.ctypes.data, ctypes.byref(_INT(work.size)),
+        ctypes.byref(info), 1)
     if info.value:
-        raise RuntimeError(f"LAPACK dsytrd_sy2sb returned info {info.value}")
-    return np.asfortranarray(ab.T[:min(_BAND, N - 1) + 1])
-
-
-def _band_eigenvalues(ab):
-    # Stage 2: dsbevd (dsbtrd, then dsterf) on the band ab in LAPACK's
-    # lower storage, which it overwrites, as (eigenvalues, info); a 1-row
-    # band comes back as it is.  The call goes through ctypes, which
-    # releases the GIL while LAPACK runs.
-    kd1, n = ab.shape
-    w = np.empty(n)
-    work = np.empty(2 * n)
-    iwork, info = _INT(), _INT()
-    one = ctypes.byref(_INT(1))
-    _lapack().dsbevd(
-        b"N", b"L", ctypes.byref(_INT(n)), ctypes.byref(_INT(kd1 - 1)),
-        ab.ctypes.data, ctypes.byref(_INT(kd1)), w.ctypes.data,
-        w.ctypes.data, one,     # Z and LDZ, not referenced for JOBZ = N
-        work.ctypes.data, ctypes.byref(_INT(2 * n)), ctypes.byref(iwork),
-        one, ctypes.byref(info), 1, 1)
-    return w, info.value
+        raise RuntimeError(f"LAPACK dsytrd returned info {info.value}")
+    lapack.dsterf(ctypes.byref(_INT(n)), d.ctypes.data, e.ctypes.data,
+                  ctypes.byref(info))
+    return d, info.value
 
 
 def eigenvalues_symmetric(first_row):
@@ -253,21 +235,21 @@ def _solve(key):
     # public ones keeps one span stack, which a second thread would break.
     # The worker is a bare _thread, whose start does not wait for it to
     # run, as threading.Thread.start does. It releases `done`, held from
-    # the start, once its band is solved or has failed, and the caller
+    # the start, once its sector is solved or has failed, and the caller
     # acquires `done` before it returns or raises. Solves take turns.
     row = np.frombuffer(key)
     with _solve_lock:
         lapack = _lapack()
         count = lapack.set_num_threads(1)
         try:
-            band = _band(_parity_sector(row, True))
+            X = _parity_sectors(row)
             found = []
             done = _thread.allocate_lock()
             done.acquire()
 
             def work():
                 try:
-                    found.append(_band_eigenvalues(band))
+                    found.append(_sector_eigenvalues(X, row.size // 2, True))
                 except BaseException as error:
                     found.append(error)
                 finally:
@@ -275,7 +257,7 @@ def _solve(key):
 
             _thread.start_new_thread(work, ())
             try:
-                even = _band_eigenvalues(_band(_parity_sector(row, False)))
+                even = _sector_eigenvalues(X, X.shape[0] - 1, False)
             finally:
                 done.acquire()
         finally:
@@ -292,26 +274,33 @@ def _solve(key):
     return np.sort(np.concatenate([even[0], odd[0]]))
 
 
-def _parity_sector(t, odd):
-    # The odd or even sector of the symmetric Toeplitz matrix with first
-    # row t, of size floor(n/2) or ceil(n/2). With m = n // 2,
-    # B the leading m x m block and H_ij = t[n-1-i-j] its mirrored
-    # neighbour, the odd sector is B - H and the even one B + H; for odd
-    # n the even sector is bordered by the middle column sqrt(2) t[m-i],
-    # t[0] in the corner.
+def _parity_sectors(t):
+    # Both parity sectors of the symmetric Toeplitz matrix with first
+    # row t in one C-ordered (size + 1) x (size + 1) buffer X, where
+    # n = t.size, m = n // 2 and size = n - m. With B the leading m x m
+    # block and H_ij = t[n-1-i-j] its mirrored neighbour, the even
+    # sector B + H goes whole into X[:size, 1:]; for odd n it is
+    # bordered by the middle column sqrt(2) t[m-i], t[0] in the corner.
+    # The odd sector B - H goes into X[1:m + 1, :m], its lower triangle
+    # only, after the even one and over its unused lower part. So the
+    # even sector's upper triangle lies strictly above X's diagonal and
+    # the odd sector's lower one strictly below it.
     n = t.size
     m = n // 2
-    size = m if odd else n - m
-    A = np.zeros((size, size))
-    # B and H as strided views of t, so no m x m temporary is made
+    size = n - m
+    X = np.zeros((size + 1, size + 1))
+    # B, H and the lower-triangle mask as strided views of 1-d arrays,
+    # so no m x m temporary is made
     window = np.lib.stride_tricks.sliding_window_view
     B = window(np.concatenate([t[m - 1:0:-1], t[:m]]), m)[::-1]
     H = window(t[::-1], m)[:m]
-    (np.subtract if odd else np.add)(B, H, out=A[:m, :m])
+    np.add(B, H, out=X[:m, 1:m + 1])
     if size > m:
-        A[:m, m] = A[m, :m] = math.sqrt(2.0) * t[m:0:-1]
-        A[m, m] = t[0]
-    return A
+        X[:m, size] = math.sqrt(2.0) * t[m:0:-1]
+        X[m, size] = t[0]
+    lower = window(np.arange(2 * m - 1) < m, m)[::-1]   # j <= i
+    np.subtract(B, H, out=X[1:m + 1, :m], where=lower)
+    return X
 
 
 def _checked_spectrum(row, fermi_momenta=None):

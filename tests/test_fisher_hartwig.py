@@ -279,3 +279,18 @@ def test_hand_built_analysis_roots_refused(roots, match):
         fh_deviation(bad, 3.0, [8])
     with pytest.raises(DomainError, match=match):
         renyi_asymptotic(correlation_spectrum(bad, 8), 1.0)
+
+
+@pytest.mark.parametrize("angles, match", [
+    ((-1.0, -1.0, 1.0, 1.0), "strictly increasing"),
+    ((-4.0, 4.0), r"Fermi point 4\.0 outside \(0, pi\)"),
+    ((math.nan,), "need at least one Fermi point")],
+    ids=["coincident", "past-pi", "nan"])
+def test_hand_built_symbol_angles_refused(angles, match):
+    # an FHSymbol built by hand: log_dl_asymptotic checks its positive
+    # jump angles as f_factor checks Fermi points. Unchecked, the first
+    # divided by zero, the second raised a bare math domain error and
+    # the third returned a number.
+    bad = dataclasses.replace(symbol_params([1.0], 3.0), jump_angles=angles)
+    with pytest.raises(DomainError, match=match):
+        log_dl_asymptotic(bad, 8)

@@ -6,8 +6,10 @@ Each float column has its tolerance next to it below, about ten times the
 largest shift the column has shown across 28 earlier commits, 6f3b897 to
 5928647: six eigensolvers from Householder tridiagonalisation with dsterf
 to LAPACK's dsytrd_sy2sb, the in-house zeta, the array Fermi factor and
-the monotone-piece root finder among them. A column that never moved
-takes the accuracy its computation claims. 1 and 2 BLAS threads give the
+the monotone-piece root finder among them. The solver since, LAPACK's
+dsytrd and dsterf on both parity sectors of one buffer, stays within
+those tolerances. A column that never moved takes the accuracy its
+computation claims. 1 and 2 BLAS threads give the
 same bytes. Integer and text columns, and the input grids T, L and
 alpha, must match exactly; so must a JSON document's config, while its
 meta.runtime_s is not compared.

@@ -275,28 +275,48 @@ def _src_env(**env):
 
 def test_spectrum_same_bits_under_blas_threads():
     # every solve runs its LAPACK at one OpenBLAS thread, whatever
-    # OPENBLAS_NUM_THREADS says; at more threads the bits of a sector's
-    # band reduction change with the count. L = 2047 has a 1023-row
-    # sector, L = 4096 2048-row sectors, whose large stage-1 products,
-    # one BLAS call each, OpenBLAS would split over both threads. A
-    # 528-row sector (L = 1056) ends 16 rows into its last 32-column
-    # panel, a 512-row one (L = 1024) on a panel edge. The last run pins
-    # the process to one CPU, so that the band-stage worker and the
-    # reducing caller take turns on it.
+    # OPENBLAS_NUM_THREADS says; at two threads the bits of a sector's
+    # dsytrd change with the count at each L below. L = 2047 has a
+    # 1023-row sector, L = 4096 2048-row sectors, whose rank-64 updates
+    # and matrix-vector products, one BLAS call each, OpenBLAS would
+    # split over both threads. A 528-row sector (L = 1056) ends 16 rows
+    # into its last 32-column panel, a 512-row one (L = 1024) on a panel
+    # edge. The last run pins the process to one CPU, so that the two
+    # sector threads take turns on it; another runs with the variable
+    # unset.
     out = []
-    for threads, pin in (("1", []), ("2", []), ("1", ["pin"])):
+    for threads, pin in (("1", []), ("2", []), (None, []), ("1", ["pin"])):
+        env = _src_env(OPENBLAS_NUM_THREADS=threads or "")
+        if threads is None:
+            del env["OPENBLAS_NUM_THREADS"]
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *pin],
-                             env=_src_env(OPENBLAS_NUM_THREADS=threads),
-                             capture_output=True, text=True, check=True)
+                             env=env, capture_output=True, text=True,
+                             check=True)
         out.append(run.stdout)
     assert len(out[0]) == 2 * 8 * (1024 + 1056 + 2047 + 2048 + 4096)
-    assert out[0] == out[1] == out[2]
+    assert out[0] == out[1] == out[2] == out[3]
 
 
-def _sector_eigenvalues(M):
-    # the two stages on a copy of the symmetric matrix M
-    w, info = spectral._band_eigenvalues(spectral._band(M.copy()))
+def _placed(M, odd):
+    # the symmetric n x n matrix M in an (n + 1) x (n + 1) buffer as
+    # _parity_sectors places a sector: the even one's upper triangle in
+    # X[:n, 1:], the odd one's lower triangle in X[1:, :n]; every other
+    # entry is NaN
+    n = M.shape[0]
+    X = np.full((n + 1, n + 1), np.nan)
+    i, j = np.tril_indices(n) if odd else np.triu_indices(n)
+    X[i + odd, j + (not odd)] = M[i, j]
+    return X
+
+
+def _sector_eigenvalues(M, odd=False):
+    # dsytrd and dsterf on M placed as the even or odd sector; the NaNs
+    # around that sector's triangle are neither read nor written over
+    X = _placed(M, odd)
+    unused = np.isnan(X)
+    w, info = spectral._sector_eigenvalues(X, M.shape[0], odd)
     assert info == 0
+    assert np.isnan(X[unused]).all()
     return w
 
 
@@ -309,9 +329,10 @@ def _patch_lapack(monkeypatch, **routines):
 
 
 def test_blocked_reduction_panel_edges():
-    # sizes around the bandwidth and the 32-column panels of the band
-    # reduction, and the band edge
-    assert spectral._BAND == 32
+    # sizes around dsytrd's 32-column panels, below which it reduces
+    # column by column, in either triangle, and rows that split into
+    # sectors of n + 1 and n rows
+    assert spectral._NB == 32
     rng = np.random.default_rng(11)
     for n in (2, 3, 15, 16, 17, 31, 32, 33, 34, 35, 47, 48, 49,
               63, 64, 65, 66, 95, 96, 97, 127, 128, 129, 257):
@@ -319,7 +340,9 @@ def test_blocked_reduction_panel_edges():
         M += M.T
         want = eigvalsh(M)
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(_sector_eigenvalues(M) - want)) < 1e-12 * scale
+        for odd in (False, True):
+            got = _sector_eigenvalues(M, odd)
+            assert np.max(np.abs(got - want)) < 1e-12 * scale
         row = rng.normal(size=2 * n + 1)   # sectors of n + 1 and n rows
         want = eigvalsh(toeplitz_from_row(row))
         got = eigenvalues_symmetric(row)
@@ -327,74 +350,155 @@ def test_blocked_reduction_panel_edges():
 
 
 def test_blocked_reduction_zero_column_inside_panel():
-    # direct sum of a 10 x 10 and a 50 x 50 block: below the band, the
-    # first ten columns of the first panel are exactly zero, so their
-    # reflectors are trivial ahead of reflectors that are not
+    # direct sum of a 10 x 10 and a 50 x 50 block: in dsytrd's first
+    # 32-column panel the first ten columns below the diagonal are
+    # exactly zero, so their reflectors are trivial ahead of reflectors
+    # that are not
     rng = np.random.default_rng(12)
     A = np.zeros((60, 60))
     for lo, hi in ((0, 10), (10, 60)):
         B = rng.normal(size=(hi - lo, hi - lo))
         A[lo:hi, lo:hi] = B + B.T
-    got = _sector_eigenvalues(A)
     want = eigvalsh(A)
-    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    for odd in (False, True):
+        got = _sector_eigenvalues(A, odd)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_band_reduction_keeps_the_sector_shape():
-    # a random sector of n rows comes back as a Fortran-ordered band of
-    # n columns, with the eigenvalues of the sector
+    # the reduction to tridiagonal form, a band of width one: a random
+    # sector of n rows gives n eigenvalues in ascending order, those of
+    # the sector
     rng = np.random.default_rng(14)
     for n in (1, 2, 3, 31, 32, 33, 257, 1000):
         M = rng.normal(size=(n, n))
         M += M.T
-        ab = spectral._band(M.copy())
-        kd = min(spectral._BAND, n - 1)
-        assert ab.shape == (kd + 1, n) and ab.flags.f_contiguous
-        w, info = spectral._band_eigenvalues(ab)
         want = eigvalsh(M)
-        assert info == 0
-        assert np.max(np.abs(np.sort(w) - want)) < 1e-12 * np.max(np.abs(want))
+        for odd in (False, True):
+            w = _sector_eigenvalues(M, odd)
+            assert w.shape == (n,) and np.all(np.diff(w) >= 0.0)
+            assert np.max(np.abs(w - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_band_reduction_workspace_and_info(monkeypatch):
-    # the workspace _band gives dsytrd_sy2sb is at least what the
-    # routine's own workspace query (LWORK = -1) asks for, and an info
-    # other than 0 raises. Its integers have the module's width: 32-bit
-    # ones would let the ILP64 routine read past them
-    sy2sb = spectral._lapack().dsytrd_sy2sb
+    # the reduction to tridiagonal form, a band of width one: the
+    # workspace _sector_eigenvalues gives dsytrd is at least what the
+    # routine's own workspace query (LWORK = -1) asks for, in either
+    # triangle, and an info other than 0 raises. Its integers have the
+    # module's width: 32-bit ones would let the ILP64 routine read past
+    # them
+    dsytrd = spectral._lapack().dsytrd
     size = spectral._INT
     for N in (1, 33, 64, 96, 512, 1023, 2048, 4096):
-        asked, info = np.zeros(1), size()
-        sy2sb(b"L", ctypes.byref(size(N)), ctypes.byref(size(spectral._BAND)),
-              None, ctypes.byref(size(N)), None,
-              ctypes.byref(size(spectral._BAND + 1)), None, asked.ctypes.data,
-              ctypes.byref(size(-1)), ctypes.byref(info), 1)
-        assert info.value == 0
-        given = []
+        for odd, uplo in ((False, b"L"), (True, b"U")):
+            asked, info = np.zeros(1), size()
+            dsytrd(uplo, ctypes.byref(size(N)), None, ctypes.byref(size(N)),
+                   None, None, None, asked.ctypes.data,
+                   ctypes.byref(size(-1)), ctypes.byref(info), 1)
+            assert info.value == 0
+            given = []
 
-        def record(*args):
-            given.append(args[9]._obj.value)    # LWORK
+            def record(*args):
+                given.append(args[8]._obj.value)    # LWORK
 
-        _patch_lapack(monkeypatch, dsytrd_sy2sb=record)
-        spectral._band(np.zeros((N, N)))
-        monkeypatch.undo()
-        assert 1 <= asked[0] <= given[0], N
+            _patch_lapack(monkeypatch, dsytrd=record,
+                          dsterf=lambda *args: None)
+            spectral._sector_eigenvalues(np.zeros((N + 1, N + 1)), N, odd)
+            monkeypatch.undo()
+            assert 1 <= asked[0] <= given[0], (N, odd)
 
     def refused(*args):
-        args[10]._obj.value = -4    # INFO: the fourth argument is illegal
+        args[9]._obj.value = -4    # INFO: the fourth argument is illegal
 
-    _patch_lapack(monkeypatch, dsytrd_sy2sb=refused)
-    with pytest.raises(RuntimeError, match="dsytrd_sy2sb returned info -4"):
-        spectral._band(np.eye(64))
+    _patch_lapack(monkeypatch, dsytrd=refused)
+    with pytest.raises(RuntimeError, match="dsytrd returned info -4"):
+        spectral._sector_eigenvalues(_placed(np.eye(64), False), 64, False)
     spectral._solve.cache_clear()
-    with pytest.raises(RuntimeError, match="dsytrd_sy2sb"):
+    with pytest.raises(RuntimeError, match="dsytrd"):
         eigenvalues_symmetric([1.0, 0.5, 0.2])
 
 
+def _sectors_apart(t):
+    # the even and odd sectors of the symmetric Toeplitz matrix with
+    # first row t, cut from the full matrix: with m = n // 2 and J the
+    # exchange, B = T[:m, :m] and H = T[:m, n-m:] J; for odd n the even
+    # sector B + H is bordered by sqrt(2) T[:m, m] and T[m, m]
+    n = t.size
+    m = n // 2
+    T = toeplitz_from_row(t)
+    B = T[:m, :m]
+    H = T[:m, n - m:][:, ::-1]
+    even = B + H
+    if n % 2:
+        border = math.sqrt(2.0) * T[:m, m]
+        even = np.block([[even, border[:, None]], [border[None, :], T[m, m]]])
+    return even, B - H
+
+
+@pytest.mark.parametrize("L", [*range(2, 130), 1024])
+def test_sectors_never_touch_each_other(monkeypatch, L):
+    # the buffer of _parity_sectors holds the even sector strictly above
+    # its diagonal and the odd one strictly below. Each reduction reads
+    # and writes its own triangle alone: NaN everywhere else, the odd
+    # sector's unused upper part included, stays NaN and leaves finite
+    # eigenvalues, those of the sector. Both at once, on the two threads
+    # of a solve, keep NaN on the diagonal and on the cells that neither
+    # sector fills.
+    rng = np.random.default_rng(L)
+    row = rng.normal(size=L)
+    m = L // 2
+    size = L - m
+    sectors = _sectors_apart(row)
+    wants = [eigvalsh(S) for S in sectors]
+    X = spectral._parity_sectors(row)
+    assert X.shape == (size + 1, size + 1) and X.flags.c_contiguous
+    others = (np.tril(np.ones_like(X, dtype=bool)),
+              np.triu(np.ones_like(X, dtype=bool)))
+    for n, odd, other, want in zip((size, m), (False, True), others, wants):
+        Y = X.copy()
+        Y[other] = np.nan
+        w, info = spectral._sector_eigenvalues(Y, n, odd)
+        assert info == 0 and np.isfinite(w).all()
+        assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.isnan(Y[other]).all()
+    built = []
+    parity_sectors = spectral._parity_sectors
+
+    def nan_filled(t):
+        Y = parity_sectors(t)
+        np.fill_diagonal(Y, np.nan)
+        Y[m + 1:, :size] = np.nan   # below the odd sector, when L is odd
+        built.append(Y)
+        return Y
+
+    monkeypatch.setattr(spectral, "_parity_sectors", nan_filled)
+    spectral._solve.cache_clear()
+    got = eigenvalues_symmetric(row)
+    want = np.sort(np.concatenate(wants))
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    (Y,) = built
+    assert np.isnan(np.diagonal(Y)).all()
+    assert np.isnan(Y[m + 1:, :size]).all()
+
+
+def test_two_sector_threads_give_one_hash():
+    # the two sectors reduce at once in one process-wide OpenBLAS: 30
+    # solves of one row, each a fresh solve, give the same bytes
+    spectral._solve.cache_clear()
+    row = correlation_row(hs_analysis(), 1024)
+    seen = set()
+    for _ in range(30):
+        spectral._solve.cache_clear()
+        seen.add(eigenvalues_symmetric(row).tobytes())
+    assert len(seen) == 1
+
+
 def test_eigensolver_holds_one_sector():
-    # one sector of N rows is 8 N^2 bytes; both sectors at once,
-    # or an N x N update temporary beside one, pass 2 x 8 N^2. The
-    # memo is emptied so that every measured call solves.
+    # one sector of N rows is 8 N^2 bytes; the buffer that holds both
+    # sectors is 8 (N + 1)^2, and a second such buffer, or an N x N
+    # temporary beside it, passes 2 x 8 N^2. The memo is emptied so
+    # that every measured call solves.
     spectral._solve.cache_clear()
     a = hs_analysis()
     eigenvalues_symmetric(correlation_row(a, 64))   # loads LAPACK
@@ -411,11 +515,17 @@ def test_eigensolver_holds_one_sector():
 
 
 def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
-    # dsbevd's info > 0: its dsterf left off-diagonals of the tridiagonal
-    # nonzero after its sweep budget. The memo is emptied so that no
-    # spectrum an earlier test left skips the faked band stage.
+    # dsterf's info > 0: off-diagonals of the tridiagonal left nonzero
+    # after its sweep budget. The memo is emptied so that no spectrum an
+    # earlier test left skips the faked routine.
     spectral._solve.cache_clear()
-    monkeypatch.setattr(spectral, "_band_eigenvalues", lambda ab: (ab[0], 1))
+    dsterf = spectral._lapack().dsterf
+
+    def unconverged(n, d, e, info):
+        dsterf(n, d, e, info)
+        info._obj.value = 1
+
+    _patch_lapack(monkeypatch, dsterf=unconverged)
     with pytest.raises(EigenConvergenceError, match=(
             "did not converge for a 2x2 tridiagonal: 1 off-diagonal")) as e:
         eigenvalues_symmetric([1.0, 0.5, 0.2])
@@ -427,19 +537,24 @@ def test_eigensolver_nonconvergence(monkeypatch, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "s.csv")
 
 
+def _unconverged(X, n, odd):
+    # a sector stage whose dsterf reported one off-diagonal left
+    return np.zeros(n), 1
+
+
 def test_eigensolver_reuses_last_spectrum(monkeypatch):
     # a row with the last solved row's bytes runs no sector solve and
     # gets its eigenvalues in a fresh array; any other row solves, and a
     # failed solve leaves the memo as it was
     spectral._solve.cache_clear()
     solved = []
-    band = spectral._band
+    stage = spectral._sector_eigenvalues
 
-    def counted(A):
-        solved.append(A.shape[0])
-        return band(A)
+    def counted(X, n, odd):
+        solved.append(n)
+        return stage(X, n, odd)
 
-    monkeypatch.setattr(spectral, "_band", counted)
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
     row = correlation_row(hs_analysis(), 64)
     first = eigenvalues_symmetric(row)
     want = first.tobytes()
@@ -459,11 +574,10 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     eigenvalues_symmetric([1.0, -0.0, 0.5])   # equal, not the same bytes
     assert len(solved) == 8
     # a failed solve is not stored: the last good row still hits
-    real = spectral._band_eigenvalues
-    monkeypatch.setattr(spectral, "_band_eigenvalues", lambda ab: (ab[0], 1))
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", _unconverged)
     with pytest.raises(EigenConvergenceError):
         eigenvalues_symmetric(row)
-    monkeypatch.setattr(spectral, "_band_eigenvalues", real)
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
     del solved[:]
     eigenvalues_symmetric([1.0, -0.0, 0.5])
     assert solved == []
@@ -471,24 +585,29 @@ def test_eigensolver_reuses_last_spectrum(monkeypatch):
     assert solved == [32, 32]
 
 
-def test_band_stage_matches_the_f2py_dsbevd():
-    # the ctypes call of dsbevd returns the bytes of scipy's own wrapper of
-    # the same routine, from scipy's own OpenBLAS build: a wrong integer
-    # width, a missing string length or upper storage in place of lower
-    # would change them. Each call gets
-    # its own copy of the band, which both overwrite.
-    from scipy.linalg.lapack import dsbevd
+def test_sector_stage_matches_the_f2py_dsytrd_dsterf():
+    # the ctypes calls of dsytrd and dsterf return the bytes of scipy's
+    # own wrappers of the same routines, from scipy's own OpenBLAS build:
+    # a wrong integer width, a missing string length, the wrong triangle
+    # or a workspace too small for the blocked code would change them.
+    # The even sector is dsytrd's lower triangle and the odd one its
+    # upper; a 1 x 1 sector's eigenvalue is its entry.
+    from scipy.linalg.lapack import dsterf, dsytrd
     rng = np.random.default_rng(13)
     for n in (1, 2, 3, 16, 17, 33, 257, 1000):
-        kd = min(16, n - 1)
-        ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
-        want, _, info = dsbevd(ab.copy(order="F"), compute_v=0, lower=1)
-        got, got_info = spectral._band_eigenvalues(ab.copy(order="F"))
-        assert (info, got_info) == (0, 0)
-        assert got.tobytes() == want.tobytes(), n
+        M = rng.normal(size=(n, n))
+        M += M.T
+        for odd in (False, True):
+            _, d, e, _, info = dsytrd(M, lower=int(not odd),
+                                      lwork=n * spectral._NB)
+            want, info2 = dsterf(d, e) if n > 1 else (d, 0)
+            got, got_info = spectral._sector_eigenvalues(
+                _placed(M, odd), n, odd)
+            assert (info, info2, got_info) == (0, 0, 0)
+            assert got.tobytes() == want.tobytes(), (n, odd)
 
 
-# how long the worker's real band stage is held back when the caller
+# how long the worker's real sector stage is held back when the caller
 # fails, and how long a finished solve may leave its worker running: a
 # worker that outlived its solve by the hold would still be counted
 _HOLD = 0.5
@@ -496,23 +615,23 @@ _GONE = 0.25
 
 
 def _fail_one_thread(monkeypatch, failing, fake):
-    # the band stage runs `fake` on the thread named by `failing` ("worker"
-    # or "caller") and the real stage on the other; the worker's real
-    # stage is held back, so that a caller that did not wait would finish
-    # first
-    real = spectral._band_eigenvalues
+    # the sector stage runs `fake` on the thread named by `failing`
+    # ("worker" or "caller") and the real stage on the other; the
+    # worker's real stage is held back, so that a caller that did not
+    # wait would finish first
+    real = spectral._sector_eigenvalues
     caller = threading.get_ident()
     done = []
 
-    def stage(ab):
+    def stage(X, n, odd):
         here = "caller" if threading.get_ident() == caller else "worker"
         if here == "worker" and failing == "caller":
             time.sleep(_HOLD)
-        out = fake(ab) if here == failing else real(ab)
+        out = (fake if here == failing else real)(X, n, odd)
         done.append(here)
         return out
 
-    monkeypatch.setattr(spectral, "_band_eigenvalues", stage)
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", stage)
     return done
 
 
@@ -529,13 +648,13 @@ def _no_bare_threads():
     return _thread._count() == threading.active_count() - 1
 
 
-class _BandFault(Exception):
+class _StageFault(Exception):
     pass
 
 
 @pytest.mark.parametrize("fault", ["info", "raise"])
 def test_eigensolver_worker_failure_reaches_the_caller(monkeypatch, fault):
-    # the odd sector's band is solved on the worker thread: its info > 0
+    # the odd sector is solved on the worker thread: its info > 0
     # raises the caller's EigenConvergenceError for that sector, and any
     # error it raises is raised again, the same object, by the caller.
     # The memo keeps the last good row, and the worker is gone.
@@ -543,16 +662,16 @@ def test_eigensolver_worker_failure_reaches_the_caller(monkeypatch, fault):
     good = correlation_row(hs_analysis(), 64)
     want = eigenvalues_symmetric(good).tobytes()
     before = spectral._solve.cache_info()
-    error = _BandFault("band stage failed")
+    error = _StageFault("sector stage failed")
 
-    def fake(ab):
+    def fake(X, n, odd):
         if fault == "info":
-            return ab[0], 3
+            return np.zeros(n), 3
         raise error
 
     _fail_one_thread(monkeypatch, "worker", fake)
     row = correlation_row(hs_analysis(), 65)   # sectors of 33 and 32 rows
-    with pytest.raises((EigenConvergenceError, _BandFault)) as e:
+    with pytest.raises((EigenConvergenceError, _StageFault)) as e:
         eigenvalues_symmetric(row)
     if fault == "info":
         assert str(e.value) == ("eigensolver did not converge for a 32x32 "
@@ -573,13 +692,13 @@ def test_eigensolver_caller_failure_joins_the_worker(monkeypatch):
     # the even sector fails on the calling thread while the worker still
     # runs the odd one: the error leaves only after the worker finished
     spectral._solve.cache_clear()
-    error = _BandFault("band stage failed")
+    error = _StageFault("sector stage failed")
 
-    def fake(ab):
+    def fake(X, n, odd):
         raise error
 
     done = _fail_one_thread(monkeypatch, "caller", fake)
-    with pytest.raises(_BandFault) as e:
+    with pytest.raises(_StageFault) as e:
         eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
     assert e.value is error
     assert done == ["worker"]
@@ -774,8 +893,7 @@ def test_lapack_missing_names_the_directory(monkeypatch, tmp_path):
     assert spectral._lapack.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("routine", ["dsytrd_sy2sb", "dsbevd",
-                                     "set_num_threads"])
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "set_num_threads"])
 def test_lapack_without_a_routine_names_it(monkeypatch, routine):
     # a numpy build whose _umath_linalg file and the libraries it links
     # lack one of the symbols (an MKL or a conda numpy): the first solve
@@ -820,17 +938,17 @@ def test_solve_restores_the_blas_thread_count(monkeypatch):
     try:
         spectral._solve.cache_clear()
         seen = []
-        band = spectral._band
+        stage = spectral._sector_eigenvalues
 
-        def counted(A):
+        def counted(X, n, odd):
             seen.append(_blas_threads())
-            return band(A)
+            return stage(X, n, odd)
 
-        monkeypatch.setattr(spectral, "_band", counted)
+        monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
         eigenvalues_symmetric(correlation_row(hs_analysis(), 64))
         assert seen == [1, 1]
         assert _blas_threads() == 2
-        _fail_one_thread(monkeypatch, "caller", lambda ab: 1 / 0)
+        _fail_one_thread(monkeypatch, "caller", lambda X, n, odd: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             eigenvalues_symmetric(correlation_row(hs_analysis(), 65))
         assert _blas_threads() == 2
