@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, _check_count, _check_reals
+from .errors import DomainError, QuadratureError, _check_roots
 from .specfun import (_check_alpha, _entropy_kernel, _horner, _panel_nodes,
                       _panel_rules, zeta)
 
@@ -39,22 +39,6 @@ def renyi_exact(spectrum, alpha):
     vector pass and one elementwise sum."""
     x = 2.0 * spectrum.eigenvalues - 1.0
     return float(_entropy_kernel(_check_alpha(alpha), x).sum())
-
-
-def _check_roots(roots):
-    """Fermi points as floats, strictly increasing inside (0, pi)."""
-    ps = _check_reals(roots, "Fermi point").tolist()
-    if not ps:
-        raise DomainError("need at least one Fermi point")
-    for p in ps:
-        if not 0.0 < p < math.pi:
-            raise DomainError(f"Fermi point {p} outside (0, pi)")
-    for a, b in zip(ps, ps[1:]):
-        if b <= a:
-            raise DomainError(
-                "Fermi points must be strictly increasing; coincident "
-                "points make the cross factor singular")
-    return ps
 
 
 def f_factor(roots):
@@ -177,20 +161,17 @@ def renyi_asymptotic(spectrum, alpha):
 
     S_app = (m+1) i1(alpha) log(L f^{1/(m+1)}) + (m+1) c_tilde(alpha)
     for a sea with m+1 simple Fermi points.  L and the Fermi points are
-    the spectrum's own, from correlation_spectrum or given by hand, and
-    are checked as correlation_row and f_factor check them; the exact
-    side is renyi_exact(spectrum, alpha).
+    the spectrum's own, which CorrelationSpectrum checked when it was
+    built; the exact side is renyi_exact(spectrum, alpha).
     """
     alpha = _check_alpha(alpha)
     if spectrum.fermi_momenta is None:
         raise DomainError(
             "asymptotic entropy needs the Fermi points of a critical sea; "
             "this spectrum carries none")
-    roots = _check_roots(spectrum.fermi_momenta)
-    L = _check_count(spectrum.L, "block length")
-    nsea = len(roots)
-    f = _f_factor(roots)
-    s_app = (nsea * i1(alpha) * math.log(L * f ** (1.0 / nsea))
+    nsea = len(spectrum.fermi_momenta)
+    f = _f_factor(spectrum.fermi_momenta)
+    s_app = (nsea * i1(alpha) * math.log(spectrum.L * f ** (1.0 / nsea))
              + nsea * c_tilde(alpha))
     s_exact = renyi_exact(spectrum, alpha)
     return EntropyReport(s_exact=s_exact, s_asymptotic=s_app,

@@ -4,9 +4,9 @@ Validation problems (bad parameters, out-of-domain inputs) derive from
 ValueError; numerical failures (quadrature, eigensolver, fits) are
 AccuracyErrors, which derive from RuntimeError and carry the achieved
 error and the target it missed. The CLI maps the former to exit code 1
-and the latter to 2. The validators of a count, a number, a real and
-an array of reals live here, in the module every layer imports, so
-each kind of argument has one check and one message.
+and the latter to 2. The validators of a count, a number, a real, an
+array of reals and a set of Fermi points live here, in the module every
+layer imports, so each kind of argument has one check and one message.
 """
 
 import functools
@@ -89,3 +89,19 @@ def _check_reals(x, name):
         return np.array(x, dtype=float, ndmin=1)
     a = np.array(x, dtype=object, ndmin=1)
     return np.array([_check_real(v, name) for v in a.flat]).reshape(a.shape)
+
+
+def _check_roots(roots):
+    """Fermi points as floats, strictly increasing inside (0, pi)."""
+    ps = _check_reals(roots, "Fermi point").tolist()
+    if not ps:
+        raise DomainError("need at least one Fermi point")
+    for p in ps:
+        if not 0.0 < p < math.pi:
+            raise DomainError(f"Fermi point {p} outside (0, pi)")
+    for a, b in zip(ps, ps[1:]):
+        if b <= a:
+            raise DomainError(
+                "Fermi points must be strictly increasing; coincident "
+                "points make the cross factor singular")
+    return ps

@@ -11,22 +11,46 @@ arg in (-pi, pi], and z^a = e^{a log z}.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import _check_roots, _f_factor
-from .errors import DomainError, _check_count, _check_number
+from .entanglement import _f_factor
+from .errors import DomainError, _check_count, _check_number, _check_roots
 from .specfun import log_barnes_pair
 from .spectral import _critical_momenta, correlation_spectrum
 
 
 @dataclass(frozen=True)
 class FHSymbol:
+    """Jump parameters of the symbol of lam + 1 - 2 A_L.
+
+    Built from lam and the jump angles alone: lam is checked off the
+    cut [-1, 1] and stored as a complex, the positive angles are checked
+    as f_factor checks Fermi points, and the mirrored +-p tuple is
+    stored. beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every
+    jump up to an alternating sign; P collects the jump positions, so
+    the symbol's constant part (lam+1) [(lam+1)/(lam-1)]^{-P} enters
+    log_dl_asymptotic through lam and P alone. beta and P are derived,
+    not passed, so dataclasses.replace of lam or the angles recomputes
+    them.
+    """
+
     lam: complex
-    beta: complex
-    P: float
     jump_angles: tuple
+    beta: complex = field(init=False)
+    P: float = field(init=False)
+
+    def __post_init__(self):
+        lam = _check_off_cut(self.lam)
+        ps = _check_roots([p for p in self.jump_angles if p > 0.0])
+        # frozen, so the checked and derived values go into the instance
+        # dict; with m + 1 Fermi points, P ends in m mod 2
+        vars(self).update(
+            lam=lam, jump_angles=tuple(sorted([-p for p in ps] + ps)),
+            beta=cmath.log((lam + 1.0) / (lam - 1.0)) / (2.0j * math.pi),
+            P=sum((-1.0) ** k * p for k, p in enumerate(ps)) / math.pi
+            + (len(ps) - 1) % 2)
 
 
 def _check_off_cut(lam):
@@ -44,21 +68,9 @@ def _check_off_cut(lam):
 
 
 def symbol_params(roots, lam):
-    """Jump parameters of the symbol of lam + 1 - 2 A_L.
-
-    beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every jump up
-    to an alternating sign; P collects the jump positions, so the
-    symbol's constant part (lam+1) [(lam+1)/(lam-1)]^{-P} enters
-    log_dl_asymptotic through lam and P alone. roots as in f_factor.
-    """
-    ps = _check_roots(roots)
-    lam = _check_off_cut(lam)
-    log_ratio = cmath.log((lam + 1.0) / (lam - 1.0))
-    beta = log_ratio / (2.0j * math.pi)
-    m = len(ps) - 1
-    P = sum((-1.0) ** k * p for k, p in enumerate(ps)) / math.pi + (m % 2)
-    angles = tuple(sorted([-p for p in ps] + ps))
-    return FHSymbol(lam=lam, beta=beta, P=P, jump_angles=angles)
+    """The FHSymbol of lam + 1 - 2 A_L for a sea with Fermi points roots,
+    as f_factor takes them; the roots are checked before lam."""
+    return FHSymbol(lam=lam, jump_angles=_check_roots(roots))
 
 
 def log_dl_asymptotic(symbol, L):
@@ -67,11 +79,11 @@ def log_dl_asymptotic(symbol, L):
     -2 beta^2 log(L^{m+1} f) + L log(lam+1)
     - L P log[(lam+1)/(lam-1)] + 2(m+1) log[G(1+beta) G(1-beta)].
 
-    The positive jump angles are the Fermi points, checked as f_factor
-    checks them, since an FHSymbol may be built or replaced by hand.
+    The positive jump angles are the Fermi points, which FHSymbol checked
+    when it was built.
     """
     L = _check_count(L, "block length", minimum=2)
-    roots = _check_roots([p for p in symbol.jump_angles if p > 0.0])
+    roots = [p for p in symbol.jump_angles if p > 0.0]
     nsea = len(roots)
     lam = symbol.lam
     beta = symbol.beta

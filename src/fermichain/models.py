@@ -378,7 +378,8 @@ def _finite_band(grid, p, name):
 
 
 def half_period_zeros(f, xtol, grid=None):
-    """Zeros of the grid function f on (0, pi), bisected to xtol, sorted.
+    """Zeros of the grid function f on (0, pi) as floats, bisected to
+    xtol, sorted.
 
     A cell of the sorted scan grid (HALF_PERIOD_CANDIDATES unless
     given) brackets a zero when f is negative at one end only, so an
@@ -394,7 +395,7 @@ def half_period_zeros(f, xtol, grid=None):
         r = _bisect_sign_change(f, cand[i], cand[i + 1], v[i], v[i + 1], xtol)
         if 1e-12 < r < math.pi - 1e-12 and (
                 not zeros or r - zeros[-1] > 1e-10):
-            zeros.append(r)
+            zeros.append(float(r))
     return zeros
 
 

@@ -69,6 +69,7 @@ from .errors import (
     _check_count,
     _check_real,
     _check_reals,
+    _check_roots,
 )
 from .models import mode_energies
 
@@ -95,6 +96,12 @@ class CorrelationSpectrum:
     gates a built spectrum passed, or None when it was not checked.
     fermi_momenta holds the Fermi points of the critical sea the block
     was cut from, or None for a ring or a hand-built spectrum.
+
+    Building one, by hand or with dataclasses.replace, checks it once:
+    L is a count, stored as an int, eigenvalues has shape (L,), and
+    fermi_momenta, unless None, are Fermi points as f_factor takes them,
+    stored as a tuple of floats. The eigenvalues themselves are not
+    read here; the entropy kernel refuses one outside [0, 1].
     """
 
     L: int
@@ -102,6 +109,16 @@ class CorrelationSpectrum:
     trace_gap: float = None
     range_dev: float = None
     fermi_momenta: tuple = None
+
+    def __post_init__(self):
+        L = _check_count(self.L, "block length")
+        if np.shape(self.eigenvalues) != (L,):
+            raise DomainError(f"a block of length {L} has {L} eigenvalues, "
+                              f"got shape {np.shape(self.eigenvalues)}")
+        object.__setattr__(self, "L", L)
+        if self.fermi_momenta is not None:
+            object.__setattr__(self, "fermi_momenta",
+                               tuple(_check_roots(self.fermi_momenta)))
 
 
 def _critical_momenta(analysis, needs):

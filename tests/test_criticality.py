@@ -316,6 +316,28 @@ def test_roots_hit_chemical_potential():
         assert list(a.velocities) == [abs(prof.E1(p)) for p, _ in a.roots]
 
 
+# the five seas of tests/golden/regenerate.py
+GOLDEN_SEAS = {
+    "hs_mu2": (InteractionModel.haldane_shastry(), 2.0),
+    "hs_half": (InteractionModel.haldane_shastry(), 3.7011016504085092),
+    "fr_1_0.5_mu4.25": (InteractionModel.finite_range((1.0, 0.5)), 4.25),
+    "pl_2.5_mu1.5": (InteractionModel.power_law(2.5), 1.5),
+    "rc_0.6_mu1": (InteractionModel.rational_cubic(0.6), 1.0),
+}
+
+
+@pytest.mark.parametrize("model, mu", GOLDEN_SEAS.values(),
+                         ids=GOLDEN_SEAS.keys())
+def test_analysis_holds_python_floats(model, mu):
+    # the root scans return Python floats, as every other float field
+    # of FermiAnalysis is; before, some seas held numpy float64
+    a = fermi_points(DispersionProfile(model), mu)
+    values = ([p for p, _ in a.roots] + list(a.stationary_points)
+              + list(a.velocities))
+    assert a.roots
+    assert [type(x) for x in values if type(x) is not float] == []
+
+
 def test_power_law_below_two_has_one_fermi_point():
     # nu = 1.6 puts a scan momentum (pi 2^-30) where the former polylog
     # quadrature missed its accuracy target, so no mu could be analysed

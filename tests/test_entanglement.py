@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -467,17 +468,36 @@ def test_asymptotic_validation():
          "bool-L"])
 def test_asymptotic_checks_a_hand_built_spectrum(L, roots):
     # a hand-built spectrum's Fermi points and L get the DomainError that
-    # f_factor and correlation_row give them
-    s = CorrelationSpectrum(L=L, eigenvalues=spectrum("hs", 16).eigenvalues,
-                            fermi_momenta=roots)
+    # f_factor and correlation_row give them, when it is built
     with pytest.raises(DomainError) as want:
         if L == 16:
             f_factor(roots)
         else:
             correlation_row(hs_analysis(), L)
     with pytest.raises(DomainError) as got:
+        s = CorrelationSpectrum(L=L,
+                                eigenvalues=spectrum("hs", 16).eigenvalues,
+                                fermi_momenta=roots)
         renyi_asymptotic(s, 1.0)
     assert str(got.value) == str(want.value)
+
+
+def test_hand_built_spectrum_needs_L_eigenvalues():
+    # a spectrum holds one eigenvalue per site of its block; one whose L
+    # disagrees with its eigenvalues gave an r_L of the wrong block
+    s = spectrum("hs", 16)
+    for eig in (s.eigenvalues[:15], s.eigenvalues[:, None], s.eigenvalues[0]):
+        with pytest.raises(DomainError, match="length 16 has 16 eigenvalues"):
+            CorrelationSpectrum(L=16, eigenvalues=eig)
+    with pytest.raises(DomainError, match="length 17 has 17 eigenvalues"):
+        dataclasses.replace(s, L=17)
+    # numpy types are stored as the library's own: an int and a tuple of
+    # floats
+    by_hand = CorrelationSpectrum(L=np.int64(16), eigenvalues=s.eigenvalues,
+                                  fermi_momenta=np.array(s.fermi_momenta))
+    assert type(by_hand.L) is int
+    assert by_hand.fermi_momenta == s.fermi_momenta
+    assert [type(p) for p in by_hand.fermi_momenta] == [float]
 
 
 def test_fig8_relative_error_at_100():

@@ -10,6 +10,7 @@ from fermichain.criticality import fermi_points
 from fermichain.entanglement import renyi_asymptotic
 from fermichain.errors import DomainError
 from fermichain.fisher_hartwig import (
+    FHSymbol,
     fh_deviation,
     log_dl_asymptotic,
     symbol_params,
@@ -287,10 +288,40 @@ def test_hand_built_analysis_roots_refused(roots, match):
     ((math.nan,), "need at least one Fermi point")],
     ids=["coincident", "past-pi", "nan"])
 def test_hand_built_symbol_angles_refused(angles, match):
-    # an FHSymbol built by hand: log_dl_asymptotic checks its positive
-    # jump angles as f_factor checks Fermi points. Unchecked, the first
-    # divided by zero, the second raised a bare math domain error and
-    # the third returned a number.
-    bad = dataclasses.replace(symbol_params([1.0], 3.0), jump_angles=angles)
+    # an FHSymbol built by hand: its positive jump angles are checked as
+    # f_factor checks Fermi points, when it is built. Unchecked, the
+    # first divided by zero, the second raised a bare math domain error
+    # and the third returned a number.
     with pytest.raises(DomainError, match=match):
+        bad = dataclasses.replace(symbol_params([1.0], 3.0),
+                                  jump_angles=angles)
         log_dl_asymptotic(bad, 8)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, math.nan, "x", 0.5],
+                         ids=["plus-one", "minus-one", "nan", "text", "cut"])
+def test_replaced_lambda_refused(lam):
+    # dataclasses.replace builds the symbol anew, so its lam gets the
+    # DomainError symbol_params gives. Unchecked, these divided by zero,
+    # raised a bare math domain error, returned nan, raised a TypeError
+    # and returned a number for a lam on the cut.
+    with pytest.raises(DomainError) as want:
+        symbol_params([1.0], lam)
+    with pytest.raises(DomainError) as got:
+        dataclasses.replace(symbol_params([1.0], 3.0), lam=lam)
+    assert str(got.value) == str(want.value)
+
+
+def test_symbol_derives_beta_and_p():
+    # beta and P follow from lam and the jump angles: a replaced field
+    # gives the symbol symbol_params builds, not a mix of two symbols
+    base = symbol_params([1.0], 3.0)
+    for change, want in (({"lam": 5.0}, symbol_params([1.0], 5.0)),
+                         ({"jump_angles": (-1.2, 1.2)},
+                          symbol_params([1.2], 3.0))):
+        got = dataclasses.replace(base, **change)
+        assert got == want
+        assert log_dl_asymptotic(got, 64) == log_dl_asymptotic(want, 64)
+    assert FHSymbol(lam=3, jump_angles=np.array([-1.0, 1.0])) == base
+    with pytest.raises(TypeError):
+        FHSymbol(lam=3.0, jump_angles=(-1.0, 1.0), beta=base.beta, P=base.P)

@@ -107,6 +107,33 @@ def test_one_validator_per_kind_of_argument():
                 and wording in path.read_text()] == []
 
 
+def test_fields_are_checked_where_the_object_is_built():
+    # a type checks its own fields in __post_init__, which
+    # dataclasses.replace runs too, so a built object is valid and no
+    # validator elsewhere is handed one of its fields (x.field); a
+    # method looked up to be called is not a field
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), str(path))
+        built = {id(n) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)
+                 and f.name == "__post_init__" for n in ast.walk(f)}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id.startswith("_check_")
+                    and id(call) not in built):
+                continue
+            inner = [n for arg in [*call.args,
+                                   *(k.value for k in call.keywords)]
+                     for n in ast.walk(arg)]
+            called = {id(n.func) for n in inner if isinstance(n, ast.Call)}
+            if any(isinstance(n, ast.Attribute) and id(n) not in called
+                   for n in inner):
+                found.append(f"{path.name}:{call.lineno}")
+    assert found == []
+
+
 def test_no_global_statement_in_src():
     # module state changes only inside the objects that hold it (a
     # cache, a lock, a list), never by rebinding a module name
