@@ -21,12 +21,12 @@ gives the Fermi factor of every temperature at every node.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
-                     QuadratureError, _check_real, _check_reals)
+                     QuadratureError, _check_real, _check_reals, _check_roots)
 from .models import (HALF_PERIOD_CANDIDATES, _finite_band, half_period_zeros,
                      monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
@@ -47,24 +47,47 @@ class FermiAnalysis:
     """Where E(p) = mu on (0, pi) and what that means for the phase.
 
     roots holds (p_i, multiplicity) pairs sorted by p_i; velocities, the
-    |E'| at each, line up with it. sea lists disjoint intervals of
-    [0, 2*pi) with E < mu; sea_half is its [0, pi] restriction.
-    central_charge is None unless the phase is critical. extremum_gap
-    is the distance from mu to the nearest band value at an extremum (0,
-    a stationary point, pi), a tangency or touched zone edge left out:
-    the scale at which the low-temperature law crosses over.
+    |E'| at each, line up with it. sea_half lists disjoint intervals of
+    [0, pi] with E < mu, and sea, its reflection onto [0, 2*pi), is
+    derived from it. central_charge is derived too: len(roots) when the
+    phase is critical, else None. extremum_gap is the distance from mu
+    to the nearest band value at an extremum (0, a stationary point,
+    pi), a tangency or touched zone edge left out: the scale at which
+    the low-temperature law crosses over.
+
+    Building one, by hand or with dataclasses.replace, derives sea and
+    central_charge. A critical analysis holds its Fermi points twice, as
+    roots and as the edges of sea_half inside (0, pi), so the positions
+    are checked as f_factor checks Fermi points, and they must be those
+    edges, in order, each of multiplicity 1, or DomainError is raised.
     """
     mu: float
     roots: tuple
     velocities: tuple
-    sea: tuple
+    sea: tuple = field(init=False)
     sea_half: tuple
     phase: str
-    central_charge: object
+    central_charge: object = field(init=False)
     e_min: float
     e_max: float
     stationary_points: tuple
     extremum_gap: float
+
+    def __post_init__(self):
+        if self.phase == "critical":
+            ps = _check_roots([p for p, _ in self.roots])
+            # the sea's edges in order: the Fermi points, with 0 and pi
+            # where the sea reaches them
+            nodes = [0.0, *ps, math.pi]
+            edges = [e for a, b in self.sea_half for e in (a, b)]
+            if (edges not in (nodes, nodes[1:], nodes[:-1], nodes[1:-1])
+                    or any(nu != 1 for _, nu in self.roots)):
+                raise DomainError(
+                    f"roots {self.roots} must be the edges of sea_half "
+                    f"{self.sea_half} inside (0, pi), each simple")
+        # frozen, so the derived values go into the instance dict
+        vars(self).update(sea=_reflect_sea(self.sea_half), central_charge=(
+            len(self.roots) if self.phase == "critical" else None))
 
 
 @dataclass(frozen=True)
@@ -139,29 +162,27 @@ def _analyze(profile, mu):
     velocities = tuple(abs(slope_at[p]) for p, _ in roots)
 
     sea_half = _half_sea(profile, mu, [p for p, _ in roots])
-    sea = _reflect_sea(sea_half)
 
     if any(nu >= 2 for _, nu in roots):
-        phase, charge = "non-critical-multiple-root", None
+        phase = "non-critical-multiple-root"
     elif abs(mu - e_min) <= btol or abs(mu - e_max) <= btol:
-        phase, charge = "boundary", None
+        phase = "boundary"
     elif mu < e_min:
-        phase, charge = "gapped-below", None
+        phase = "gapped-below"
     elif mu > e_max:
-        phase, charge = "gapped-above", None
+        phase = "gapped-above"
     elif roots:
-        phase, charge = "critical", len(roots)
+        phase = "critical"
     elif ends:
-        phase, charge = "boundary", None
+        phase = "boundary"
     else:
         raise AccuracyError(
             f"mu={mu} lies inside the band but no crossing was resolved",
             achieved=math.nan, target=1e-13)
 
     return FermiAnalysis(mu=mu, roots=roots, velocities=velocities,
-                         sea=sea, sea_half=sea_half, phase=phase,
-                         central_charge=charge, e_min=e_min, e_max=e_max,
-                         stationary_points=stationary,
+                         sea_half=sea_half, phase=phase, e_min=e_min,
+                         e_max=e_max, stationary_points=stationary,
                          extremum_gap=extremum_gap)
 
 

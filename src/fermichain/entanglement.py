@@ -13,12 +13,12 @@ the sea, so it is computed once per order per process: an lru_cache of
 at most 64 orders, keyed by the validated float.  Its independent
 cross-check, a digamma-weighted integral on adaptive quad, is test code
 and lives in tests/conftest.py.  An EntropyReport carries the two
-entropies and their relative gap r_L.
+entropies and derives their relative gap r_L.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,17 @@ from .specfun import (_check_alpha, _entropy_kernel, _horner, _panel_nodes,
 
 @dataclass(frozen=True)
 class EntropyReport:
+    """The exact and asymptotic entropies of a block, and their relative
+    gap r_L = s_asymptotic / s_exact - 1, derived when the report is
+    built, by hand or with dataclasses.replace, and not passed."""
+
     s_exact: float
     s_asymptotic: float
-    r_L: float        # s_asymptotic / s_exact - 1
+    r_L: float = field(init=False)
+
+    def __post_init__(self):
+        # frozen, so the derived value goes into the instance dict
+        vars(self).update(r_L=self.s_asymptotic / self.s_exact - 1.0)
 
 
 def renyi_exact(spectrum, alpha):
@@ -174,5 +182,4 @@ def renyi_asymptotic(spectrum, alpha):
     s_app = (nsea * i1(alpha) * math.log(spectrum.L * f ** (1.0 / nsea))
              + nsea * c_tilde(alpha))
     s_exact = renyi_exact(spectrum, alpha)
-    return EntropyReport(s_exact=s_exact, s_asymptotic=s_app,
-                         r_L=s_app / s_exact - 1.0)
+    return EntropyReport(s_exact=s_exact, s_asymptotic=s_app)

@@ -7,6 +7,11 @@ error and the target it missed. The CLI maps the former to exit code 1
 and the latter to 2. The validators of a count, a number, a real, an
 array of reals and a set of Fermi points live here, in the module every
 layer imports, so each kind of argument has one check and one message.
+A set of Fermi points is non-empty and 1-D, or a scalar as a set of
+one. The result types run these checks in __post_init__, which
+dataclasses.replace runs too, and derive there every field that other
+fields determine, so a built object is valid and the functions that
+read it trust it.
 """
 
 import functools
@@ -92,10 +97,12 @@ def _check_reals(x, name):
 
 
 def _check_roots(roots):
-    """Fermi points as floats, strictly increasing inside (0, pi)."""
-    ps = _check_reals(roots, "Fermi point").tolist()
-    if not ps:
-        raise DomainError("need at least one Fermi point")
+    """Fermi points as floats, strictly increasing inside (0, pi): a
+    non-empty 1-D set, or a scalar as a set of one."""
+    ps = _check_reals(roots, "Fermi point")
+    if ps.ndim != 1 or not ps.size:
+        raise DomainError("Fermi points must form a non-empty 1-D "
+                          f"sequence, got shape {ps.shape}")
     for p in ps:
         if not 0.0 < p < math.pi:
             raise DomainError(f"Fermi point {p} outside (0, pi)")
@@ -104,4 +111,4 @@ def _check_roots(roots):
             raise DomainError(
                 "Fermi points must be strictly increasing; coincident "
                 "points make the cross factor singular")
-    return ps
+    return ps.tolist()

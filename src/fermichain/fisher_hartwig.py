@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import _f_factor
-from .errors import DomainError, _check_count, _check_number, _check_roots
+from .errors import (DomainError, _check_count, _check_number, _check_reals,
+                     _check_roots)
 from .specfun import log_barnes_pair
 from .spectral import _critical_momenta, correlation_spectrum
 
@@ -25,15 +26,17 @@ from .spectral import _critical_momenta, correlation_spectrum
 class FHSymbol:
     """Jump parameters of the symbol of lam + 1 - 2 A_L.
 
-    Built from lam and the jump angles alone: lam is checked off the
-    cut [-1, 1] and stored as a complex, the positive angles are checked
-    as f_factor checks Fermi points, and the mirrored +-p tuple is
-    stored. beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every
-    jump up to an alternating sign; P collects the jump positions, so
-    the symbol's constant part (lam+1) [(lam+1)/(lam-1)]^{-P} enters
-    log_dl_asymptotic through lam and P alone. beta and P are derived,
-    not passed, so dataclasses.replace of lam or the angles recomputes
-    them.
+    Built from lam and the jump angles alone. The angles are the
+    positive Fermi points alone, or the +-p set that mirrors them
+    exactly; each is read as f_factor reads Fermi points, and any other
+    set is refused, not rewritten. They are checked before lam, which
+    must lie off the cut [-1, 1] and is stored as a complex, and the
+    +-p tuple is stored. beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the
+    same at every jump up to an alternating sign; P collects the jump
+    positions, so the symbol's constant part
+    (lam+1) [(lam+1)/(lam-1)]^{-P} enters log_dl_asymptotic through lam
+    and P alone. beta and P are derived, not passed, so
+    dataclasses.replace of lam or the angles recomputes them.
     """
 
     lam: complex
@@ -42,8 +45,11 @@ class FHSymbol:
     P: float = field(init=False)
 
     def __post_init__(self):
+        angles = _check_reals(self.jump_angles, "Fermi point")
+        # a set symmetric about 0 is read by its upper half, any other whole
+        mirrored = np.array_equal(angles, -angles[::-1])
+        ps = _check_roots(angles[angles.size // 2:] if mirrored else angles)
         lam = _check_off_cut(self.lam)
-        ps = _check_roots([p for p in self.jump_angles if p > 0.0])
         # frozen, so the checked and derived values go into the instance
         # dict; with m + 1 Fermi points, P ends in m mod 2
         vars(self).update(
@@ -69,8 +75,9 @@ def _check_off_cut(lam):
 
 def symbol_params(roots, lam):
     """The FHSymbol of lam + 1 - 2 A_L for a sea with Fermi points roots,
-    as f_factor takes them; the roots are checked before lam."""
-    return FHSymbol(lam=lam, jump_angles=_check_roots(roots))
+    as f_factor takes them, or their +-p set; FHSymbol checks the roots,
+    once and before lam."""
+    return FHSymbol(lam=lam, jump_angles=roots)
 
 
 def log_dl_asymptotic(symbol, L):

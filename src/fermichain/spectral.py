@@ -125,7 +125,10 @@ def _critical_momenta(analysis, needs):
     """The Fermi momenta of a sea bounded by simple Fermi points.
 
     Any other phase is refused with a DomainError that begins with
-    `needs`, the name of what requires such a sea.
+    `needs`, the name of what requires such a sea. A critical
+    FermiAnalysis checked its roots when it was built, and they are the
+    edges of the sea that correlation_row reads, so the row, a
+    spectrum's Fermi momenta and a symbol's jumps describe one sea.
     """
     if analysis.phase != "critical":
         raise DomainError(
@@ -343,7 +346,7 @@ def correlation_spectrum(analysis, L):
     """Build and cross-check the L x L spectrum from a critical sea; it
     carries the sea's Fermi points."""
     row = correlation_row(analysis, L)   # refuses a non-critical sea
-    return _checked_spectrum(row, tuple(p for p, _ in analysis.roots))
+    return _checked_spectrum(row, _critical_momenta(analysis, "spectra need"))
 
 
 def correlation_spectrum_finite(model, mu, L, N):

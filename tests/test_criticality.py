@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -10,8 +11,8 @@ import pytest
 
 from fermichain import criticality, entanglement, specfun
 from fermichain.cli import run
-from fermichain.entanglement import c_tilde, i1
-from fermichain.fisher_hartwig import symbol_params
+from fermichain.entanglement import c_tilde, i1, renyi_asymptotic
+from fermichain.fisher_hartwig import FHSymbol, symbol_params
 from fermichain.specfun import entropy_kernel
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
@@ -21,7 +22,8 @@ from fermichain.criticality import (
 )
 from fermichain.errors import (AccuracyError, DomainError, FitRejectedError,
                                QuadratureError)
-from fermichain.spectral import correlation_row_finite, eigenvalues_symmetric
+from fermichain.spectral import (CorrelationSpectrum, correlation_row_finite,
+                                 correlation_spectrum, eigenvalues_symmetric)
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +146,7 @@ ARRAY_ARGUMENTS = [
      [1, 2, 3, 4]),
     ("Fermi point", entanglement.f_factor, [1, 2]),
     ("Fermi point", lambda r: symbol_params(r, 3.0), [1, 2]),
+    ("Fermi point", lambda r: FHSymbol(lam=3.0, jump_angles=r), [1, 2]),
     ("first row", eigenvalues_symmetric, [2, 1, 0]),
     ("entropy_kernel argument", lambda x: entropy_kernel(2.0, x), [-1, 0, 1]),
     ("finite-range couplings", InteractionModel.finite_range, [1, 2]),
@@ -180,6 +183,22 @@ def test_array_arguments_read_as_scalars_are(name, call, good):
     for same in (np.array(good, dtype=np.int64),
                  np.array(good, dtype=np.float32), good):
         assert _bits(call(same)) == want
+
+
+@pytest.mark.parametrize("roots", [np.array([[1.0, 2.0]]), [[1.0], [2.0]],
+                                   [[1.0]]], ids=["row", "column", "one"])
+def test_fermi_points_form_a_1d_set(roots):
+    # one refusal of a set of Fermi points that is not 1-D, at each entry
+    # point that takes one; each once raised a bare TypeError from a
+    # comparison of a float with a list. A scalar is a set of one.
+    message = ("Fermi points must form a non-empty 1-D sequence, "
+               f"got shape {np.shape(roots)}")
+    for call in (entanglement.f_factor, lambda r: symbol_params(r, 3.0),
+                 lambda r: CorrelationSpectrum(L=1, eigenvalues=np.ones(1),
+                                               fermi_momenta=r)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(roots)
+    assert entanglement.f_factor(1.0) == entanglement.f_factor([1.0])
 
 
 # every other scalar entry point: the same refusal of text and bools
@@ -336,6 +355,52 @@ def test_analysis_holds_python_floats(model, mu):
               + list(a.velocities))
     assert a.roots
     assert [type(x) for x in values if type(x) is not float] == []
+
+
+def _round_trip_seas():
+    # the golden seas, then 20 finite-range chains of 2-4 couplings
+    # N(0, 1), 20 power-law chains with nu in (1.2, 4) and 20
+    # rational-cubic ones with J in (-1, 2), from a fixed seed; each at a
+    # mu inside its band, at both band edges, past both and at the band
+    # value of every stationary point, so that every phase is built
+    yield from GOLDEN_SEAS.values()
+    rng = np.random.default_rng(2016)
+    models = ([InteractionModel.finite_range(
+        tuple(rng.normal(size=rng.integers(2, 5)).tolist()))
+        for _ in range(20)]
+        + [InteractionModel.power_law(float(rng.uniform(1.2, 4.0)))
+           for _ in range(20)]
+        + [InteractionModel.rational_cubic(float(rng.uniform(-1.0, 2.0)))
+           for _ in range(20)])
+    for model in models:
+        prof = DispersionProfile(model)
+        band = fermi_points(prof, 1e6)
+        yield from ((model, mu) for mu in (
+            float(rng.uniform(band.e_min, band.e_max)), band.e_min,
+            band.e_max, band.e_min - 1.0, band.e_max + 1.0,
+            *(prof.E(p) for p in band.stationary_points)))
+
+
+def test_built_results_survive_replace():
+    # every result the library builds is its own dataclasses.replace:
+    # the fields its __post_init__ derives and checks come out as built,
+    # and a critical sea's edges inside (0, pi) are its roots, bit for bit
+    phases = set()
+    for model, mu in _round_trip_seas():
+        a = fermi_points(DispersionProfile(model), mu)
+        phases.add(a.phase)
+        assert dataclasses.replace(a) == a, (model, mu)
+        if a.phase != "critical":
+            continue
+        ps = [p for p, _ in a.roots]
+        assert [e for iv in a.sea_half for e in iv
+                if 0.0 < e < math.pi] == ps, (model, mu)
+        report = renyi_asymptotic(correlation_spectrum(a, 8), 1.0)
+        symbol = symbol_params(ps, 3.0)
+        assert dataclasses.replace(report) == report
+        assert dataclasses.replace(symbol) == symbol
+    assert phases >= {"critical", "boundary", "gapped-below", "gapped-above",
+                      "non-critical-multiple-root"}
 
 
 def test_power_law_below_two_has_one_fermi_point():

@@ -500,6 +500,17 @@ def test_hand_built_spectrum_needs_L_eigenvalues():
     assert [type(p) for p in by_hand.fermi_momenta] == [float]
 
 
+def test_report_derives_r_L():
+    # r_L follows from the two entropies: a replaced entropy recomputes
+    # it, and it cannot be passed
+    report = renyi_asymptotic(spectrum("hs", 64), 1.0)
+    moved = dataclasses.replace(report, s_exact=2.0 * report.s_exact)
+    assert moved.r_L == report.s_asymptotic / (2.0 * report.s_exact) - 1.0
+    assert EntropyReport(report.s_exact, report.s_asymptotic) == report
+    with pytest.raises(TypeError):
+        EntropyReport(s_exact=1.0, s_asymptotic=1.0, r_L=0.5)
+
+
 def test_fig8_relative_error_at_100():
     report = renyi_asymptotic(spectrum("fig8", 100), 1.0)
     assert abs(report.r_L) < 3e-5

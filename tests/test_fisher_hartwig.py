@@ -8,7 +8,7 @@ import pytest
 
 from fermichain.criticality import fermi_points
 from fermichain.entanglement import renyi_asymptotic
-from fermichain.errors import DomainError
+from fermichain.errors import DomainError, _check_roots
 from fermichain.fisher_hartwig import (
     FHSymbol,
     fh_deviation,
@@ -271,31 +271,86 @@ def test_deviation_validation():
     (lambda a: ((math.nan, 1),) + a.roots[1:], "must be finite")],
     ids=["reversed", "nan"])
 def test_hand_built_analysis_roots_refused(roots, match):
-    # a FermiAnalysis built by hand: its roots are checked where the
-    # determinant asymptotics read them and where the entropy asymptotics
-    # read them from the spectrum
+    # a FermiAnalysis built by hand: a critical one checks its roots
+    # when it is built, so neither the determinant asymptotics nor the
+    # entropy asymptotics ever read them unchecked
     a = fig8_analysis()
-    bad = dataclasses.replace(a, roots=roots(a))
     with pytest.raises(DomainError, match=match):
+        bad = dataclasses.replace(a, roots=roots(a))
         fh_deviation(bad, 3.0, [8])
     with pytest.raises(DomainError, match=match):
+        bad = dataclasses.replace(a, roots=roots(a))
         renyi_asymptotic(correlation_spectrum(bad, 8), 1.0)
 
 
 @pytest.mark.parametrize("angles, match", [
     ((-1.0, -1.0, 1.0, 1.0), "strictly increasing"),
     ((-4.0, 4.0), r"Fermi point 4\.0 outside \(0, pi\)"),
-    ((math.nan,), "need at least one Fermi point")],
-    ids=["coincident", "past-pi", "nan"])
+    ((math.nan,), "Fermi point must be finite"),
+    ((-2.0, 1.0), r"Fermi point -2\.0 outside \(0, pi\)")],
+    ids=["coincident", "past-pi", "nan", "unmirrored"])
 def test_hand_built_symbol_angles_refused(angles, match):
-    # an FHSymbol built by hand: its positive jump angles are checked as
-    # f_factor checks Fermi points, when it is built. Unchecked, the
-    # first divided by zero, the second raised a bare math domain error
-    # and the third returned a number.
+    # an FHSymbol built by hand: its jump angles are the Fermi points or
+    # their +-p set, checked as f_factor checks Fermi points, when it is
+    # built. Unchecked, the first divided by zero, the second raised a
+    # bare math domain error and the third returned a number; the fourth
+    # was silently rewritten to (-1.0, 1.0).
     with pytest.raises(DomainError, match=match):
         bad = dataclasses.replace(symbol_params([1.0], 3.0),
                                   jump_angles=angles)
         log_dl_asymptotic(bad, 8)
+
+
+def test_symbol_takes_the_fermi_points_or_their_mirror():
+    # the two forms of one angle set give one symbol, which stores the
+    # +-p form; any other set is refused (see the test above)
+    base = symbol_params([0.9, 2.2], 3.0)
+    assert base.jump_angles == (-2.2, -0.9, 0.9, 2.2)
+    for angles in ((0.9, 2.2), (-2.2, -0.9, 0.9, 2.2)):
+        assert FHSymbol(lam=3.0, jump_angles=angles) == base
+        assert symbol_params(angles, 3.0) == base
+
+
+def test_deviation_checks_the_fermi_points_once(monkeypatch):
+    # the analysis checked its roots when it was built; on their way to
+    # the symbol they are checked once more, by FHSymbol alone
+    a = fig8_analysis()
+    calls = []
+
+    def counted(roots):
+        calls.append(roots)
+        return _check_roots(roots)
+
+    monkeypatch.setattr("fermichain.fisher_hartwig._check_roots", counted)
+    fh_deviation(a, 3.0, [8])
+    assert len(calls) == 1
+
+
+def test_analysis_edges_are_its_fermi_points():
+    # a replaced root or sea edge gave an answer for neither sea: on HS
+    # mu 2, roots ((0.3, 1),) read r_L -0.1097 at L = 256 and a deviation
+    # 5.895 at L = 64 (true 7.9e-7 and 4.7e-5); sea_half
+    # ((0.0, 0.3),) kept the old sea and gave 5.895 too
+    a = fermi_points(DispersionProfile(InteractionModel.haldane_shastry()),
+                     2.0)
+    (p, _), = a.roots
+    message = r"must be the edges of sea_half .* inside \(0, pi\), each simple"
+    for change in ({"roots": ((0.3, 1),)}, {"sea_half": ((0.0, 0.3),)},
+                   {"roots": ((p, 2),)}, {"roots": ((p, 1), (p + 0.1, 1))},
+                   {"sea_half": ((0.0, p), (0.0, math.pi))}):
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(a, **change)
+    for field in ("sea", "central_charge"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(a, **{field: getattr(a, field)})
+    moved = dataclasses.replace(a, mu=3.0, roots=((1.0, 1),),
+                                sea_half=((0.0, 1.0),))
+    assert moved.sea == ((0.0, 1.0), (2.0 * math.pi - 1.0, 2.0 * math.pi))
+    assert moved.central_charge == 1
+    gapped = dataclasses.replace(a, phase="gapped-above", roots=(),
+                                 sea_half=((0.0, math.pi),))
+    assert gapped.sea == ((0.0, 2.0 * math.pi),)
+    assert gapped.central_charge is None
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0, math.nan, "x", 0.5],
