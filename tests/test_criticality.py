@@ -146,10 +146,10 @@ ARRAY_ARGUMENTS = [
      [1, 2, 3, 4]),
     ("Fermi point", entanglement.f_factor, [1, 2]),
     ("Fermi point", lambda r: symbol_params(r, 3.0), [1, 2]),
-    ("Fermi point", lambda r: FHSymbol(lam=3.0, jump_angles=r), [1, 2]),
     ("first row", eigenvalues_symmetric, [2, 1, 0]),
     ("entropy_kernel argument", lambda x: entropy_kernel(2.0, x), [-1, 0, 1]),
     ("finite-range couplings", InteractionModel.finite_range, [1, 2]),
+    ("Fermi point", lambda r: FHSymbol(lam=3.0, jump_angles=r), [1, 2]),
 ]
 
 
