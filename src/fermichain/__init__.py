@@ -62,7 +62,6 @@ from .entanglement import (
 )
 from .fisher_hartwig import (
     FHSymbol,
-    symbol_params,
     log_dl_asymptotic,
     fh_deviation,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "c_tilde",
     "renyi_asymptotic",
     "FHSymbol",
-    "symbol_params",
     "log_dl_asymptotic",
     "fh_deviation",
 ]

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FitRejectedError,
-                     QuadratureError, _check_real, _check_reals, _check_roots)
+                     QuadratureError, _check_real, _check_reals, _check_roots,
+                     _fermi_edges)
 from .models import (HALF_PERIOD_CANDIDATES, _finite_band, half_period_zeros,
                      monotonicity_report)
 from .specfun import _panel_nodes, _panel_rules, zeta
@@ -58,8 +59,9 @@ class FermiAnalysis:
     Building one, by hand or with dataclasses.replace, derives sea and
     central_charge. A critical analysis holds its Fermi points twice, as
     roots and as the edges of sea_half inside (0, pi), so the positions
-    are checked as f_factor checks Fermi points, and they must be those
-    edges, in order, each of multiplicity 1, or DomainError is raised.
+    are checked as f_factor checks Fermi points, and they must be the
+    edges errors._fermi_edges reads off sea_half, each of multiplicity
+    1, or DomainError is raised.
     """
     mu: float
     roots: tuple
@@ -76,11 +78,7 @@ class FermiAnalysis:
     def __post_init__(self):
         if self.phase == "critical":
             ps = _check_roots([p for p, _ in self.roots])
-            # the sea's edges in order: the Fermi points, with 0 and pi
-            # where the sea reaches them
-            nodes = [0.0, *ps, math.pi]
-            edges = [e for a, b in self.sea_half for e in (a, b)]
-            if (edges not in (nodes, nodes[1:], nodes[:-1], nodes[1:-1])
+            if (_fermi_edges(self.sea_half) != ps
                     or any(nu != 1 for _, nu in self.roots)):
                 raise DomainError(
                     f"roots {self.roots} must be the edges of sea_half "

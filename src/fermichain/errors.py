@@ -8,10 +8,12 @@ and the latter to 2. The validators of a count, a number, a real, an
 array of reals and a set of Fermi points live here, in the module every
 layer imports, so each kind of argument has one check and one message.
 A set of Fermi points is non-empty and 1-D, or a scalar as a set of
-one. The result types run these checks in __post_init__, which
-dataclasses.replace runs too, and derive there every field that other
-fields determine, so a built object is valid and the functions that
-read it trust it.
+one. A half sea's Fermi points are the edges of its intervals, read
+off them by _fermi_edges, the one place that says 0 and pi are edges
+but not Fermi points. The result types run these checks in
+__post_init__, which dataclasses.replace runs too, and derive there
+every field that other fields determine, so a built object is valid
+and the functions that read it trust it.
 """
 
 import functools
@@ -112,3 +114,11 @@ def _check_roots(roots):
                 "Fermi points must be strictly increasing; coincident "
                 "points make the cross factor singular")
     return ps.tolist()
+
+
+def _fermi_edges(sea_half):
+    """The edges of the intervals of sea_half, in order, less a 0 that
+    starts it and a pi that ends it: the sea's Fermi points, if it is a
+    critical sea, which _check_roots on them then tells."""
+    edges = [e for a, b in sea_half for e in (a, b)]
+    return edges[edges[:1] == [0.0]:len(edges) - (edges[-1:] == [math.pi])]

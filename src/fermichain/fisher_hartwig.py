@@ -1,10 +1,13 @@
 """Jump-symbol asymptotics of the characteristic determinant
 det(lam + 1 - 2 A_L).
 
-The symbol of this Toeplitz matrix is piecewise constant on the unit
-circle with jumps at the Fermi points +-p_i, so its determinant
-asymptotics are governed by a pure jump exponent beta and the symbol's
-constant part.
+The symbol of this Toeplitz matrix is lam - 1 on the Fermi sea and
+lam + 1 off it: piecewise constant on the unit circle, with jumps at
+the Fermi points +-p_i (for finite-range chains, Its, Mezzadri & Mo,
+Commun. Math. Phys. 284 (2008) 117). Its determinant asymptotics are
+governed by a pure jump exponent beta and the symbol's constant part,
+which depends on the measure of the sea and not only on where it ends,
+so the symbol is built from the sea itself.
 Branch convention throughout: log z = log|z| + i arg z with
 arg in (-pi, pi], and z^a = e^{a log z}.
 """
@@ -16,47 +19,47 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entanglement import _f_factor
-from .errors import (DomainError, _check_count, _check_number, _check_reals,
-                     _check_roots)
+from .errors import (DomainError, _check_count, _check_number, _check_roots,
+                     _fermi_edges)
 from .specfun import log_barnes_pair
-from .spectral import _critical_momenta, correlation_spectrum
+from .spectral import _critical_momenta, _filling, correlation_spectrum
 
 
 @dataclass(frozen=True)
 class FHSymbol:
     """Jump parameters of the symbol of lam + 1 - 2 A_L.
 
-    Built from lam and the jump angles alone. The angles are the
-    positive Fermi points alone, or the +-p set that mirrors them
-    exactly; each is read as f_factor reads Fermi points, and any other
-    set is refused, not rewritten. They are checked before lam, which
-    must lie off the cut [-1, 1] and is stored as a complex, and the
-    +-p tuple is stored. beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the
-    same at every jump up to an alternating sign; P collects the jump
-    positions, so the symbol's constant part
+    Built from lam and sea_half, the filled intervals of [0, pi] as a
+    critical FermiAnalysis holds them. The sea is checked first: its
+    edges inside (0, pi), read by errors._fermi_edges, are its Fermi
+    points, checked as f_factor checks Fermi points, and sea_half is
+    stored as a tuple of float pairs. Then lam, which must lie off the
+    cut [-1, 1], is stored as a complex. The rest is derived, not
+    passed, so dataclasses.replace of lam or the sea recomputes it:
+    jump_angles, the Fermi points and their mirror images -p;
+    beta = (2 pi i)^{-1} log[(lam+1)/(lam-1)], the same at every jump
+    up to an alternating sign; and P, the sea's measure over pi, which
+    correlation_row puts on A_L's diagonal. The symbol's constant part
     (lam+1) [(lam+1)/(lam-1)]^{-P} enters log_dl_asymptotic through lam
-    and P alone. beta and P are derived, not passed, so
-    dataclasses.replace of lam or the angles recomputes them.
+    and P alone.
     """
 
     lam: complex
-    jump_angles: tuple
+    sea_half: tuple
+    jump_angles: tuple = field(init=False)
     beta: complex = field(init=False)
     P: float = field(init=False)
 
     def __post_init__(self):
-        angles = _check_reals(self.jump_angles, "Fermi point")
-        # a set symmetric about 0 is read by its upper half, any other whole
-        mirrored = np.array_equal(angles, -angles[::-1])
-        ps = _check_roots(angles[angles.size // 2:] if mirrored else angles)
+        ps = _check_roots(_fermi_edges(self.sea_half))
+        sea_half = tuple((float(a), float(b)) for a, b in self.sea_half)
         lam = _check_off_cut(self.lam)
-        # frozen, so the checked and derived values go into the instance
-        # dict; with m + 1 Fermi points, P ends in m mod 2
+        # frozen, so the checked and derived values go into the instance dict
         vars(self).update(
-            lam=lam, jump_angles=tuple(sorted([-p for p in ps] + ps)),
+            lam=lam, sea_half=sea_half,
+            jump_angles=tuple(sorted([-p for p in ps] + ps)),
             beta=cmath.log((lam + 1.0) / (lam - 1.0)) / (2.0j * math.pi),
-            P=sum((-1.0) ** k * p for k, p in enumerate(ps)) / math.pi
-            + (len(ps) - 1) % 2)
+            P=_filling(sea_half))
 
 
 def _check_off_cut(lam):
@@ -71,13 +74,6 @@ def _check_off_cut(lam):
         raise DomainError(
             f"lambda={lam} is within 1e-9 of the eigenvalue support [-1, 1]")
     return lam
-
-
-def symbol_params(roots, lam):
-    """The FHSymbol of lam + 1 - 2 A_L for a sea with Fermi points roots,
-    as f_factor takes them, or their +-p set; FHSymbol checks the roots,
-    once and before lam."""
-    return FHSymbol(lam=lam, jump_angles=roots)
 
 
 def log_dl_asymptotic(symbol, L):
@@ -108,8 +104,8 @@ def fh_deviation(analysis, lam, L_list):
     eigenvalues a_k of the correlation matrix: the sum of the principal
     logs of the factors lam + 1 - 2 a_k."""
     # the phase gate runs first: a gapped sea has no Fermi points at all
-    symbol = symbol_params(
-        _critical_momenta(analysis, "determinant asymptotics need"), lam)
+    _critical_momenta(analysis, "determinant asymptotics need")
+    symbol = FHSymbol(lam=lam, sea_half=analysis.sea_half)
     if np.ndim(L_list) != 1 or not np.size(L_list):
         raise DomainError("block lengths must form a non-empty 1-D sequence, "
                           f"got {L_list!r}")

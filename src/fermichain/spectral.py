@@ -127,14 +127,20 @@ def _critical_momenta(analysis, needs):
     Any other phase is refused with a DomainError that begins with
     `needs`, the name of what requires such a sea. A critical
     FermiAnalysis checked its roots when it was built, and they are the
-    edges of the sea that correlation_row reads, so the row, a
-    spectrum's Fermi momenta and a symbol's jumps describe one sea.
+    edges of the sea that correlation_row reads, so the row and a
+    spectrum's Fermi momenta describe one sea.
     """
     if analysis.phase != "critical":
         raise DomainError(
             f"{needs} a sea bounded by simple Fermi points; "
             f"phase is {analysis.phase!r}")
     return [p for p, _ in analysis.roots]
+
+
+def _filling(sea_half):
+    # the filled fraction of the zone, the half sea's measure over pi:
+    # A_L's diagonal, and the P of the determinant's jump symbol
+    return sum(b - a for a, b in sea_half) / math.pi
 
 
 def correlation_row(analysis, L):
@@ -147,9 +153,8 @@ def correlation_row(analysis, L):
     """
     L = _check_count(L, "block length")
     _critical_momenta(analysis, "correlation row needs")
-    measure_half = sum(b - a for a, b in analysis.sea_half)
     row = np.empty(L)
-    row[0] = measure_half / math.pi
+    row[0] = _filling(analysis.sea_half)
     if L > 1:
         d = np.arange(1, L, dtype=float)
         acc = np.zeros(L - 1)

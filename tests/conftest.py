@@ -134,3 +134,13 @@ def _calabrese_essler(alpha, L, p):
 @pytest.fixture
 def calabrese_essler():
     return _calabrese_essler
+
+
+
+# the golden finite-range seas that miss p = 0, one per topology of
+# sea_half: couplings, mu, and what the sea is
+AWAY_SEAS = [
+    ((-1.0,), -1.0, "(pi/3, pi], c = 1"),
+    ((-0.5, -1.0), -4.0, "about (1.17, 2.27), c = 2"),
+    ((-1.0, 0.5, -1.0), -3.25, "(0.86, 1.23) and (2.39, pi], c = 3"),
+]

@@ -25,15 +25,24 @@ MODELS = {
     "fr_1_0.5": ["--model", "finite-range", "--coeffs", "1,0.5"],
     "pl_2.5": ["--model", "power-law", "--nu", "2.5"],
     "rc_0.6": ["--model", "rational-cubic", "--J", "0.6"],
+    "fr_-1": ["--model", "finite-range", "--coeffs=-1"],
+    "fr_-0.5_-1": ["--model", "finite-range", "--coeffs=-0.5,-1"],
+    "fr_-1_0.5_-1": ["--model", "finite-range", "--coeffs=-1,0.5,-1"],
 }
 # sea name -> model and chemical potential; haldane-shastry is half
-# filled at mu = 3 pi^2 / 8
+# filled at mu = 3 pi^2 / 8. The first five seas contain p = 0; the
+# last three miss it: (pi/3, pi] with c = 1, about (1.17, 2.27) with
+# c = 2, and (0.86, 1.23) with (2.39, pi] with c = 3 and an extremum
+# gap of 0.25
 SEAS = {
     "hs_mu2": ("hs", "2"),
     "hs_half": ("hs", "3.7011016504085092"),
     "fr_1_0.5_mu4.25": ("fr_1_0.5", "4.25"),
     "pl_2.5_mu1.5": ("pl_2.5", "1.5"),
     "rc_0.6_mu1": ("rc_0.6", "1"),
+    "fr_-1_mu-1": ("fr_-1", "-1"),
+    "fr_-0.5_-1_mu-4": ("fr_-0.5_-1", "-4"),
+    "fr_-1_0.5_-1_mu-3.25": ("fr_-1_0.5_-1", "-3.25"),
 }
 # file name -> the command's arguments after `fermichain`
 GOLDEN = {"constants.csv": ["constants"]}

@@ -206,6 +206,19 @@ def test_fh_check_defaults(tmp_path):
     assert devs[0] > devs[1] > devs[2] > 0
 
 
+def test_fh_check_on_a_sea_without_zero(tmp_path):
+    # the sea (pi/3, pi] misses p = 0; a symbol that read only the Fermi
+    # point took P as 1/3 instead of 2/3 and wrote 3.70, 7.39 and 14.79,
+    # growing linearly in L, with exit 0
+    out = str(tmp_path / "fh.csv")
+    assert run(["fh-check", "--model", "finite-range", "--coeffs=-1",
+                "--mu", "-1", "--L", "16,32,64", "--output", out]) == 0
+    _, rows = read_csv(out)
+    devs = [float(r[1]) for r in rows]
+    assert devs[0] > devs[1] > devs[2] > 0
+    assert devs[0] < 1e-3
+
+
 def test_fh_check_after_entropy_same_bytes(tmp_path):
     # fh-check right after entropy on the same block takes the
     # eigenvalues the solver kept (no new solve), and writes the bytes a

@@ -12,7 +12,7 @@ import pytest
 from fermichain import criticality, entanglement, specfun
 from fermichain.cli import run
 from fermichain.entanglement import c_tilde, i1, renyi_asymptotic
-from fermichain.fisher_hartwig import FHSymbol, symbol_params
+from fermichain.fisher_hartwig import FHSymbol
 from fermichain.specfun import entropy_kernel
 from fermichain.models import DispersionProfile, InteractionModel
 from fermichain.criticality import (
@@ -145,11 +145,12 @@ ARRAY_ARGUMENTS = [
     ("temperature", lambda T: low_temperature_fit(wide(), 2e4, T_grid=T),
      [1, 2, 3, 4]),
     ("Fermi point", entanglement.f_factor, [1, 2]),
-    ("Fermi point", lambda r: symbol_params(r, 3.0), [1, 2]),
+    ("Fermi point", lambda p: FHSymbol(lam=3.0, sea_half=((0.0, p),)), 1),
     ("first row", eigenvalues_symmetric, [2, 1, 0]),
     ("entropy_kernel argument", lambda x: entropy_kernel(2.0, x), [-1, 0, 1]),
     ("finite-range couplings", InteractionModel.finite_range, [1, 2]),
-    ("Fermi point", lambda r: FHSymbol(lam=3.0, jump_angles=r), [1, 2]),
+    ("Fermi point",
+     lambda p: FHSymbol(lam=3.0, sea_half=((p, math.pi),)), 1),
 ]
 
 
@@ -193,7 +194,7 @@ def test_fermi_points_form_a_1d_set(roots):
     # comparison of a float with a list. A scalar is a set of one.
     message = ("Fermi points must form a non-empty 1-D sequence, "
                f"got shape {np.shape(roots)}")
-    for call in (entanglement.f_factor, lambda r: symbol_params(r, 3.0),
+    for call in (entanglement.f_factor,
                  lambda r: CorrelationSpectrum(L=1, eigenvalues=np.ones(1),
                                                fermi_momenta=r)):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -209,7 +210,8 @@ NUMBER_ARGUMENTS = REAL_ARGUMENTS + [
     ("zeta order nu", specfun.zeta, 3),
     ("polylog_circle order nu", lambda x: specfun.polylog_circle(x, 1.0), 3),
     ("log_barnes_pair argument beta", specfun.log_barnes_pair, 0.25),
-    ("lambda", lambda x: symbol_params([math.pi / 2], x), 3),
+    ("lambda", lambda x: FHSymbol(lam=x, sea_half=((0.0, math.pi / 2),)),
+     3),
 ]
 
 
@@ -250,7 +252,7 @@ NOT_A_NUMBER = [
     ("log_barnes_pair argument beta must be a number, got None",
      lambda: specfun.log_barnes_pair(None)),
     ("lambda must be a number, got None",
-     lambda: symbol_params([1.0], None)),
+     lambda: FHSymbol(lam=None, sea_half=((0.0, 1.0),))),
     ("power-law exponent must be a number, got None",
      lambda: InteractionModel.power_law(None)),
     ("rational-cubic strength must be a number, got [1.0]",
@@ -396,7 +398,7 @@ def test_built_results_survive_replace():
         assert [e for iv in a.sea_half for e in iv
                 if 0.0 < e < math.pi] == ps, (model, mu)
         report = renyi_asymptotic(correlation_spectrum(a, 8), 1.0)
-        symbol = symbol_params(ps, 3.0)
+        symbol = FHSymbol(lam=3.0, sea_half=a.sea_half)
         assert dataclasses.replace(report) == report
         assert dataclasses.replace(symbol) == symbol
     assert phases >= {"critical", "boundary", "gapped-below", "gapped-above",
