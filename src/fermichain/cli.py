@@ -250,12 +250,8 @@ def _profile(args):
 def _cmd_dispersion(args):
     prof = _profile(args)
     ps = np.linspace(0.0, 2.0 * math.pi, args.grid_points)
-    e = _finite_band(prof.E_grid, ps, "E")
-    e1 = _finite_band(prof.E1_grid, ps, "E'")
     # E'' may be infinite at the zone-center cusps p = 0 and 2 pi only
-    e2 = np.concatenate([prof.E2_grid(ps[:1]),
-                         _finite_band(prof.E2_grid, ps[1:-1], "E''"),
-                         prof.E2_grid(ps[-1:])])
+    e, e1, e2 = _finite_band(prof, ps, 0, 1, 2)
     rows = [[float(p), float(ev), float(dv), float(d2v)]
             for p, ev, dv, d2v in zip(ps, e, e1, e2)]
     return ["p", "E", "dE", "d2E"], rows, None

@@ -12,10 +12,10 @@ none otherwise; models.half_period_zeros finds it on the piece's grid.
 A zone edge where E' vanishes is a band extremum like the stationary
 points, but never a Fermi point; mu on one inside the band is refused.
 The same points place the panels of free_energy, which takes specfun's
-fixed Gauss-Legendre rule, reads the dispersion only through E_grid and
-reports its achieved quadrature error. A grid of temperatures takes one
+fixed Gauss-Legendre rule, reads the dispersion only through grids of E
+and reports its achieved quadrature error. A grid of temperatures takes one
 pass, which free_energy and low_temperature_fit share: the panel edges
-of every temperature come from one halving ladder, one E_grid call
+of every temperature come from one halving ladder, one grid call for E
 evaluates the nodes of the distinct panels, and one array expression
 gives the Fermi factor of every temperature at every node.
 """
@@ -53,8 +53,9 @@ class FermiAnalysis:
     derived from it. central_charge is derived too: len(roots) when the
     phase is critical, else None. extremum_gap is the distance from mu
     to the nearest band value at an extremum (0, a stationary point,
-    pi), a tangency or touched zone edge left out: the scale at which
-    the low-temperature law crosses over.
+    pi), a tangency or touched zone edge left out, or, if less, the
+    band-value difference of two adjacent extrema that mu both touches:
+    the scale at which the low-temperature law crosses over.
 
     Building one, by hand or with dataclasses.replace, derives sea and
     central_charge. A critical analysis holds its Fermi points twice, as
@@ -114,7 +115,7 @@ def _analyze(profile, mu):
     mu = _check_real(mu, "chemical potential")
     stationary = monotonicity_report(profile)
     extrema = [0.0, *stationary, math.pi]
-    band_vals = _finite_band(profile._E_grid, np.array(extrema), "E")
+    (band_vals,) = _finite_band(profile, np.array(extrema), 0)
     e_min = float(band_vals.min())
     e_max = float(band_vals.max())
     btol = 1e-12 * max(1.0, abs(mu), abs(e_min), abs(e_max))
@@ -127,7 +128,7 @@ def _analyze(profile, mu):
     # a zone edge is an extremum where E' vanishes, never a Fermi point
     ends = [p for p in near if p in (0.0, math.pi)]
     if ends:
-        ends = [p for p, d in zip(ends, profile._E1_grid(np.array(ends)))
+        ends = [p for p, d in zip(ends, profile._band(np.array(ends), 1)[0])
                 if abs(d) < 1e-8]
     # at a band edge it is the boundary, though mu may lie just inside
     if ends and e_min < band_vals[extrema.index(ends[0])] < e_max:
@@ -136,9 +137,14 @@ def _analyze(profile, mu):
             f"p={'0' if ends[0] == 0.0 else 'pi'} inside the band; "
             "such a tangency is not classified")
     snapped = tangent + ends
-    extremum_gap = min((abs(e - mu) for p, e in
-                        zip(extrema, band_vals.tolist()) if p not in snapped),
-                       default=math.inf)
+    # two adjacent snapped extrema bound each other's law by their own
+    # band-value difference, below the snap tolerance
+    vals = band_vals.tolist()
+    extremum_gap = min(
+        [abs(e - mu) for p, e in zip(extrema, vals) if p not in snapped]
+        + [abs(e - f) for p, q, e, f in zip(extrema, extrema[1:], vals,
+                                            vals[1:])
+           if p in snapped and q in snapped], default=math.inf)
     # one crossing per piece between extrema whose ends straddle mu;
     # none where an end is snapped, as the tangency is the crossing
     cand = HALF_PERIOD_CANDIDATES
@@ -148,11 +154,11 @@ def _analyze(profile, mu):
         if lo != hi and a not in snapped and b not in snapped:
             grid = np.concatenate([[a], cand[(cand > a) & (cand < b)], [b]])
             crossing += half_period_zeros(
-                lambda p: profile._E_grid(p) - mu, 1e-13, grid)
+                lambda p: profile._band(p, 0)[0] - mu, 1e-13, grid)
     # one E1 call gives the multiplicity check and the slopes; a point
     # has the same E1 bits in any grid
     points = crossing + tangent
-    slopes = profile._E1_grid(np.array(points, dtype=float)).tolist()
+    slopes = profile._band(np.array(points, dtype=float), 1)[0].tolist()
     slope_at = dict(zip(points, slopes))
     roots = tuple(sorted(
         [(r, 2 if abs(slope_at[r]) < 1e-8 else 1) for r in crossing]
@@ -188,7 +194,7 @@ def _half_sea(profile, mu, root_ps):
     nodes = [0.0] + list(root_ps) + [math.pi]
     mids = 0.5 * (np.array(nodes[:-1]) + np.array(nodes[1:]))
     runs = []
-    for a, b, e in zip(nodes[:-1], nodes[1:], profile._E_grid(mids)):
+    for a, b, e in zip(nodes[:-1], nodes[1:], profile._band(mids, 0)[0]):
         if e < mu:
             if runs and runs[-1][1] == a:
                 runs[-1][1] = b  # tangency point interior to the sea
@@ -291,7 +297,7 @@ def free_energy(profile, mu, T):
     f. Both come from one pass of specfun's fixed Gauss-Legendre panel
     rule over panels that halve toward each Fermi point and band
     extremum, where the thermal integrand kinks as T -> 0, and toward
-    the zone-center cusps; one E_grid call at the 20- and 10-point nodes
+    the zone-center cusps; one grid call for E at the 20- and 10-point nodes
     of every panel serves both. The summed per-panel |Q20 - Q10| is the
     achieved error, gated at 1e-10 for f0 and 1e-9 for f; quad_err is
     the larger of the two.
@@ -300,7 +306,7 @@ def free_energy(profile, mu, T):
     real by errors._check_reals; a scalar is a grid of one and gives a
     ThermalResult, a grid a tuple of them. The panels of a grid halve
     toward the same features by the same h 2^-k, deeper at lower T, so
-    they largely coincide, edges bit for bit: one E_grid call on the
+    they largely coincide, edges bit for bit: one grid call for E on the
     distinct panels serves every T, and each T's result is that of a
     call at that T alone, bit for bit.
     """
@@ -317,7 +323,7 @@ def _thermal_pass(profile, analysis, T_grid):
         np.concatenate([edge[:-1] + 1j * edge[1:] for edge in edges]),
         return_inverse=True)
     half, nodes = _panel_nodes(panels.real, panels.imag)
-    e = profile._E_grid(nodes) - analysis.mu
+    e = profile._band(nodes, 0)[0] - analysis.mu
     # per-panel rules on every distinct panel: f0's once, f's with one
     # row per T, its integrand taking a block of temperatures at a time
     q0, dq0 = _panel_rules(np.minimum(e, 0.0) / math.pi, half)
@@ -360,7 +366,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
     power; it is None for gapped and boundary phases. T_grid is a 1-D
     grid with at least 4 distinct temperatures, checked before the Fermi
     analysis; all of them share free_energy's one thermal pass, whose
-    E_grid call covers the distinct panels of every T once. A critical
+    grid call for E covers the distinct panels of every T once. A critical
     or tangent sea whose extremum gap is under 10 max T is refused even
     when the line passes the residual gate: near a band extremum the law
     bends while the log-log line still looks straight.
@@ -409,7 +415,7 @@ def low_temperature_fit(profile, mu, T_grid=None):
         top = [p for p, order in analysis.roots if order == nu]
         inv = 1.0 / nu
         predicted = 0.0
-        for d in profile._E2_grid(np.array(top)).tolist():
+        for d in profile._band(np.array(top), 2)[0].tolist():
             b = (math.factorial(nu) / abs(d)) ** inv if d != 0.0 else math.inf
             predicted -= (2.0 * b / math.pi) * (1.0 - 2.0 ** -inv) \
                 * math.gamma(1.0 + inv) * zeta(1.0 + inv)

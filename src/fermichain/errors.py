@@ -119,6 +119,12 @@ def _check_roots(roots):
 def _fermi_edges(sea_half):
     """The edges of the intervals of sea_half, in order, less a 0 that
     starts it and a pi that ends it: the sea's Fermi points, if it is a
-    critical sea, which _check_roots on them then tells."""
-    edges = [e for a, b in sea_half for e in (a, b)]
+    critical sea, which _check_roots on them then tells. Each interval
+    is a (start, end) pair, whose ends _check_reals then reads, worded
+    as Fermi points."""
+    shape = np.array(sea_half, dtype=object, ndmin=1).shape
+    if shape[0] and shape[1:] != (2,):
+        raise DomainError("sea_half must be a sequence of (start, end) "
+                          f"pairs, got {sea_half!r}")
+    edges = _check_reals(sea_half, "Fermi point").ravel().tolist()
     return edges[edges[:1] == [0.0]:len(edges) - (edges[-1:] == [math.pi])]

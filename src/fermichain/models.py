@@ -4,7 +4,8 @@ A model fixes the translation-invariant coupling h(j) between sites at
 chord distance j. Mode energies of the N-site ring come from the
 half-range sum over 1 <= j <= N/2 (with a parity term at j = N/2 for
 even N); the thermodynamic limit gives E(p) on [0, 2*pi] together with
-its first two derivatives. Models are immutable after construction.
+its first two derivatives, which DispersionProfile evaluates in one
+place, one branch per family. Models are immutable after construction.
 """
 
 import math
@@ -169,12 +170,17 @@ def _clausen2_near_pi_slope(u):
 class DispersionProfile:
     """E(p), E'(p), E''(p) on [0, 2*pi] for one interaction model.
 
-    The *_grid methods evaluate each family in one place, over momentum
-    arrays, by closed form or series: power-law and rational-cubic share
-    the zeta series of specfun._polylog_circle_grid. E, E1 and E2 are
-    grids of one. At the zone center the haldane-shastry and power-law
-    (nu <= 2) dispersions have a cusp; derivative values there are
-    one-sided limits where defined.
+    One evaluator, _band, holds one branch per family and gives any of
+    the three orders from one call, by closed form or series:
+    power-law and rational-cubic share the zeta series of
+    specfun._polylog_circle_grid, and finite-range and custom-summable
+    sum their cosine series, each order with its own truncation. E_grid,
+    E1_grid and E2_grid are its views of one order, and E, E1 and E2 are
+    grids of one. A column has the same bits whatever orders it comes
+    with. At
+    the zone center the haldane-shastry and power-law (nu <= 2)
+    dispersions have a cusp; derivative values there are one-sided
+    limits where defined.
     """
 
     def __init__(self, model):
@@ -183,7 +189,8 @@ class DispersionProfile:
 
     # -- cosine-series couplings -----------------------------------------
     def _couplings(self, order):
-        """(j, h_j) of the series E = 2 sum_j h_j (1 - cos j p).
+        """(j, j^order h_j): the indices and order-`order` weights of the
+        series E = 2 sum_j h_j (1 - cos j p).
 
         Finite-range models give their couplings as they are. A
         custom-summable series is truncated so the declared tail bound
@@ -207,10 +214,10 @@ class DispersionProfile:
                         achieved=achieved, target=1e-12)
             hj = np.array([float(self.model.h(k)) for k in range(1, J + 1)])
         j = np.arange(1.0, hj.size + 1.0)
-        self._series_cache[order] = (j, hj)
-        return j, hj
+        self._series_cache[order] = (j, j ** order * hj)
+        return self._series_cache[order]
 
-    # -- evaluators: one branch per family, scalars are grids of one --------
+    # -- views of the evaluator: scalars are grids of one -----------------
     def E(self, p):
         return float(self.E_grid(_check_number(p, "momentum p"))[0])
 
@@ -221,67 +228,61 @@ class DispersionProfile:
         return float(self.E2_grid(_check_number(p, "momentum p"))[0])
 
     def E_grid(self, p):
-        return self._E_grid(_check_momentum(p))
+        return self._band(_check_momentum(p), 0)[0]
 
     def E1_grid(self, p):
-        return self._E1_grid(_check_momentum(p))
+        return self._band(_check_momentum(p), 1)[0]
 
     def E2_grid(self, p):
-        return self._E2_grid(_check_momentum(p))
+        return self._band(_check_momentum(p), 2)[0]
 
-    # -- their cores, on checked float arrays of momenta in [0, 2*pi] --
-    def _E_grid(self, p):
+    def _band(self, p, *orders):
+        """E (order 0), E' (1) and E'' (2) at a checked float array of
+        momenta in [0, 2*pi]: one array in p's shape per order asked."""
         m = self.model
         if m.family == "haldane-shastry":
-            return 0.5 * p * (_TWO_PI - p)
-        if m.family == "power-law":
-            li = _polylog_circle_grid(m.nu, p, "real")
-            return 2.0 * m.C * (zeta(m.nu) - li)
-        if m.family == "rational-cubic":
-            li = _polylog_circle_grid(3.0, p, "real")
-            return 0.5 * p * (_TWO_PI - p) - 2.0 * m.J * (zeta(3.0) - li)
-        # finite-range and custom-summable: the explicit cosine series
-        j, hj = self._couplings(0)
-        return _trig_sum(p, j, hj, np.cos, constant=2.0 * hj.sum(), sign=-2.0)
-
-    def _E1_grid(self, p):
-        m = self.model
-        if m.family == "haldane-shastry":
-            return math.pi - p
-        if m.family == "power-law":
-            # zone center: Im Li is odd there, so E' = 0 at the cusp
-            return 2.0 * m.C * _polylog_circle_grid(m.nu - 1.0, p, "imag")
-        if m.family == "rational-cubic":
-            li = _polylog_circle_grid(2.0, p, "imag")
-            out = (math.pi - p) - 2.0 * m.J * li
-            h = math.pi - p
-            near = np.abs(h) < 0.5 * math.pi
-            if np.any(near):
-                hn = h[near]
-                out[near] = hn * (1.0 - 2.0 * m.J
-                                  * _clausen2_near_pi_slope(np.abs(hn)))
-            return out
-        j, hj = self._couplings(1)
-        return _trig_sum(p, j, j * hj, np.sin, sign=2.0)
-
-    def _E2_grid(self, p):
-        m = self.model
-        if m.family == "haldane-shastry":
-            return np.full(p.shape, -1.0)
-        if m.family == "power-law":
-            # the zone center gives +inf for nu <= 3, where sum j^{2-nu}
-            # diverges, and 2 C zeta(nu - 2) otherwise
-            return 2.0 * m.C * _polylog_circle_grid(m.nu - 2.0, p, "real")
-        if m.family == "rational-cubic":
-            if m.J == 0.0:
-                return np.full(p.shape, -1.0)
-            # log|2 sin(p/2)| diverges at the zone center: E'' = -inf for
-            # J > 0 and +inf for J < 0 there
-            s = 2.0 * np.sin(0.5 * np.minimum(p, _TWO_PI - p))
-            with np.errstate(divide="ignore"):
-                return -1.0 + 2.0 * m.J * np.log(s)
-        j, hj = self._couplings(2)
-        return _trig_sum(p, j, j * j * hj, np.cos, sign=2.0)
+            def column(o):
+                return (0.5 * p * (_TWO_PI - p) if o == 0 else math.pi - p
+                        if o == 1 else np.full(p.shape, -1.0))
+        elif m.family == "power-law":
+            # E = 2C [zeta(nu) - Re Li_nu], E' = 2C Im Li_{nu-1} and
+            # E'' = 2C Re Li_{nu-2}. At the zone center Im Li is odd, so
+            # E' = 0 at the cusp, and E'' is +inf for nu <= 3, where
+            # sum j^{2-nu} diverges, and 2 C zeta(nu - 2) otherwise
+            def column(o):
+                li = _polylog_circle_grid(m.nu - o, p,
+                                          "imag" if o == 1 else "real")
+                return 2.0 * m.C * (zeta(m.nu) - li if o == 0 else li)
+        elif m.family == "rational-cubic":
+            def column(o):
+                if o == 0:
+                    li = _polylog_circle_grid(3.0, p, "real")
+                    return (0.5 * p * (_TWO_PI - p)
+                            - 2.0 * m.J * (zeta(3.0) - li))
+                if o == 1:
+                    h = math.pi - p
+                    out = h - 2.0 * m.J * _polylog_circle_grid(2.0, p, "imag")
+                    near = np.abs(h) < 0.5 * math.pi
+                    if np.any(near):
+                        hn = h[near]
+                        slope = _clausen2_near_pi_slope(np.abs(hn))
+                        out[near] = hn * (1.0 - 2.0 * m.J * slope)
+                    return out
+                if m.J == 0.0:
+                    return np.full(p.shape, -1.0)
+                # log|2 sin(p/2)| diverges at the zone center: E'' = -inf
+                # for J > 0 and +inf for J < 0 there
+                s = 2.0 * np.sin(0.5 * np.minimum(p, _TWO_PI - p))
+                with np.errstate(divide="ignore"):
+                    return -1.0 + 2.0 * m.J * np.log(s)
+        else:
+            # finite-range and custom-summable: the explicit cosine series
+            def column(o):
+                j, w = self._couplings(o)
+                return _trig_sum(p, j, w, np.sin if o == 1 else np.cos,
+                                 constant=0.0 if o else 2.0 * w.sum(),
+                                 sign=2.0 if o else -2.0)
+        return [column(o) for o in orders]
 
 
 def _check_momentum(p):
@@ -339,7 +340,15 @@ HALF_PERIOD_CANDIDATES = _half_period_grid()
 def monotonicity_report(profile):
     """The interior sign changes of E' on (0, pi), sorted, as a tuple.
 
-    E' is scanned for sign changes and each is bisected to 1e-12.
+    E' is scanned for sign changes, and each is bisected to 1e-12. Two
+    stationary points closer than a cell can leave E' with one sign at
+    every grid point, as it dips through zero and back between two. So
+    around each grid point where |E'| is least among it and its two
+    neighbours, all three of one sign, the two cells are searched by
+    _dip_below; where it finds E' of the other sign, E' is bisected on
+    each side of that point. This catches an extremum of E' inside a
+    cell whose two neighbours hold no other one; two extrema in
+    neighbouring cells can hide each other from the grid.
 
     Finite-range couplings past index _SCAN_CELLS/4 are refused: their
     E' can change sign faster than the scan resolves. So is a band whose
@@ -351,14 +360,50 @@ def monotonicity_report(profile):
             f"coupling index {top} is finer than the {_SCAN_CELLS}-cell "
             f"scan of E' resolves (at most {_SCAN_CELLS // 4})",
             achieved=top, target=_SCAN_CELLS // 4)
-    return tuple(half_period_zeros(
-        lambda p: _finite_band(profile._E1_grid, p, "E'"), 1e-12))
+
+    def e1(p):
+        return _finite_band(profile, p, 1)[0]
+
+    cand = HALF_PERIOD_CANDIDATES
+    d = e1(cand)
+    neg = d < 0.0
+    flip = neg[:-1] != neg[1:]
+    brackets = [(cand[i], cand[i + 1], d[i], d[i + 1])
+                for i in np.flatnonzero(flip)]
+    size = np.abs(d)
+    for k in 1 + np.flatnonzero((size[1:-1] < size[:-2])
+                                & (size[1:-1] <= size[2:])):
+        if flip[k - 1] or flip[k]:
+            continue
+        a, b = cand[k - 1], cand[k + 1]
+        below = _dip_below(e1, a, b, neg[k])
+        if below is not None:
+            x, v = below
+            brackets += [(a, x, d[k - 1], v), (x, b, v, d[k + 1])]
+    return tuple(_kept_zeros(e1, sorted(brackets), 1e-12))
 
 
-def _finite_band(grid, p, name):
-    """The evaluator grid (E_grid, E1_grid or E2_grid) at the momenta p;
-    a band that overflows doubles is refused, naming the column (name,
-    "E", "E'" or "E''") and its first non-finite value.
+def _dip_below(f, a, b, neg):
+    # A point (x, f(x)) of [a, b] where the grid function f has the
+    # other sign than at a and b (negative there if neg), or None. |f|
+    # is taken to have one minimum on [a, b]: 17 points zoom in on the
+    # least |f| and its two neighbours, until one has the other sign or
+    # the bracket is within 1e-12.
+    while b - a > 1e-12:
+        x = np.linspace(a, b, 17)
+        v = f(x)
+        other = np.flatnonzero((v < 0.0) != neg)
+        if other.size:
+            return x[other[0]], v[other[0]]
+        k = int(np.argmin(np.abs(v)))
+        a, b = x[max(k - 1, 0)], x[min(k + 1, 16)]
+    return None
+
+
+def _finite_band(profile, p, *orders):
+    """profile._band(p, *orders), with a band that overflows doubles
+    refused, naming the column ("E", "E'" or "E''") and its first
+    non-finite value.
 
     E and E' are finite at every momentum in exact arithmetic, and E''
     at every momentum but the zone center p = 0 (2 pi), where the
@@ -368,13 +413,19 @@ def _finite_band(grid, p, name):
     refusal reports the first value they would warn about.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        e = grid(p)
-    bad = np.flatnonzero(~np.isfinite(e))
-    if bad.size:
-        raise DomainError(
-            f"the band overflows: {name} is {e.flat[bad[0]]} at p = "
-            f"{np.ravel(p)[bad[0]]}; the couplings are too large for doubles")
-    return e
+        band = profile._band(p, *orders)
+    for order, e in zip(orders, band):
+        bad = ~np.isfinite(e)
+        if order == 2:
+            bad &= (0.0 < p) & (p < _TWO_PI)
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            name = "E" + "'" * order
+            raise DomainError(
+                f"the band overflows: {name} is {e.flat[bad[0]]} at p = "
+                f"{np.ravel(p)[bad[0]]}; the couplings are too large for "
+                "doubles")
+    return band
 
 
 def half_period_zeros(f, xtol, grid=None):
@@ -390,9 +441,17 @@ def half_period_zeros(f, xtol, grid=None):
     cand = HALF_PERIOD_CANDIDATES if grid is None else grid
     v = f(cand)
     neg = v < 0.0
+    return _kept_zeros(f, [(cand[i], cand[i + 1], v[i], v[i + 1])
+                           for i in np.flatnonzero(neg[:-1] != neg[1:])],
+                       xtol)
+
+
+def _kept_zeros(f, brackets, xtol):
+    # half_period_zeros' rule on sorted, disjoint (a, b, f(a), f(b))
+    # brackets: each bisected to xtol, then dropped or merged
     zeros = []
-    for i in np.flatnonzero(neg[:-1] != neg[1:]):
-        r = _bisect_sign_change(f, cand[i], cand[i + 1], v[i], v[i + 1], xtol)
+    for bracket in brackets:
+        r = _bisect_sign_change(f, *bracket, xtol)
         if 1e-12 < r < math.pi - 1e-12 and (
                 not zeros or r - zeros[-1] > 1e-10):
             zeros.append(float(r))

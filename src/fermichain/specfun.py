@@ -106,7 +106,7 @@ def _zeta_real(x):
                                     + _zeta_tail(s, 10.0, -x))
 
 
-# the zeta(nu) behind every E_grid call of the power-law and
+# the zeta(nu) behind every grid of E of the power-law and
 # rational-cubic families; bounded, as the orders a run uses are few
 _zeta_cached = functools.lru_cache(maxsize=64)(_zeta_real)
 

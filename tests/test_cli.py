@@ -173,26 +173,26 @@ def test_free_energy_csv_without_fit(tmp_path):
 
 
 def test_free_energy_table_takes_one_thermal_pass(tmp_path, monkeypatch):
-    # without --fit the table is still one E_grid call after the analysis,
-    # made on the core
-    shapes = []
+    # without --fit the table is still one E-only call of the evaluator
+    # after the analysis
+    calls = []
     analyze = criticality._analyze
-    E_grid = DispersionProfile._E_grid
+    band = DispersionProfile._band
 
-    def counted(self, p):
-        shapes.append(np.shape(p))
-        return E_grid(self, p)
+    def counted(self, p, *orders):
+        calls.append((np.shape(p), orders))
+        return band(self, p, *orders)
 
     def analyze_then_count(profile, mu):
         analysis = analyze(profile, mu)
-        monkeypatch.setattr(DispersionProfile, "_E_grid", counted)
+        monkeypatch.setattr(DispersionProfile, "_band", counted)
         return analysis
 
     monkeypatch.setattr(criticality, "_analyze", analyze_then_count)
     out = str(tmp_path / "fe.csv")
     assert run(["free-energy", *HS2, "--T", "0.001:0.01:5",
                 "--output", out]) == 0
-    assert len(shapes) == 1 and shapes[0][1] == 30
+    assert len(calls) == 1 and calls[0][0][1] == 30 and calls[0][1] == (0,)
     assert len(read_csv(out)[1]) == 5
 
 

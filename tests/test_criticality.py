@@ -827,21 +827,22 @@ def _distinct_panels(prof, mu, T_grid):
 
 
 def count_thermal_E_grid(monkeypatch):
-    """Shapes passed to the E_grid core after the Fermi analysis, reset
-    per analysis."""
+    """Shapes passed to the evaluator for E after the Fermi analysis,
+    reset per analysis."""
     shapes = []
     analyze = criticality._analyze
-    E_grid = DispersionProfile._E_grid
+    band = DispersionProfile._band
 
-    def counted(self, p):
-        shapes.append(np.shape(p))
-        return E_grid(self, p)
+    def counted(self, p, *orders):
+        if 0 in orders:
+            shapes.append(np.shape(p))
+        return band(self, p, *orders)
 
     def analyze_then_count(profile, mu):
-        monkeypatch.setattr(DispersionProfile, "_E_grid", E_grid)
+        monkeypatch.setattr(DispersionProfile, "_band", band)
         analysis = analyze(profile, mu)
         shapes.clear()
-        monkeypatch.setattr(DispersionProfile, "_E_grid", counted)
+        monkeypatch.setattr(DispersionProfile, "_band", counted)
         return analysis
 
     monkeypatch.setattr(criticality, "_analyze", analyze_then_count)

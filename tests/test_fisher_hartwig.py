@@ -315,6 +315,32 @@ def test_hand_built_symbol_angles_refused(sea, match):
                             jump_angles=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("sea, match", [
+    ([(False, 1.0)], "^Fermi point must be a number, got False$"),
+    ([(0.0, True)], "^Fermi point must be a number, got True$"),
+    ([(0.5, 1.0), (2.0,)], r"^sea_half must be a sequence of \(start, end\) "
+                           r"pairs, got \[\(0\.5, 1\.0\), \(2\.0,\)\]$"),
+    ([(0.5,)], r"^sea_half must be a sequence of \(start, end\) pairs, got "
+               r"\[\(0\.5,\)\]$"),
+    ([1.0], r"^sea_half must be a sequence of \(start, end\) pairs, got "
+            r"\[1\.0\]$"),
+    ([(0.5, 1.0, 2.0)], r"^sea_half must be a sequence of \(start, end\) "
+                        r"pairs, got \[\(0\.5, 1\.0, 2\.0\)\]$")],
+    ids=["bool-start", "bool-end", "ragged", "one-end", "bare-edge",
+         "three-ends"])
+def test_sea_entries_are_pairs_of_reals(sea, match):
+    # a hand-built sea is read as (start, end) pairs of reals, by the
+    # real validator, both where a symbol is built and where a critical
+    # analysis is; (False, 1.0) was once read as the sea [0, 1), with
+    # P = 0.318, and the others escaped as a bare ValueError or TypeError
+    analysis = fermi_points(
+        DispersionProfile(InteractionModel.haldane_shastry()), 2.0)
+    for build in (lambda: FHSymbol(lam=3.0, sea_half=sea),
+                  lambda: dataclasses.replace(analysis, sea_half=sea)):
+        with pytest.raises(DomainError, match=match):
+            build()
+
+
 def test_symbol_jumps_are_the_sea_edges_mirrored():
     # the jump angles are the sea's edges inside (0, pi) and their
     # mirror images, whichever side of them the sea lies on; P is the

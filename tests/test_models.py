@@ -17,7 +17,7 @@ from fermichain.models import (
     monotonicity_report,
 )
 from fermichain.specfun import polylog_circle, zeta
-from fermichain.errors import AccuracyError, DomainError
+from fermichain.errors import AccuracyError, DomainError, FitRejectedError
 
 TWO_PI = 2.0 * math.pi
 
@@ -312,6 +312,76 @@ def test_scalar_calls_match_grid_bitwise():
             assert [scalar(x) for x in p] == grid(p).tolist(), model.family
 
 
+ORDER_SETS = [(0, 1), (1, 2), (0, 2), (0, 1, 2), (2, 1, 0)]
+CUSTOM_J6 = InteractionModel.custom_summable(lambda j: j ** -6.0,
+                                             lambda J: 1.0 / (5.0 * J ** 5))
+
+
+@pytest.mark.parametrize("model", all_test_models() + [
+    InteractionModel.power_law(1.6), InteractionModel.power_law(2.9999),
+    InteractionModel.power_law(4.0), InteractionModel.rational_cubic(0.0),
+    CUSTOM_J6], ids=lambda m: m.family)
+def test_band_columns_are_each_order_alone(model):
+    # one evaluator call for several orders gives each column the bits
+    # of that order asked alone, on the scan grid and at the zone-center
+    # cusps; power-law 2.9999 puts all three orders near an integer, and
+    # the 1/j^6 custom series truncates each order at its own length
+    # (256, 1024 and 8192 terms, so E'' takes four blocks of 2048)
+    k = np.arange(1.0, 45.0)
+    cusps = np.concatenate([[0.0, math.pi, TWO_PI], math.pi * 2.0 ** -k,
+                            math.pi * (1.0 - 2.0 ** -k),
+                            TWO_PI - math.pi * 2.0 ** -k])
+    prof = DispersionProfile(model)
+    grid = HALF_PERIOD_CANDIDATES
+    if model.family == "custom-summable":
+        grid = grid[::32]   # the scan grid's every 32nd point
+    for p in (grid, cusps):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alone = {o: prof._band(p.copy(), o)[0] for o in (0, 1, 2)}
+            for orders in ORDER_SETS:
+                got = prof._band(p.copy(), *orders)
+                assert len(got) == len(orders)
+                for o, column in zip(orders, got):
+                    assert column.tobytes() == alone[o].tobytes(), (orders, o)
+            views = (prof.E_grid, prof.E1_grid, prof.E2_grid)
+            for o, view in enumerate(views):
+                assert view(p).tobytes() == alone[o].tobytes(), o
+    if model is CUSTOM_J6:
+        assert [prof._couplings(o)[0].size for o in (0, 1, 2)] == \
+            [256, 1024, 8192]
+
+
+def band_traffic(monkeypatch):
+    """(orders, points) of every evaluator call, in call order."""
+    calls = []
+    band = DispersionProfile._band
+
+    def counted(self, p, *orders):
+        calls.append((orders, int(np.size(p))))
+        return band(self, p, *orders)
+
+    monkeypatch.setattr(DispersionProfile, "_band", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model, mu, n_calls, n_points", [
+    (fr(1.0, 0.5), 4.25, 12, 8479), (hs(), 2.0, 7, 8373),
+    (InteractionModel.power_law(2.5), 1.5, 7, 8373),
+    (InteractionModel.rational_cubic(0.6), 1.0, 7, 8378)],
+    ids=["fr", "hs", "pl", "rc"])
+def test_fermi_points_evaluator_traffic(monkeypatch, model, mu, n_calls,
+                                        n_points):
+    # every call asks for one order: E' on the scan grid, bisections of
+    # E' and of E - mu, E at the extrema and the sea's midpoints, E' at
+    # the crossings. No grid point of these bands is a dip of |E'|, so
+    # the search for stationary pairs inside a cell makes no call
+    calls = band_traffic(monkeypatch)
+    fermi_points(DispersionProfile(model), mu)
+    assert calls[0] == ((1,), HALF_PERIOD_CANDIDATES.size)
+    assert all(len(orders) == 1 for orders, _ in calls)
+    assert (len(calls), sum(n for _, n in calls)) == (n_calls, n_points)
+
+
 def test_grid_evaluators_keep_momentum_shape():
     flat = np.array([0.0, 0.4, 1.3, math.pi, 4.0, TWO_PI])
     models = all_test_models() + [InteractionModel.power_law(1.6)]
@@ -465,6 +535,59 @@ def test_scan_refuses_harmonics_finer_than_its_cells():
         + 8.0 / 3075.0 * (1.0 - math.cos(1025.0)), abs=1e-14)
 
 
+# E' and E'' vanish together at p = 1.3 for the finite-range couplings
+# (1, BUMP_A2, BUMP_A3); raising the last by delta > 0 opens a pair of
+# stationary points around it, 5.4e-4 apart at delta = 1e-7, less than
+# a scan cell, and lowering it leaves the band monotone
+BUMP_A2, BUMP_A3 = -0.4159448774, 0.2591568217
+
+
+@pytest.mark.parametrize("delta", [sign * 10.0 ** -k for sign in (1, -1)
+                                   for k in range(3, 9)])
+def test_stationary_pair_inside_a_scan_cell_is_found(delta):
+    # the search inside scan cells against a sign scan of E' on 200001
+    # uniform points, which resolves the pair at every delta here; once
+    # found, the pair bounds the fit at mu inside the bump, which once
+    # returned exponent 1.336 and coefficient -0.351 against a predicted
+    # -2.5e6 at delta = 1e-7, raising nothing
+    prof = DispersionProfile(fr(1.0, BUMP_A2, BUMP_A3 + delta))
+    fine = np.linspace(0.0, math.pi, 200001)[1:-1]
+    d = prof.E1_grid(fine)
+    cells = np.flatnonzero((d[:-1] < 0.0) != (d[1:] < 0.0))
+    report = monotonicity_report(prof)
+    assert len(report) == cells.size == (2 if delta > 0.0 else 0)
+    for r, i in zip(report, cells):
+        assert fine[i] <= r <= fine[i + 1]
+    if delta > 0.0:
+        mu = 0.5 * (prof.E(report[0]) + prof.E(report[1]))
+        with pytest.raises(FitRejectedError, match="from a band extremum"):
+            low_temperature_fit(prof, mu)
+
+
+@pytest.mark.parametrize("h, bound, terms", [
+    (lambda j: j ** -5.0, lambda J: 1.0 / (4.0 * J ** 4), 8192),
+    (lambda j: {1: 1.0, 2: 0.5}.get(j, 0.0), lambda J: 1e-12 * J ** -1.5,
+     8)], ids=["inverse-fifth", "loose-bound"])
+def test_scan_sums_the_slope_series_alone(h, bound, terms):
+    # the scan reads E' alone, so a custom series is summed as far as
+    # E' needs: 8192 terms of 1/j^5, where E'' would take 2^19, and the
+    # (1, 1/2) couplings under a bound whose j^2-weighted tail never
+    # reaches 1e-12, so that E'' is refused while the Fermi points are
+    # those of the finite-range model
+    prof = DispersionProfile(InteractionModel.custom_summable(h, bound))
+    report = monotonicity_report(prof)
+    assert {o: j.size for o, (j, _) in prof._series_cache.items()} == \
+        {1: terms}
+    if terms == 8:
+        want = DispersionProfile(fr(1.0, 0.5))
+        assert report == pytest.approx(monotonicity_report(want), abs=1e-12)
+        got = fermi_points(prof, 4.25).roots
+        assert [r for r, _ in got] == pytest.approx(
+            [r for r, _ in fermi_points(want, 4.25).roots], abs=1e-12)
+        with pytest.raises(AccuracyError, match="at weight j\\^2"):
+            prof.E2(1.0)
+
+
 def test_slope_ratio_increases_to_2_log_2():
     # phi(p) = 2 Im Li_2(e^{ip}) / (pi - p) climbs monotonically to 2 log 2
     ps = np.linspace(0.05, math.pi - 1e-4, 50)
@@ -567,17 +690,16 @@ def test_half_period_candidates_sorted_once():
 @pytest.mark.parametrize("mu, phase", [
     (4.5, "non-critical-multiple-root"), (5.0, "gapped-above"),
     (0.0, "boundary")])
-def test_fermi_points_scans_no_piece_without_crossing(mu, phase):
+def test_fermi_points_scans_no_piece_without_crossing(monkeypatch, mu,
+                                                     phase):
     # a piece between consecutive extrema whose ends lie on one side of
     # mu, or end at a tangency or at the zone-edge minimum p = 0, holds
     # no crossing and is not scanned: the analysis evaluates E at the
     # extrema and the sea's midpoints only, where a scan of all of
     # (0, pi) takes more than 4000 points
-    prof = DispersionProfile(fr(1.0, 0.5))
-    counted, calls = counting(prof.E_grid)
-    prof.E_grid = counted
-    assert fermi_points(prof, mu).phase == phase
-    assert sum(calls) <= 36
+    calls = band_traffic(monkeypatch)
+    assert fermi_points(DispersionProfile(fr(1.0, 0.5)), mu).phase == phase
+    assert sum(n for orders, n in calls if 0 in orders) <= 36
 
 
 def test_grid_bisection_exact_midpoint_and_empty_bracket():

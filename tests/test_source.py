@@ -159,3 +159,29 @@ def test_cli_names_no_family_outside_the_model_choices():
              if isinstance(node, ast.Constant) and node.value in families
              and id(node) not in listed]
     assert named == []
+
+
+def test_one_dispersion_evaluator_branches_on_the_family():
+    # E, E' and E'' of every family come from one evaluator: the closed
+    # and polylog families are told apart, by comparing the model's
+    # family with their names, in exactly one DispersionProfile method
+    names = {"haldane-shastry", "power-law", "rational-cubic"}
+    path = ROOT / "src" / "fermichain" / "models.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (profile,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                  and node.name == "DispersionProfile"]
+    branching = set()
+    for method in profile.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Compare):
+                continue
+            parts = [n for side in (node.left, *node.comparators)
+                     for n in ast.walk(side)]
+            if (any(isinstance(n, ast.Attribute) and n.attr == "family"
+                    for n in parts)
+                    and any(isinstance(n, ast.Constant) and n.value in names
+                            for n in parts)):
+                branching.add(method.name)
+    assert len(branching) == 1, sorted(branching)
